@@ -1,21 +1,22 @@
 # Development targets. `make check` is the tier-1 gate: vet, build,
 # test, the race detector over the whole module, simlint — the
 # determinism/invariant static-analysis suite (internal/lint, see
-# DESIGN.md "Determinism invariants") — and the job-server smoke test.
+# DESIGN.md "Determinism invariants") — the benchmark module's own tests,
+# and the job-server smoke test.
 
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: check vet build test race lint lint-sarif serve-smoke shard-smoke fix-verify bench bench-baseline bench-compare regen trace-demo chaos campaign
+.PHONY: check vet build test race lint lint-sarif serve-smoke bench-test fix-verify bench regen trace-demo chaos campaign
 
-check: vet build test race lint shard-smoke serve-smoke
+check: vet build test race lint bench-test serve-smoke
 
 vet:
 	$(GO) vet ./...
 
 # lint runs the simlint suite — the syntactic checks (wallclock,
 # globalstate, maprange, goroutine, mathrand, errcheck) plus the SSA
-# dataflow rules (shardsafety, timetaint, rngprovenance, floatorder) and
+# dataflow rules (timetaint, rngprovenance, floatorder) and
 # stale-allow hygiene. Exits nonzero on any active finding; -stats
 # prints the per-rule tally, including suppressions, on stderr.
 lint:
@@ -32,9 +33,10 @@ lint-sarif:
 # directory and diffs them against the checked-in results/, proving that
 # a refactor (e.g. a lint-driven fix) left the default output
 # byte-identical. The .txt tables must match exactly; the .json
-# artifacts embed per-run metadata by design (wall_ms, created_at, and —
-# on instrumented runs — sim_events / events_per_sec, which depend on
-# host speed and on whether the fabric fast path was pinned off; see
+# artifacts embed per-run metadata by design (wall_ms, created_at, the
+# jobs count, which defaults to the host's core count, and — on
+# instrumented runs — sim_events / events_per_sec, which depend on host
+# speed and on whether the fabric fast path was pinned off; see
 # internal/runner artifacts), so those fields are filtered before
 # comparing. The scratch directory is removed on success and left in
 # place on failure for inspection. Full fidelity takes ~15 min on one
@@ -45,8 +47,8 @@ fix-verify:
 	diff -ru --exclude=README.md --exclude='*.json' results .fix-verify-results
 	@for f in results/*.json; do \
 		b=$$(basename $$f); \
-		diff <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|checksum)"' $$f) \
-		     <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|checksum)"' .fix-verify-results/$$b) \
+		diff <(grep -vE '"(wall_ms|created_at|jobs|sim_events|events_per_sec|checksum)"' $$f) \
+		     <(grep -vE '"(wall_ms|created_at|jobs|sim_events|events_per_sec|checksum)"' .fix-verify-results/$$b) \
 			|| { echo "fix-verify: $$b differs beyond per-run metadata"; exit 1; }; \
 	done
 	rm -rf .fix-verify-results
@@ -68,40 +70,15 @@ race:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# shard-smoke is the end-to-end determinism gate for the parallel
-# kernel, through the CLI rather than the test harness: fig5 (the
-# rendezvous-heavy experiment that caught the window-overrun bug) must
-# render byte-identically serial and with -shards 4. The unit suites
-# cover the kernel in depth; this leg covers the cmd/repro flag
-# plumbing and artifact rendering on top of it.
-shard-smoke:
-	rm -rf .shard-1 .shard-4
-	$(GO) run ./cmd/repro -exp fig5 -quick -jobs 1 -out .shard-1 >/dev/null
-	$(GO) run ./cmd/repro -exp fig5 -quick -jobs 2 -shards 4 -out .shard-4 >/dev/null
-	diff -ru --exclude='*.json' .shard-1 .shard-4
-	rm -rf .shard-1 .shard-4
-	@echo "shard-smoke: fig5 byte-identical at -shards 4"
+# bench-test runs the host-time benchmark's own tests (bench/ is a
+# separate Go module, so the root `go test ./...` never builds it, yet
+# it imports internal/lint, internal/platform and the app skeletons).
+# The benchmark itself runs with `bash bench/run.sh`; see bench/README.md.
+bench-test:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x
-
-# bench-baseline records the per-experiment performance baseline
-# (ns/op, allocs/op, reference event count, events/sec — serial and, with
-# BENCH_SHARDS>1, through the sharded kernel) into BENCH_<n>.json via
-# cmd/perfbase; bench-compare re-measures and fails on any experiment
-# more than 10% slower than the newest baseline on disk. The baselines
-# form a trajectory: <n> is the PR that recorded it, old files stay in
-# the repo, and BENCH_LATEST picks the highest-numbered one so compare
-# always gates against the most recent recording.
-BENCH_LATEST = $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -1)
-BENCH_NEXT ?= BENCH_9.json
-BENCH_SHARDS ?= 4
-
-bench-baseline:
-	$(GO) run ./cmd/perfbase -shards $(BENCH_SHARDS) -write $(BENCH_NEXT)
-
-bench-compare:
-	$(GO) run ./cmd/perfbase -compare $(BENCH_LATEST)
 
 regen:
 	$(GO) run ./cmd/repro -exp all -out results
@@ -113,22 +90,10 @@ regen:
 # seed). An experiment that dies under the storm (e.g. an IB QP error
 # after retry exhaustion) is a legitimate deterministic outcome, so a
 # nonzero repro exit is tolerated — but the SAME experiments must survive
-# at every worker/shard count, which the directory diff enforces (a
-# missing or extra artifact fails it). The .txt tables must match
-# exactly; .json artifacts are compared modulo the same per-run metadata
-# as fix-verify (plus the jobs/shards execution knobs, which differ
-# between legs by construction).
-#
-# The sharded legs are held to a deliberately different contract. Under a
-# collision-heavy storm, quantized retransmission timeouts pile many
-# events onto the same timestamp, and at equal timestamps the sharded
-# kernel schedules shard-local events before cross-shard arrivals while
-# the serial kernel uses global allocation order (DESIGN.md §12.4) — a
-# different but equally deterministic tie-break, which can swap per-link
-# loss draws. So the storm gate for shards is: (a) sharded output is a
-# pure function of the spec — byte-identical across worker counts — and
-# (b) the surviving-experiment set matches serial exactly. Fault-free
-# byte-identity between serial and sharded is enforced by shard-smoke.
+# at every worker count, which the directory diff enforces (a missing or
+# extra artifact fails it). The .txt tables must match exactly; .json
+# artifacts are compared modulo the same per-run metadata as fix-verify
+# plus the jobs count, which differs between the legs by construction.
 #
 # Each leg runs under -chaos-strict rather than `|| true`: an experiment
 # the storm deterministically kills (IB retry-budget exhaustion) is a
@@ -136,35 +101,24 @@ regen:
 # a panic, a timeout, a real bug the storm shook loose — fails the
 # target instead of being silently swallowed.
 chaos:
-	rm -rf .chaos-1 .chaos-n .chaos-s .chaos-s1
+	rm -rf .chaos-1 .chaos-n
 	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 1 -out .chaos-1 >/dev/null
 	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 8 -out .chaos-n >/dev/null
-	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 8 -shards 4 -out .chaos-s >/dev/null
-	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 1 -shards 4 -out .chaos-s1 >/dev/null
 	@ls .chaos-1/*.txt >/dev/null 2>&1 || { echo "chaos: no experiment survived the storm"; exit 1; }
 	diff -ru --exclude='*.json' .chaos-1 .chaos-n
-	diff -ru --exclude='*.json' .chaos-s .chaos-s1
-	@a=$$(cd .chaos-1 && ls); b=$$(cd .chaos-s && ls); \
-		[ "$$a" = "$$b" ] || { echo "chaos: survivor set differs between serial and sharded legs"; exit 1; }
 	@for f in .chaos-1/*.json; do \
 		b=$$(basename $$f); \
-		diff <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|jobs|shards)"' $$f) \
-		     <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|jobs|shards)"' .chaos-n/$$b) \
+		diff <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|jobs)"' $$f) \
+		     <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|jobs)"' .chaos-n/$$b) \
 			|| { echo "chaos: $$b differs between .chaos-1 and .chaos-n"; exit 1; }; \
 	done
-	@for f in .chaos-s/*.json; do \
-		b=$$(basename $$f); \
-		diff <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|jobs|shards)"' $$f) \
-		     <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|jobs|shards)"' .chaos-s1/$$b) \
-			|| { echo "chaos: $$b differs between .chaos-s and .chaos-s1"; exit 1; }; \
-	done
-	rm -rf .chaos-1 .chaos-n .chaos-s .chaos-s1
-	@echo "chaos: storm:2026 deterministic across worker counts; sharded legs self-deterministic with serial survivor parity"
+	rm -rf .chaos-1 .chaos-n
+	@echo "chaos: storm:2026 deterministic across worker counts"
 
 # campaign runs the behavioral-contract exploration engine
 # (internal/campaign) over a fixed-seed batch of generated scenarios:
-# fault plans × topologies × workloads × protocol thresholds × execution
-# knobs, each checked against the BC-1..BC-9 contract catalog, with
+# fault plans × topologies × workloads × protocol thresholds, each
+# checked against the per-scenario contracts of the BC catalog, with
 # violations auto-shrunk to minimal reproducers written into corpus/.
 # Deterministic: the same seed prints the same report digest at any job
 # count. Exits nonzero on any violation. ~1s at the default size; raise

@@ -46,9 +46,6 @@ func TestGenerateValid(t *testing.T) {
 				t.Fatalf("%s: fault spec %q: %v", sc.Name, sc.Faults, err)
 			}
 		}
-		if sc.Shards > sc.Nodes() {
-			t.Fatalf("%s: shards %d > nodes %d", sc.Name, sc.Shards, sc.Nodes())
-		}
 	}
 }
 
@@ -96,8 +93,8 @@ func TestCampaignCleanAndJobsInvariance(t *testing.T) {
 // deliberately smuggled invariant breach (undeclared total loss on link 0)
 // must be (1) found within a bounded budget, (2) shrunk to a reproducer
 // that still violates, (3) deterministic — its replay reports no BC-8
-// breach across the serial and sharded determinism legs — and (4)
-// replayable from the corpus file the campaign wrote.
+// breach across the determinism legs — and (4) replayable from the corpus
+// file the campaign wrote.
 func TestCampaignCanary(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -134,8 +131,8 @@ func TestCampaignCanary(t *testing.T) {
 	if !hasContract(vs, "BC-5") {
 		t.Fatalf("shrunk reproducer no longer violates BC-5; got %+v", vs)
 	}
-	// (3) ...deterministically: the check's own serial×2 (and sharded×2
-	// when the scenario kept shards) legs found no divergence.
+	// (3) ...deterministically: the check's own two determinism legs
+	// found no divergence.
 	if hasContract(vs, "BC-8") {
 		t.Fatal("reproducer replay is nondeterministic (BC-8)")
 	}
@@ -191,14 +188,14 @@ func TestReproducerIntegrity(t *testing.T) {
 }
 
 // TestShrink: greedy minimization strips everything not needed to keep the
-// violation alive — here the declared plan, the sharded legs, and most of
-// the workload, since the smuggled loss alone breaks BC-5.
+// violation alive — here the declared plan and most of the workload,
+// since the smuggled loss alone breaks BC-5.
 func TestShrink(t *testing.T) {
 	cfg := Config{Smuggle: canarySpec, ShrinkBudget: 32}
 	sc := Scenario{
 		Name: "shrink-seed", Network: "IB", Ranks: 8, PPN: 2, Radix: 4,
 		Workload: "stream", Size: 32 * units.KiB, Iters: 8,
-		Faults: "degrade:all:bw=0.5", Shards: 2,
+		Faults: "degrade:all:bw=0.5",
 	}
 	vs, _, err := check(sc, &cfg)
 	if err != nil {

@@ -87,7 +87,6 @@ type Network struct {
 	nodeOf func(rank int) int
 
 	// orderProbe, when non-nil, observes sequencer releases (see probe.go).
-	// Serial-only.
 	orderProbe OrderProbe
 }
 
@@ -103,16 +102,12 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params, nodeOf func(
 	mRecvs := reg.Counter("elan.rx_posts")
 	mUnexpected := reg.Counter("elan.unexpected")
 	for i := range n.nics {
-		// Each NIC lives on its node's engine (the owning shard under a
-		// parallel kernel): thread server, signals, and all protocol
-		// events schedule there.
-		nodeEng := fab.NodeEngine(i)
 		n.nics[i] = &NIC{
 			net:         n,
-			eng:         nodeEng,
+			eng:         eng,
 			node:        i,
 			params:      params,
-			thread:      nodeEng.NewServer(fmt.Sprintf("elan%d", i)),
+			thread:      eng.NewServer(fmt.Sprintf("elan%d", i)),
 			ports:       map[int]*port{},
 			txSeq:       map[[2]int]uint64{},
 			mSends:      mSends,
@@ -312,18 +307,14 @@ func (n *NIC) completeMatch(pt *port, rx *rxState, msg *envelopeMsg) {
 		n.finishRecv(rx, msg)
 		return
 	}
-	// Rendezvous: send CTS back; source NIC then DMAs the payload. Each
-	// leg runs on the NIC that drives it: the CTS completion fires on the
-	// source node's shard (the fabric delivery), where the source thread
-	// sets up the pull DMA; the pull's delivery fires back here. The
-	// sender's txDone signal is source-shard state, so it is fired through
-	// NotifyDelivered — at exactly the payload's delivery time — rather
-	// than from this NIC's completion callback.
+	// Rendezvous: send CTS back; source NIC then DMAs the payload. The
+	// sender's buffer is reusable, and txDone fires, at exactly the
+	// payload's delivery time.
 	src := n.net.nics[msg.srcNode]
 	n.net.fab.Send(n.node, msg.srcNode, n.params.EnvelopeBytes).OnFire(func() {
 		src.thread.ServePipelined(src.params.NICOccupancy, src.params.NICProcess, func() {
 			pull := n.net.fab.Send(msg.srcNode, n.node, msg.size)
-			n.net.fab.NotifyDelivered(src.eng, func() { msg.txDone.Fire() })
+			pull.OnFire(func() { msg.txDone.Fire() })
 			pull.OnFire(func() {
 				n.thread.ServePipelined(n.params.NICOccupancy, n.params.NICProcess, func() {
 					n.finishRecv(rx, msg)

@@ -7,8 +7,8 @@ package elan
 // hardware-retried fault recovery) delivered them out of order on the wire.
 //
 // Same contract as fabric probes (see fabric/probe.go): zero cost when
-// disabled (one nil check at the sequencer-release site) and serial-kernel
-// only, since the callback runs in event context on destination NICs.
+// disabled (one nil check at the sequencer-release site); the callback runs
+// in event context on destination NICs.
 
 // OrderProbe is called for each envelope the moment the per-sender sequencer
 // releases it to the matching engine, with the source rank, destination
@@ -18,10 +18,5 @@ package elan
 type OrderProbe func(srcRank, dstRank int, seq uint64)
 
 // SetOrderProbe installs (or with nil removes) the network's in-order
-// delivery probe. Serial-kernel only; call before the run starts.
-func (n *Network) SetOrderProbe(p OrderProbe) {
-	if n.fab.Sharded() {
-		panic("elan: order probes are serial-only (like metrics registries)")
-	}
-	n.orderProbe = p
-}
+// delivery probe. Call before the run starts.
+func (n *Network) SetOrderProbe(p OrderProbe) { n.orderProbe = p }

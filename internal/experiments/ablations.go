@@ -83,7 +83,7 @@ func runXReg(o Options) (*Result, error) {
 		cols = append(cols, column{label: capLabel(c), build: func() (*platform.Machine, error) {
 			return platform.New(platform.Options{
 				Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Shards: o.Shards,
+				Metrics: o.Metrics, FaultSpec: o.Faults,
 				TuneIB: func(hp *ib.Params, _ *mvib.Params) {
 					if c == 0 {
 						hp.RegCacheCap = 1 // effectively uncacheable
@@ -96,7 +96,7 @@ func runXReg(o Options) (*Result, error) {
 	}
 	cols = append(cols, column{label: "Elan4", build: func() (*platform.Machine, error) {
 		return platform.New(platform.Options{Network: platform.QuadricsElan4, Ranks: 2, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Shards: o.Shards})
+			Metrics: o.Metrics, FaultSpec: o.Faults})
 	}})
 	colVals, err := runner.Map(o.ctx(), o.pool("xreg"), cols,
 		func(_ int, c column) string { return c.label },
@@ -157,7 +157,7 @@ func runXOverlap(o Options) (*Result, error) {
 		func(_ int, c cell) string { return fmt.Sprintf("overlap %s %v", c.net.Short(), c.size) },
 		func(_ context.Context, c cell) (float64, error) {
 			m, err := platform.New(platform.Options{Network: c.net, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Shards: o.Shards})
+				Metrics: o.Metrics, FaultSpec: o.Faults})
 			if err != nil {
 				return 0, err
 			}

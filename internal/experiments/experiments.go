@@ -62,12 +62,6 @@ type Options struct {
 	// cancelling it drains the worker pools gracefully (in-flight points
 	// finish, queued points are skipped). Nil means context.Background().
 	Ctx context.Context
-	// Shards runs every machine the experiment builds on a parallel
-	// simulation kernel with this many shards (see platform.Options.Shards).
-	// Like Jobs, it is an execution knob: results are byte-identical at any
-	// value, and it is excluded from artifact canonical keys. <= 1 keeps
-	// the serial kernel.
-	Shards int
 	// OnProgress, when non-nil, receives a callback after each sweep point
 	// completes: the sweep's name plus done/total counts. This is the
 	// programmatic twin of Progress (which renders stderr lines) and is
@@ -96,7 +90,7 @@ func (o Options) ctx() context.Context {
 
 // env packages the per-machine environment for microbench calls.
 func (o Options) env() microbench.Env {
-	return microbench.Env{Metrics: o.Metrics, Faults: o.Faults, Shards: o.Shards}
+	return microbench.Env{Metrics: o.Metrics, Faults: o.Faults}
 }
 
 // Result is an experiment's output.
@@ -197,7 +191,7 @@ func runSeries(o Options, nets []platform.Network, nodeCounts []int, ppns []int,
 				"ppn": fmt.Sprint(k.ppn), "nodes": fmt.Sprint(k.nodes)},
 			Run: func(_ context.Context) (interface{}, error) {
 				m, err := platform.New(platform.Options{Network: k.net, Ranks: k.nodes * k.ppn, PPN: k.ppn,
-					Metrics: o.Metrics, FaultSpec: o.Faults, Shards: o.Shards,
+					Metrics: o.Metrics, FaultSpec: o.Faults,
 					Label: id})
 				if err != nil {
 					return nil, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)

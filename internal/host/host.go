@@ -236,17 +236,9 @@ type Cluster struct {
 
 // NewCluster builds n identical nodes on one engine.
 func NewCluster(eng *sim.Engine, n int, params Params) (*Cluster, error) {
-	return NewClusterOn(func(int) *sim.Engine { return eng }, n, params)
-}
-
-// NewClusterOn builds n identical nodes, placing node i on engOf(i) — the
-// engine of the shard that owns the node under a partitioned simulation.
-// All of a node's slots belong to ranks on that node, so every Compute,
-// AddOverhead, and membership signal stays on the owning engine.
-func NewClusterOn(engOf func(node int) *sim.Engine, n int, params Params) (*Cluster, error) {
 	c := &Cluster{Nodes: make([]*Node, n)}
 	for i := range c.Nodes {
-		node, err := NewNode(engOf(i), i, params)
+		node, err := NewNode(eng, i, params)
 		if err != nil {
 			return nil, err
 		}

@@ -144,14 +144,11 @@ type Network struct {
 	hcas []*HCA
 
 	// probe, when non-nil, receives RC transport observations (see
-	// probe.go). Serial-only; faulty-branch call sites only.
+	// probe.go). Faulty-branch call sites only.
 	probe *DeliveryProbe
 }
 
-// NewNetwork equips every node of the fabric with an HCA. Each HCA lives
-// on its node's engine (fabric.NodeEngine): on a serial fabric that is
-// eng itself, under sharding it is the owning shard — the HCA's server,
-// timers, and signals all schedule there.
+// NewNetwork equips every node of the fabric with an HCA.
 func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
 	n := &Network{eng: eng, fab: fab}
 	n.hcas = make([]*HCA, fab.Nodes())
@@ -163,14 +160,13 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
 	mTimeouts := reg.Counter("ib.timeouts")
 	mQPErrs := reg.Counter("ib.qp_errors")
 	for i := range n.hcas {
-		nodeEng := fab.NodeEngine(i)
 		n.hcas[i] = &HCA{
 			net:       n,
-			eng:       nodeEng,
+			eng:       eng,
 			fab:       fab,
 			node:      i,
 			params:    params,
-			engine:    nodeEng.NewServer(fmt.Sprintf("hca%d", i)),
+			engine:    eng.NewServer(fmt.Sprintf("hca%d", i)),
 			regCache:  NewRegCache(params.RegCacheCap),
 			qps:       map[int]bool{},
 			mSends:    mSends,
@@ -321,15 +317,8 @@ func (h *HCA) Register(p *sim.Proc, key uint64, size units.Bytes) {
 // error state and the run fails via Engine.Fail (deterministically: the
 // error carries only the QP identity and retry count). A late original
 // delivery racing its own retransmission is absorbed by the delivered
-// flag, and the attempt counter keeps a stale timer from double-retrying.
-//
-// Shard ownership: reliable always executes on h's (the requester's)
-// engine — timers, the attempt counter, and the sent flag are requester
-// state. Delivery runs on the destination's shard (the fabric signal fires
-// there), deduplicated by its own flag; the requester learns of delivery
-// through fabric.NotifyDelivered, which reports at exactly the delivery
-// time on the requester's own shard, so timer decisions are identical to
-// the serial kernel's.
+// flag, which also stands the timers down, and the attempt counter keeps a
+// stale timer from double-retrying.
 func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, send func() *sim.Signal, deliver func()) {
 	if !h.fab.FaultsEnabled() {
 		send().OnFire(deliver)
@@ -345,16 +334,13 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, send f
 		req = ReqID{Node: h.node, Peer: peer, Kind: kind, Seq: h.reqSeq}
 	}
 	var (
-		sent      bool // requester-side: an attempt has delivered (timers stand down)
-		delivered bool // destination-side: deliver ran (duplicates absorbed)
+		delivered bool // an attempt has delivered: timers stand down, duplicates are absorbed
 		attempt   int
 		try       func(n int)
 	)
 	try = func(n int) {
 		attempt = n
-		sig := send()
-		h.fab.NotifyDelivered(h.eng, func() { sent = true })
-		sig.OnFire(func() {
+		send().OnFire(func() {
 			if delivered {
 				if probe != nil && probe.Duplicate != nil {
 					probe.Duplicate(req, n, h.eng.Now())
@@ -376,7 +362,7 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, send f
 		}
 		timeout += 2 * floor
 		h.eng.After(timeout, func() {
-			if sent || attempt != n {
+			if delivered || attempt != n {
 				return
 			}
 			h.Timeouts++
@@ -424,9 +410,8 @@ func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}
 			h.reliable("rdma-write", peer, h.node, peer, size,
 				func() *sim.Signal { return h.fab.Send(h.node, peer, size) },
 				func() {
-					// Runs on the destination shard (the fabric's delivery
-					// event): remote HCA placement, then the upcall.
-					h.net.hcas[peer].placeWrite(h.node, imm, size, h.eng, done)
+					// Remote HCA placement, then the upcall.
+					h.net.hcas[peer].placeWrite(h.node, imm, size, done)
 				})
 		})
 	})
@@ -434,28 +419,18 @@ func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}
 }
 
 // placeWrite runs receive-side placement of an arriving RDMA write on h —
-// the DESTINATION adapter — in its own shard's event context: receive
-// processing on the HCA engine, then the handler upcall. done is the
-// requester's local-completion signal, owned by reqEng's shard; it fires
-// at the placement-done instant — inline when requester and destination
-// share an engine (the serial kernel), otherwise through an uncounted
-// cross-shard post, which satisfies the lookahead contract because the
-// placement serve puts the fire at least RecvProc past this event (IB
-// domains clamp lookahead to RecvProc; see platform).
-func (h *HCA) placeWrite(src int, imm interface{}, size units.Bytes, reqEng *sim.Engine, done *sim.Signal) {
+// the DESTINATION adapter: receive processing on the HCA engine, then the
+// handler upcall. done is the requester's local-completion signal; it
+// fires at the placement-done instant.
+func (h *HCA) placeWrite(src int, imm interface{}, size units.Bytes, done *sim.Signal) {
 	h.RecvCount++
 	h.mRecvs.Inc()
-	placed := h.engine.ServeThen(h.params.RecvProc, func() {
+	h.engine.ServeThen(h.params.RecvProc, func() {
 		if h.handler != nil {
 			h.handler(Delivery{SrcNode: src, Imm: imm, Size: size})
 		}
-		if reqEng == h.eng {
-			done.Fire()
-		}
+		done.Fire()
 	})
-	if reqEng != h.eng {
-		h.eng.PostUncounted(reqEng, placed, func() { done.Fire() })
-	}
 }
 
 // RDMARead posts an RDMA read of size bytes FROM the peer node into local
@@ -466,15 +441,7 @@ func (h *HCA) placeWrite(src int, imm interface{}, size units.Bytes, reqEng *sim
 // progress coupling of write-based ones.
 //
 // The returned signal fires at local completion (data placed locally).
-//
-// RDMARead is serial-kernel-only: its nested request/response recovery
-// arms requester timers from responder-side events, which has no
-// lookahead-respecting decomposition. The platform forces -shards 1 for
-// read-based (RGET) rendezvous.
 func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
-	if h.fab.Sharded() {
-		panic("ib: RDMA read (RGET rendezvous) requires the serial kernel (-shards 1)")
-	}
 	if !h.qps[peer] {
 		panic(fmt.Sprintf("ib: RDMA read on node %d from unconnected peer %d", h.node, peer))
 	}

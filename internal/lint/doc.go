@@ -30,27 +30,21 @@
 // field-sensitive taint engine, so they follow values through locals,
 // struct fields, closures, and phis rather than matching call sites:
 //
-//  7. shardsafety — no store to another node's state (the configured
-//     node types) reached through a collection lookup, iteration
-//     handle, or node-to-node pointer hop. Receiver and parameter
-//     writes are owned, constructors own what they build, and the
-//     fabric link layer is the sanctioned cross-node channel. This is
-//     the standing gate for the parallel-kernel plan.
-//  8. timetaint — no host-clock-tainted value may reach a sim
+//  7. timetaint — no host-clock-tainted value may reach a sim
 //     scheduling call, an artifact payload field, or report output; and
 //     the host time types must never interconvert with the sim-time
 //     units types, in either direction.
-//  9. rngprovenance — every rng.New key must trace to a seed
+//  8. rngprovenance — every rng.New key must trace to a seed
 //     parameter: constant-only keys, structurally colliding keys, and
 //     loop-invariant keys are flagged.
-//  10. floatorder — no float accumulation ordered by channel receive
+//  9. floatorder — no float accumulation ordered by channel receive
 //     order or goroutine/completion-callback execution order; float
 //     addition is not associative.
-//  11. staleallow — no //simlint:allow annotation that suppresses
+//  10. staleallow — no //simlint:allow annotation that suppresses
 //     nothing (judged only against checks that actually ran), and no
 //     unknown check names.
 //
-// Rules 1–4 and 7–10 run on every internal/ package; rules 5–6 and 11
+// Rules 1–4 and 7–9 run on every internal/ package; rules 5–6 and 10
 // additionally cover the root package, cmd/ drivers, and examples.
 // DESIGN.md's "Determinism invariants" section records the rationale
 // for each rule.

@@ -104,14 +104,6 @@ type Config struct {
 	// go statements (the sim-kernel scheduler).
 	SpawnSites map[string]bool
 
-	// NodeStateTypes are the fully qualified named types
-	// ("repro/internal/ib.HCA") that constitute per-node simulator state
-	// for shardsafety.
-	NodeStateTypes []string
-	// LinkLayerPkgs are the packages embodying the fabric link/message
-	// layer: the sanctioned channel for cross-node effects, exempt from
-	// shardsafety themselves.
-	LinkLayerPkgs []string
 	// TimeSinkCalls are sim-scheduling functions (types.Func.FullName
 	// form, e.g. "(*repro/internal/sim.Engine).At") that must never
 	// receive host-clock-derived values.
@@ -136,29 +128,21 @@ type Config struct {
 	ReportStaleAllows bool
 }
 
-// DefaultConfig is the repository policy: the sim kernel's proc.go and
-// shard.go (process goroutines and the sharded coordinator's round
-// workers) are the sanctioned goroutine spawn sites, internal/rng the one sanctioned
-// math/rand importer, fabric/metrics/report the packages whose calls
-// count as output-emitting inside a map range, and the v2 dataflow rules
-// bound to the simulator's node, fabric, time, and runner types.
+// DefaultConfig is the repository policy: the sim kernel's proc.go
+// (process goroutines) is the sanctioned goroutine spawn site,
+// internal/rng the one sanctioned math/rand importer,
+// fabric/metrics/report the packages whose calls count as output-emitting
+// inside a map range, and the v2 dataflow rules bound to the simulator's
+// time and runner types.
 func DefaultConfig() Config {
 	return Config{
 		ModulePath:   "repro",
 		EmitPkgPaths: []string{"repro/internal/fabric", "repro/internal/metrics", "repro/internal/report"},
 		RandPkgPath:  "repro/internal/rng",
 		SpawnSites: map[string]bool{
-			"repro/internal/sim:proc.go":  true,
-			"repro/internal/sim:shard.go": true,
+			"repro/internal/sim:proc.go": true,
 		},
 
-		NodeStateTypes: []string{
-			"repro/internal/ib.HCA",
-			"repro/internal/elan.NIC",
-			"repro/internal/host.Node",
-			"repro/internal/mpi.Rank",
-		},
-		LinkLayerPkgs: []string{"repro/internal/fabric"},
 		TimeSinkCalls: []string{
 			"(*repro/internal/sim.Engine).At",
 			"(*repro/internal/sim.Engine).After",
@@ -193,7 +177,6 @@ func DefaultAnalyzers() []*Analyzer {
 		GoroutineAnalyzer,
 		MathRandAnalyzer,
 		ErrcheckAnalyzer,
-		ShardSafetyAnalyzer,
 		TimeTaintAnalyzer,
 		RNGProvenanceAnalyzer,
 		FloatOrderAnalyzer,

@@ -15,7 +15,7 @@ func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		mk("internal/a/a.go", 10, "wallclock", "call to time.Now reads the wall clock", false),
 		mk("internal/a/a.go", 20, "wallclock", "call to time.Now reads the wall clock", true),
-		mk("internal/b/b.go", 3, "shardsafety", "write to X state owned by another node", false),
+		mk("internal/b/b.go", 3, "timetaint", "host-clock value flows into a sim scheduling call", false),
 	}
 }
 
@@ -154,8 +154,8 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if len(fresh) != 0 {
 		t.Errorf("fresh = %v, want none", fresh)
 	}
-	if len(stale) != 1 || stale[0].Rule != "shardsafety" {
-		t.Errorf("stale = %v, want the fixed shardsafety entry", stale)
+	if len(stale) != 1 || stale[0].Rule != "timetaint" {
+		t.Errorf("stale = %v, want the fixed timetaint entry", stale)
 	}
 }
 

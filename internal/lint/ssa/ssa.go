@@ -198,19 +198,6 @@ func (f *Func) Top() *Func {
 	return f
 }
 
-// Root unwraps a FieldAddr/IndexAddr/Load path to its base value: the
-// Param, Cell, Global, Call, ... the path is rooted at.
-func Root(v *Value) *Value {
-	for {
-		switch v.Op {
-		case OpFieldAddr, OpIndexAddr, OpLoad, OpConvert:
-			v = v.Args[0]
-		default:
-			return v
-		}
-	}
-}
-
 // Leaves visits the transitive leaf operands of v through pure
 // (side-effect-free) ops: Bin, Un, Convert, FieldAddr, IndexAddr,
 // Extract, Composite. Loads, calls, phis, params, and constants are

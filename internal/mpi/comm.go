@@ -135,10 +135,8 @@ func (c *Comm) Split(color, key int) *Comm {
 	k := splitKey{ctx: c.ctx, seq: c.splitCount}
 	c.splitCount++
 
-	w.mu.Lock()
-	st := w.splitMu(k)
+	st := w.splitFor(k)
 	st.entries = append(st.entries, splitEntry{color: color, key: key, worldRank: r.id})
-	w.mu.Unlock()
 	// The allgather both exchanges the (color,key) data and acts as the
 	// synchronization barrier: when it completes, every member has
 	// deposited its entry.
@@ -147,11 +145,8 @@ func (c *Comm) Split(color, key int) *Comm {
 	if color < 0 {
 		return nil
 	}
-	w.mu.Lock()
-	entries := append([]splitEntry(nil), st.entries...)
-	w.mu.Unlock()
-	group := make([]splitEntry, 0, len(entries))
-	for _, e := range entries {
+	group := make([]splitEntry, 0, len(st.entries))
+	for _, e := range st.entries {
 		if e.color == color {
 			group = append(group, e)
 		}
@@ -183,10 +178,9 @@ type splitState struct {
 	entries []splitEntry
 }
 
-// splitMu returns (creating if needed) the shared state of a split
-// instance. Callers must hold w.mu: under a sharded kernel the members of
-// a split may deposit entries from different shards concurrently.
-func (w *World) splitMu(k splitKey) *splitState {
+// splitFor returns (creating if needed) the shared state of a split
+// instance.
+func (w *World) splitFor(k splitKey) *splitState {
 	if w.splits == nil {
 		w.splits = map[splitKey]*splitState{}
 	}
@@ -199,13 +193,10 @@ func (w *World) splitMu(k splitKey) *splitState {
 }
 
 // ctxFor hands out a stable, unique even context id per (split instance,
-// color). The numeric value may depend on allocation order across shards,
-// but context ids participate only in matching equality — every member of
-// one new communicator gets the same id via the memoized map, and distinct
-// communicators get distinct ids, which is all matching observes.
+// color). Context ids participate only in matching equality — every
+// member of one new communicator gets the same id via the memoized map, and
+// distinct communicators get distinct ids, which is all matching observes.
 func (w *World) ctxFor(k splitKey, color int) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.ctxAlloc == nil {
 		w.ctxAlloc = map[ctxKey]int{}
 		w.nextCtx = 4 // 0/1 world p2p+coll; leave 2-3 reserved

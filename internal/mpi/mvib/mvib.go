@@ -28,7 +28,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -154,13 +153,6 @@ func (t *Transport) Name() string { return "ib" }
 
 // Network exposes the underlying IB model (for statistics).
 func (t *Transport) Network() *ib.Network { return t.net }
-
-// NodeEngine implements mpi.ShardPlacer: the engine owning a node's HCA
-// and host state.
-func (t *Transport) NodeEngine(node int) *sim.Engine { return t.net.Fabric().NodeEngine(node) }
-
-// Domain implements mpi.ShardPlacer (nil for a serial fabric).
-func (t *Transport) Domain() *sim.Sharded { return t.net.Fabric().Domain() }
 
 // Params returns the protocol parameters.
 func (t *Transport) Params() Params { return t.params }

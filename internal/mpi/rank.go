@@ -15,7 +15,7 @@ import (
 type Rank struct {
 	world *World
 	id    int
-	eng   *sim.Engine // the engine owning this rank's node (shard engine when sharded)
+	eng   *sim.Engine
 	node  *host.Node
 	slot  int
 	proc  *sim.Proc
@@ -47,9 +47,8 @@ func (r *Rank) World() *World { return r.world }
 // Proc exposes the rank's simulated process (transport use).
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
-// Engine returns the engine that owns this rank's node: the shard engine
-// under a partitioned simulation, the world engine otherwise. Transports
-// must create this rank's signals and requests on it.
+// Engine returns the simulation engine the rank runs on. Transports create
+// this rank's signals and requests on it.
 func (r *Rank) Engine() *sim.Engine { return r.eng }
 
 // HostNode returns the node this rank runs on.
@@ -76,9 +75,8 @@ func (r *Rank) Kick() {
 	old.Fire()
 }
 
-// launch spawns the rank's process on its owning engine, running app and
-// recording the rank's completion time. The proc handle and the elapsed
-// slot are both rank-owned state, written from the rank's own shard.
+// launch spawns the rank's process, running app and recording the rank's
+// completion time.
 func (r *Rank) launch(start units.Time, app func(*Rank), res *Result) {
 	r.proc = r.eng.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 		app(r)
@@ -352,8 +350,7 @@ func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{})
 }
 
 // shmDeliver lands an intra-node message on this rank's channel and wakes
-// it. Sender and receiver share a node by construction, hence an engine, so
-// the delivery event already runs in this rank's shard.
+// it.
 func (r *Rank) shmDeliver(msg *shmMsg) {
 	r.shm.arrived = append(r.shm.arrived, msg)
 	r.Kick()

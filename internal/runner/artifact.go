@@ -16,7 +16,6 @@ import (
 type Meta struct {
 	Quick     bool    `json:"quick"`
 	Jobs      int     `json:"jobs"`
-	Shards    int     `json:"shards,omitempty"`
 	Seed      uint64  `json:"seed"`
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 	WallMS    float64 `json:"wall_ms"`

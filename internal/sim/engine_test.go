@@ -372,6 +372,28 @@ func TestEventLimit(t *testing.T) {
 	}
 }
 
+// TestFailKeepsFirstError: Fail ends the run after the failing event, and
+// of several failures only the first is reported.
+func TestFailKeepsFirstError(t *testing.T) {
+	e := NewEngine()
+	later := false
+	e.At(units.Time(units.Microsecond), func() {
+		e.Fail(errors.New("first failure"))
+		e.Fail(errors.New("second failure"))
+	})
+	e.At(units.Time(2*units.Microsecond), func() { later = true })
+	err := e.Run()
+	if err == nil || err.Error() != "first failure" {
+		t.Fatalf("err = %v, want the first failure", err)
+	}
+	if e.Err() != err {
+		t.Fatalf("Err() = %v, want the run's error", e.Err())
+	}
+	if later {
+		t.Fatal("an event after the failure still ran")
+	}
+}
+
 func TestShutdownUnwindsProcs(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
