@@ -26,6 +26,7 @@ package elan
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/match"
@@ -246,7 +247,7 @@ func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 	}
 	n.txSeq[flow]++
 
-	txDone := n.eng.NewSignal(fmt.Sprintf("elan tx %d->%d", srcRank, dstRank))
+	txDone := n.eng.NewSignal("elan tx " + strconv.Itoa(srcRank) + "->" + strconv.Itoa(dstRank))
 	// Eager messages carry the envelope in the packet header (covered by
 	// the fabric's per-packet overhead); rendezvous sends a bare envelope.
 	wire := size
@@ -340,7 +341,7 @@ func (n *NIC) RxPost(p *sim.Proc, dstRank int, env match.Envelope) *Recv {
 	n.mRecvs.Inc()
 	p.Sleep(n.params.RxPostOverhead)
 
-	recv := &Recv{Done: n.eng.NewSignal(fmt.Sprintf("elan rx rank%d", dstRank))}
+	recv := &Recv{Done: n.eng.NewSignal("elan rx rank" + strconv.Itoa(dstRank))}
 	rx := &rxState{recv: recv}
 	// The NIC thread walks the unexpected queue (or appends the post).
 	data, found, traversed := pt.eng.PostRecv(env, rx)

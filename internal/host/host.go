@@ -17,6 +17,7 @@ package host
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -75,9 +76,10 @@ type Node struct {
 	id     int
 	params Params
 
-	active  int // slots currently inside Compute
-	epoch   uint64
-	changed *sim.Signal // replaced at every membership change
+	active      int // slots currently inside Compute
+	epoch       uint64
+	changed     *sim.Signal // replaced at every membership change
+	changedName string      // changed's name, rendered once
 
 	debt      []units.Duration // per-slot overhead owed to the next Compute
 	busyTotal []units.Duration // per-slot accumulated compute time
@@ -90,13 +92,14 @@ func NewNode(eng *sim.Engine, id int, params Params) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		eng:       eng,
-		id:        id,
-		params:    params,
-		changed:   eng.NewSignal(fmt.Sprintf("node%d membership", id)),
-		debt:      make([]units.Duration, params.CPUs),
-		busyTotal: make([]units.Duration, params.CPUs),
+		eng:         eng,
+		id:          id,
+		params:      params,
+		changedName: "node" + strconv.Itoa(id) + " membership",
+		debt:        make([]units.Duration, params.CPUs),
+		busyTotal:   make([]units.Duration, params.CPUs),
 	}
+	n.changed = eng.NewSignal(n.changedName)
 	if params.NoiseFraction > 0 {
 		n.noise = make([]*rng.Source, params.CPUs)
 		for s := range n.noise {
@@ -142,7 +145,7 @@ func (n *Node) slowdown(intensity float64) float64 {
 func (n *Node) membershipChanged() {
 	n.epoch++
 	old := n.changed
-	n.changed = n.eng.NewSignal(fmt.Sprintf("node%d membership", n.id))
+	n.changed = n.eng.NewSignal(n.changedName)
 	old.Fire()
 }
 

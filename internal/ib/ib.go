@@ -23,6 +23,7 @@ package ib
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -404,7 +405,7 @@ func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}
 		// Doorbell + WQE PIO occupy the shared PCI-X bus.
 		bus.Serve(h.params.DoorbellBusTime)
 	}
-	done := h.eng.NewSignal(fmt.Sprintf("rdma %d->%d", h.node, peer))
+	done := h.eng.NewSignal("rdma " + strconv.Itoa(h.node) + "->" + strconv.Itoa(peer))
 	h.eng.After(h.params.DoorbellLatency, func() {
 		h.engine.ServeThen(h.params.ProcPerWQE, func() {
 			h.reliable("rdma-write", peer, h.node, peer, size,
@@ -451,7 +452,7 @@ func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{})
 	if bus := h.fab.HostBus(h.node); bus != nil {
 		bus.Serve(h.params.DoorbellBusTime)
 	}
-	done := h.eng.NewSignal(fmt.Sprintf("rdma-read %d<-%d", h.node, peer))
+	done := h.eng.NewSignal("rdma-read " + strconv.Itoa(h.node) + "<-" + strconv.Itoa(peer))
 	h.eng.After(h.params.DoorbellLatency, func() {
 		h.engine.ServeThen(h.params.ProcPerWQE, func() {
 			// Read request travels to the peer (header-only), the peer's

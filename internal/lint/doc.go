@@ -16,8 +16,8 @@
 //  3. maprange — no map iteration feeding anything order-sensitive
 //     (output calls, channel sends, float accumulation, unsorted
 //     appends). Go randomizes map order per run by design.
-//  4. goroutine — no go statements outside the sim kernel's spawn site
-//     (internal/sim/proc.go). The engine serializes processes; raw
+//  4. goroutine — no go statements in deterministic packages. Simulated
+//     processes are coroutines the engine switches one at a time; raw
 //     goroutines reintroduce scheduler races.
 //  5. mathrand — no math/rand imports outside internal/rng; all
 //     randomness must come from seeded, replayable streams.

@@ -100,9 +100,6 @@ type Config struct {
 	// seeded RNG wrapper). rngprovenance also treats its New function as
 	// the stream-derivation point.
 	RandPkgPath string
-	// SpawnSites lists "pkgpath:filebase" entries sanctioned to contain
-	// go statements (the sim-kernel scheduler).
-	SpawnSites map[string]bool
 
 	// TimeSinkCalls are sim-scheduling functions (types.Func.FullName
 	// form, e.g. "(*repro/internal/sim.Engine).At") that must never
@@ -128,20 +125,15 @@ type Config struct {
 	ReportStaleAllows bool
 }
 
-// DefaultConfig is the repository policy: the sim kernel's proc.go
-// (process goroutines) is the sanctioned goroutine spawn site,
-// internal/rng the one sanctioned math/rand importer,
-// fabric/metrics/report the packages whose calls count as output-emitting
-// inside a map range, and the v2 dataflow rules bound to the simulator's
-// time and runner types.
+// DefaultConfig is the repository policy: internal/rng is the one
+// sanctioned math/rand importer, fabric/metrics/report the packages whose
+// calls count as output-emitting inside a map range, and the v2 dataflow
+// rules bound to the simulator's time and runner types.
 func DefaultConfig() Config {
 	return Config{
 		ModulePath:   "repro",
 		EmitPkgPaths: []string{"repro/internal/fabric", "repro/internal/metrics", "repro/internal/report"},
 		RandPkgPath:  "repro/internal/rng",
-		SpawnSites: map[string]bool{
-			"repro/internal/sim:proc.go": true,
-		},
 
 		TimeSinkCalls: []string{
 			"(*repro/internal/sim.Engine).At",

@@ -20,16 +20,14 @@ type expectation struct {
 }
 
 // testConfig is the analyzer configuration used over testdata packages:
-// the sink subpackage plays fabric/metrics/report, sanctioned.go plays
-// internal/sim/proc.go, and the module prefix matches the testdata tree.
-// The v2 dataflow rules bind to conventional names (Engine, Result, Pool,
-// unitsx, rngx) under the same prefix.
+// the sink subpackage plays fabric/metrics/report, and the module prefix
+// matches the testdata tree. The v2 dataflow rules bind to conventional
+// names (Engine, Result, Pool, unitsx, rngx) under the same prefix.
 func testConfig(pkgPath string) Config {
 	return Config{
 		ModulePath:   pkgPath,
 		EmitPkgPaths: []string{pkgPath + "/sink"},
 		RandPkgPath:  pkgPath + "/rngx",
-		SpawnSites:   map[string]bool{pkgPath + ":sanctioned.go": true},
 
 		TimeSinkCalls: []string{
 			"(*" + pkgPath + ".Engine).After",

@@ -1,13 +1,12 @@
-// Package goroutine seeds raw go statements; sanctioned.go plays the
-// role of the sim kernel's one sanctioned spawn site.
+// Package goroutine seeds raw go statements.
 package goroutine
 
 func spawn(fn func()) {
-	go fn() // want `go statement outside the sim kernel spawn site`
+	go fn() // want `go statement in a deterministic package`
 }
 
 func spawnClosure(n int) {
-	go func() { // want `go statement outside the sim kernel spawn site`
+	go func() { // want `go statement in a deterministic package`
 		_ = n * n
 	}()
 }

@@ -22,7 +22,7 @@
 package mvib
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ib"
 	"repro/internal/match"
@@ -239,7 +239,7 @@ func (t *Transport) deliver(d ib.Delivery) {
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
 	hca := t.net.HCA(r.NodeID())
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("ib send %d->%d", r.ID(), dst), false)
+	req := mpi.NewRequest(r.Engine(), "ib send "+strconv.Itoa(r.ID())+"->"+strconv.Itoa(dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 
 	if size <= t.params.EagerThreshold {
@@ -293,7 +293,7 @@ func (t *Transport) takeOwed(st *rankState, dst int) int {
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("ib recv %d<-%d", r.ID(), src), true)
+	req := mpi.NewRequest(r.Engine(), "ib recv "+strconv.Itoa(r.ID())+"<-"+strconv.Itoa(src), true)
 	rs := &recvState{req: req, key: key}
 	// Drain anything already delivered, then post.
 	t.Progress(r)

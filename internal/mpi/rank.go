@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/host"
 	"repro/internal/match"
@@ -24,7 +25,8 @@ type Rank struct {
 	// something this rank might care about. It is replaced on every kick;
 	// waiters capture it before progressing and re-check conditions after
 	// waking (level-triggered).
-	incoming *sim.Signal
+	incoming     *sim.Signal
+	incomingName string // incoming's name, rendered once
 
 	shm       shmState
 	commWorld *Comm
@@ -71,7 +73,7 @@ func (r *Rank) Incoming() *sim.Signal { return r.incoming }
 // state. Safe from any simulation context.
 func (r *Rank) Kick() {
 	old := r.incoming
-	r.incoming = r.eng.NewSignal(fmt.Sprintf("rank%d incoming", r.id))
+	r.incoming = r.eng.NewSignal(r.incomingName)
 	old.Fire()
 }
 
@@ -340,7 +342,7 @@ type shmMsg struct {
 // destination rank, completing immediately (buffered semantics). The
 // receiver pays the copy-out when it matches.
 func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{}) *Request {
-	req := NewRequest(r.eng, fmt.Sprintf("shm send %d->%d", r.id, dst), false)
+	req := NewRequest(r.eng, "shm send "+strconv.Itoa(r.id)+"->"+strconv.Itoa(dst), false)
 	r.HostCopy(size)
 	msg := &shmMsg{env: match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}, size: size, payload: payload}
 	peer := r.world.ranks[dst]
@@ -358,7 +360,7 @@ func (r *Rank) shmDeliver(msg *shmMsg) {
 
 // shmRecv posts an intra-node receive.
 func (r *Rank) shmRecv(src, tag, ctx int) *Request {
-	req := NewRequest(r.eng, fmt.Sprintf("shm recv %d<-%d", r.id, src), true)
+	req := NewRequest(r.eng, "shm recv "+strconv.Itoa(r.id)+"<-"+strconv.Itoa(src), true)
 	r.shmProgress() // drain anything already arrived before posting
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if data, found, _ := r.shm.engine.PostRecv(env, req); found {

@@ -12,7 +12,7 @@
 package tports
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/elan"
 	"repro/internal/match"
@@ -47,7 +47,7 @@ func (t *Transport) Attach(w *mpi.World) {
 // NetSend implements mpi.Transport. The buffer key is ignored: the Elan MMU
 // needs no registration.
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("elan send %d->%d", r.ID(), dst), false)
+	req := mpi.NewRequest(r.Engine(), "elan send "+strconv.Itoa(r.ID())+"->"+strconv.Itoa(dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 	nic := t.net.NIC(r.NodeID())
 	txDone := nic.TxPost(r.Proc(), r.ID(), dst, env, size, payload)
@@ -59,7 +59,7 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("elan recv %d<-%d", r.ID(), src), true)
+	req := mpi.NewRequest(r.Engine(), "elan recv "+strconv.Itoa(r.ID())+"<-"+strconv.Itoa(src), true)
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if src == mpi.AnySource {
 		env.Src = match.AnySource

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/host"
 	"repro/internal/metrics"
@@ -45,13 +46,15 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 	w.track = eng.TraceTrack()
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for i := range w.ranks {
+		incoming := "rank" + strconv.Itoa(i) + " incoming"
 		w.ranks[i] = &Rank{
-			world:    w,
-			id:       i,
-			eng:      eng,
-			node:     cluster.Nodes[i/cfg.PPN],
-			slot:     i % cfg.PPN,
-			incoming: eng.NewSignal(fmt.Sprintf("rank%d incoming", i)),
+			world:        w,
+			id:           i,
+			eng:          eng,
+			node:         cluster.Nodes[i/cfg.PPN],
+			slot:         i % cfg.PPN,
+			incoming:     eng.NewSignal(incoming),
+			incomingName: incoming,
 		}
 		w.ranks[i].shm.init()
 		if w.track != nil {

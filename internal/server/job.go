@@ -148,18 +148,31 @@ func (j *job) metricsEvent(data []byte) {
 	j.wake = make(chan struct{})
 }
 
-// setRunning transitions queued -> running; it is a no-op (reporting
+// bind attaches the cancel func of the dispatcher's hand-off to a worker.
+// The job stays queued until a worker starts it, so a cancel while it
+// waits for one still transitions immediately. It is a no-op (reporting
 // false) if the job was cancelled first.
-func (j *job) setRunning(cancel func()) bool {
+func (j *job) bind(cancel func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateRunning
 	j.cancel = cancel
-	j.publishStatusLocked()
 	return true
+}
+
+// setRunning transitions queued -> running when a worker starts the job
+// (a retried attempt finds it running already); it reports false if the
+// job was cancelled first.
+func (j *job) setRunning() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state == StateQueued {
+		j.state = StateRunning
+		j.publishStatusLocked()
+	}
+	return j.state == StateRunning
 }
 
 // finish moves the job to a terminal state exactly once.
@@ -176,12 +189,14 @@ func (j *job) finish(state State, errMsg string, a *runner.Artifact) {
 }
 
 // requestCancel cancels a queued or running job. Queued jobs transition
-// immediately (the dispatcher skips them); running jobs get their
-// context cancelled and transition when the sweep drains.
-func (j *job) requestCancel() {
+// immediately, reporting true (the dispatcher skips them or abandons the
+// hand-off); running jobs get their context cancelled and transition when
+// the sweep drains.
+func (j *job) requestCancel() bool {
 	j.mu.Lock()
 	cancel := j.cancel
-	if j.state == StateQueued {
+	queued := j.state == StateQueued
+	if queued {
 		j.state = StateCanceled
 		j.publishStatusLocked()
 		close(j.done)
@@ -190,6 +205,7 @@ func (j *job) requestCancel() {
 	if cancel != nil {
 		cancel()
 	}
+	return queued
 }
 
 // snapshot returns the fields a status view needs under one lock.

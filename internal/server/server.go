@@ -433,7 +433,7 @@ func (s *Server) dispatch() {
 		}
 		s.queueDepth.Set(float64(s.queue.depth()))
 		jctx, jcancel := context.WithCancel(s.baseCtx)
-		if !j.setRunning(jcancel) {
+		if !j.bind(jcancel) {
 			// Cancelled while queued.
 			jcancel()
 			s.clearFlight(j)
@@ -473,6 +473,9 @@ func (s *Server) dispatch() {
 // then package the result as a checksummed artifact.
 func (s *Server) execute(j *job) func(ctx context.Context) (interface{}, error) {
 	return func(ctx context.Context) (interface{}, error) {
+		if !j.setRunning() {
+			return nil, context.Canceled // cancelled while waiting for this worker
+		}
 		reg := metrics.New()
 		opts := experiments.Options{
 			Jobs:       s.sweepJobs,
@@ -622,7 +625,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.requestCancel()
+	if j.requestCancel() {
+		// Release the flight now, not when the dispatcher next looks, so
+		// an identical submission right after the DELETE schedules fresh
+		// work instead of joining the cancelled job.
+		s.clearFlight(j)
+	}
 	writeJSON(w, http.StatusOK, s.view(j, "miss", false))
 }
 

@@ -136,7 +136,7 @@ func TestShutdownAfterDeadlockReleasesGoroutines(t *testing.T) {
 		t.Fatalf("expected deadlock, got %v", err)
 	}
 	e.Shutdown()
-	// Process goroutines unwind asynchronously after being released.
+	// Poll: the goroutine behind a stopped coroutine may lag its exit.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()

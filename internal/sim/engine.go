@@ -5,12 +5,13 @@
 //
 //   - Event-driven callbacks, scheduled with (*Engine).At / (*Engine).After.
 //     Callbacks run on the scheduler goroutine.
-//   - Simulated processes ((*Engine).Spawn), each backed by a goroutine that
-//     can block on simulated time (Sleep) and synchronization objects
-//     (Signal, Queue, Server). At most one process executes at a time, and
-//     control transfers between the scheduler and processes are fully
-//     synchronous, so simulations are deterministic: the same program with
-//     the same seeds produces bit-identical event orders and timestamps.
+//   - Simulated processes ((*Engine).Spawn), each a coroutine that can
+//     block on simulated time (Sleep) and synchronization objects (Signal,
+//     Queue, Server). At most one process executes at a time, and control
+//     transfers between the scheduler and processes are fully synchronous
+//     coroutine switches, so simulations are deterministic: the same
+//     program with the same seeds produces bit-identical event orders and
+//     timestamps.
 //
 // Determinism is load-bearing for this repository: every experiment in
 // EXPERIMENTS.md must be exactly reproducible.
@@ -132,7 +133,6 @@ type Engine struct {
 
 	procs   []*Proc
 	running *Proc
-	parked  chan *Proc
 
 	stopped   bool
 	err       error
@@ -155,7 +155,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{parked: make(chan *Proc)}
+	return &Engine{}
 }
 
 // Now reports the current simulated time.
@@ -327,19 +327,19 @@ func (e *Engine) Fail(err error) {
 	}
 }
 
-// Shutdown unwinds every live process goroutine. Call it when abandoning an
+// Shutdown unwinds every live process coroutine. Call it when abandoning an
 // engine (after a deadlock, error, or early Stop) to avoid leaking parked
-// goroutines. The engine must not be run again afterwards.
+// coroutines. The engine must not be run again afterwards.
 func (e *Engine) Shutdown() {
 	for _, p := range e.procs {
 		if p.done {
 			continue
 		}
-		p.killed = true
 		e.running = p
-		p.resume <- struct{}{}
-		<-e.parked
+		p.stop()
 		e.running = nil
+		p.done = true
+		p.state, p.stateObj = "done", ""
 	}
 }
 

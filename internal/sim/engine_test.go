@@ -339,6 +339,9 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Shutdown()
 }
 
+// TestProcPanicPropagates: a panic inside a process body is recovered
+// inside the process and recorded as the engine's error, naming the
+// process and the time; Run returns it rather than panicking.
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("bad", func(p *Proc) {
@@ -346,8 +349,11 @@ func TestProcPanicPropagates(t *testing.T) {
 		panic("boom")
 	})
 	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want panic capture", err)
+	if err == nil || err != e.Err() {
+		t.Fatalf("Run = %v, Err = %v; want the same recorded error", err, e.Err())
+	}
+	if want := `sim: panic in process "bad" at t=1us: boom`; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %q, want prefix %q", err, want)
 	}
 }
 

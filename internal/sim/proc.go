@@ -1,22 +1,29 @@
+// iter.Pull needs Go 1.23. The constraint raises only this file's language
+// version; a go.mod bump would break the bench module, which pins go 1.22.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that can block on simulated time
-// and synchronization objects. All Proc methods must be called from the
-// process's own function (i.e., while it is the running process); the kernel
-// enforces this and panics otherwise, since violating it would break
-// determinism.
+// Proc is a simulated process: a coroutine (iter.Pull, switched without the
+// Go scheduler) that can block on simulated time and synchronization
+// objects. All Proc methods must be called from the process's own function
+// (i.e., while it is the running process); the kernel enforces this and
+// panics otherwise, since violating it would break determinism.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
+	eng   *Engine
+	id    int
+	name  string
+	next  func() (struct{}, bool) // scheduler → process: run until park or return
+	stop  func()                  // unwind a parked or never-started process
+	yield func(struct{}) bool     // process → scheduler; false once stopped
+	done  bool
 	// Blocking reason for deadlock reports and trace spans, split in two
 	// so hot paths park without building a string: the rendered state is
 	// state+stateObj (e.g. "waiting on signal " + name), concatenated
@@ -31,8 +38,8 @@ type Proc struct {
 // stateString renders the blocking reason (cold paths only).
 func (p *Proc) stateString() string { return p.state + p.stateObj }
 
-// errKilled is the sentinel panic value used by Engine.Shutdown to unwind a
-// parked process goroutine.
+// killedSentinel is the panic value park raises to unwind a process that
+// Engine.Shutdown stopped; the process body's own recover swallows it.
 type killedSentinel struct{}
 
 // Spawn creates a process and schedules its first execution at the current
@@ -40,11 +47,10 @@ type killedSentinel struct{}
 // is done. Panics inside fn abort the simulation with a recorded error.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  "spawned",
+		eng:   e,
+		id:    len(e.procs),
+		name:  name,
+		state: "spawned",
 	}
 	e.procs = append(e.procs, p)
 	p.switchFn = func() { e.switchTo(p) }
@@ -52,8 +58,10 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	if e.track != nil {
 		e.track.SetThreadName(TidProc+int64(p.id), "blocked "+name)
 	}
-	go func() {
-		<-p.resume // wait for first dispatch
+	// A coroutine stopped before its first next never enters this body. The
+	// recover stays inside it: an escaping panic would propagate out of next.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, isKill := r.(killedSentinel); !isKill && e.err == nil {
@@ -63,13 +71,9 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 			}
 			p.done = true
 			p.state, p.stateObj = "done", ""
-			e.parked <- p // return control to the scheduler
 		}()
-		if p.killed {
-			panic(killedSentinel{})
-		}
 		fn(p)
-	}()
+	})
 	e.After(0, p.switchFn)
 	return p
 }
@@ -88,8 +92,7 @@ func (e *Engine) switchTo(p *Proc) {
 	if e.Trace != nil {
 		e.tracef("run %s", p.name)
 	}
-	p.resume <- struct{}{}
-	<-e.parked
+	p.next()
 	e.running = nil
 }
 
@@ -105,9 +108,7 @@ func (p *Proc) park(state, obj string) {
 		e.tracef("park %s: %s", p.name, p.stateString())
 	}
 	blockedAt := e.now
-	e.parked <- p
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
 	}
 	if e.track != nil && e.now > blockedAt {
