@@ -379,8 +379,8 @@ func (w *window) expand() {
 			out = w.baseC[w.m-1].Add(units.Duration(k)*w.bneck[w.m-1] + w.lat[w.m-1])
 		}
 		if out >= now {
-			cs := f.getChunk(ms, w.m-1, sz, out)
-			f.eng.At(out, cs.deliverFn)
+			cs := f.getChunk(ms, w.m, sz, out)
+			f.eng.At(out, cs.stepFn)
 			continue
 		}
 		delivered++

@@ -428,23 +428,22 @@ func (ms *msgState) chunkDelivered() {
 }
 
 // chunkState carries one in-flight chunk through its path. It is pooled,
-// and the two continuations it schedules (stepFn for the next hop,
-// deliverFn for final delivery) are bound once at allocation, so the
-// per-chunk-per-hop event loop closes over nothing and allocates
-// nothing.
+// and its one continuation, stepFn, is bound once at allocation, so the
+// per-chunk-per-hop event loop closes over nothing and allocates nothing.
+// A chunk has at most one pending event, so one lane entry serves every
+// hop. The struct stays within a 96-byte allocation class: when many
+// large messages inject at once, tens of thousands are live together.
 type chunkState struct {
-	f     *Fabric
+	lane  sim.LaneEntry
 	ms    *msgState
-	i     int
+	i     int // the stage the chunk arrives at next; ms.pt.n is delivery
 	size  units.Bytes
 	ready units.Time
 	// Adaptive per-chunk spine override, chosen when the chunk reaches
-	// the uplink stage (nil until then; path stages hold the spine-0
+	// the uplink stage (-1 until then; path stages hold the spine-0
 	// placeholder).
-	upSrv, downSrv   *sim.Server
 	upLink, downLink topology.LinkID
 	stepFn           func()
-	deliverFn        func()
 }
 
 func (f *Fabric) getChunk(ms *msgState, i int, size units.Bytes, ready units.Time) *chunkState {
@@ -454,31 +453,36 @@ func (f *Fabric) getChunk(ms *msgState, i int, size units.Bytes, ready units.Tim
 		f.freeChunks[n-1] = nil
 		f.freeChunks = f.freeChunks[:n-1]
 	} else {
-		cs = &chunkState{f: f}
+		cs = &chunkState{}
 		cs.stepFn = cs.step
-		cs.deliverFn = cs.deliver
 	}
 	cs.ms, cs.i, cs.size, cs.ready = ms, i, size, ready
-	cs.upSrv, cs.downSrv = nil, nil
+	cs.upLink = -1
 	return cs
 }
 
 // putChunk retires cs into the pool.
 func (f *Fabric) putChunk(cs *chunkState) {
 	cs.ms = nil
-	cs.upSrv, cs.downSrv = nil, nil
 	f.freeChunks = append(f.freeChunks, cs)
 }
 
 // step is one hop of the lazy cut-through pipeline: the chunk claims the
 // stage it has just arrived at, so cross-traffic interleaves correctly
 // under contention and adaptive spine choice sees true instantaneous
-// load. It runs as the arrival event at cs.ready.
+// load. It runs as the arrival event at cs.ready, and past the last stage
+// it retires the chunk at its final-delivery time.
 func (cs *chunkState) step() {
-	f := cs.f
-	pt := &cs.ms.pt
+	ms := cs.ms
+	f := ms.f
+	pt := &ms.pt
 	i := cs.i
-	if f.params.Adaptive && i == pt.upIdx && cs.upSrv == nil {
+	if i == pt.n {
+		f.putChunk(cs)
+		ms.chunkDelivered()
+		return
+	}
+	if f.params.Adaptive && i == pt.upIdx && cs.upLink < 0 {
 		spine, rerouted := f.chooseSpine(pt.srcLeaf, pt.dstLeaf)
 		if rerouted {
 			f.faultStats.ChunksRerouted++
@@ -486,16 +490,16 @@ func (cs *chunkState) step() {
 		}
 		cs.upLink = f.clos.Up(pt.srcLeaf, spine)
 		cs.downLink = f.clos.Down(spine, pt.dstLeaf)
-		cs.upSrv = f.links[cs.upLink]
-		cs.downSrv = f.links[cs.downLink]
 	}
 	st := &pt.stages[i]
 	srv, link := st.srv, st.link
-	if cs.upSrv != nil {
+	if cs.upLink >= 0 {
 		if i == pt.upIdx {
-			srv, link = cs.upSrv, cs.upLink
+			link = cs.upLink
+			srv = f.links[link]
 		} else if i == pt.upIdx+1 {
-			srv, link = cs.downSrv, cs.downLink
+			link = cs.downLink
+			srv = f.links[link]
 		}
 	}
 	lf := f.linkFault(link)
@@ -508,7 +512,7 @@ func (cs *chunkState) step() {
 			f.mRetried.Inc()
 			f.probeStalled(link, cs.ready)
 			if i == pt.upIdx {
-				cs.upSrv, cs.downSrv = nil, nil
+				cs.upLink = -1
 			}
 			cs.ready = cs.ready.Add(f.params.HWRetryDelay)
 			f.eng.At(cs.ready, cs.stepFn)
@@ -549,7 +553,7 @@ func (cs *chunkState) step() {
 			f.faultStats.ChunksRetried++
 			f.mRetried.Inc()
 			if i == pt.upIdx {
-				cs.upSrv, cs.downSrv = nil, nil
+				cs.upLink = -1
 			}
 			cs.ready = out.Add(f.params.HWRetryDelay)
 			f.eng.At(cs.ready, cs.stepFn)
@@ -558,20 +562,12 @@ func (cs *chunkState) step() {
 		f.dropMessage(cs)
 		return
 	}
-	if i < pt.n-1 {
-		cs.i = i + 1
-		cs.ready = out
-		f.eng.At(out, cs.stepFn)
-		return
-	}
-	f.eng.At(out, cs.deliverFn)
-}
-
-// deliver retires the chunk at its final-delivery time.
-func (cs *chunkState) deliver() {
-	ms := cs.ms
-	cs.f.putChunk(cs)
-	ms.chunkDelivered()
+	// The hop's completions leave srv in FIFO order with the stage's fixed
+	// latency, so they queue on its lane; a fault's extra latency can break
+	// the order, and the lane then falls back to a plain event.
+	cs.i = i + 1
+	cs.ready = out
+	srv.Lane().At(out, &cs.lane, cs.stepFn)
 }
 
 // chunkPlan reports the chunking of a message: n MTU-sized chunks with

@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -108,6 +109,33 @@ func TestEjectionContentionSerializes(t *testing.T) {
 	// Two flows into one ejection link need ~2x the solo serialization.
 	if float64(later) < 1.8*float64(solo) {
 		t.Fatalf("contended completion %v, solo %v: ejection link not shared", later, solo)
+	}
+}
+
+// TestContendedSendAllocs pins the allocations of the expanded chunk path:
+// eight nodes each send a 64-chunk message into node 0, so every chunk
+// takes every hop as an event, queued on the lanes of the servers it
+// crosses. Once the chunk pools and the lanes are warm, a message costs
+// only its completion signal and that signal's name. The chunk state,
+// lane entry included, stays in the 96-byte allocation class.
+func TestContendedSendAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(chunkState{}); size > 96 {
+		t.Fatalf("chunkState is %d bytes, want at most 96", size)
+	}
+	eng := sim.NewEngine()
+	f := mustNew(t, eng, 16, 8, hostParams())
+	size := 64 * f.Params().MTU
+	round := func() {
+		for src := 1; src <= 8; src++ {
+			f.Send(src, 0, size)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if perMsg := testing.AllocsPerRun(20, round) / 8; perMsg != 2 {
+		t.Fatalf("%v allocs per contended message, want 2", perMsg)
 	}
 }
 

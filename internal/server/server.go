@@ -522,7 +522,9 @@ func (s *Server) execute(j *job) func(ctx context.Context) (interface{}, error) 
 // watch settles one dispatched job: on success the artifact enters the
 // content-addressed store and the flight stays claimed (future
 // identical submissions hit in memory); failures and cancellations
-// release the flight so the next submission may retry.
+// release the flight so the next submission may retry. Each outcome is
+// counted before finish releases the job's waiters, so a client that has
+// seen the job end also sees it counted.
 func (s *Server) watch(j *job, h *runner.Handle, jcancel context.CancelFunc) {
 	defer s.watchers.Done()
 	r := h.Result()
@@ -531,13 +533,13 @@ func (s *Server) watch(j *job, h *runner.Handle, jcancel context.CancelFunc) {
 	s.runningGauge.Set(float64(s.running.Load()))
 	switch {
 	case r.Err != nil && errors.Is(r.Err, context.Canceled):
+		s.jobsCanceled.Inc()
 		j.finish(StateCanceled, r.Err.Error(), nil)
 		s.clearFlight(j)
-		s.jobsCanceled.Inc()
 	case r.Err != nil:
+		s.jobsFailed.Inc()
 		j.finish(StateFailed, r.Err.Error(), nil)
 		s.clearFlight(j)
-		s.jobsFailed.Inc()
 	default:
 		a := r.Value.(*runner.Artifact)
 		//simlint:allow timetaint — WallMS is diagnostic throughput metadata
@@ -549,8 +551,8 @@ func (s *Server) watch(j *job, h *runner.Handle, jcancel context.CancelFunc) {
 		if err := s.cache.Put(j.key, a); err != nil {
 			s.logf("server: cache put %s: %v", j.key, err)
 		}
-		j.finish(StateDone, "", a)
 		s.jobsDone.Inc()
+		j.finish(StateDone, "", a)
 	}
 }
 

@@ -124,11 +124,56 @@ func (q *eventQueue) siftDown() {
 	}
 }
 
+// nowRing is the FIFO of events scheduled at the current instant. Their
+// keys arrive in increasing order — every one has at == now and a fresh,
+// larger seq — so a ring holds them sorted with no sifting. The clock
+// cannot pass a pending ring entry (RunUntil dispatches the smaller of
+// the ring front and the heap top), so all entries share one at.
+//
+// Like the heap, the buffer is retained across runs and popped slots are
+// cleared; after warm-up, push and pop are allocation-free.
+type nowRing struct {
+	buf  []event // len(buf) is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *nowRing) push(ev event) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.n++
+}
+
+// grow doubles a full ring, unwrapping its contents to the front.
+func (r *nowRing) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 64
+	}
+	buf := make([]event, size)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+func (r *nowRing) front() *event { return &r.buf[r.head] }
+
+func (r *nowRing) pop() event {
+	ev := r.buf[r.head]
+	r.buf[r.head] = event{} // clear the vacated slot so fn can be collected
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return ev
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now    Time
 	events eventQueue
+	ready  nowRing // events due at the current instant
 	seq    uint64
 
 	procs   []*Proc
@@ -202,14 +247,18 @@ func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in the model; the kernel treats it as "now" but records a trace
-// line to aid debugging.
+// line to aid debugging. Events at the current instant go to the now-ring,
+// later ones to the heap; either way the key is (max(t, now), next seq).
 func (e *Engine) At(t Time, fn func()) {
+	e.seq++
+	if t > e.now {
+		e.events.push(event{at: t, seq: e.seq, fn: fn})
+		return
+	}
 	if t < e.now {
 		e.tracef("WARN: event scheduled in the past (%v < %v); clamping", t, e.now)
-		t = e.now
 	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.ready.push(event{at: e.now, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
@@ -253,12 +302,31 @@ func (e *Engine) RunUntil(deadline Time) error {
 		e.stopped = false
 		return nil
 	}
-	for e.events.len() > 0 && !e.stopped {
-		if e.events.ev[0].at > deadline {
+	for !e.stopped {
+		// The next event is the smaller by (at, seq) of the ring front and
+		// the heap top; lane heads sit in the heap like any other event.
+		var next *event
+		fromRing := e.ready.n > 0
+		if fromRing {
+			next = e.ready.front()
+			if e.events.len() > 0 && eventLess(e.events.ev[0], *next) {
+				next, fromRing = &e.events.ev[0], false
+			}
+		} else if e.events.len() > 0 {
+			next = &e.events.ev[0]
+		} else {
+			break
+		}
+		if next.at > deadline {
 			e.advanceTo(deadline)
 			return nil
 		}
-		ev := e.events.pop()
+		var ev event
+		if fromRing {
+			ev = e.ready.pop()
+		} else {
+			ev = e.events.pop()
+		}
 		e.now = ev.at
 		e.nEvents++
 		e.mEvents.Inc()

@@ -123,35 +123,92 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("schedule path allocates: %v allocs per run, want 0", allocs)
 	}
+
+	// The now-ring: a burst of After(0) events plus a chain in which each
+	// reschedules itself at the same instant.
+	chain := 0
+	var link func()
+	link = func() {
+		if chain++; chain%256 != 0 {
+			e.After(0, link)
+		}
+	}
+	sameInstant := func() {
+		for i := 0; i < 512; i++ {
+			e.After(0, fn)
+		}
+		e.After(0, link)
+		if err := e.RunUntil(e.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameInstant() // grow the ring
+	if allocs := testing.AllocsPerRun(200, sameInstant); allocs != 0 {
+		t.Fatalf("now-ring allocates: %v allocs per run, want 0", allocs)
+	}
+	if chain == 0 || chain%256 != 0 {
+		t.Fatalf("chain dispatched %d events, want whole chains of 256", chain)
+	}
+}
+
+// TestLaneDoesNotAllocate pins a warmed Lane.At loop at zero allocations:
+// entries live in the caller's state, and the lane's heap stand-in is
+// bound once.
+func TestLaneDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	s := e.NewServer("link")
+	entries := make([]LaneEntry, 64)
+	fn := func() {}
+	round := func() {
+		base := e.Now()
+		for i := range entries {
+			// Pairs of equal times: ties queue on the lane too.
+			s.Lane().At(base+units.Time(1+i/2), &entries[i], fn)
+		}
+		if err := e.RunUntil(base + 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // builds the lane
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("Lane.At allocates: %v allocs per run, want 0", allocs)
+	}
+	if e.events.len() != 0 || s.lane.head != nil {
+		t.Fatal("lane events left pending")
+	}
 }
 
 // TestEventSliceReusedAcrossRuns pins the satellite requirement that
-// repeated Run/RunUntil sweeps on one engine reuse the queue's backing
-// slice instead of growing a fresh heap each time.
+// repeated Run/RunUntil sweeps on one engine reuse the heap's backing
+// slice and the now-ring's buffer instead of growing fresh ones each time.
 func TestEventSliceReusedAcrossRuns(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		e.At(units.Time(i), fn)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	capAfterWarm := cap(e.events.ev)
-	for round := 0; round < 8; round++ {
+	sweep := func() {
 		base := e.Now()
 		for i := 0; i < 1024; i++ {
 			e.At(base+units.Time(i), fn)
+			if i%8 == 0 {
+				e.After(0, fn) // the now-ring, wrapping around its end
+			}
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sweep()
+	capAfterWarm, ringAfterWarm := cap(e.events.ev), len(e.ready.buf)
+	for round := 0; round < 8; round++ {
+		sweep()
+	}
 	if cap(e.events.ev) != capAfterWarm {
 		t.Fatalf("backing slice regrew: cap %d -> %d", capAfterWarm, cap(e.events.ev))
 	}
+	if len(e.ready.buf) != ringAfterWarm {
+		t.Fatalf("now-ring regrew: %d -> %d slots", ringAfterWarm, len(e.ready.buf))
+	}
 	// Popped slots must be cleared so dispatched closures are
-	// collectable: the live region is empty, so every retained slot
+	// collectable: the live regions are empty, so every retained slot
 	// within capacity must be zero.
 	spare := e.events.ev[:cap(e.events.ev)]
 	for i, ev := range spare {
@@ -159,20 +216,91 @@ func TestEventSliceReusedAcrossRuns(t *testing.T) {
 			t.Fatalf("popped slot %d not cleared: %+v", i, ev)
 		}
 	}
-}
-
-func BenchmarkEventQueue(b *testing.B) {
-	e := NewEngine()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := e.Now()
-		for k := 0; k < 512; k++ {
-			e.At(base+units.Time(k%97), fn)
-		}
-		if err := e.RunUntil(base + 512); err != nil {
-			b.Fatal(err)
+	for i, ev := range e.ready.buf {
+		if ev.fn != nil || ev.at != 0 || ev.seq != 0 {
+			t.Fatalf("popped ring slot %d not cleared: %+v", i, ev)
 		}
 	}
+}
+
+// BenchmarkEventQueue measures the kernel's schedule-plus-dispatch cost in
+// three shapes: "burst" queues 512 heap events per op and drains them;
+// "deep" and "lane" report per event with 1,600 pending, the mean queue
+// depth of the halo workload, either all in the heap or fed through 64
+// server lanes in FIFO order the way the fabric's chunk hops are.
+func BenchmarkEventQueue(b *testing.B) {
+	b.Run("burst", func(b *testing.B) {
+		e := NewEngine()
+		fn := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			base := e.Now()
+			for k := 0; k < 512; k++ {
+				e.At(base+units.Time(k%97), fn)
+			}
+			if err := e.RunUntil(base + 512); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	const depth = 1600
+	b.Run("deep", func(b *testing.B) {
+		e := NewEngine()
+		r := rng.New(1)
+		left := b.N
+		var fn func()
+		fn = func() {
+			if left > 0 {
+				left--
+				e.After(Duration(1+r.Intn(1000)), fn)
+			}
+		}
+		for i := 0; i < depth; i++ {
+			e.After(Duration(1+r.Intn(1000)), fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("lane", func(b *testing.B) {
+		e := NewEngine()
+		r := rng.New(1)
+		lanes := make([]*Lane, 64)
+		horizon := make([]Time, len(lanes))
+		for i := range lanes {
+			lanes[i] = e.newLane()
+		}
+		type chunk struct {
+			entry LaneEntry
+			fn    func()
+		}
+		left := b.N
+		hop := func(c *chunk) {
+			l := r.Intn(len(lanes))
+			t := horizon[l]
+			if t < e.Now() {
+				t = e.Now()
+			}
+			horizon[l] = t + Time(1+r.Intn(40))
+			lanes[l].At(horizon[l], &c.entry, c.fn)
+		}
+		for i := 0; i < depth; i++ {
+			c := &chunk{}
+			c.fn = func() {
+				if left > 0 {
+					left--
+					hop(c)
+				}
+			}
+			hop(c)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -213,6 +213,20 @@ type Server struct {
 	// hook may mutate the server (via Absorb); ServeAt reads server state
 	// only after it returns.
 	touch func()
+
+	// lane orders the server's completion events; built on first use so
+	// servers nobody schedules completions on cost nothing extra.
+	lane *Lane
+}
+
+// Lane returns the server's completion lane. A FIFO server's busy horizon
+// only grows, so completion times busyUntil+lat with a fixed post-service
+// latency lat are nondecreasing: the ordered-lane case.
+func (s *Server) Lane() *Lane {
+	if s.lane == nil {
+		s.lane = s.eng.newLane()
+	}
+	return s.lane
 }
 
 // NewServer creates an idle server.
