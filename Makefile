@@ -7,7 +7,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: check vet build test race lint lint-sarif serve-smoke bench-test fix-verify bench regen trace-demo chaos campaign
+.PHONY: check vet build test race lint lint-sarif serve-smoke bench-test bench-smoke fix-verify bench regen trace-demo chaos campaign
 
 check: vet build test race lint bench-test serve-smoke
 
@@ -76,6 +76,17 @@ serve-smoke:
 # The benchmark itself runs with `bash bench/run.sh`; see bench/README.md.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# bench-smoke runs every benchmark workload end to end: a warm-up and
+# three passes each, checking every simulation's digest against
+# bench/golden.json (bench-test checks only the smallest simulation of
+# each workload). ~17 s on a 2-vCPU host.
+BENCH_WORKLOADS := wavefront halo beff bulk
+
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seconds 0 || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchtime=1x

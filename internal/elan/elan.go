@@ -89,13 +89,17 @@ type Network struct {
 
 	// orderProbe, when non-nil, observes sequencer releases (see probe.go).
 	orderProbe OrderProbe
+
+	// Send-signal names, rendered once per (source rank, destination rank).
+	txNames sim.PairNames
 }
 
 // NewNetwork equips every fabric node with a NIC. nodeOf maps a global MPI
 // rank to its fabric node (ranks on the same node must not exchange through
 // the NIC; the MPI layer routes those over shared memory).
 func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params, nodeOf func(rank int) int) *Network {
-	n := &Network{eng: eng, fab: fab, nodeOf: nodeOf}
+	n := &Network{eng: eng, fab: fab, nodeOf: nodeOf,
+		txNames: sim.PairNames{Prefix: "elan tx ", Sep: "->"}}
 	n.nics = make([]*NIC, fab.Nodes())
 	// Instruments are network-wide aggregates; nil (no registry) no-ops.
 	reg := eng.Metrics()
@@ -151,18 +155,23 @@ func (n *Network) Fabric() *fabric.Fabric { return n.fab }
 
 // Recv is an in-flight tagged receive.
 type Recv struct {
+	// Done fires when the receive completes. It points at a signal inside
+	// the Recv, so a posted receive is one allocation.
 	Done    *sim.Signal
 	Src     int // filled at completion
 	Tag     int
 	Size    units.Bytes
 	Payload interface{}
+
+	done sim.Signal
 }
 
 // port is the per-local-rank Tports context on a NIC.
 type port struct {
-	rank int
-	eng  match.Engine
-	seq  *match.Sequencer
+	rank   int
+	eng    match.Engine
+	seq    *match.Sequencer
+	rxName string // receive-signal name, rendered on the first post
 }
 
 // NIC is one Elan-4 adapter. All protocol work runs on its thread server.
@@ -204,22 +213,39 @@ func (n *NIC) portOf(rank int) *port {
 }
 
 // envelopeMsg crosses the wire for every send: alone for rendezvous, fused
-// with the payload for eager.
+// with the payload for eager. It carries the send's whole life, from the
+// command post to the matched receive's completion, as one continuation,
+// stepFn, bound once, so no stage schedules a closure.
 type envelopeMsg struct {
+	net     *Network
 	env     match.Envelope
 	dstRank int
 	seq     uint64
 	size    units.Bytes
 	eager   bool
+	stage   txStage // the stage step runs next
 	payload interface{}
 	srcNode int
-	txDone  *sim.Signal // rendezvous only: fired when payload has been pulled
+	dstNode int
+	rx      *Recv // the matched receive
+	stepFn  func()
+	// txDone fires when the application buffer is reusable.
+	txDone sim.Signal
 }
 
-// rxState is the match-engine entry for a posted receive.
-type rxState struct {
-	recv *Recv
-}
+type txStage uint8
+
+const (
+	stageInject   txStage = iota // the source NIC picked up the command
+	stageArrive                  // the envelope reached the destination NIC
+	stageMatched                 // matched on arrival, by the destination thread
+	stagePosted                  // matched from the unexpected queue by a post
+	stageCTS                     // clear-to-send reached the source NIC
+	stagePull                    // source NIC ready to DMA the payload
+	stagePulled                  // payload delivered: the send buffer is free
+	stageFinish                  // payload delivered: destination completion
+	stageComplete                // the receive completes
+)
 
 // TxPost starts a tagged send from srcRank to dstRank. The calling process
 // pays only the command-post overhead; everything else is NIC-driven. The
@@ -237,6 +263,7 @@ func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 
 	flow := [2]int{srcRank, dstRank}
 	msg := &envelopeMsg{
+		net:     n.net,
 		env:     env,
 		dstRank: dstRank,
 		seq:     n.txSeq[flow],
@@ -244,28 +271,75 @@ func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 		eager:   size <= n.params.EagerThreshold,
 		payload: payload,
 		srcNode: n.node,
+		dstNode: dstNode,
 	}
 	n.txSeq[flow]++
-
-	txDone := n.eng.NewSignal("elan tx " + strconv.Itoa(srcRank) + "->" + strconv.Itoa(dstRank))
-	// Eager messages carry the envelope in the packet header (covered by
-	// the fabric's per-packet overhead); rendezvous sends a bare envelope.
-	wire := size
-	if !msg.eager {
-		wire = n.params.EnvelopeBytes
-		msg.txDone = txDone
-	}
+	n.eng.InitSignal(&msg.txDone, n.net.txNames.Name(srcRank, dstRank))
+	msg.stepFn = msg.step
 	// NIC picks up the command (pipelined engines), then injects.
-	n.thread.ServePipelined(n.params.NICOccupancy, n.params.NICProcess, func() {
+	n.thread.ServePipelined(n.params.NICOccupancy, n.params.NICProcess, msg.stepFn)
+	return &msg.txDone
+}
+
+func (msg *envelopeMsg) step() {
+	fab := msg.net.fab
+	src, dst := msg.net.nics[msg.srcNode], msg.net.nics[msg.dstNode]
+	switch msg.stage {
+	case stageInject:
+		// Eager messages carry the envelope in the packet header (covered
+		// by the fabric's per-packet overhead); rendezvous sends a bare
+		// envelope.
+		wire := msg.size
 		if msg.eager {
 			// Buffer ownership passes to the NIC at injection time.
-			txDone.Fire()
+			msg.txDone.Fire()
+		} else {
+			wire = src.params.EnvelopeBytes
 		}
-		n.net.fab.Send(n.node, dstNode, wire).OnFire(func() {
-			n.net.nics[dstNode].envelopeArrived(msg)
-		})
-	})
-	return txDone
+		msg.stage = stageArrive
+		fab.Send(msg.srcNode, msg.dstNode, wire).OnFire(msg.stepFn)
+	case stageArrive:
+		dst.envelopeArrived(msg)
+	case stageMatched:
+		dst.completeMatch(msg)
+	case stagePosted:
+		if msg.eager {
+			// Drain the system buffer into the user buffer by local DMA.
+			msg.stage = stageComplete
+			drain := dst.params.UnexpectedCopyBase + dst.params.UnexpectedCopyRate.TimeFor(msg.size)
+			dst.thread.ServeThen(drain, msg.stepFn)
+			return
+		}
+		dst.completeMatch(msg)
+	case stageCTS:
+		msg.stage = stagePull
+		src.thread.ServePipelined(src.params.NICOccupancy, src.params.NICProcess, msg.stepFn)
+	case stagePull:
+		// The payload's delivery runs two callbacks, in this order: one
+		// frees the send buffer, the next starts the receive completion.
+		msg.stage = stagePulled
+		pull := fab.Send(msg.srcNode, msg.dstNode, msg.size)
+		pull.OnFire(msg.stepFn)
+		pull.OnFire(msg.stepFn)
+	case stagePulled:
+		msg.stage = stageFinish
+		msg.txDone.Fire()
+	case stageFinish:
+		msg.stage = stageComplete
+		dst.thread.ServePipelined(dst.params.NICOccupancy, dst.params.NICProcess, msg.stepFn)
+	case stageComplete:
+		msg.finishRecv()
+	}
+}
+
+// finishRecv completes the matched receive with the message's envelope.
+func (msg *envelopeMsg) finishRecv() {
+	rx := msg.rx
+	rx.Src = msg.env.Src
+	rx.Tag = msg.env.Tag
+	rx.Size = msg.size
+	rx.Payload = msg.payload
+	rx.done.Fire()
 }
 
 // envelopeArrived runs on the destination NIC when an envelope (possibly
@@ -294,43 +368,24 @@ func (n *NIC) matchArrival(pt *port, msg *envelopeMsg) {
 		n.thread.Serve(occ)
 		return
 	}
-	rx := data.(*rxState)
-	n.thread.ServePipelined(occ, lat, func() {
-		n.completeMatch(pt, rx, msg)
-	})
+	msg.rx = data.(*Recv)
+	msg.stage = stageMatched
+	n.thread.ServePipelined(occ, lat, msg.stepFn)
 }
 
 // completeMatch runs after the NIC thread has matched envelope and receive.
-func (n *NIC) completeMatch(pt *port, rx *rxState, msg *envelopeMsg) {
+func (n *NIC) completeMatch(msg *envelopeMsg) {
 	if msg.eager {
 		// Matched eager data was DMAed directly to the user buffer as it
 		// arrived; completion is immediate.
-		n.finishRecv(rx, msg)
+		msg.finishRecv()
 		return
 	}
 	// Rendezvous: send CTS back; source NIC then DMAs the payload. The
 	// sender's buffer is reusable, and txDone fires, at exactly the
 	// payload's delivery time.
-	src := n.net.nics[msg.srcNode]
-	n.net.fab.Send(n.node, msg.srcNode, n.params.EnvelopeBytes).OnFire(func() {
-		src.thread.ServePipelined(src.params.NICOccupancy, src.params.NICProcess, func() {
-			pull := n.net.fab.Send(msg.srcNode, n.node, msg.size)
-			pull.OnFire(func() { msg.txDone.Fire() })
-			pull.OnFire(func() {
-				n.thread.ServePipelined(n.params.NICOccupancy, n.params.NICProcess, func() {
-					n.finishRecv(rx, msg)
-				})
-			})
-		})
-	})
-}
-
-func (n *NIC) finishRecv(rx *rxState, msg *envelopeMsg) {
-	rx.recv.Src = msg.env.Src
-	rx.recv.Tag = msg.env.Tag
-	rx.recv.Size = msg.size
-	rx.recv.Payload = msg.payload
-	rx.recv.Done.Fire()
+	msg.stage = stageCTS
+	n.net.fab.Send(n.node, msg.srcNode, n.params.EnvelopeBytes).OnFire(msg.stepFn)
 }
 
 // RxPost posts a tagged receive for the given local rank. The calling
@@ -341,27 +396,23 @@ func (n *NIC) RxPost(p *sim.Proc, dstRank int, env match.Envelope) *Recv {
 	n.mRecvs.Inc()
 	p.Sleep(n.params.RxPostOverhead)
 
-	recv := &Recv{Done: n.eng.NewSignal("elan rx rank" + strconv.Itoa(dstRank))}
-	rx := &rxState{recv: recv}
+	if pt.rxName == "" {
+		pt.rxName = "elan rx rank" + strconv.Itoa(dstRank)
+	}
+	recv := &Recv{}
+	n.eng.InitSignal(&recv.done, pt.rxName)
+	recv.Done = &recv.done
 	// The NIC thread walks the unexpected queue (or appends the post).
-	data, found, traversed := pt.eng.PostRecv(env, rx)
+	data, found, traversed := pt.eng.PostRecv(env, recv)
 	walk := units.Duration(traversed) * n.params.MatchPerEntry
 	if !found {
 		n.thread.Serve(n.params.NICOccupancy + walk)
 		return recv
 	}
 	msg := data.(*envelopeMsg)
-	n.thread.ServePipelined(n.params.NICOccupancy+walk, n.params.NICProcess+walk, func() {
-		if msg.eager {
-			// Drain the system buffer into the user buffer by local DMA.
-			drain := n.params.UnexpectedCopyBase + n.params.UnexpectedCopyRate.TimeFor(msg.size)
-			n.thread.ServeThen(drain, func() {
-				n.finishRecv(rx, msg)
-			})
-			return
-		}
-		n.completeMatch(pt, rx, msg)
-	})
+	msg.rx = recv
+	msg.stage = stagePosted
+	n.thread.ServePipelined(n.params.NICOccupancy+walk, n.params.NICProcess+walk, msg.stepFn)
 	return recv
 }
 

@@ -345,7 +345,10 @@ func (w *window) expand() {
 	}
 
 	// Re-issue pending chunk arrivals in chunk order (preserving FIFO
-	// sequence at shared stages) and pending final deliveries.
+	// sequence at shared stages) and pending final deliveries. Each one is
+	// the completion of the stage before it, so it goes on that server's
+	// lane, where the expanded chunk path would have queued it; arrivals
+	// at the first stage have no stage before them.
 	mtu := f.params.MTU
 	delivered := 0
 	for k := 0; k < w.n; k++ {
@@ -364,7 +367,11 @@ func (w *window) expand() {
 			}
 			if a >= now {
 				cs := f.getChunk(ms, i, sz, a)
-				f.eng.At(a, cs.stepFn)
+				if i == 0 {
+					f.eng.At(a, cs.stepFn)
+				} else {
+					pt.stages[i-1].srv.Lane().At(a, &cs.lane, cs.stepFn)
+				}
 				resumed = true
 				break
 			}
@@ -380,7 +387,7 @@ func (w *window) expand() {
 		}
 		if out >= now {
 			cs := f.getChunk(ms, w.m, sz, out)
-			f.eng.At(out, cs.stepFn)
+			pt.stages[w.m-1].srv.Lane().At(out, &cs.lane, cs.stepFn)
 			continue
 		}
 		delivered++

@@ -30,7 +30,6 @@ package fabric
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -134,6 +133,9 @@ type Fabric struct {
 	// freeWins pools coalescing windows.
 	freeWins []*window
 
+	// msgNames names message signals, once per (src, dst).
+	msgNames sim.PairNames
+
 	// Fault injection (see fault.go). faultsOn is set by EnableFaults;
 	// every hot-path fault check is gated on it so clean runs pay one
 	// predictable branch. faults holds the per-link fault state, driven
@@ -170,7 +172,8 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{eng: eng, clos: clos, params: params}
+	f := &Fabric{eng: eng, clos: clos, params: params,
+		msgNames: sim.PairNames{Prefix: "msg ", Sep: "->"}}
 	f.links = make([]*sim.Server, clos.NumLinks())
 	for i := range f.links {
 		f.links[i] = eng.NewServer(fmt.Sprintf("link%d", i))
@@ -365,20 +368,6 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 // because a coalesced message records no per-chunk samples. Intended for
 // tests and A/B measurement; delivery times are identical either way.
 func (f *Fabric) SetCoalescing(on bool) { f.coalesce = on }
-
-// msgName renders a message signal's name (for deadlock reports) with a
-// single string allocation instead of fmt.Sprintf's boxing and buffers.
-func msgName(src, dst int, size units.Bytes) string {
-	var b [40]byte
-	s := append(b[:0], "msg "...)
-	s = strconv.AppendInt(s, int64(src), 10)
-	s = append(s, '-', '>')
-	s = strconv.AppendInt(s, int64(dst), 10)
-	s = append(s, ' ', '(')
-	s = strconv.AppendInt(s, int64(size), 10)
-	s = append(s, 'B', ')')
-	return string(s)
-}
 
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
 // allocates no tracking state in steady flow.
@@ -598,7 +587,7 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	f.bytes += size
 	f.mMsgs.Inc()
 	f.mBytes.Add(uint64(size))
-	done := f.eng.NewSignal(msgName(src, dst, size))
+	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
 	if f.track != nil {
 		begin := f.eng.Now()
 		name := fmt.Sprintf("msg->%d %v", dst, size)

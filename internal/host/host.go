@@ -78,8 +78,9 @@ type Node struct {
 
 	active      int // slots currently inside Compute
 	epoch       uint64
-	changed     *sim.Signal // replaced at every membership change
+	changed     *sim.Signal // replaced at every membership change it would announce
 	changedName string      // changed's name, rendered once
+	freeTimers  []*computeTimer
 
 	debt      []units.Duration // per-slot overhead owed to the next Compute
 	busyTotal []units.Duration // per-slot accumulated compute time
@@ -142,11 +143,50 @@ func (n *Node) slowdown(intensity float64) float64 {
 	return 1 + n.params.MemContention*intensity*float64(others)
 }
 
+// membershipChanged announces a change in the set of computing slots. A
+// signal nobody waits on or listens to would wake and schedule nothing if
+// fired, so it stays current instead of being replaced.
 func (n *Node) membershipChanged() {
 	n.epoch++
+	if !n.changed.HasListeners() {
+		return
+	}
 	old := n.changed
 	n.changed = n.eng.NewSignal(n.changedName)
 	old.Fire()
+}
+
+// computeTimer ends one Compute segment. Timers are pooled per node: one is
+// free again once its event has been dispatched, since only that event and
+// the segment it times refer to it. Another slot can take it before the
+// process it woke has resumed, but a slot starts a segment at that instant
+// only after a membership change, which fires the changed signal the
+// woken process also waits on; so that process still leaves its wait.
+type computeTimer struct {
+	node   *Node
+	sig    sim.Signal
+	fireFn func() // bound once
+}
+
+func (t *computeTimer) fire() {
+	t.sig.Fire()
+	t.node.freeTimers = append(t.node.freeTimers, t)
+}
+
+// startTimer returns a fresh timer signal that fires at deadline.
+func (n *Node) startTimer(deadline units.Time) *sim.Signal {
+	var t *computeTimer
+	if k := len(n.freeTimers); k > 0 {
+		t = n.freeTimers[k-1]
+		n.freeTimers[k-1] = nil
+		n.freeTimers = n.freeTimers[:k-1]
+	} else {
+		t = &computeTimer{node: n}
+		t.fireFn = t.fire
+	}
+	n.eng.InitSignal(&t.sig, "compute timer")
+	n.eng.At(deadline, t.fireFn)
+	return &t.sig
 }
 
 // AddOverhead charges extra host time to the slot's next Compute call. Used
@@ -217,8 +257,7 @@ func (n *Node) Compute(p *sim.Proc, slot int, work units.Duration, intensity flo
 
 		// One timer per segment; stale wakes (from earlier segments'
 		// timers) just re-park inside the loop without allocating.
-		timer := n.eng.NewSignal("compute timer")
-		n.eng.At(deadline, timer.Fire)
+		timer := n.startTimer(deadline)
 		for n.eng.Now() < deadline && n.epoch == epoch0 {
 			p.WaitAny(timer, n.changed)
 		}

@@ -2,6 +2,7 @@ package host
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -283,4 +284,67 @@ func TestNoiseValidation(t *testing.T) {
 	if _, err := NewNode(eng, 0, p); err == nil {
 		t.Fatal("zero burst with noise should error")
 	}
+}
+
+// TestTimerReusedAtItsDeadline covers a pooled compute timer taken again
+// before the process it woke has resumed: r1 starts computing at the very
+// instant r0's timer fires, so r1's first segment reuses that timer. r0
+// must still end at its deadline and r1 must run its 10us alone after r0
+// leaves.
+func TestTimerReusedAtItsDeadline(t *testing.T) {
+	eng := sim.NewEngine()
+	n := mustNode(t, eng, params2())
+	var d0, d1 units.Time
+	eng.Spawn("r0", func(p *sim.Proc) {
+		n.Compute(p, 0, 10*units.Microsecond, 1.0)
+		d0 = p.Now()
+	})
+	eng.Spawn("r1", func(p *sim.Proc) {
+		p.Sleep(10 * units.Microsecond)
+		n.Compute(p, 1, 10*units.Microsecond, 1.0)
+		d1 = p.Now()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d0 != units.Time(10*units.Microsecond) || d1 != units.Time(20*units.Microsecond) {
+		t.Fatalf("r0 ended at %v, r1 at %v; want 10us and 20us", d0, d1)
+	}
+}
+
+// computeMallocs reports the heap objects allocated by calls back-to-back
+// Compute calls of one process on a fresh node: the least of three runs,
+// since the runtime's own background allocations only ever add to it.
+func computeMallocs(t *testing.T, calls int) uint64 {
+	least := ^uint64(0)
+	for run := 0; run < 3; run++ {
+		eng := sim.NewEngine()
+		n := mustNode(t, eng, params2())
+		eng.Spawn("r0", func(p *sim.Proc) {
+			for i := 0; i < calls; i++ {
+				n.Compute(p, 0, units.Microsecond, 0.5)
+			}
+		})
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
+	}
+	return least
+}
+
+// TestComputeAllocs pins a steady-state Compute call at one allocation:
+// the membership signal that replaces the one its own process waited on.
+// The timer comes from the node's pool, and the start-of-phase membership
+// change keeps a signal nobody listens to.
+func TestComputeAllocs(t *testing.T) {
+	perCall := float64(computeMallocs(t, 3000)-computeMallocs(t, 1000)) / 2000
+	if perCall > 1 {
+		t.Fatalf("%.4f allocations per Compute call, want at most 1", perCall)
+	}
+	t.Logf("%.2f allocations per Compute call", perCall)
 }

@@ -23,7 +23,6 @@ package ib
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -147,11 +146,17 @@ type Network struct {
 	// probe, when non-nil, receives RC transport observations (see
 	// probe.go). Faulty-branch call sites only.
 	probe *DeliveryProbe
+
+	// Completion-signal names, rendered once per (node, peer).
+	writeNames, readNames sim.PairNames
 }
 
 // NewNetwork equips every node of the fabric with an HCA.
 func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
-	n := &Network{eng: eng, fab: fab}
+	n := &Network{eng: eng, fab: fab,
+		writeNames: sim.PairNames{Prefix: "rdma ", Sep: "->"},
+		readNames:  sim.PairNames{Prefix: "rdma-read ", Sep: "<-"},
+	}
 	n.hcas = make([]*HCA, fab.Nodes())
 	// Instruments are network-wide aggregates; nil (no registry) no-ops.
 	reg := eng.Metrics()
@@ -295,12 +300,12 @@ func (h *HCA) Register(p *sim.Proc, key uint64, size units.Bytes) {
 	p.Sleep(h.regCache.Access(key, size, &h.params))
 }
 
-// reliable runs one RC request through the recovery state machine: send()
-// issues the wire transfer and returns its delivery signal; deliver runs
+// reliable runs one RC request through the recovery state machine: each
+// attempt sends size bytes from src to dst over the fabric; deliver runs
 // exactly once, on the first delivery that arrives. On a fabric without
-// fault injection this collapses to send().OnFire(deliver) — no timer
-// events, so fault-free runs are byte-identical to a build without the
-// recovery machinery.
+// fault injection this collapses to Send(src, dst, size).OnFire(deliver) —
+// no timer events, so fault-free runs are byte-identical to a build
+// without the recovery machinery.
 //
 // With faults enabled, each attempt arms a transport timer (exponential
 // backoff: RetransTimeout doubling per retry, capped at RetransTimeoutMax).
@@ -314,15 +319,15 @@ func (h *HCA) Register(p *sim.Proc, key uint64, size units.Bytes) {
 // MiB-scale messages would congest the path until the budget exhausted.
 //
 // A timer that expires before delivery triggers a retransmission — a fresh
-// send() — until MaxRetries is exhausted, at which point the QP enters the
+// Send — until MaxRetries is exhausted, at which point the QP enters the
 // error state and the run fails via Engine.Fail (deterministically: the
 // error carries only the QP identity and retry count). A late original
 // delivery racing its own retransmission is absorbed by the delivered
 // flag, which also stands the timers down, and the attempt counter keeps a
 // stale timer from double-retrying.
-func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, send func() *sim.Signal, deliver func()) {
+func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, deliver func()) {
 	if !h.fab.FaultsEnabled() {
-		send().OnFire(deliver)
+		h.fab.Send(src, dst, size).OnFire(deliver)
 		return
 	}
 	// Computed only on faulty fabrics: MinLatency walks the chunk
@@ -341,7 +346,7 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, send f
 	)
 	try = func(n int) {
 		attempt = n
-		send().OnFire(func() {
+		h.fab.Send(src, dst, size).OnFire(func() {
 			if delivered {
 				if probe != nil && probe.Duplicate != nil {
 					probe.Duplicate(req, n, h.eng.Now())
@@ -398,40 +403,7 @@ func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}
 	if !h.qps[peer] {
 		panic(fmt.Sprintf("ib: RDMA write on node %d to unconnected peer %d", h.node, peer))
 	}
-	h.SendCount++
-	h.mSends.Inc()
-	p.Sleep(h.params.PostOverhead)
-	if bus := h.fab.HostBus(h.node); bus != nil {
-		// Doorbell + WQE PIO occupy the shared PCI-X bus.
-		bus.Serve(h.params.DoorbellBusTime)
-	}
-	done := h.eng.NewSignal("rdma " + strconv.Itoa(h.node) + "->" + strconv.Itoa(peer))
-	h.eng.After(h.params.DoorbellLatency, func() {
-		h.engine.ServeThen(h.params.ProcPerWQE, func() {
-			h.reliable("rdma-write", peer, h.node, peer, size,
-				func() *sim.Signal { return h.fab.Send(h.node, peer, size) },
-				func() {
-					// Remote HCA placement, then the upcall.
-					h.net.hcas[peer].placeWrite(h.node, imm, size, done)
-				})
-		})
-	})
-	return done
-}
-
-// placeWrite runs receive-side placement of an arriving RDMA write on h —
-// the DESTINATION adapter: receive processing on the HCA engine, then the
-// handler upcall. done is the requester's local-completion signal; it
-// fires at the placement-done instant.
-func (h *HCA) placeWrite(src int, imm interface{}, size units.Bytes, done *sim.Signal) {
-	h.RecvCount++
-	h.mRecvs.Inc()
-	h.engine.ServeThen(h.params.RecvProc, func() {
-		if h.handler != nil {
-			h.handler(Delivery{SrcNode: src, Imm: imm, Size: size})
-		}
-		done.Fire()
-	})
+	return h.post(p, peer, size, imm, false, h.net.writeNames.Name(h.node, peer))
 }
 
 // RDMARead posts an RDMA read of size bytes FROM the peer node into local
@@ -446,42 +418,104 @@ func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{})
 	if !h.qps[peer] {
 		panic(fmt.Sprintf("ib: RDMA read on node %d from unconnected peer %d", h.node, peer))
 	}
+	return h.post(p, peer, size, imm, true, h.net.readNames.Name(h.node, peer))
+}
+
+// post charges the calling process for posting a work request, rings the
+// doorbell, and starts the operation's continuation chain.
+func (h *HCA) post(p *sim.Proc, peer int, size units.Bytes, imm interface{}, read bool, name string) *sim.Signal {
 	h.SendCount++
 	h.mSends.Inc()
 	p.Sleep(h.params.PostOverhead)
 	if bus := h.fab.HostBus(h.node); bus != nil {
+		// Doorbell + WQE PIO occupy the shared PCI-X bus.
 		bus.Serve(h.params.DoorbellBusTime)
 	}
-	done := h.eng.NewSignal("rdma-read " + strconv.Itoa(h.node) + "<-" + strconv.Itoa(peer))
-	h.eng.After(h.params.DoorbellLatency, func() {
-		h.engine.ServeThen(h.params.ProcPerWQE, func() {
+	op := &rdmaOp{h: h, peer: peer, size: size, imm: imm, read: read}
+	h.eng.InitSignal(&op.done, name)
+	op.stepFn = op.step
+	h.eng.After(h.params.DoorbellLatency, op.stepFn)
+	return &op.done
+}
+
+// rdmaOp is one RDMA write or read in flight: the operation's whole state,
+// its local-completion signal included, in one allocation. Its stages run
+// as one continuation, stepFn, bound once, so the doorbell -> WQE -> wire
+// -> placement chain schedules no closure per hop.
+type rdmaOp struct {
+	h      *HCA // the requester
+	peer   int
+	size   units.Bytes
+	imm    interface{}
+	read   bool
+	stage  rdmaStage // the stage step runs next
+	stepFn func()
+	done   sim.Signal
+}
+
+type rdmaStage uint8
+
+const (
+	stageDoorbell     rdmaStage = iota // doorbell landed: WQE processing
+	stageWire                          // WQE processed: onto the fabric
+	stageReadServe                     // read request delivered: the peer serves it
+	stageReadResponse                  // read served: the payload flows back
+	stagePlace                         // write (or read response) delivered: placement
+	stageComplete                      // placed: handler upcall, local completion
+)
+
+func (op *rdmaOp) step() {
+	h := op.h
+	switch op.stage {
+	case stageDoorbell:
+		op.stage = stageWire
+		h.engine.ServeThen(h.params.ProcPerWQE, op.stepFn)
+	case stageWire:
+		if op.read {
 			// Read request travels to the peer (header-only), the peer's
 			// HCA serves it from memory, and the payload flows back. Both
 			// legs are requester-recovered: RC read responses are not
 			// acknowledged, so a lost response is detected — and the whole
 			// read reissued — by the requester's transport timer.
-			h.reliable("rdma-read-req", peer, h.node, peer, 64,
-				func() *sim.Signal { return h.fab.Send(h.node, peer, 64) },
-				func() {
-					remote := h.net.hcas[peer]
-					remote.engine.ServeThen(remote.params.RecvProc, func() {
-						h.reliable("rdma-read-resp", peer, peer, h.node, size,
-							func() *sim.Signal { return h.fab.Send(peer, h.node, size) },
-							func() {
-								h.RecvCount++
-								h.mRecvs.Inc()
-								h.engine.ServeThen(h.params.RecvProc, func() {
-									if h.handler != nil {
-										h.handler(Delivery{SrcNode: peer, Imm: imm, Size: size})
-									}
-									done.Fire()
-								})
-							})
-					})
-				})
-		})
-	})
-	return done
+			op.stage = stageReadServe
+			h.reliable("rdma-read-req", op.peer, h.node, op.peer, 64, op.stepFn)
+			return
+		}
+		op.stage = stagePlace
+		h.reliable("rdma-write", op.peer, h.node, op.peer, op.size, op.stepFn)
+	case stageReadServe:
+		op.stage = stageReadResponse
+		remote := h.net.hcas[op.peer]
+		remote.engine.ServeThen(remote.params.RecvProc, op.stepFn)
+	case stageReadResponse:
+		op.stage = stagePlace
+		h.reliable("rdma-read-resp", op.peer, op.peer, h.node, op.size, op.stepFn)
+	case stagePlace:
+		// Receive processing on the placing adapter (the destination of a
+		// write, the requester of a read), then the handler upcall.
+		op.stage = stageComplete
+		dst := op.placer()
+		dst.RecvCount++
+		dst.mRecvs.Inc()
+		dst.engine.ServeThen(dst.params.RecvProc, op.stepFn)
+	case stageComplete:
+		dst, src := op.placer(), op.peer
+		if !op.read {
+			src = h.node
+		}
+		if dst.handler != nil {
+			dst.handler(Delivery{SrcNode: src, Imm: op.imm, Size: op.size})
+		}
+		op.done.Fire()
+	}
+}
+
+// placer returns the adapter the payload lands on.
+func (op *rdmaOp) placer() *HCA {
+	if op.read {
+		return op.h
+	}
+	return op.h.net.hcas[op.peer]
 }
 
 // PollCQ charges the calling process for one completion-queue poll: CQPoll

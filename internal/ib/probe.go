@@ -8,7 +8,7 @@ package ib
 //
 // Same contract as fabric probes (see fabric/probe.go): zero cost when
 // disabled, and hooks live exclusively on the faulty
-// branch of reliable() — the fault-free fast path (send().OnFire(deliver))
+// branch of reliable() — the fault-free fast path (Send(...).OnFire(deliver))
 // is untouched, so clean runs remain byte-identical with a probe installed.
 
 import (

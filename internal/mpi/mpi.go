@@ -118,20 +118,23 @@ type Status struct {
 	Payload interface{}
 }
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking operation handle. Its completion signal lives
+// inside it, so a request is one allocation.
 type Request struct {
-	done   *sim.Signal
+	done   sim.Signal
 	isRecv bool
 	status Status
 }
 
 // NewRequest creates a request (transport use).
 func NewRequest(eng *sim.Engine, name string, isRecv bool) *Request {
-	return &Request{done: eng.NewSignal(name), isRecv: isRecv}
+	q := &Request{isRecv: isRecv}
+	eng.InitSignal(&q.done, name)
+	return q
 }
 
 // Done exposes the completion signal (transport use).
-func (q *Request) Done() *sim.Signal { return q.done }
+func (q *Request) Done() *sim.Signal { return &q.done }
 
 // Completed reports whether the request has finished.
 func (q *Request) Completed() bool { return q.done.Fired() }

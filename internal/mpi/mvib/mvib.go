@@ -22,12 +22,11 @@
 package mvib
 
 import (
-	"strconv"
-
 	"repro/internal/ib"
 	"repro/internal/match"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -123,7 +122,8 @@ type recvState struct {
 type rankState struct {
 	engine  match.Engine
 	seq     *match.Sequencer
-	pending []*wireMsg // delivered, awaiting host processing
+	pending []*wireMsg // pending[head:] are delivered, awaiting host processing
+	head    int
 
 	credits    map[int]int // send credits toward each peer
 	creditOwed map[int]int // processed eager arrivals not yet acked
@@ -140,12 +140,18 @@ type Transport struct {
 	w      *mpi.World
 	states []*rankState
 
+	// Request names, rendered once per (rank, peer).
+	sendNames, recvNames sim.PairNames
+
 	mEager, mRndv, mUnexpected *metrics.Counter // nil-safe; world-wide totals
 }
 
 // New wraps an IB network as an MPI transport.
 func New(net *ib.Network, params Params) *Transport {
-	return &Transport{net: net, params: params}
+	return &Transport{net: net, params: params,
+		sendNames: sim.PairNames{Prefix: "ib send ", Sep: "->"},
+		recvNames: sim.PairNames{Prefix: "ib recv ", Sep: "<-"},
+	}
 }
 
 // Name implements mpi.Transport.
@@ -239,7 +245,7 @@ func (t *Transport) deliver(d ib.Delivery) {
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
 	hca := t.net.HCA(r.NodeID())
-	req := mpi.NewRequest(r.Engine(), "ib send "+strconv.Itoa(r.ID())+"->"+strconv.Itoa(dst), false)
+	req := mpi.NewRequest(r.Engine(), t.sendNames.Name(r.ID(), dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 
 	if size <= t.params.EagerThreshold {
@@ -293,7 +299,7 @@ func (t *Transport) takeOwed(st *rankState, dst int) int {
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
-	req := mpi.NewRequest(r.Engine(), "ib recv "+strconv.Itoa(r.ID())+"<-"+strconv.Itoa(src), true)
+	req := mpi.NewRequest(r.Engine(), t.recvNames.Name(r.ID(), src), true)
 	rs := &recvState{req: req, key: key}
 	// Drain anything already delivered, then post.
 	t.Progress(r)
@@ -352,9 +358,12 @@ func (t *Transport) sendCTS(r *mpi.Rank, rs *recvState, rts *wireMsg) {
 // data pushes happen — no MPI call, no progress.
 func (t *Transport) Progress(r *mpi.Rank) {
 	st := t.states[r.ID()]
-	for len(st.pending) > 0 {
-		msg := st.pending[0]
-		st.pending = st.pending[1:]
+	for st.head < len(st.pending) {
+		msg := st.pending[st.head]
+		st.pending[st.head] = nil
+		if st.head++; st.head == len(st.pending) {
+			st.pending, st.head = st.pending[:0], 0 // drained: reuse the buffer
+		}
 		r.Proc().Sleep(t.params.ProcessArrival)
 		if msg.credits > 0 {
 			st.credits[msg.env.Src] += msg.credits

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/host"
 	"repro/internal/match"
@@ -237,7 +236,7 @@ func (r *Rank) Wait(req *Request) Status {
 		if req.Completed() {
 			break
 		}
-		r.proc.WaitAny(req.done, sig)
+		r.proc.WaitAny(&req.done, sig)
 	}
 	r.prof.mpiWait += r.eng.Now().Sub(start)
 	if r.world.trace != nil {
@@ -285,7 +284,7 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 		}
 		sigs := make([]*sim.Signal, 0, len(reqs)+1)
 		for _, q := range reqs {
-			sigs = append(sigs, q.done)
+			sigs = append(sigs, &q.done)
 		}
 		sigs = append(sigs, sig)
 		r.proc.WaitAny(sigs...)
@@ -327,7 +326,8 @@ func (r *Rank) progress() {
 // shmState is the intra-node channel endpoint of one rank.
 type shmState struct {
 	engine  match.Engine
-	arrived []*shmMsg
+	arrived []*shmMsg // arrived[head:] await matching
+	head    int
 }
 
 func (s *shmState) init() {}
@@ -342,7 +342,7 @@ type shmMsg struct {
 // destination rank, completing immediately (buffered semantics). The
 // receiver pays the copy-out when it matches.
 func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{}) *Request {
-	req := NewRequest(r.eng, "shm send "+strconv.Itoa(r.id)+"->"+strconv.Itoa(dst), false)
+	req := NewRequest(r.eng, r.world.shmSendNames.Name(r.id, dst), false)
 	r.HostCopy(size)
 	msg := &shmMsg{env: match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}, size: size, payload: payload}
 	peer := r.world.ranks[dst]
@@ -360,7 +360,7 @@ func (r *Rank) shmDeliver(msg *shmMsg) {
 
 // shmRecv posts an intra-node receive.
 func (r *Rank) shmRecv(src, tag, ctx int) *Request {
-	req := NewRequest(r.eng, "shm recv "+strconv.Itoa(r.id)+"<-"+strconv.Itoa(src), true)
+	req := NewRequest(r.eng, r.world.shmRecvNames.Name(r.id, src), true)
 	r.shmProgress() // drain anything already arrived before posting
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if data, found, _ := r.shm.engine.PostRecv(env, req); found {
@@ -374,9 +374,13 @@ func (r *Rank) shmRecv(src, tag, ctx int) *Request {
 // shmProgress matches newly arrived intra-node messages against posted
 // receives, paying copy-out costs on this rank's CPU.
 func (r *Rank) shmProgress() {
-	for len(r.shm.arrived) > 0 {
-		msg := r.shm.arrived[0]
-		r.shm.arrived = r.shm.arrived[1:]
+	sh := &r.shm
+	for sh.head < len(sh.arrived) {
+		msg := sh.arrived[sh.head]
+		sh.arrived[sh.head] = nil
+		if sh.head++; sh.head == len(sh.arrived) {
+			sh.arrived, sh.head = sh.arrived[:0], 0 // drained: reuse the buffer
+		}
 		data, found, _ := r.shm.engine.Arrive(msg.env, msg)
 		if !found {
 			continue // parked in the unexpected queue inside the engine

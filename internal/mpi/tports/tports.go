@@ -12,11 +12,10 @@
 package tports
 
 import (
-	"strconv"
-
 	"repro/internal/elan"
 	"repro/internal/match"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -24,10 +23,18 @@ import (
 type Transport struct {
 	net *elan.Network
 	w   *mpi.World
+
+	// Request names, rendered once per (rank, peer).
+	sendNames, recvNames sim.PairNames
 }
 
 // New wraps an Elan network as an MPI transport.
-func New(net *elan.Network) *Transport { return &Transport{net: net} }
+func New(net *elan.Network) *Transport {
+	return &Transport{net: net,
+		sendNames: sim.PairNames{Prefix: "elan send ", Sep: "->"},
+		recvNames: sim.PairNames{Prefix: "elan recv ", Sep: "<-"},
+	}
+}
 
 // Name implements mpi.Transport.
 func (t *Transport) Name() string { return "elan" }
@@ -47,7 +54,7 @@ func (t *Transport) Attach(w *mpi.World) {
 // NetSend implements mpi.Transport. The buffer key is ignored: the Elan MMU
 // needs no registration.
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), "elan send "+strconv.Itoa(r.ID())+"->"+strconv.Itoa(dst), false)
+	req := mpi.NewRequest(r.Engine(), t.sendNames.Name(r.ID(), dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 	nic := t.net.NIC(r.NodeID())
 	txDone := nic.TxPost(r.Proc(), r.ID(), dst, env, size, payload)
@@ -59,7 +66,7 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), "elan recv "+strconv.Itoa(r.ID())+"<-"+strconv.Itoa(src), true)
+	req := mpi.NewRequest(r.Engine(), t.recvNames.Name(r.ID(), src), true)
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if src == mpi.AnySource {
 		env.Src = match.AnySource

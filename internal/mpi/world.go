@@ -23,6 +23,9 @@ type World struct {
 	ctxAlloc map[ctxKey]int
 	nextCtx  int
 
+	// Shared-memory request names, rendered once per (rank, peer).
+	shmSendNames, shmRecvNames sim.PairNames
+
 	// Optional event trace (see trace.go).
 	trace *tracer
 
@@ -42,7 +45,10 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 	if err != nil {
 		return nil, err
 	}
-	w := &World{eng: eng, cfg: cfg, cluster: cluster, transport: transport}
+	w := &World{eng: eng, cfg: cfg, cluster: cluster, transport: transport,
+		shmSendNames: sim.PairNames{Prefix: "shm send ", Sep: "->"},
+		shmRecvNames: sim.PairNames{Prefix: "shm recv ", Sep: "<-"},
+	}
 	w.track = eng.TraceTrack()
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for i := range w.ranks {

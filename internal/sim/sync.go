@@ -1,28 +1,70 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Signal is a one-shot completion event. Processes can block on it, and
 // event-driven code can attach callbacks. Firing is idempotent-hostile:
 // firing twice is a model bug and panics.
+//
+// A Signal is 64 bytes, one allocation class, and can live by value inside
+// the struct that owns its operation (see InitSignal). It must not be
+// copied once initialized.
 type Signal struct {
-	eng   *Engine
-	name  string
-	fired bool
-	at    Time
+	eng  *Engine
+	name string
+	at   Time
 	// First waiter and first callback live in inline slots: most signals
 	// (one per fabric message, RDMA op, MPI request) see exactly one
 	// waiter and at most one callback, so the common case registers and
-	// fires without growing a slice.
+	// fires without allocating. Later ones go to the overflow record.
 	waiter0 *Proc
-	waiters []*Proc
 	cb0     func()
+	more    *signalOverflow
+	fired   bool
+}
+
+// signalOverflow holds a signal's second and later waiters and callbacks,
+// in registration order.
+type signalOverflow struct {
+	waiters []*Proc
 	cbs     []func()
 }
 
 // NewSignal creates a signal. The name appears in deadlock reports.
 func (e *Engine) NewSignal(name string) *Signal {
 	return &Signal{eng: e, name: name}
+}
+
+// InitSignal readies s, typically a field of the struct that owns the
+// operation it completes, as a fresh unfired signal: one allocation then
+// covers both. The name appears in deadlock reports.
+func (e *Engine) InitSignal(s *Signal, name string) {
+	*s = Signal{eng: e, name: name}
+}
+
+// PairNames renders signal names of the form Prefix+a+Sep+b, such as "ib
+// send 0->1", once per (a, b) on first use, so a layer that creates a
+// signal per operation does not build a string per operation. The zero
+// value with Prefix and Sep set is ready to use.
+type PairNames struct {
+	Prefix, Sep string
+	names       map[[2]int]string
+}
+
+// Name returns the name for (a, b).
+func (n *PairNames) Name(a, b int) string {
+	if s, ok := n.names[[2]int{a, b}]; ok {
+		return s
+	}
+	if n.names == nil {
+		n.names = make(map[[2]int]string)
+	}
+	s := n.Prefix + strconv.Itoa(a) + n.Sep + strconv.Itoa(b)
+	n.names[[2]int{a, b}] = s
+	return s
 }
 
 // Fired reports whether the signal has fired.
@@ -39,23 +81,32 @@ func (s *Signal) Fire() {
 	}
 	s.fired = true
 	s.at = s.eng.now
+	more := s.more
+	s.more = nil
 	if s.waiter0 != nil {
 		s.waiter0.wake()
 		s.waiter0 = nil
 	}
-	for _, w := range s.waiters {
-		w.wake()
+	if more != nil {
+		for _, w := range more.waiters {
+			w.wake()
+		}
 	}
-	s.waiters = nil
 	if s.cb0 != nil {
 		s.eng.After(0, s.cb0)
 		s.cb0 = nil
 	}
-	for _, cb := range s.cbs {
-		cb := cb
-		s.eng.After(0, cb)
+	if more != nil {
+		for _, cb := range more.cbs {
+			s.eng.After(0, cb)
+		}
 	}
-	s.cbs = nil
+}
+
+// HasListeners reports whether firing the signal now would wake a process
+// or schedule a callback.
+func (s *Signal) HasListeners() bool {
+	return s.waiter0 != nil || s.cb0 != nil
 }
 
 // OnFire registers fn to run when the signal fires (immediately scheduled if
@@ -65,11 +116,14 @@ func (s *Signal) OnFire(fn func()) {
 		s.eng.After(0, fn)
 		return
 	}
-	if s.cb0 == nil && len(s.cbs) == 0 {
+	if s.cb0 == nil {
 		s.cb0 = fn
 		return
 	}
-	s.cbs = append(s.cbs, fn)
+	if s.more == nil {
+		s.more = &signalOverflow{}
+	}
+	s.more.cbs = append(s.more.cbs, fn)
 }
 
 // addWaiter registers a process for wakeup, deduplicating: a process
@@ -77,19 +131,22 @@ func (s *Signal) OnFire(fn func()) {
 // accumulate entries, or one Fire would schedule a burst of redundant
 // wakes that re-register again — an amplifying event storm.
 func (s *Signal) addWaiter(p *Proc) {
+	if s.waiter0 == nil {
+		s.waiter0 = p
+		return
+	}
 	if s.waiter0 == p {
 		return
 	}
-	for _, w := range s.waiters {
+	if s.more == nil {
+		s.more = &signalOverflow{}
+	}
+	for _, w := range s.more.waiters {
 		if w == p {
 			return
 		}
 	}
-	if s.waiter0 == nil && len(s.waiters) == 0 {
-		s.waiter0 = p
-		return
-	}
-	s.waiters = append(s.waiters, p)
+	s.more.waiters = append(s.more.waiters, p)
 }
 
 // Wait blocks the process until the signal fires. Returns immediately if it
