@@ -1,15 +1,15 @@
 # Development targets. `make check` is the tier-1 gate: vet, build,
 # test, the race detector over the whole module, simlint — the
 # determinism/invariant static-analysis suite (internal/lint, see
-# DESIGN.md "Determinism invariants") — the benchmark module's own tests,
-# and the job-server smoke test.
+# DESIGN.md "Determinism invariants") — and the benchmark module's own
+# tests.
 
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: check vet build test race lint lint-sarif serve-smoke bench-test bench-smoke fix-verify bench regen trace-demo chaos campaign
+.PHONY: check vet build test race lint lint-sarif bench-test bench-smoke fix-verify bench regen trace-demo chaos campaign
 
-check: vet build test race lint bench-test serve-smoke
+check: vet build test race lint bench-test
 
 vet:
 	$(GO) vet ./...
@@ -62,13 +62,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# serve-smoke boots the simd job server on an ephemeral port, POSTs a
-# quick fig1a job, follows the SSE stream to completion, asserts the
-# second identical POST is a cache hit with the same checksum, and
-# checks SIGTERM drains cleanly.
-serve-smoke:
-	./scripts/serve-smoke.sh
 
 # bench-test runs the host-time benchmark's own tests (bench/ is a
 # separate Go module, so the root `go test ./...` never builds it, yet

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	repro -list                 # experiment ids with descriptions
-//	repro -exp list             # same listing (mirrors GET /v1/experiments on simd)
+//	repro -exp list             # same listing
 //	repro -exp fig1a            # one experiment, full fidelity
 //	repro -exp all              # everything, experiments in parallel
 //	repro -exp all -jobs 1      # serial run (byte-identical stdout)
@@ -30,6 +30,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -85,7 +86,6 @@ func run() int {
 	}
 
 	if *list || *exp == "list" {
-		// Same listing the server's GET /v1/experiments catalog serves.
 		os.Stdout.WriteString(experiments.Listing())
 		return 0
 	}
@@ -198,7 +198,7 @@ func run() int {
 	results := pool.Run(ctx, jobList)
 	if ctx.Err() != nil {
 		stop() // restore default handling before reporting
-		fmt.Fprintln(os.Stderr, "repro: interrupted; draining finished, partial results above")
+		fmt.Fprintln(os.Stderr, "repro: interrupted; draining finished, completed experiments above")
 	}
 
 	// Per-experiment wall-time summary; failures listed explicitly so an
@@ -206,13 +206,19 @@ func run() int {
 	// -chaos-strict a death by the installed fault plan (an IB QP entering
 	// the error state after retry exhaustion — a modeled, deterministic
 	// outcome) is tolerated, so the exit code stays meaningful for every
-	// OTHER kind of failure instead of being masked wholesale.
+	// OTHER kind of failure instead of being masked wholesale. An
+	// experiment cut short by the interrupt has only partial tables: it is
+	// listed as interrupted and writes no artifacts.
 	failed, tolerated := 0, 0
 	fmt.Fprintf(os.Stderr, "repro: %d experiment(s), jobs=%d, wall %v\n",
 		len(todo), *jobs, time.Since(suiteStart).Round(time.Millisecond))
 	for i, r := range results {
 		e := todo[i]
 		if r.Err != nil {
+			if ctx.Err() != nil && errors.Is(r.Err, ctx.Err()) {
+				fmt.Fprintf(os.Stderr, "  %-8s interrupted\n", e.ID)
+				continue
+			}
 			if *strict && *faults != "" && strings.Contains(r.Err.Error(), "retry budget exhausted") {
 				tolerated++
 				fmt.Fprintf(os.Stderr, "  %-8s killed by fault plan in %8v (tolerated): %v\n",
@@ -253,8 +259,8 @@ func run() int {
 		return 1
 	}
 	if ctx.Err() != nil {
-		// A drained sweep still renders its completed points, so nothing
-		// above "failed" — but an interrupted run is not a clean one.
+		// Interrupted experiments are not failures, but an interrupted run
+		// is not a clean one.
 		return 130
 	}
 	return 0
@@ -292,10 +298,10 @@ func runCampaign(count int, seed uint64, jobs int, corpusDir string) int {
 			v.Contract, v.Name, v.Detail, v.Scenario.Canonical(), len(v.Lineage))
 		// Point at the registered experiment that replays the same traffic
 		// pattern under the same fault plan, for paper-scale diagnosis.
-		if spec, err := experiments.CampaignSpec(v.Scenario.Workload, v.Scenario.Faults); err == nil {
-			hint := "-exp " + spec.Experiment
-			if spec.Faults != "" {
-				hint += fmt.Sprintf(" -faults %q", spec.Faults)
+		if e, err := experiments.CampaignExperiment(v.Scenario.Workload); err == nil {
+			hint := "-exp " + e.ID
+			if v.Scenario.Faults != "" {
+				hint += fmt.Sprintf(" -faults %q", v.Scenario.Faults)
 			}
 			fmt.Printf("    nearest full sweep: repro %s\n", hint)
 		}

@@ -1,12 +1,13 @@
 package experiments
 
-// Bridge from campaign scenarios (internal/campaign) to experiment Specs:
-// a shrunk reproducer names a workload class and a fault plan, and the
-// closest registered experiment can replay the same traffic pattern under
-// that plan through the ordinary -exp / job-server path. The mapping is by
-// traffic shape, not fidelity — a campaign scenario is a minimal synthetic
-// workload, the experiment is the paper-scale sweep — so the bridge is a
-// diagnosis aid ("run the full sweep under this plan"), not an equivalence.
+// Bridge from campaign scenarios (internal/campaign) to registered
+// experiments: a shrunk reproducer names a workload class and a fault
+// plan, and the closest registered experiment can replay the same traffic
+// pattern under that plan through the ordinary `repro -exp … -faults …`
+// path. The mapping is by traffic shape, not fidelity — a campaign
+// scenario is a minimal synthetic workload, the experiment is the
+// paper-scale sweep — so the bridge is a diagnosis aid ("run the full
+// sweep under this plan"), not an equivalence.
 
 import "fmt"
 
@@ -18,12 +19,12 @@ var campaignWorkloads = map[string]string{
 	"ring":     "xroute", // all-ranks neighbor traffic across the spine
 }
 
-// CampaignSpec returns the normalized Spec that replays a campaign
-// scenario's workload class under its fault plan at full fidelity.
-func CampaignSpec(workload, faults string) (Spec, error) {
+// CampaignExperiment returns the registered experiment that replays a
+// campaign scenario's workload class at full fidelity.
+func CampaignExperiment(workload string) (Experiment, error) {
 	id, ok := campaignWorkloads[workload]
 	if !ok {
-		return Spec{}, fmt.Errorf("experiments: no experiment bridges campaign workload %q", workload)
+		return Experiment{}, fmt.Errorf("experiments: no experiment bridges campaign workload %q", workload)
 	}
-	return Spec{Experiment: id, Faults: faults}.Normalized()
+	return Get(id)
 }

@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-func TestCampaignSpec(t *testing.T) {
+func TestCampaignExperiment(t *testing.T) {
 	cases := []struct {
 		workload, wantExp string
 	}{
@@ -11,21 +11,15 @@ func TestCampaignSpec(t *testing.T) {
 		{"ring", "xroute"},
 	}
 	for _, c := range cases {
-		spec, err := CampaignSpec(c.workload, "loss:all:p=0.001")
+		e, err := CampaignExperiment(c.workload)
 		if err != nil {
-			t.Fatalf("CampaignSpec(%q): %v", c.workload, err)
+			t.Fatalf("CampaignExperiment(%q): %v", c.workload, err)
 		}
-		if spec.Experiment != c.wantExp {
-			t.Fatalf("CampaignSpec(%q) -> %s, want %s", c.workload, spec.Experiment, c.wantExp)
-		}
-		if spec.Faults != "loss:all:p=0.001" {
-			t.Fatalf("fault plan not carried: %q", spec.Faults)
-		}
-		if spec.Seed != CanonicalSeed {
-			t.Fatalf("spec not normalized: seed %d", spec.Seed)
+		if e.ID != c.wantExp {
+			t.Fatalf("CampaignExperiment(%q) -> %s, want %s", c.workload, e.ID, c.wantExp)
 		}
 	}
-	if _, err := CampaignSpec("gossip", ""); err == nil {
+	if _, err := CampaignExperiment("gossip"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

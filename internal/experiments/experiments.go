@@ -7,9 +7,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -61,23 +63,15 @@ type Options struct {
 	// Ctx, when non-nil, is the base context every sweep runs under:
 	// cancelling it drains the worker pools gracefully (in-flight points
 	// finish, queued points are skipped). Nil means context.Background().
+	// An experiment whose Ctx was cancelled returns an error wrapping
+	// Ctx.Err(), never its partial tables.
 	Ctx context.Context
-	// OnProgress, when non-nil, receives a callback after each sweep point
-	// completes: the sweep's name plus done/total counts. This is the
-	// programmatic twin of Progress (which renders stderr lines) and is
-	// how the job server streams experiment progress to clients.
-	OnProgress func(sweep string, done, total int)
 }
 
 // pool builds the parallel runner every sweep in this package executes on.
 func (o Options) pool(name string) *runner.Pool {
-	p := &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress,
+	return &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress,
 		Name: name, Retries: o.Retries}
-	if o.OnProgress != nil {
-		hook := o.OnProgress
-		p.OnProgress = func(done, total int) { hook(name, done, total) }
-	}
-	return p
 }
 
 // ctx returns the base context sweeps run under.
@@ -128,7 +122,16 @@ type Experiment struct {
 var registry []Experiment
 
 func register(id, title string, run func(Options) (*Result, error)) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+	guarded := func(o Options) (*Result, error) {
+		res, err := run(o)
+		// Cancellation makes the sweeps skip their remaining points, and a
+		// skipped point reads 0 in the tables, so the result is partial.
+		if cerr := o.ctx().Err(); cerr != nil && !errors.Is(err, cerr) {
+			return nil, fmt.Errorf("experiments: %s interrupted: %w", id, cerr)
+		}
+		return res, err
+	}
+	registry = append(registry, Experiment{ID: id, Title: title, Run: guarded})
 }
 
 // All returns every experiment in registration (paper) order.
@@ -145,6 +148,16 @@ func IDs() []string {
 		ids = append(ids, e.ID)
 	}
 	return ids
+}
+
+// Listing renders the registry as aligned "id  title" lines, one per
+// experiment, in registration order.
+func Listing() string {
+	var b strings.Builder
+	for _, e := range registry {
+		fmt.Fprintf(&b, "%-8s %s\n", e.ID, e.Title)
+	}
+	return b.String()
 }
 
 // Get looks an experiment up by id.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,35 @@ func TestRegistryCoversPaper(t *testing.T) {
 	for _, id := range want {
 		if !have[id] {
 			t.Errorf("missing experiment %q", id)
+		}
+	}
+}
+
+// An experiment whose context is cancelled must report the interruption,
+// not return tables whose skipped points read 0.
+func TestCancelledContextIsAnError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range All() {
+		res, err := e.Run(Options{Quick: true, Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", e.ID, err)
+		}
+		if res != nil {
+			t.Errorf("%s: returned a partial result", e.ID)
+		}
+	}
+}
+
+func TestListing(t *testing.T) {
+	ids := IDs()
+	lines := strings.Split(strings.TrimRight(Listing(), "\n"), "\n")
+	if len(lines) != len(ids) {
+		t.Fatalf("Listing has %d lines, registry %d experiments", len(lines), len(ids))
+	}
+	for i, id := range ids {
+		if !strings.HasPrefix(lines[i], id+" ") {
+			t.Errorf("listing line %d = %q, want id %s first", i, lines[i], id)
 		}
 	}
 }

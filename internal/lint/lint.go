@@ -154,7 +154,6 @@ func DefaultConfig() Config {
 		SimTimePkg:   "repro/internal/units",
 		CompletionCallbacks: []string{
 			"(repro/internal/runner.Pool).OnResult",
-			"(repro/internal/runner.Pool).OnProgress",
 		},
 		ReportStaleAllows: true,
 	}

@@ -104,30 +104,19 @@ func (a *Artifact) checksum() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Encode seals the artifact and renders it in the on-disk format:
-// Checksum is (re)computed over the payload, then the whole artifact is
-// marshaled as indented, newline-terminated JSON. Write and the job
-// server's content-addressed cache share this encoding, so every stored
-// artifact is self-verifying regardless of which layer stored it.
-func (a *Artifact) Encode() ([]byte, error) {
+// Write seals the artifact and stores it as dir/<experiment>.json,
+// returning the path: Checksum is (re)computed over the payload, then the
+// whole artifact is written as indented, newline-terminated JSON.
+func (a *Artifact) Write(dir string) (string, error) {
 	if a.Experiment == "" {
-		return nil, fmt.Errorf("runner: artifact has no experiment id")
+		return "", fmt.Errorf("runner: artifact has no experiment id")
 	}
 	sum, err := a.checksum()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	a.Checksum = sum
 	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// Write stores the artifact as dir/<experiment>.json and returns the path.
-func (a *Artifact) Write(dir string) (string, error) {
-	data, err := a.Encode()
 	if err != nil {
 		return "", err
 	}
@@ -135,7 +124,7 @@ func (a *Artifact) Write(dir string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, a.Experiment+".json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return "", err
 	}
 	return path, nil

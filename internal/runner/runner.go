@@ -138,11 +138,6 @@ type Pool struct {
 	// job's submission index. Calls are serialized (never concurrent),
 	// but arrive in completion order, not submission order.
 	OnResult func(index int, r Result)
-	// OnProgress, when non-nil, is invoked after each job completes with
-	// the running done/total counts — the programmatic twin of Progress,
-	// for callers (like the job server) that forward progress to clients
-	// instead of a terminal. Calls are serialized with OnResult.
-	OnProgress func(done, total int)
 
 	// Retries re-runs a job that panicked or timed out up to this many
 	// additional times before accepting the failure. Only infrastructure
@@ -214,9 +209,6 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []Result {
 				mu.Lock()
 				if p.OnResult != nil {
 					p.OnResult(i, r)
-				}
-				if p.OnProgress != nil {
-					p.OnProgress(d, n)
 				}
 				p.reportProgress(d, n, workers, start)
 				mu.Unlock()
