@@ -1,5 +1,5 @@
-# Development targets. `make check` is the tier-1 gate: vet, build,
-# test, the race detector over the whole module, simlint — the
+# Development targets. `make check` is the tier-1 gate: gofmt, vet,
+# build, test, the race detector over the whole module, simlint — the
 # determinism/invariant static-analysis suite (internal/lint, see
 # DESIGN.md "Determinism invariants") — and the benchmark module's own
 # tests.
@@ -7,9 +7,14 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: check vet build test race lint lint-sarif bench-test bench-smoke fix-verify bench regen trace-demo chaos campaign
+.PHONY: check fmt vet build test race lint lint-sarif bench-test bench-smoke fix-verify bench regen trace-demo chaos campaign
 
-check: vet build test race lint bench-test
+check: fmt vet build test race lint bench-test
+
+# fmt fails, listing the files, if any Go file in the tree (bench/
+# included) is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -39,8 +44,8 @@ lint-sarif:
 # speed and on whether the fabric fast path was pinned off; see
 # internal/runner artifacts), so those fields are filtered before
 # comparing. The scratch directory is removed on success and left in
-# place on failure for inspection. Full fidelity takes ~15 min on one
-# core.
+# place on failure for inspection. Full fidelity takes about 1.5 min on
+# a 2-vCPU host.
 fix-verify:
 	rm -rf .fix-verify-results
 	$(GO) run ./cmd/repro -exp all -out .fix-verify-results >/dev/null

@@ -379,6 +379,14 @@ func (w *window) expand() {
 		if resumed {
 			continue
 		}
+		// With faults off, step retires a chunk as it is served at the last
+		// stage unless it is the last one served there, which on a
+		// window's single path is the final chunk. A chunk past that stage
+		// is retired here by the same rule.
+		if !isLast && !f.faultsOn {
+			delivered++
+			continue
+		}
 		var out units.Time
 		if isLast {
 			out = w.deliverAt

@@ -51,19 +51,79 @@ type stormOutcome struct {
 	served []uint64
 }
 
+// requireSameOutcome fails the test unless two storm runs of one seed
+// delivered every message at the same time, ended at the same clock, and
+// left every server with the same accounting.
+func requireSameOutcome(t *testing.T, seed uint64, a, b stormOutcome, aName, bName string) {
+	t.Helper()
+	for i := range a.fired {
+		if a.fired[i] != b.fired[i] {
+			t.Fatalf("seed %d msg %d: delivery %v (%s) != %v (%s)",
+				seed, i, a.fired[i], aName, b.fired[i], bName)
+		}
+	}
+	if a.final != b.final {
+		t.Fatalf("seed %d: final clock %v (%s) != %v (%s)", seed, a.final, aName, b.final, bName)
+	}
+	for i := range a.busy {
+		if a.busy[i] != b.busy[i] || a.total[i] != b.total[i] || a.served[i] != b.served[i] {
+			t.Fatalf("seed %d server %d: accounting diverged (busy %v/%v total %v/%v served %d/%d)",
+				seed, i, a.busy[i], b.busy[i], a.total[i], b.total[i], a.served[i], b.served[i])
+		}
+	}
+}
+
+// stormFabric is one fabric configuration a storm runs on.
+type stormFabric struct {
+	name   string
+	params Params
+	radix  int
+	nodes  int
+}
+
+// experimentFabrics lists every experiment fabric configuration, plus
+// two-level Clos variants (deterministic and adaptive spine crossing) and
+// a host-bus-disabled variant.
+func experimentFabrics() []stormFabric {
+	nohost := ibTestParams()
+	nohost.HostBandwidth = 0
+	return []stormFabric{
+		{"ib/2", ibTestParams(), 96, 2},
+		{"ib/4", ibTestParams(), 96, 4},
+		{"ib/32", ibTestParams(), 96, 32},
+		{"elan/2", elanTestParams(), 64, 2},
+		{"elan/4", elanTestParams(), 64, 4},
+		{"elan/32", elanTestParams(), 64, 32},
+		{"ib/2level", ibTestParams(), 8, 12},
+		{"elan/2level", elanTestParams(), 8, 12},
+		{"ib/nohost", nohost, 96, 8},
+	}
+}
+
+// stormMode selects how a storm's fabric runs the same traffic.
+type stormMode struct {
+	coalesce bool // open coalescing windows where eligible
+	// armed calls EnableFaults but installs no fault, so every chunk keeps
+	// its own delivery event while timing stays fault-free.
+	armed bool
+}
+
 // runStorm injects a randomized traffic pattern — bursts, chained
 // request/reply pairs, overlapping flows, and direct host-bus touches
 // (the doorbell pattern) — and returns the outcome. The schedule is a
-// pure function of seed, so two runs differing only in the coalesce
-// flag are directly comparable.
-func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coalesce bool) stormOutcome {
+// pure function of seed, so two runs differing only in mode are directly
+// comparable.
+func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, mode stormMode) stormOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
 	f, err := New(eng, nodes, radix, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetCoalescing(coalesce)
+	f.SetCoalescing(mode.coalesce)
+	if mode.armed {
+		f.EnableFaults(seed)
+	}
 
 	r := rng.New(seed)
 	sizes := []units.Bytes{0, 1, 500, 2 * units.KiB, 3000, 8 * units.KiB,
@@ -138,54 +198,33 @@ func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coales
 // delivers at bit-identical times — and leaves bit-identical per-server
 // accounting — whether messages are coalesced or fully chunk-expanded.
 func TestCoalescingExact(t *testing.T) {
-	cases := []struct {
-		name   string
-		params Params
-		radix  int
-		nodes  int
-	}{
-		{"ib/2", ibTestParams(), 96, 2},
-		{"ib/4", ibTestParams(), 96, 4},
-		{"ib/32", ibTestParams(), 96, 32},
-		{"elan/2", elanTestParams(), 64, 2},
-		{"elan/4", elanTestParams(), 64, 4},
-		{"elan/32", elanTestParams(), 64, 32},
-		// Two-level Clos: deterministic and adaptive spine crossing.
-		{"ib/2level", ibTestParams(), 8, 12},
-		{"elan/2level", elanTestParams(), 8, 12},
-	}
-	nohost := ibTestParams()
-	nohost.HostBandwidth = 0
-	cases = append(cases, struct {
-		name   string
-		params Params
-		radix  int
-		nodes  int
-	}{"ib/nohost", nohost, 96, 8})
-
-	for _, c := range cases {
+	for _, c := range experimentFabrics() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
-				on := runStorm(t, c.params, c.radix, c.nodes, seed, true)
-				off := runStorm(t, c.params, c.radix, c.nodes, seed, false)
-				for i := range on.fired {
-					if on.fired[i] != off.fired[i] {
-						t.Fatalf("seed %d msg %d: delivery %v (coalesced) != %v (chunked)",
-							seed, i, on.fired[i], off.fired[i])
-					}
-				}
-				if on.final != off.final {
-					t.Fatalf("seed %d: final clock %v != %v", seed, on.final, off.final)
-				}
-				for i := range on.busy {
-					if on.busy[i] != off.busy[i] || on.total[i] != off.total[i] ||
-						on.served[i] != off.served[i] {
-						t.Fatalf("seed %d server %d: accounting diverged (busy %v/%v total %v/%v served %d/%d)",
-							seed, i, on.busy[i], off.busy[i], on.total[i], off.total[i],
-							on.served[i], off.served[i])
-					}
-				}
+				on := runStorm(t, c.params, c.radix, c.nodes, seed, stormMode{coalesce: true})
+				off := runStorm(t, c.params, c.radix, c.nodes, seed, stormMode{})
+				requireSameOutcome(t, seed, on, off, "coalesced", "chunked")
+			}
+		})
+	}
+}
+
+// TestEarlyRetirementExact checks the faults-off delivery rule: only the
+// chunk served last at a message's last stage keeps a delivery event,
+// and the others retire at service (in step, and in window expansion).
+// Arming fault injection without installing a fault keeps every chunk's
+// delivery event and changes no timing, so across every experiment fabric
+// the same coalesced storm must deliver every message at the same time,
+// and leave the same per-server accounting, armed or not.
+func TestEarlyRetirementExact(t *testing.T) {
+	for _, c := range experimentFabrics() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				early := runStorm(t, c.params, c.radix, c.nodes, seed, stormMode{coalesce: true})
+				each := runStorm(t, c.params, c.radix, c.nodes, seed, stormMode{coalesce: true, armed: true})
+				requireSameOutcome(t, seed, early, each, "early retirement", "per-chunk delivery")
 			}
 		})
 	}

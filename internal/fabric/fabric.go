@@ -370,17 +370,19 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 func (f *Fabric) SetCoalescing(on bool) { f.coalesce = on }
 
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
-// allocates no tracking state in steady flow.
+// allocates no tracking state in steady flow. Its injection continuation,
+// injectFn, is bound once at allocation like chunkState.stepFn.
 type msgState struct {
 	f         *Fabric
 	pt        path
-	remaining int
-	size      units.Bytes // payload size, for probe retirement reports
+	remaining int         // chunks not yet retired
+	size      units.Bytes // payload size: the chunk plan, probe reports
 	done      *sim.Signal
 	// aborted marks a message killed by an unrecovered fault (see
 	// dropMessage): its remaining chunks still drain through the fabric,
 	// but done never fires.
-	aborted bool
+	aborted  bool
+	injectFn func()
 }
 
 func (f *Fabric) getMsg() *msgState {
@@ -390,7 +392,31 @@ func (f *Fabric) getMsg() *msgState {
 		f.freeMsgs = f.freeMsgs[:n-1]
 		return ms
 	}
-	return &msgState{f: f}
+	ms := &msgState{f: f}
+	ms.injectFn = ms.inject
+	return ms
+}
+
+// inject is the message's one injection event: it puts chunks 0..n-1 on
+// the path's first stage, in chunk order, at the instant Send ran. It
+// stands for the n same-instant arrival events the chunks would otherwise
+// each take. Those would dispatch back to back with nothing between them
+// — heap events due now carry smaller seqs, and whatever the arrivals
+// schedule gets larger ones — so running them in one event keeps every
+// other event's order.
+func (ms *msgState) inject() {
+	f := ms.f
+	now := f.eng.Now()
+	n, last := f.chunkPlan(ms.size)
+	for k := 0; k < n; k++ {
+		sz := f.params.MTU
+		if k == n-1 {
+			sz = last
+		}
+		// The last chunk's step may retire ms (a drop at the first stage),
+		// so ms is not touched after the loop.
+		f.getChunk(ms, 0, sz, now).step()
+	}
 }
 
 // chunkDelivered retires one chunk; the last one releases the message's
@@ -419,9 +445,10 @@ func (ms *msgState) chunkDelivered() {
 // chunkState carries one in-flight chunk through its path. It is pooled,
 // and its one continuation, stepFn, is bound once at allocation, so the
 // per-chunk-per-hop event loop closes over nothing and allocates nothing.
-// A chunk has at most one pending event, so one lane entry serves every
-// hop. The struct stays within a 96-byte allocation class: when many
-// large messages inject at once, tens of thousands are live together.
+// A chunk has at most one pending event — its arrival at the next stage,
+// or the message's final delivery — so one lane entry serves every hop.
+// The struct stays within a 96-byte allocation class: when many large
+// messages inject at once, tens of thousands are live together.
 type chunkState struct {
 	lane  sim.LaneEntry
 	ms    *msgState
@@ -459,8 +486,18 @@ func (f *Fabric) putChunk(cs *chunkState) {
 // step is one hop of the lazy cut-through pipeline: the chunk claims the
 // stage it has just arrived at, so cross-traffic interleaves correctly
 // under contention and adaptive spine choice sees true instantaneous
-// load. It runs as the arrival event at cs.ready, and past the last stage
-// it retires the chunk at its final-delivery time.
+// load. It runs as the arrival event at cs.ready (the message's inject
+// event runs it for the first stage), and past the last stage it retires
+// the chunk at its final-delivery time.
+//
+// With faults off only the chunk served last at the last stage gets a
+// delivery event; the others retire as soon as they are served there.
+// Every chunk of a message ends on that one FIFO stage with one fixed
+// latency, so the chunk served last there is delivered last, and its
+// event — the one that fires done — keeps its key. Faults break this:
+// extra latency can reorder a stage's completions, and a drop can retire
+// the message before a chunk already served has been delivered. So with
+// faults on every chunk keeps its delivery event.
 func (cs *chunkState) step() {
 	ms := cs.ms
 	f := ms.f
@@ -551,10 +588,15 @@ func (cs *chunkState) step() {
 		f.dropMessage(cs)
 		return
 	}
+	cs.i = i + 1
+	if cs.i == pt.n && !f.faultsOn && ms.remaining > 1 {
+		ms.remaining--
+		f.putChunk(cs)
+		return
+	}
 	// The hop's completions leave srv in FIFO order with the stage's fixed
 	// latency, so they queue on its lane; a fault's extra latency can break
 	// the order, and the lane then falls back to a plain event.
-	cs.i = i + 1
 	cs.ready = out
 	srv.Lane().At(out, &cs.lane, cs.stepFn)
 }
@@ -618,16 +660,10 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 		return done
 	}
 
-	now := f.eng.Now()
-	mtu := f.params.MTU
-	for k := 0; k < n; k++ {
-		sz := mtu
-		if k == n-1 {
-			sz = last
-		}
-		cs := f.getChunk(ms, 0, sz, now)
-		f.eng.At(now, cs.stepFn)
-	}
+	// One event injects every chunk (see inject). An idle n-chunk message
+	// over an m-stage path then costs n·(m-1)+2 events: the injection, one
+	// arrival per chunk at each later stage, and the final delivery.
+	f.eng.At(f.eng.Now(), ms.injectFn)
 	return done
 }
 

@@ -140,6 +140,44 @@ func TestContendedSendAllocs(t *testing.T) {
 	}
 }
 
+// TestIdleMessageEventCount pins the chunk model's event cost: with
+// coalescing off, an idle n-chunk message over an m-stage path dispatches
+// n·(m-1)+2 events — one injection event for all chunks, one arrival per
+// chunk at each later stage, and one delivery event for the message. It
+// still delivers at the closed-form time.
+func TestIdleMessageEventCount(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		params Params
+		stages int
+	}{
+		{"nohost", testParams(), 2}, // injection, ejection
+		{"host", hostParams(), 4},   // host bus, injection, ejection, host bus
+	} {
+		for _, n := range []int{1, 64} {
+			eng := sim.NewEngine()
+			f := mustNew(t, eng, 4, 8, c.params)
+			f.SetCoalescing(false)
+			var pt path
+			f.fillPath(&pt, 0, 1)
+			if pt.n != c.stages {
+				t.Fatalf("%s: path has %d stages, want %d", c.name, pt.n, c.stages)
+			}
+			size := units.Bytes(n) * f.Params().MTU
+			done := f.Send(0, 1, size)
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := units.Time(f.MinLatency(0, 1, size)); done.FiredAt() != want {
+				t.Fatalf("%s/%d chunks: delivered at %v, want %v", c.name, n, done.FiredAt(), want)
+			}
+			if got, want := eng.Events(), uint64(n*(c.stages-1)+2); got != want {
+				t.Errorf("%s/%d chunks: %d events, want %d", c.name, n, got, want)
+			}
+		}
+	}
+}
+
 func TestDisjointFlowsDoNotInterfere(t *testing.T) {
 	p := testParams()
 	eng := sim.NewEngine()

@@ -112,12 +112,7 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 // accounting must stay bit-identical whether or not coalescing is enabled.
 // Messages killed by the drop model must be killed identically in both.
 func TestFaultStormCoalescingExact(t *testing.T) {
-	cases := []struct {
-		name   string
-		params Params
-		radix  int
-		nodes  int
-	}{
+	cases := []stormFabric{
 		{"ib/drop-model", ibTestParams(), 96, 8},
 		{"elan/hw-retry", elanFaultParams(), 64, 8},
 		{"ib/2level", ibTestParams(), 8, 12},
@@ -129,21 +124,7 @@ func TestFaultStormCoalescingExact(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
 				on := runFaultStorm(t, c.params, c.radix, c.nodes, seed, true)
 				off := runFaultStorm(t, c.params, c.radix, c.nodes, seed, false)
-				for i := range on.fired {
-					if on.fired[i] != off.fired[i] {
-						t.Fatalf("seed %d msg %d: delivery %v (coalesced) != %v (chunked)",
-							seed, i, on.fired[i], off.fired[i])
-					}
-				}
-				if on.final != off.final {
-					t.Fatalf("seed %d: final clock %v != %v", seed, on.final, off.final)
-				}
-				for i := range on.busy {
-					if on.busy[i] != off.busy[i] || on.total[i] != off.total[i] ||
-						on.served[i] != off.served[i] {
-						t.Fatalf("seed %d server %d: accounting diverged", seed, i)
-					}
-				}
+				requireSameOutcome(t, seed, on, off, "coalesced", "chunked")
 			}
 		})
 	}

@@ -292,8 +292,9 @@ func (e *Engine) Run() error { return e.RunUntil(units.Forever) }
 // time they ran to. The clock never moves backward (a deadline already in
 // the past leaves it unchanged), never advances to the Forever sentinel,
 // and is left at the last dispatched event when the run ends early via
-// Stop, an error, or deadlock.
-func (e *Engine) RunUntil(deadline Time) error {
+// Stop, an error, or deadlock. A panic in an event ends the run with an
+// error naming the event's time; the engine keeps that error.
+func (e *Engine) RunUntil(deadline Time) (err error) {
 	if e.err != nil {
 		return e.err
 	}
@@ -302,6 +303,14 @@ func (e *Engine) RunUntil(deadline Time) error {
 		e.stopped = false
 		return nil
 	}
+	// One recover for the whole run, not one per event: a panic unwinds
+	// the loop, which is over either way.
+	defer func() {
+		if r := recover(); r != nil {
+			e.err = fmt.Errorf("sim: panic in event at t=%v: %v\n%s", e.now, r, debug.Stack())
+			err = e.err
+		}
+	}()
 	for !e.stopped {
 		// The next event is the smaller by (at, seq) of the ring front and
 		// the heap top; lane heads sit in the heap like any other event.
@@ -334,7 +343,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 			e.err = fmt.Errorf("%w after %d events at t=%v", ErrEventLimit, e.nEvents, e.now)
 			return e.err
 		}
-		e.dispatch(ev)
+		ev.fn()
 		if e.err != nil {
 			return e.err
 		}
@@ -358,15 +367,6 @@ func (e *Engine) advanceTo(deadline Time) {
 	if deadline != units.Forever && deadline > e.now {
 		e.now = deadline
 	}
-}
-
-func (e *Engine) dispatch(ev event) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Errorf("sim: panic in event at t=%v: %v\n%s", e.now, r, debug.Stack())
-		}
-	}()
-	ev.fn()
 }
 
 func (e *Engine) blockedProcs() []string {

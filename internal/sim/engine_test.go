@@ -357,12 +357,29 @@ func TestProcPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestEventPanicPropagates: a panic inside an event callback ends the run
+// with an error naming the event's time, recorded as the engine's error.
+// Events queued behind it never run, and a later Run returns the same
+// error without dispatching anything.
 func TestEventPanicPropagates(t *testing.T) {
 	e := NewEngine()
-	e.After(0, func() { panic("kaboom") })
+	ran := 0
+	at := units.Time(units.Microsecond)
+	e.At(at, func() { panic("kaboom") })
+	e.At(at, func() { ran++ })
+	e.At(at.Add(units.Microsecond), func() { ran++ })
 	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v", err)
+	if err == nil || err != e.Err() {
+		t.Fatalf("Run = %v, Err = %v; want the same recorded error", err, e.Err())
+	}
+	if want := "sim: panic in event at t=1us: kaboom\n"; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %q, want prefix %q", err, want)
+	}
+	if again := e.Run(); again != err {
+		t.Fatalf("second Run = %v, want the first error", again)
+	}
+	if ran != 0 || e.Now() != at {
+		t.Fatalf("%d queued events ran after the panic, clock %v; want 0 at %v", ran, e.Now(), at)
 	}
 }
 
