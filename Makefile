@@ -1,8 +1,8 @@
-# Development targets. `make check` is the tier-1 gate: gofmt, vet,
-# build, test, the race detector over the whole module, simlint — the
-# determinism/invariant static-analysis suite (internal/lint, see
-# DESIGN.md "Determinism invariants") — and the benchmark module's own
-# tests.
+# Development targets. `make check` is the tier-1 gate: gofmt, vet (of
+# the bench module too), build, test, the race detector over the whole
+# module, simlint — the determinism/invariant static-analysis suite
+# (internal/lint, see DESIGN.md "Determinism invariants") — and the
+# benchmark module's own tests.
 
 GO ?= go
 SHELL := /bin/bash
@@ -16,8 +16,11 @@ check: fmt vet build test race lint bench-test
 fmt:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
+# vet covers the bench module too: it is a module of its own, so the
+# root ./... never reaches it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # lint runs the simlint suite — the syntactic checks (wallclock,
 # globalstate, maprange, goroutine, mathrand, errcheck) plus the SSA

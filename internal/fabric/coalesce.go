@@ -171,7 +171,6 @@ func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 	pt := &ms.pt
 	m := pt.n
 	t0 := f.eng.Now()
-	mtu := f.params.MTU
 	ov := f.params.PacketOverhead
 	full := n > 1
 
@@ -192,7 +191,7 @@ func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 	var bneck units.Duration
 	for i := 0; i < m; i++ {
 		st := &pt.stages[i]
-		sF := st.rate.TimeFor(mtu + ov)
+		sF := st.full
 		sL := st.rate.TimeFor(last + ov)
 		if sL <= 0 || (full && sF <= 0) {
 			f.putWindow(w)

@@ -103,6 +103,9 @@ type Fabric struct {
 	links  []*sim.Server // indexed by topology.LinkID
 	hosts  []*sim.Server // per-node half-duplex PCI bus; nil if disabled
 
+	// Serialization time of a full-MTU chunk on a link and on a host bus.
+	linkFull, hostFull units.Duration
+
 	messages   uint64
 	bytes      units.Bytes
 	faultStats FaultStats
@@ -174,6 +177,8 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 	}
 	f := &Fabric{eng: eng, clos: clos, params: params,
 		msgNames: sim.PairNames{Prefix: "msg ", Sep: "->"}}
+	f.linkFull = params.LinkBandwidth.TimeFor(params.MTU + params.PacketOverhead)
+	f.hostFull = params.HostBandwidth.TimeFor(params.MTU + params.PacketOverhead)
 	f.links = make([]*sim.Server, clos.NumLinks())
 	for i := range f.links {
 		f.links[i] = eng.NewServer(fmt.Sprintf("link%d", i))
@@ -270,6 +275,7 @@ const maxStages = 6
 type stage struct {
 	srv  *sim.Server
 	rate units.Rate
+	full units.Duration  // serialization time of a full-MTU chunk
 	lat  units.Duration  // latency paid after serialization on this hop
 	link topology.LinkID // -1 for host-bus stages (not a fabric link)
 	host int             // node index for host-bus stages, -1 for links
@@ -299,11 +305,11 @@ func (f *Fabric) fillPath(pt *path, src, dst int) {
 	pt.upIdx = -1
 	pt.srcLeaf, pt.dstLeaf = 0, 0
 	if f.hosts != nil {
-		pt.add(stage{f.hosts[src], p.HostBandwidth, p.HostLatency, -1, src})
+		pt.add(stage{f.hosts[src], p.HostBandwidth, f.hostFull, p.HostLatency, -1, src})
 	}
 	cross := clos.Levels == 2 && clos.LeafOf(src) != clos.LeafOf(dst)
 	inj := clos.Injection(src)
-	pt.add(stage{f.links[inj], p.LinkBandwidth, p.WireLatency + p.ChassisLatency, inj, -1})
+	pt.add(stage{f.links[inj], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, inj, -1})
 	if cross {
 		pt.srcLeaf, pt.dstLeaf = clos.LeafOf(src), clos.LeafOf(dst)
 		spine := 0
@@ -312,13 +318,13 @@ func (f *Fabric) fillPath(pt *path, src, dst int) {
 		}
 		pt.upIdx = pt.n
 		up, down := clos.Up(pt.srcLeaf, spine), clos.Down(spine, pt.dstLeaf)
-		pt.add(stage{f.links[up], p.LinkBandwidth, p.WireLatency + p.ChassisLatency, up, -1})
-		pt.add(stage{f.links[down], p.LinkBandwidth, p.WireLatency + p.ChassisLatency, down, -1})
+		pt.add(stage{f.links[up], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, up, -1})
+		pt.add(stage{f.links[down], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, down, -1})
 	}
 	ej := clos.Ejection(dst)
-	pt.add(stage{f.links[ej], p.LinkBandwidth, p.WireLatency, ej, -1})
+	pt.add(stage{f.links[ej], p.LinkBandwidth, f.linkFull, p.WireLatency, ej, -1})
 	if f.hosts != nil {
-		pt.add(stage{f.hosts[dst], p.HostBandwidth, p.HostLatency, -1, dst})
+		pt.add(stage{f.hosts[dst], p.HostBandwidth, f.hostFull, p.HostLatency, -1, dst})
 	}
 }
 
@@ -370,8 +376,8 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 func (f *Fabric) SetCoalescing(on bool) { f.coalesce = on }
 
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
-// allocates no tracking state in steady flow. Its injection continuation,
-// injectFn, is bound once at allocation like chunkState.stepFn.
+// allocates no tracking state in steady flow. Its continuations, injectFn
+// and fireFn, are bound once at allocation like chunkState.stepFn.
 type msgState struct {
 	f         *Fabric
 	pt        path
@@ -383,6 +389,16 @@ type msgState struct {
 	// but done never fires.
 	aborted  bool
 	injectFn func()
+
+	// The train (see startTrain): the chunks that have crossed the first
+	// stage but not yet arrived at the second, as one lane entry.
+	// trainAt is the next one's arrival, trainLeft how many are left, and
+	// lastSer the final chunk's serialization time on the first stage.
+	train     sim.LaneEntry
+	trainAt   units.Time
+	trainLeft int
+	lastSer   units.Duration
+	fireFn    func() (units.Time, bool)
 }
 
 func (f *Fabric) getMsg() *msgState {
@@ -394,6 +410,7 @@ func (f *Fabric) getMsg() *msgState {
 	}
 	ms := &msgState{f: f}
 	ms.injectFn = ms.inject
+	ms.fireFn = ms.fire
 	return ms
 }
 
@@ -404,10 +421,18 @@ func (f *Fabric) getMsg() *msgState {
 // — heap events due now carry smaller seqs, and whatever the arrivals
 // schedule gets larger ones — so running them in one event keeps every
 // other event's order.
+//
+// With faults off a multi-chunk message crosses the first stage as a
+// train (see startTrain), and its chunks take chunk states only from the
+// second stage on. Otherwise, or when the first stage's lane refuses the
+// train, each chunk takes its own state and steps through the first stage.
 func (ms *msgState) inject() {
 	f := ms.f
 	now := f.eng.Now()
 	n, last := f.chunkPlan(ms.size)
+	if n > 1 && !f.faultsOn && ms.startTrain(now, n, last) {
+		return
+	}
 	for k := 0; k < n; k++ {
 		sz := f.params.MTU
 		if k == n-1 {
@@ -417,6 +442,79 @@ func (ms *msgState) inject() {
 		// so ms is not touched after the loop.
 		f.getChunk(ms, 0, sz, now).step()
 	}
+}
+
+// startTrain serves chunks 0..n-1 at the path's first stage, as step
+// would, and queues their arrivals at the second stage as one series
+// entry on the first stage's lane, the train. Each firing of the train is
+// one chunk's arrival (see fire). The keys are those of the per-chunk
+// loop:
+//
+//   - The loop gives chunk k the key (a_k, s+k), s the first seq after it
+//     starts, since with faults off nothing else in it takes a seq. The
+//     series reserves the same n seqs.
+//   - The arrivals a_k follow from the FIFO recurrence: chunk 0 starts
+//     when the server frees up, each later one when the one before it
+//     is served, and every completion pays the stage's one latency.
+//   - A first stage's lane gets completions only with that latency, so
+//     nothing queued behind the train can precede its remaining keys.
+//
+// Reports false, having served nothing, when the lane refuses the train.
+func (ms *msgState) startTrain(now units.Time, n int, last units.Bytes) bool {
+	f := ms.f
+	st := &ms.pt.stages[0]
+	srv := st.srv
+	if srv.Hooked() {
+		// A touch hook runs inside ServeAt and could take seqs between
+		// the chunks'. Send expanded every window on the path, and the
+		// message's in-flight refcounts keep new ones from forming.
+		panic("fabric: coalescing window open on an injecting path")
+	}
+	lastSer := st.rate.TimeFor(last + f.params.PacketOverhead)
+	start := now
+	if b := srv.BusyUntil(); b > start {
+		start = b
+	}
+	first := start.Add(st.full + st.lat)
+	final := first.Add(units.Duration(n-2)*st.full + lastSer)
+	if !srv.Lane().Series(first, final, n, &ms.train, ms.fireFn) {
+		return false
+	}
+	for k := 0; k < n; k++ {
+		size, ser := f.params.MTU, st.full
+		if k == n-1 {
+			size, ser = last, lastSer
+		}
+		if f.linkBytes != nil {
+			f.account(st.link, srv, size, now)
+		}
+		srv.ServeAt(now, ser)
+	}
+	if srv.BusyUntil().Add(st.lat) != final {
+		panic("fabric: train arrivals diverged from the first stage's service")
+	}
+	ms.trainAt, ms.trainLeft, ms.lastSer = first, n, lastSer
+	return true
+}
+
+// fire is one firing of the train: the next chunk arrives at the second
+// stage, takes a chunk state there and steps on. It reports the arrival
+// of the chunk after it, which is the train's next firing.
+func (ms *msgState) fire() (units.Time, bool) {
+	f := ms.f
+	at, size := ms.trainAt, f.params.MTU
+	ms.trainLeft--
+	switch ms.trainLeft {
+	case 0:
+		_, size = f.chunkPlan(ms.size)
+	case 1:
+		ms.trainAt = at.Add(ms.lastSer)
+	default:
+		ms.trainAt = at.Add(ms.pt.stages[0].full)
+	}
+	more, next := ms.trainLeft > 0, ms.trainAt
+	f.getChunk(ms, 1, size, at).step()
+	return next, more
 }
 
 // chunkDelivered retires one chunk; the last one releases the message's
@@ -447,8 +545,11 @@ func (ms *msgState) chunkDelivered() {
 // per-chunk-per-hop event loop closes over nothing and allocates nothing.
 // A chunk has at most one pending event — its arrival at the next stage,
 // or the message's final delivery — so one lane entry serves every hop.
-// The struct stays within a 96-byte allocation class: when many large
-// messages inject at once, tens of thousands are live together.
+// A message's chunks that have crossed the first stage but not reached
+// the second have no chunk state yet: its train stands for them (see
+// startTrain), so a message holds about as many chunk states as its path
+// holds chunks past the first stage, not one per chunk. The struct stays
+// within a 96-byte allocation class.
 type chunkState struct {
 	lane  sim.LaneEntry
 	ms    *msgState
@@ -487,8 +588,9 @@ func (f *Fabric) putChunk(cs *chunkState) {
 // stage it has just arrived at, so cross-traffic interleaves correctly
 // under contention and adaptive spine choice sees true instantaneous
 // load. It runs as the arrival event at cs.ready (the message's inject
-// event runs it for the first stage), and past the last stage it retires
-// the chunk at its final-delivery time.
+// event runs it for the first stage, and a train's firing for the
+// second), and past the last stage it retires the chunk at its
+// final-delivery time.
 //
 // With faults off only the chunk served last at the last stage gets a
 // delivery event; the others retire as soon as they are served there.
@@ -550,15 +652,13 @@ func (cs *chunkState) step() {
 		f.dropMessage(cs)
 		return
 	}
-	if f.linkBytes != nil && link >= 0 {
-		f.linkBytes[link] += cs.size
-		if wait := srv.BusyUntil().Sub(cs.ready); wait > 0 {
-			f.hWait.Observe(int64(wait / units.Nanosecond))
-		} else {
-			f.hWait.Observe(0)
-		}
+	if f.linkBytes != nil {
+		f.account(link, srv, cs.size, cs.ready)
 	}
-	ser := st.rate.TimeFor(cs.size + f.params.PacketOverhead)
+	ser := st.full
+	if cs.size != f.params.MTU {
+		ser = st.rate.TimeFor(cs.size + f.params.PacketOverhead)
+	}
 	lat := st.lat
 	if lf != nil {
 		if lf.BandwidthScale > 0 && lf.BandwidthScale != 1 {
@@ -599,6 +699,21 @@ func (cs *chunkState) step() {
 	// the order, and the lane then falls back to a plain event.
 	cs.ready = out
 	srv.Lane().At(out, &cs.lane, cs.stepFn)
+}
+
+// account records a chunk of the given size arriving at srv at ready in
+// the per-link byte counts and the queueing-delay histogram. Call it only
+// with a metrics registry attached; it skips host-bus stages.
+func (f *Fabric) account(link topology.LinkID, srv *sim.Server, size units.Bytes, ready units.Time) {
+	if link < 0 {
+		return
+	}
+	f.linkBytes[link] += size
+	if wait := srv.BusyUntil().Sub(ready); wait > 0 {
+		f.hWait.Observe(int64(wait / units.Nanosecond))
+	} else {
+		f.hWait.Observe(0)
+	}
 }
 
 // chunkPlan reports the chunking of a message: n MTU-sized chunks with

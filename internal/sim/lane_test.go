@@ -34,6 +34,9 @@ type refModel struct {
 type coverage struct {
 	appended      int // Lane.At queued on the lane
 	fellBack      int // Lane.At earlier than the lane's tail
+	behindSeries  int // Lane.At fell back: inside a queued series' span
+	seriesQueued  int // Lane.Series queued its events on the lane
+	seriesRefused int // Lane.Series refused; the events went one by one
 	laneStops     int // Stop with lane entries pending
 	laneDeadlines int // RunUntil returned between two entries of one lane
 }
@@ -83,7 +86,7 @@ func (m *refModel) act() {
 	e := m.e
 	now := e.Now()
 	k := new(event)
-	switch op := m.r.Intn(20); {
+	switch op := m.r.Intn(22); {
 	case op < 4: // At in the future
 		t := now + units.Time(1+m.r.Intn(40))
 		*k = m.expect(t)
@@ -110,8 +113,11 @@ func (m *refModel) act() {
 			t += units.Time(m.r.Intn(25))
 		}
 		m.laneLast[li] = t
-		if l.tail != nil && t < l.tail.at {
+		if l.tail != nil && t < l.tailAt {
 			m.cov.fellBack++
+			if l.tail.series != nil && t >= l.tail.at {
+				m.cov.behindSeries++
+			}
 		} else if t > now {
 			m.cov.appended++
 		}
@@ -121,7 +127,9 @@ func (m *refModel) act() {
 		}
 		*k = m.expect(at)
 		l.At(t, new(LaneEntry), m.callback(k, li))
-	case op < 18: // a process that sleeps and yields
+	case op < 18: // Lane.Series: a train of events with ties and gaps
+		m.series(now)
+	case op < 20: // a process that sleeps and yields
 		spawn := m.expect(now)
 		steps := 1 + m.r.Intn(4)
 		e.Spawn("p", func(p *Proc) {
@@ -140,7 +148,7 @@ func (m *refModel) act() {
 				m.act()
 			}
 		})
-	case op < 19: // Stop after the current event
+	case op < 21: // Stop after the current event
 		for _, l := range m.lanes {
 			if l.head != nil {
 				m.cov.laneStops++
@@ -154,9 +162,59 @@ func (m *refModel) act() {
 	}
 }
 
+// series issues n events on one lane through Lane.Series, or, when the
+// lane refuses them, through one Lane.At call each, which is what a caller
+// falls back to. Either way the events must dispatch under the keys the
+// reference gives n scheduling calls issued back to back.
+func (m *refModel) series(now units.Time) {
+	li := m.r.Intn(len(m.lanes))
+	l := m.lanes[li]
+	n := 2 + m.r.Intn(8)
+	times := make([]units.Time, n)
+	t := m.laneLast[li]
+	if t < now {
+		t = now
+	}
+	if m.r.Intn(4) == 0 {
+		t -= units.Time(1 + m.r.Intn(30))
+	} else {
+		t += units.Time(m.r.Intn(25))
+	}
+	for k := range times {
+		if t < now {
+			t = now // the refused case clamps like Engine.At
+		}
+		times[k] = t
+		t += units.Time(m.r.Intn(3) * m.r.Intn(12)) // ties are common
+	}
+	m.laneLast[li] = times[n-1]
+	keys := make([]event, n)
+	for k := range keys {
+		keys[k] = m.expect(times[k])
+	}
+	k := 0
+	fire := func() (units.Time, bool) {
+		m.callback(&keys[k], li)()
+		k++
+		if k == n {
+			return 0, false
+		}
+		return times[k], true
+	}
+	if l.Series(times[0], times[n-1], n, new(LaneEntry), fire) {
+		m.cov.seriesQueued++
+		return
+	}
+	m.cov.seriesRefused++
+	for k := range keys {
+		l.At(times[k], new(LaneEntry), m.callback(&keys[k], li))
+	}
+}
+
 // TestEngineMatchesReferenceOrder is the kernel's differential test: a
 // random mix of At (future, now, past), After(0), process sleeps and
-// yields, and in-order and out-of-order Lane.At calls, run in RunUntil
+// yields, in-order and out-of-order Lane.At calls, and Lane.Series trains
+// (queued, or refused and issued one by one), run in RunUntil
 // rounds whose deadlines fall inside lanes and interrupted by Stop, must
 // dispatch exactly the sorted (at, seq) order of everything scheduled.
 func TestEngineMatchesReferenceOrder(t *testing.T) {
@@ -226,8 +284,12 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		cov.fellBack += m.cov.fellBack
 		cov.laneStops += m.cov.laneStops
 		cov.laneDeadlines += m.cov.laneDeadlines
+		cov.behindSeries += m.cov.behindSeries
+		cov.seriesQueued += m.cov.seriesQueued
+		cov.seriesRefused += m.cov.seriesRefused
 	}
-	if cov.appended == 0 || cov.fellBack == 0 || cov.laneStops == 0 || cov.laneDeadlines == 0 {
+	if cov.appended == 0 || cov.fellBack == 0 || cov.laneStops == 0 || cov.laneDeadlines == 0 ||
+		cov.behindSeries == 0 || cov.seriesQueued == 0 || cov.seriesRefused == 0 {
 		t.Fatalf("mix missed a path: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)

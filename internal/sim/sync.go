@@ -353,6 +353,9 @@ func (s *Server) Occupy(p *Proc, d Duration) {
 // re-entering ServeAt on the same server.
 func (s *Server) OnServe(fn func()) { s.touch = fn }
 
+// Hooked reports whether a touch hook is installed.
+func (s *Server) Hooked() bool { return s.touch != nil }
+
 // Absorb folds a batch of already-completed-in-the-model FIFO work into
 // the server's accounting in O(1): the busy horizon advances to horizon
 // (never backward), busyTotal grows by busy, and served by items. It is
