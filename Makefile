@@ -23,7 +23,7 @@ vet:
 	cd bench && $(GO) vet ./...
 
 # lint runs the simlint suite — the syntactic checks (wallclock,
-# globalstate, maprange, goroutine, mathrand, errcheck) plus the SSA
+# globalstate, maprange, goroutine, mathrand, errcheck) plus the go/types
 # dataflow rules (timetaint, rngprovenance, floatorder) and
 # stale-allow hygiene. Exits nonzero on any active finding; -stats
 # prints the per-rule tally, including suppressions, on stderr.

@@ -26,17 +26,20 @@
 //
 // # The dataflow invariants
 //
-// The v2 rules run on an in-repo SSA form (internal/lint/ssa) with a
-// field-sensitive taint engine, so they follow values through locals,
-// struct fields, closures, and phis rather than matching call sites:
+// Rules 7–9 follow values rather than call sites. Each is a go/types
+// check over one function at a time, closures included: a flow-
+// insensitive taint set keys locals by their types.Object (so a capture
+// is the variable it captures) and struct fields by selector path (so
+// h.n can carry a value that its sibling h.m does not):
 //
 //  7. timetaint — no host-clock-tainted value may reach a sim
 //     scheduling call, an artifact payload field, or report output; and
 //     the host time types must never interconvert with the sim-time
 //     units types, in either direction.
 //  8. rngprovenance — every rng.New key must trace to a seed
-//     parameter: constant-only keys, structurally colliding keys, and
-//     loop-invariant keys are flagged.
+//     parameter: constant keys, keys written identically twice in one
+//     function, and keys that use nothing the enclosing loop changes
+//     are flagged.
 //  9. floatorder — no float accumulation ordered by channel receive
 //     order or goroutine/completion-callback execution order; float
 //     addition is not associative.
@@ -44,8 +47,9 @@
 //     nothing (judged only against checks that actually ran), and no
 //     unknown check names.
 //
-// Rules 1–4 and 7–9 run on every internal/ package; rules 5–6 and 10
-// additionally cover the root package, cmd/ drivers, and examples.
+// Rules 1–4 and 7–8 run on every internal/ package; rules 5–6, 9 and 10
+// also cover the root package, cmd/ drivers, and examples (floatorder
+// because cmd/repro assigns the runner's completion callback).
 // DESIGN.md's "Determinism invariants" section records the rationale
 // for each rule.
 //

@@ -1,10 +1,10 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"go/types"
-
-	"repro/internal/lint/ssa"
+	"strings"
 )
 
 // FloatOrderAnalyzer extends maprange's float-accumulation rule from map
@@ -23,6 +23,121 @@ var FloatOrderAnalyzer = &Analyzer{
 	Run: runFloatOrder,
 }
 
+func runFloatOrder(pass *Pass) {
+	info := pass.Info
+	callbacks := parseFieldSpecs(pass.Cfg.CompletionCallbacks)
+	isCallback := func(owner types.Type, field string) bool {
+		for _, s := range callbacks {
+			if s.field == field && s.owner == qualifiedTypeName(owner) {
+				return true
+			}
+		}
+		return false
+	}
+
+	for _, fd := range funcDecls(pass.Files) {
+		// Rule 1: float accumulation of a channel-delivered value inside
+		// a loop — receive order decides operand order. A channel taints
+		// what a receive or a range clause takes from it.
+		received := newFlowSet(info, fd.Body, func(e ast.Expr) bool {
+			t := info.TypeOf(e)
+			if t == nil {
+				return false
+			}
+			_, isChan := t.Underlying().(*types.Chan)
+			return isChan
+		}, nil)
+		inspectLoops(fd.Body, nil, func(n, loop ast.Node) {
+			if as, ok := n.(*ast.AssignStmt); ok && loop != nil {
+				if rhs := floatAccum(info, as); rhs != nil && received.expr(rhs) {
+					pass.Reportf(as.TokPos, "float accumulation ordered by channel receive order: reduce in a fixed order instead")
+				}
+			}
+		})
+
+		// Rule 2: float accumulation into a variable captured from
+		// outside a concurrently executed literal — completion order
+		// decides operand order.
+		concurrent := func(e ast.Expr, why string) {
+			lit, ok := ast.Unparen(e).(*ast.FuncLit)
+			if !ok {
+				return
+			}
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					return false
+				case *ast.AssignStmt:
+					if floatAccum(info, n) == nil {
+						return true
+					}
+					if obj := info.ObjectOf(rootIdent(n.Lhs[0])); obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()) {
+						pass.Reportf(n.TokPos, "float reduction ordered by goroutine completion: %s accumulates into captured state", why)
+					}
+				}
+				return true
+			})
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				concurrent(n.Call.Fun, "a spawned goroutine")
+				for _, a := range n.Call.Args {
+					concurrent(a, "a spawned goroutine")
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if ok && len(n.Rhs) == len(n.Lhs) && isCallback(info.TypeOf(sel.X), sel.Sel.Name) {
+						concurrent(n.Rhs[i], "a completion callback")
+					}
+				}
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					kv, ok := el.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					if key, ok := kv.Key.(*ast.Ident); ok && isCallback(info.TypeOf(n), key.Name) {
+						concurrent(kv.Value, "a completion callback")
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// floatAccum returns the right-hand side of a float accumulation — x +=
+// e, x -= e, x *= e, or x = … x … with a top-level +, - or * — and nil
+// for any other statement.
+func floatAccum(info *types.Info, as *ast.AssignStmt) ast.Expr {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || !isFloatType(info.TypeOf(as.Lhs[0])) {
+		return nil
+	}
+	rhs := as.Rhs[0]
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
+		return rhs
+	case token.ASSIGN:
+		bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
+		if !ok || (bin.Op != token.ADD && bin.Op != token.SUB && bin.Op != token.MUL) {
+			return nil
+		}
+		lhs, reads := exprString(as.Lhs[0]), false
+		ast.Inspect(bin, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok && exprString(e) == lhs {
+				reads = true
+			}
+			return !reads
+		})
+		if reads {
+			return rhs
+		}
+	}
+	return nil
+}
+
 func isFloatType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -31,119 +146,21 @@ func isFloatType(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-func runFloatOrder(pass *Pass) {
-	callbacks := parseFieldSpecs(pass.Cfg.CompletionCallbacks)
-	funcs := pass.SSA()
+// fieldSpec is a parsed "(pkgpath.Type).Field" configuration entry.
+type fieldSpec struct {
+	owner, field string
+}
 
-	// Taint every channel-delivered value; a float accumulation folding
-	// one in has receive-ordered operands.
-	recvTaint := ssa.Propagate(funcs, func(v *ssa.Value) bool {
-		switch v.Op {
-		case ssa.OpRecv:
-			return true
-		case ssa.OpRangeKey, ssa.OpRangeVal:
-			return v.RangeChan
+func parseFieldSpecs(specs []string) []fieldSpec {
+	var out []fieldSpec
+	for _, s := range specs {
+		rest, ok := strings.CutPrefix(s, "(")
+		if !ok {
+			continue
 		}
-		return false
-	}, nil)
-
-	// concurrent collects closures whose execution order is scheduling-
-	// dependent: go-spawned, or assigned to a completion callback field.
-	concurrent := map[*ssa.Func]string{}
-	for _, f := range funcs {
-		f.Tree(func(fn *ssa.Func) {
-			fn.AllValues(func(v *ssa.Value) {
-				switch v.Op {
-				case ssa.OpCall:
-					if !v.GoCall {
-						return
-					}
-					for _, a := range v.Args {
-						if a.Op == ssa.OpClosure && a.Lambda != nil {
-							concurrent[a.Lambda] = "a spawned goroutine"
-						}
-					}
-				case ssa.OpStore:
-					val := arg(v, 1)
-					if val == nil || val.Op != ssa.OpClosure || val.Lambda == nil {
-						return
-					}
-					if matchesFieldSpec(arg(v, 0), callbacks) {
-						concurrent[val.Lambda] = "a completion callback"
-					}
-				}
-			})
-		})
+		if owner, field, ok := strings.Cut(rest, ")."); ok {
+			out = append(out, fieldSpec{owner: owner, field: field})
+		}
 	}
-
-	// readsCell reports whether the value tree folds in a load of the
-	// given cell: the read half of a read-modify-write accumulation.
-	var readsCell func(v *ssa.Value, cell types.Object, seen map[*ssa.Value]bool) bool
-	readsCell = func(v *ssa.Value, cell types.Object, seen map[*ssa.Value]bool) bool {
-		if v == nil || seen[v] {
-			return false
-		}
-		seen[v] = true
-		if v.Op == ssa.OpLoad {
-			if _, root := ssa.PathKeys(v); root == cell {
-				return true
-			}
-		}
-		for _, a := range v.Args {
-			if readsCell(a, cell, seen) {
-				return true
-			}
-		}
-		return false
-	}
-
-	isAccum := func(v *ssa.Value) bool {
-		if v.Op != ssa.OpBin || !isFloatType(v.Type) {
-			return false
-		}
-		switch v.Tok {
-		case token.ADD, token.SUB, token.MUL:
-			return true
-		}
-		return false
-	}
-
-	for _, f := range funcs {
-		f.Tree(func(fn *ssa.Func) {
-			why, isConcurrent := concurrent[fn]
-			litStart, litEnd := token.NoPos, token.NoPos
-			if fn.Lit != nil {
-				litStart, litEnd = fn.Lit.Pos(), fn.Lit.End()
-			}
-			fn.AllValues(func(v *ssa.Value) {
-				// Rule 1: float accumulation of a channel-delivered value
-				// inside a loop — receive order decides operand order.
-				if isAccum(v) && v.Loop > 0 {
-					for _, a := range v.Args {
-						if recvTaint.Value(a) {
-							pass.Reportf(v.Pos, "float accumulation ordered by channel receive order: reduce in a fixed order instead")
-							return
-						}
-					}
-				}
-				// Rule 2: read-modify-write float accumulation into a
-				// variable captured from outside a concurrently-executed
-				// closure — completion order decides operand order.
-				if !isConcurrent || v.Op != ssa.OpStore {
-					return
-				}
-				val := arg(v, 1)
-				if val == nil || !isAccum(val) {
-					return
-				}
-				_, cell := ssa.PathKeys(arg(v, 0))
-				if cell == nil || (cell.Pos() >= litStart && cell.Pos() < litEnd) {
-					return // the closure's own local
-				}
-				if readsCell(val, cell, map[*ssa.Value]bool{}) {
-					pass.Reportf(v.Pos, "float reduction ordered by goroutine completion: %s accumulates into captured state", why)
-				}
-			})
-		})
-	}
+	return out
 }

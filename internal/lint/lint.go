@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/ssa"
 )
 
 // Analyzer is one invariant checker. Run inspects a single package
@@ -32,15 +30,22 @@ type Pass struct {
 	Info     *types.Info
 	Cfg      Config
 
-	pkg   *Package
 	allow *allowIndex
 	out   *[]Diagnostic
 }
 
-// SSA returns the package's functions lowered to the dataflow IR. The
-// lowering is built once per package and shared between analyzers.
-func (p *Pass) SSA() []*ssa.Func {
-	return p.pkg.SSA()
+// funcDecls returns the files' function declarations that have bodies,
+// in source order.
+func funcDecls(files []*ast.File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
 }
 
 // Reportf records a diagnostic at pos. A finding covered by an
@@ -127,7 +132,7 @@ type Config struct {
 
 // DefaultConfig is the repository policy: internal/rng is the one
 // sanctioned math/rand importer, fabric/metrics/report the packages whose
-// calls count as output-emitting inside a map range, and the v2 dataflow
+// calls count as output-emitting inside a map range, and the dataflow
 // rules bound to the simulator's time and runner types.
 func DefaultConfig() Config {
 	return Config{
@@ -186,15 +191,17 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 }
 
 // AnalyzersFor applies the repository policy: deterministic-simulator
-// invariants (wallclock, globalstate, maprange, goroutine, and the v2
-// dataflow rules) are enforced on every internal/ package; the
-// module-wide hygiene checks (mathrand, errcheck, staleallow) also cover
-// the root package, cmd/ drivers, and examples.
+// invariants (wallclock, globalstate, maprange, goroutine, timetaint,
+// rngprovenance) are enforced on every internal/ package; the
+// module-wide checks (mathrand, errcheck, floatorder, staleallow) also
+// cover the root package, cmd/ drivers, and examples. floatorder is
+// module-wide because completion callbacks are assigned where a pool is
+// built, which is in cmd/repro.
 func AnalyzersFor(cfg Config, pkgPath string) []*Analyzer {
 	if strings.HasPrefix(pkgPath, cfg.ModulePath+"/internal/") {
 		return DefaultAnalyzers()
 	}
-	return []*Analyzer{MathRandAnalyzer, ErrcheckAnalyzer, StaleAllowAnalyzer}
+	return []*Analyzer{MathRandAnalyzer, ErrcheckAnalyzer, FloatOrderAnalyzer, StaleAllowAnalyzer}
 }
 
 // Run applies each analyzer to each package and returns the findings
@@ -219,7 +226,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg Config, selectFn func(pkgPa
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				Cfg:      cfg,
-				pkg:      pkg,
 				allow:    allow,
 				out:      &out,
 			}

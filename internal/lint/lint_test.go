@@ -1,10 +1,12 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,7 +23,7 @@ type expectation struct {
 
 // testConfig is the analyzer configuration used over testdata packages:
 // the sink subpackage plays fabric/metrics/report, and the module prefix
-// matches the testdata tree. The v2 dataflow rules bind to conventional
+// matches the testdata tree. The dataflow rules bind to conventional
 // names (Engine, Result, Pool, unitsx, rngx) under the same prefix.
 func testConfig(pkgPath string) Config {
 	return Config{
@@ -40,16 +42,39 @@ func testConfig(pkgPath string) Config {
 	}
 }
 
-// loadTestdata mounts testdata/src/<pkgPath> under the synthetic import
-// path pkgPath and loads it.
+// testLoader is one loader shared by the package's tests, with every
+// testdata/src/<name> package mounted under the import path <name>, so
+// the standard library is type-checked from source once per test binary
+// rather than once per test.
+var testLoader = sync.OnceValues(func() (*Loader, error) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src"))
+	if err != nil {
+		return nil, err
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, err
+	}
+	l := NewLoader("unused.example/none", filepath.Join(root, "no-such-module-root"))
+	l.Overlay = map[string]string{}
+	for _, e := range entries {
+		if e.IsDir() {
+			l.Overlay[e.Name()] = filepath.Join(root, e.Name())
+		}
+	}
+	return l, nil
+})
+
+// loadTestdata loads testdata/src/<pkgPath> through the shared loader.
 func loadTestdata(t *testing.T, pkgPath string) *Package {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", pkgPath))
+	l, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader("unused.example/none", filepath.Join(dir, "no-such-module-root"))
-	l.Overlay = map[string]string{pkgPath: dir}
+	if _, ok := l.Overlay[pkgPath]; !ok {
+		t.Fatalf("no testdata package testdata/src/%s", pkgPath)
+	}
 	pkg, err := l.Load(pkgPath)
 	if err != nil {
 		t.Fatalf("loading testdata package %q: %v", pkgPath, err)
@@ -110,16 +135,20 @@ func runTestdata(t *testing.T, a *Analyzer, pkgPath string) {
 	}
 }
 
-func TestWallclock(t *testing.T)     { runTestdata(t, WallclockAnalyzer, "wallclock") }
-func TestGlobalState(t *testing.T)   { runTestdata(t, GlobalStateAnalyzer, "globalstate") }
-func TestMapRange(t *testing.T)      { runTestdata(t, MapRangeAnalyzer, "maprange") }
-func TestGoroutine(t *testing.T)     { runTestdata(t, GoroutineAnalyzer, "goroutine") }
-func TestMathRand(t *testing.T)      { runTestdata(t, MathRandAnalyzer, "mathrand") }
-func TestErrcheck(t *testing.T)      { runTestdata(t, ErrcheckAnalyzer, "errcheck") }
-func TestTimeTaint(t *testing.T)     { runTestdata(t, TimeTaintAnalyzer, "timetaint") }
-func TestRNGProvenance(t *testing.T) { runTestdata(t, RNGProvenanceAnalyzer, "rngprovenance") }
-func TestFloatOrder(t *testing.T)    { runTestdata(t, FloatOrderAnalyzer, "floatorder") }
-func TestAllowGrammar(t *testing.T)  { runTestdata(t, WallclockAnalyzer, "allowgrammar") }
+// TestGolden runs every analyzer of the suite over its golden package
+// testdata/src/<name>, so a rule cannot join the suite without a seeded
+// violation that proves it catches something. staleallow judges
+// annotations rather than code and is covered by TestStaleAllow.
+func TestGolden(t *testing.T) {
+	for _, a := range DefaultAnalyzers() {
+		if a == StaleAllowAnalyzer {
+			continue
+		}
+		t.Run(a.Name, func(t *testing.T) { runTestdata(t, a, a.Name) })
+	}
+}
+
+func TestAllowGrammar(t *testing.T) { runTestdata(t, WallclockAnalyzer, "allowgrammar") }
 
 // TestSuppressedRetained pins the v2 reporting contract: an allowed
 // finding is carried with Suppressed set rather than dropped, so
@@ -208,7 +237,9 @@ func TestRepoTreeIsClean(t *testing.T) {
 }
 
 // TestPolicy pins which analyzers run where: the determinism rules on
-// internal packages, the module-wide hygiene rules everywhere else.
+// internal packages, the module-wide rules everywhere else. floatorder
+// is module-wide so the runner's completion callback is checked where
+// cmd/repro assigns it.
 func TestPolicy(t *testing.T) {
 	cfg := DefaultConfig()
 	names := func(as []*Analyzer) []string {
@@ -220,7 +251,7 @@ func TestPolicy(t *testing.T) {
 	}
 	all := []string{"wallclock", "globalstate", "maprange", "goroutine", "mathrand", "errcheck",
 		"timetaint", "rngprovenance", "floatorder", "staleallow"}
-	hygiene := []string{"mathrand", "errcheck", "staleallow"}
+	moduleWide := []string{"mathrand", "errcheck", "floatorder", "staleallow"}
 	cases := []struct {
 		pkg  string
 		want []string
@@ -228,9 +259,9 @@ func TestPolicy(t *testing.T) {
 		{"repro/internal/sim", all},
 		{"repro/internal/mpi/mvib", all},
 		{"repro/internal/runner", all},
-		{"repro", hygiene},
-		{"repro/cmd/repro", hygiene},
-		{"repro/examples/quickstart", hygiene},
+		{"repro", moduleWide},
+		{"repro/cmd/repro", moduleWide},
+		{"repro/examples/quickstart", moduleWide},
 	}
 	for _, c := range cases {
 		if got := names(AnalyzersFor(cfg, c.pkg)); !reflect.DeepEqual(got, c.want) {

@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/ssa"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -30,9 +28,6 @@ type Package struct {
 	Types *types.Package
 	// Info carries the use/def/type maps the analyzers consult.
 	Info *types.Info
-
-	ssaFuncs []*ssa.Func // lazily built dataflow IR (see SSA)
-	ssaBuilt bool
 }
 
 // Loader parses and type-checks packages without the go command. Module

@@ -22,14 +22,8 @@ var MapRangeAnalyzer = &Analyzer{
 }
 
 func runMapRange(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFuncForMapRanges(pass, fd.Body)
-		}
+	for _, fd := range funcDecls(pass.Files) {
+		checkFuncForMapRanges(pass, fd.Body)
 	}
 }
 
@@ -122,7 +116,7 @@ func checkMapRange(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
 func checkMapRangeAssign(pass *Pass, as *ast.AssignStmt, rs *ast.RangeStmt, report func(string, ...interface{}), appendTargets *[]ast.Expr) {
 	switch as.Tok.String() {
 	case "+=", "-=", "*=", "/=":
-		if len(as.Lhs) == 1 && isFloat(pass, as.Lhs[0]) {
+		if len(as.Lhs) == 1 && isFloatType(pass.Info.TypeOf(as.Lhs[0])) {
 			report("floating-point accumulation into %s inside range over map %s: float addition is not associative, "+
 				"so the sum depends on iteration order", exprString(as.Lhs[0]), exprString(rs.X))
 		}
@@ -200,15 +194,6 @@ func isPrintFunc(name string) bool {
 	return false
 }
 
-func isFloat(pass *Pass, expr ast.Expr) bool {
-	t := pass.Info.TypeOf(expr)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
 // callee identifies a call target: its defining package, bare function
 // name, and the rendered call expression for diagnostics.
 type callee struct {
@@ -221,25 +206,30 @@ type callee struct {
 // package, so s.AddRow(...) on a report.Table counts as a call into
 // internal/report.
 func calleeOf(pass *Pass, call *ast.CallExpr) (callee, bool) {
-	var obj types.Object
-	var rendered string
+	fn := staticCallee(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return callee{}, false
+	}
+	rendered := fn.Name()
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		rendered = exprString(sel)
+	}
+	return callee{pkgPath: fn.Pkg().Path(), name: fn.Name(), rendered: rendered}, true
+}
+
+// staticCallee returns the function or method a call statically
+// targets, or nil for builtins, conversions, and calls through
+// function-typed values, which cannot be attributed to a definition.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		obj = pass.Info.Uses[fun]
-		rendered = fun.Name
+		id = fun
 	case *ast.SelectorExpr:
-		obj = pass.Info.Uses[fun.Sel]
-		rendered = exprString(fun)
+		id = fun.Sel
 	default:
-		return callee{}, false
+		return nil
 	}
-	if obj == nil || obj.Pkg() == nil {
-		return callee{}, false
-	}
-	if _, isFunc := obj.(*types.Func); !isFunc {
-		// Calls through function-typed vars can't be attributed to a
-		// defining package; ignore them rather than guess.
-		return callee{}, false
-	}
-	return callee{pkgPath: obj.Pkg().Path(), name: obj.Name(), rendered: rendered}, true
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }

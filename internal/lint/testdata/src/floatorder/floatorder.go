@@ -84,3 +84,31 @@ func LocalAccum(fs []func() float64, out chan float64) {
 		}()
 	}
 }
+
+// SumCallbackLiteral sets the completion callback in a composite
+// literal: the same completion-ordered reduction.
+func SumCallbackLiteral() (*Pool, *float64) {
+	var total float64
+	p := &Pool{OnResult: func(v float64) {
+		total += v // want "goroutine completion"
+	}}
+	return p, &total
+}
+
+// SumChanLong spells the accumulation out as s = s + <-ch.
+func SumChanLong(ch chan float64, n int) float64 {
+	var s float64
+	for i := 0; i < n; i++ {
+		s = s + <-ch // want "channel receive order"
+	}
+	return s
+}
+
+// SumConverted folds converted receives.
+func SumConverted(ch chan int) float64 {
+	var s float64
+	for v := range ch {
+		s += float64(v) // want "channel receive order"
+	}
+	return s
+}

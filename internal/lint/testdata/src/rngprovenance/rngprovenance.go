@@ -47,3 +47,28 @@ func FromTable(seeds []uint64) {
 		_ = rngx.New(seeds[i])
 	}
 }
+
+// Stepped advances a key declared outside the loop: clean.
+func Stepped(seed uint64, n int) {
+	k := seed
+	for range n {
+		k++
+		_ = rngx.New(k)
+	}
+}
+
+// Declared builds the key in a var declaration inside the loop: clean.
+func Declared(seed uint64, n int) {
+	for i := 0; i < n; i++ {
+		var k = seed + uint64(i)
+		_ = rngx.New(k)
+	}
+}
+
+// Drawn takes each key from a receive or a call: clean.
+func Drawn(seeds chan uint64, next func() uint64, n int) {
+	for i := 0; i < n; i++ {
+		_ = rngx.New(<-seeds)
+		_ = rngx.New(next())
+	}
+}
