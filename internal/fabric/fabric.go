@@ -119,9 +119,10 @@ type Fabric struct {
 
 	// coalesce enables the idle-path fast path: an uncontended message
 	// is delivered by one analytically-scheduled event instead of
-	// per-chunk cut-through events (see tryCoalesce). Defaults to true
-	// exactly when no metrics registry is attached, so instrumented runs
-	// always execute the fully-expanded chunk model.
+	// per-chunk cut-through events (see tryCoalesce). It is true exactly
+	// when no metrics registry is attached, so instrumented runs always
+	// execute the fully-expanded chunk model; in-package tests clear it
+	// to run that model too.
 	coalesce bool
 	// In-flight message counts per server, keyed the same way stages
 	// are: fabric links by LinkID, host buses by node. A window may only
@@ -149,7 +150,6 @@ type Fabric struct {
 	faultSeed uint64
 
 	// probe, when non-nil, receives invariant observations (see probe.go).
-	// Installing one pins coalescing off.
 	probe *Probe
 
 	// Observability (nil-safe no-ops when the engine has no registry).
@@ -366,14 +366,6 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 	}
 	return best
 }
-
-// SetCoalescing forces the idle-path coalescing fast path on or off,
-// overriding the default policy (enabled exactly when the engine has no
-// metrics registry). Forcing it on with a registry attached has no
-// effect: windows are refused whenever per-chunk instruments are live,
-// because a coalesced message records no per-chunk samples. Intended for
-// tests and A/B measurement; delivery times are identical either way.
-func (f *Fabric) SetCoalescing(on bool) { f.coalesce = on }
 
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
 // allocates no tracking state in steady flow. Its continuations, injectFn

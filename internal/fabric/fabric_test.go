@@ -157,7 +157,7 @@ func TestIdleMessageEventCount(t *testing.T) {
 		for _, n := range []int{1, 64} {
 			eng := sim.NewEngine()
 			f := mustNew(t, eng, 4, 8, c.params)
-			f.SetCoalescing(false)
+			f.coalesce = false
 			var pt path
 			f.fillPath(&pt, 0, 1)
 			if pt.n != c.stages {

@@ -29,7 +29,7 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetCoalescing(coalesce)
+	f.coalesce = coalesce
 	f.EnableFaults(seed)
 
 	fr := rng.New(seed ^ 0xfa171)
@@ -57,9 +57,6 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 		64 * units.KiB, 1 * units.MiB}
 	const msgs = 60
 	out := stormOutcome{fired: make([]units.Time, 2*msgs)}
-	record := func(slot int, done *sim.Signal) {
-		done.OnFire(func() { out.fired[slot] = eng.Now() })
-	}
 	for i := 0; i < msgs; i++ {
 		src := r.Intn(nodes)
 		dst := r.Intn(nodes - 1)
@@ -73,10 +70,10 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 		replySize := sizes[r.Intn(len(sizes))]
 		eng.At(at, func() {
 			done := f.Send(src, dst, size)
-			record(slot, done)
+			out.deliver(eng, slot, done)
 			if chained {
 				done.OnFire(func() {
-					record(msgs+slot, f.Send(dst, src, replySize))
+					out.deliver(eng, msgs+slot, f.Send(dst, src, replySize))
 				})
 			}
 		})
@@ -84,25 +81,8 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.windows) != 0 {
-		t.Fatalf("windows leaked: %d still open after drain", len(f.windows))
-	}
-	for id, u := range f.linkUsers {
-		if u != 0 {
-			t.Fatalf("link %d refcount leaked: %d", id, u)
-		}
-	}
-	for n, u := range f.hostUsers {
-		if u != 0 {
-			t.Fatalf("host %d refcount leaked: %d", n, u)
-		}
-	}
-	out.final = eng.Now()
-	for _, srv := range f.links {
-		out.busy = append(out.busy, srv.BusyUntil())
-		out.total = append(out.total, srv.BusyTotal())
-		out.served = append(out.served, srv.Served())
-	}
+	requireDrained(t, f)
+	out.account(eng, f.links, nil)
 	return out
 }
 
@@ -154,7 +134,7 @@ func TestFaultMidMessageWindowExpansion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f.SetCoalescing(coalesce)
+				f.coalesce = coalesce
 				f.EnableFaults(11)
 				done := f.Send(0, 1, 1*units.MiB)
 				done.OnFire(func() { fired = eng.Now() })

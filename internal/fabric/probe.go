@@ -10,10 +10,13 @@ package fabric
 //
 //   - zero cost when disabled — every call site is behind a single
 //     `f.probe != nil` check and the default is nil;
-//   - behaviour-neutral — installing a probe pins the coalescing fast path
-//     off (a coalesced message never reports per-chunk events), which by the
-//     coalescing exactness contract (see coalesce.go) leaves every delivery
-//     time unchanged.
+//   - behaviour-neutral — callbacks only observe, and installing a probe
+//     leaves coalescing on. A coalesced message reports its delivery when
+//     its window completes; it has no per-chunk events to report, because
+//     windows never form on a path with a faulted link and SetLinkFault
+//     expands every window on the link it faults before the fault applies.
+//     So every loss and stall happens in the chunk model, where it is
+//     reported.
 
 import (
 	"repro/internal/topology"
@@ -40,15 +43,8 @@ type Probe struct {
 }
 
 // SetProbe installs (or with nil removes) the fabric's invariant probe.
-// Installing one pins the coalescing fast path off so every message runs the
-// exact chunk-level model; delivery times are identical either way. Call
-// before the run starts.
-func (f *Fabric) SetProbe(p *Probe) {
-	f.probe = p
-	if p != nil {
-		f.coalesce = false
-	}
-}
+// Call before the run starts.
+func (f *Fabric) SetProbe(p *Probe) { f.probe = p }
 
 // probeLost reports one lost chunk to the probe, if any.
 func (f *Fabric) probeLost(link topology.LinkID, at units.Time) {

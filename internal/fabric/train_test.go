@@ -23,7 +23,7 @@ func TestTrainChunkStates(t *testing.T) {
 		for _, n := range []int{64, 512} {
 			eng := sim.NewEngine()
 			f := mustNew(t, eng, 4, 8, c.params)
-			f.SetCoalescing(false)
+			f.coalesce = false
 			size := units.Bytes(n) * f.Params().MTU
 			done := f.Send(0, 1, size)
 			if err := eng.Run(); err != nil {
@@ -40,60 +40,10 @@ func TestTrainChunkStates(t *testing.T) {
 	}
 }
 
-// tieStorm runs traffic built for same-picosecond ties: round link rates
-// and latencies, chunk-multiple sizes, injections on a grid of chunk
-// times, and many sources sending into two destinations, so chunks of
-// different messages reach shared stages, and adaptive spine choices, at
-// the same picosecond. It returns the storm's outcome and the order in
-// which the messages were delivered.
-func tieStorm(t *testing.T, params Params, radix, nodes int, seed uint64, armed bool) (stormOutcome, []int) {
-	t.Helper()
-	eng := sim.NewEngine()
-	f := mustNew(t, eng, nodes, radix, params)
-	f.SetCoalescing(false)
-	if armed {
-		f.EnableFaults(seed)
-	}
-	r := rng.New(seed)
-	mtu := params.MTU
-	sizes := []units.Bytes{mtu, 2 * mtu, 3*mtu + mtu/2, 8 * mtu, 16 * mtu}
-	const msgs = 48
-	out := stormOutcome{fired: make([]units.Time, msgs)}
-	var order []int
-	for i := 0; i < msgs; i++ {
-		src := 2 + r.Intn(nodes-2)
-		dst := r.Intn(2)
-		size := sizes[r.Intn(len(sizes))]
-		at := units.Time(r.Intn(12)) * units.Time(params.LinkBandwidth.TimeFor(mtu))
-		slot := i
-		eng.At(at, func() {
-			f.Send(src, dst, size).OnFire(func() {
-				out.fired[slot] = eng.Now()
-				order = append(order, slot)
-			})
-		})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out.final = eng.Now()
-	for _, srvs := range [][]*sim.Server{f.links, f.hosts} {
-		for _, srv := range srvs {
-			out.busy = append(out.busy, srv.BusyUntil())
-			out.total = append(out.total, srv.BusyTotal())
-			out.served = append(out.served, srv.Served())
-		}
-	}
-	return out, order
-}
-
-// TestTrainKeysExact checks that a train gives every event the key the
-// per-chunk loop gives it. Arming faults without installing one keeps the
-// per-chunk loop and changes no timing, so across fabrics with and without
-// a host stage, flat and two-level, the tie storm must deliver every
-// message at the same time, in the same order, and leave the same
-// per-server accounting, armed or not.
-func TestTrainKeysExact(t *testing.T) {
+// tieFabrics are the fabrics the tie storm runs on: round rates and
+// latencies, with and without a host stage, flat and two-level, with
+// deterministic and adaptive spine choice.
+func tieFabrics() []stormFabric {
 	nohost := testParams()
 	nohost.WireLatency = 100 * units.Nanosecond
 	host := nohost
@@ -101,26 +51,32 @@ func TestTrainKeysExact(t *testing.T) {
 	host.HostLatency = 200 * units.Nanosecond
 	adaptive := nohost
 	adaptive.Adaptive = true
-	for _, c := range []stormFabric{
+	return []stormFabric{
 		{"nohost", nohost, 96, 8},
 		{"host", host, 96, 8},
 		{"nohost/2level", nohost, 8, 12},
 		{"adaptive/2level", adaptive, 8, 12},
 		{"host/adaptive/2level", host, 8, 12},
-	} {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 8; seed++ {
-				trains, trainOrder := tieStorm(t, c.params, c.radix, c.nodes, seed, false)
-				each, eachOrder := tieStorm(t, c.params, c.radix, c.nodes, seed, true)
-				requireSameOutcome(t, seed, trains, each, "trains", "per-chunk")
-				for i := range trainOrder {
-					if trainOrder[i] != eachOrder[i] {
-						t.Fatalf("seed %d: delivery %d is message %d with trains, %d per chunk",
-							seed, i, trainOrder[i], eachOrder[i])
-					}
-				}
-			}
-		})
+	}
+}
+
+// tieStorm is traffic built for same-picosecond ties: round link rates
+// and latencies, chunk-multiple sizes, injections on a grid of chunk
+// times, and many sources sending into two destinations, so chunks of
+// different messages reach shared stages, and adaptive spine choices, at
+// the same picosecond.
+func tieStorm(eng *sim.Engine, net stormNet, params Params, nodes int, seed uint64, out *stormOutcome) {
+	r := rng.New(seed)
+	mtu := params.MTU
+	sizes := []units.Bytes{mtu, 2 * mtu, 3*mtu + mtu/2, 8 * mtu, 16 * mtu}
+	const msgs = 48
+	out.fired = make([]units.Time, msgs)
+	for i := 0; i < msgs; i++ {
+		src := 2 + r.Intn(nodes-2)
+		dst := r.Intn(2)
+		size := sizes[r.Intn(len(sizes))]
+		at := units.Time(r.Intn(12)) * units.Time(params.LinkBandwidth.TimeFor(mtu))
+		slot := i
+		eng.At(at, func() { out.deliver(eng, slot, net.Send(src, dst, size)) })
 	}
 }

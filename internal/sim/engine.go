@@ -192,10 +192,6 @@ type Engine struct {
 	mEvents *metrics.Counter
 	mWakes  *metrics.Counter
 	mSpawns *metrics.Counter
-
-	// Trace, when non-nil, receives a line for every event dispatch and
-	// process state change. Intended for debugging small models.
-	Trace func(line string)
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -246,17 +242,14 @@ func (e *Engine) Events() uint64 { return e.nEvents }
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
-// error in the model; the kernel treats it as "now" but records a trace
-// line to aid debugging. Events at the current instant go to the now-ring,
-// later ones to the heap; either way the key is (max(t, now), next seq).
+// error in the model; the kernel treats it as "now". Events at the current
+// instant go to the now-ring, later ones to the heap; either way the key
+// is (max(t, now), next seq).
 func (e *Engine) At(t Time, fn func()) {
 	e.seq++
 	if t > e.now {
 		e.events.push(event{at: t, seq: e.seq, fn: fn})
 		return
-	}
-	if t < e.now {
-		e.tracef("WARN: event scheduled in the past (%v < %v); clamping", t, e.now)
 	}
 	e.ready.push(event{at: e.now, seq: e.seq, fn: fn})
 }
@@ -408,11 +401,5 @@ func (e *Engine) Shutdown() {
 		e.running = nil
 		p.done = true
 		p.state, p.stateObj = "done", ""
-	}
-}
-
-func (e *Engine) tracef(format string, args ...interface{}) {
-	if e.Trace != nil {
-		e.Trace(fmt.Sprintf("[%v] ", e.now) + fmt.Sprintf(format, args...))
 	}
 }

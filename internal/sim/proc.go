@@ -89,24 +89,17 @@ func (e *Engine) switchTo(p *Proc) {
 	}
 	e.running = p
 	p.state, p.stateObj = "running", ""
-	if e.Trace != nil {
-		e.tracef("run %s", p.name)
-	}
 	p.next()
 	e.running = nil
 }
 
 // park blocks the calling process until the scheduler resumes it. The
 // state/obj pair documents what the process is waiting for; it is only
-// rendered to a string when a deadlock report, trace line, or timeline
-// span needs it, so parking itself allocates nothing.
+// rendered to a string when a deadlock report or timeline span needs it, so parking itself allocates nothing.
 func (p *Proc) park(state, obj string) {
 	p.checkRunning()
 	p.state, p.stateObj = state, obj
 	e := p.eng
-	if e.Trace != nil {
-		e.tracef("park %s: %s", p.name, p.stateString())
-	}
 	blockedAt := e.now
 	if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
