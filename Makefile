@@ -106,6 +106,9 @@ regen:
 # extra artifact fails it). The .txt tables must match exactly; .json
 # artifacts are compared modulo the same per-run metadata as fix-verify
 # plus the jobs count, which differs between the legs by construction.
+# Each leg also writes its metrics registry snapshot (metrics.json) into
+# its directory, so the same .json diff checks that every counter, gauge
+# and histogram is identical at both worker counts.
 #
 # Each leg runs under -chaos-strict rather than `|| true`: an experiment
 # the storm deterministically kills (IB retry-budget exhaustion) is a
@@ -114,8 +117,8 @@ regen:
 # target instead of being silently swallowed.
 chaos:
 	rm -rf .chaos-1 .chaos-n
-	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 1 -out .chaos-1 >/dev/null
-	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 8 -out .chaos-n >/dev/null
+	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 1 -out .chaos-1 -metrics .chaos-1/metrics.json >/dev/null
+	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 8 -out .chaos-n -metrics .chaos-n/metrics.json >/dev/null
 	@ls .chaos-1/*.txt >/dev/null 2>&1 || { echo "chaos: no experiment survived the storm"; exit 1; }
 	diff -ru --exclude='*.json' .chaos-1 .chaos-n
 	@for f in .chaos-1/*.json; do \

@@ -1,12 +1,12 @@
 package campaign
 
 // The scenario executor: builds the machine a scenario describes, installs
-// the invariant probes (fabric loss/retirement, IB RC delivery, Elan
+// the invariant probes (fabric loss and stall, IB RC delivery, Elan
 // sequencer order), runs the workload under an event budget, and reduces
-// the run to a deterministic digest plus probe observations. check() then
-// runs the variant legs a scenario needs — twice for determinism and a
-// clean baseline for monotonicity — and evaluates every applicable
-// behavioral contract.
+// the run to a deterministic digest, the probe observations and the
+// fabric's message totals. check() then runs the variant legs a scenario
+// needs — twice for determinism and a clean baseline for monotonicity —
+// and evaluates every applicable behavioral contract.
 
 import (
 	"crypto/sha256"
@@ -38,9 +38,6 @@ type observation struct {
 	containViol []string // BC-5: losses/stalls outside declared windows
 	orderViol   []string // BC-6: sequencer released out of order
 	onceViol    []string // BC-7: an RC request delivered twice
-
-	delivered, dropped           uint64
-	deliveredBytes, droppedBytes units.Bytes
 }
 
 const violationCap = 8
@@ -53,6 +50,7 @@ type runOut struct {
 	obs     *observation
 	msgs    uint64
 	bytes   units.Bytes
+	retired fabric.Retired
 }
 
 // faultKilled reports whether the run error is IB retry-budget exhaustion
@@ -169,14 +167,6 @@ func runProbed(sc *Scenario, effFaults string, declared *fault.Plan, budget uint
 				}
 			}
 		},
-		MessageDelivered: func(size units.Bytes, _ units.Time) {
-			obs.delivered++
-			obs.deliveredBytes += size
-		},
-		MessageDropped: func(size units.Bytes, _ units.Time) {
-			obs.dropped++
-			obs.droppedBytes += size
-		},
 	})
 	if m.IB != nil {
 		seen := make(map[ib.ReqID]int)
@@ -207,6 +197,7 @@ func runProbed(sc *Scenario, effFaults string, declared *fault.Plan, budget uint
 	res, err := m.Run(appFor(sc))
 	out := runOut{runErr: err, obs: obs}
 	out.msgs, out.bytes = m.Fab.Stats()
+	out.retired = m.Fab.Retired()
 	if err != nil {
 		out.digest = digestErr(err)
 		return out
@@ -306,16 +297,16 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 		}
 	}
 	// BC-3/BC-4 conservation, meaningful only when the run drained fully.
-	if a.runErr == nil {
-		if a.obs.delivered+a.obs.dropped != a.msgs {
+	if r := a.retired; a.runErr == nil {
+		if r.Delivered+r.Dropped != a.msgs {
 			v = append(v, violation("BC-3", sc, fmt.Sprintf(
 				"messages not conserved: %d delivered + %d dropped != %d initiated",
-				a.obs.delivered, a.obs.dropped, a.msgs)))
+				r.Delivered, r.Dropped, a.msgs)))
 		}
-		if a.obs.deliveredBytes+a.obs.droppedBytes != a.bytes {
+		if r.DeliveredBytes+r.DroppedBytes != a.bytes {
 			v = append(v, violation("BC-4", sc, fmt.Sprintf(
 				"bytes not conserved: %d delivered + %d dropped != %d sent",
-				a.obs.deliveredBytes, a.obs.droppedBytes, a.bytes)))
+				r.DeliveredBytes, r.DroppedBytes, a.bytes)))
 		}
 	}
 	// BC-5 containment: valid even on a fault-killed run — every loss the

@@ -92,6 +92,9 @@ type Network struct {
 
 	// Send-signal names, rendered once per (source rank, destination rank).
 	txNames sim.PairNames
+
+	// folded holds the NIC counts the last FlushMetrics saw.
+	folded [3]uint64
 }
 
 // NewNetwork equips every fabric node with a NIC. nodeOf maps a global MPI
@@ -101,38 +104,51 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params, nodeOf func(
 	n := &Network{eng: eng, fab: fab, nodeOf: nodeOf,
 		txNames: sim.PairNames{Prefix: "elan tx ", Sep: "->"}}
 	n.nics = make([]*NIC, fab.Nodes())
-	// Instruments are network-wide aggregates; nil (no registry) no-ops.
-	reg := eng.Metrics()
-	mSends := reg.Counter("elan.tx_posts")
-	mRecvs := reg.Counter("elan.rx_posts")
-	mUnexpected := reg.Counter("elan.unexpected")
 	for i := range n.nics {
 		n.nics[i] = &NIC{
-			net:         n,
-			eng:         eng,
-			node:        i,
-			params:      params,
-			thread:      eng.NewServer(fmt.Sprintf("elan%d", i)),
-			ports:       map[int]*port{},
-			txSeq:       map[[2]int]uint64{},
-			mSends:      mSends,
-			mRecvs:      mRecvs,
-			mUnexpected: mUnexpected,
+			net:    n,
+			eng:    eng,
+			node:   i,
+			params: params,
+			thread: eng.NewServer(fmt.Sprintf("elan%d", i)),
+			ports:  map[int]*port{},
+			txSeq:  map[[2]int]uint64{},
 		}
 	}
+	n.foldCounts(eng.Metrics())
 	return n
 }
 
-// FlushMetrics folds end-of-run NIC statistics into the engine's registry: a
-// histogram of per-NIC thread utilization (percent) and the peak matching
-// queue depths across all NICs. Histogram adds and gauge maxima commute, so
-// a registry shared by parallel jobs stays deterministic. No-op without a
-// registry.
+// foldCounts adds the NICs' counts, summed network-wide, to reg (see
+// metrics.Registry.Fold).
+func (n *Network) foldCounts(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	var sends, recvs, unexpected uint64
+	for _, nic := range n.nics {
+		sends += nic.Sends
+		recvs += nic.Recvs
+		unexpected += nic.Unexpected
+	}
+	reg.Fold(n.folded[:],
+		metrics.Tally{Name: "elan.tx_posts", Total: sends},
+		metrics.Tally{Name: "elan.rx_posts", Total: recvs},
+		metrics.Tally{Name: "elan.unexpected", Total: unexpected})
+}
+
+// FlushMetrics folds end-of-run NIC statistics into the engine's registry:
+// the send, receive and unexpected-arrival counts gained since the last
+// flush, a histogram of per-NIC thread utilization (percent) and the peak
+// matching queue depths across all NICs. Counter and histogram adds and
+// gauge maxima commute, so a registry shared by parallel jobs stays
+// deterministic. No-op without a registry.
 func (n *Network) FlushMetrics() {
 	reg := n.eng.Metrics()
 	if reg == nil {
 		return
 	}
+	n.foldCounts(reg)
 	hUtil := reg.Histogram("elan.thread_util_pct")
 	gPosted := reg.Gauge("elan.max_posted_depth")
 	gUnexp := reg.Gauge("elan.max_unexpected_depth")
@@ -186,8 +202,6 @@ type NIC struct {
 	txSeq map[[2]int]uint64 // key: (source rank, destination rank) send sequence
 
 	Sends, Recvs, Unexpected uint64
-
-	mSends, mRecvs, mUnexpected *metrics.Counter // nil-safe; shared network-wide
 }
 
 // Params returns the NIC's parameters.
@@ -258,7 +272,6 @@ func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 		panic("elan: intra-node sends belong to the MPI shared-memory channel")
 	}
 	n.Sends++
-	n.mSends.Inc()
 	p.Sleep(n.params.TxPostOverhead)
 
 	flow := [2]int{srcRank, dstRank}
@@ -364,7 +377,6 @@ func (n *NIC) matchArrival(pt *port, msg *envelopeMsg) {
 	if !found {
 		// Queued unexpected; eager payload now sits in a system buffer.
 		n.Unexpected++
-		n.mUnexpected.Inc()
 		n.thread.Serve(occ)
 		return
 	}
@@ -393,7 +405,6 @@ func (n *NIC) completeMatch(msg *envelopeMsg) {
 func (n *NIC) RxPost(p *sim.Proc, dstRank int, env match.Envelope) *Recv {
 	pt := n.portOf(dstRank)
 	n.Recvs++
-	n.mRecvs.Inc()
 	p.Sleep(n.params.RxPostOverhead)
 
 	if pt.rxName == "" {

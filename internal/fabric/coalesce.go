@@ -38,10 +38,10 @@ package fabric
 // TestCoalescingExact checks delivery times and server accounting against
 // a plain per-chunk reference model fabric-wide.
 //
-// Eligibility. A window forms only when (1) coalescing is enabled and no
-// per-chunk instruments are live, (2) the path does not cross spines in
-// an adaptive fabric (per-chunk spine choice must observe true load),
-// (3) no other in-flight message uses any server of the path (in-flight
+// Eligibility. A window forms only when (1) coalescing is enabled (it is
+// off whenever a metrics registry is attached), (2) the path does not
+// cross spines in an adaptive fabric (per-chunk spine choice must
+// observe true load), (3) no other in-flight message uses any server of the path (in-flight
 // refcounts; the lazy chunk model's busy horizon cannot reveal traffic
 // that has not arrived yet), (4) every stage's busy horizon has cleared
 // by the time the message's first chunk arrives there, and (5) every
@@ -286,9 +286,7 @@ func (w *window) complete() {
 	ms.remaining = 0
 	f.freeMsgs = append(f.freeMsgs, ms)
 	f.putWindow(w)
-	if f.probe != nil {
-		f.probeRetired(size, false, f.eng.Now())
-	}
+	f.retire(size, false)
 	done.Fire()
 }
 

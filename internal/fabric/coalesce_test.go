@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -277,16 +278,19 @@ func TestCoalescedTieOrder(t *testing.T) {
 // an engine with a registry must never open windows, so per-chunk
 // instruments see every chunk.
 func TestCoalescingDisabledUnderMetrics(t *testing.T) {
+	bare, err := New(sim.NewEngine(), 2, 8, ibTestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bare.coalesce {
+		t.Fatal("coalescing should default on without a registry")
+	}
 	eng := sim.NewEngine()
+	eng.SetMetrics(metrics.New(), "test")
 	f, err := New(eng, 2, 8, ibTestParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.coalesce {
-		t.Fatal("coalescing should default on without a registry")
-	}
-	f.coalesce = true
-	f.linkBytes = make([]units.Bytes, f.clos.NumLinks()) // simulate live instruments
 	f.Send(0, 1, 64*units.KiB)
 	if len(f.windows) != 0 {
 		t.Fatal("window opened while per-chunk instruments are live")

@@ -108,6 +108,8 @@ type Fabric struct {
 
 	messages   uint64
 	bytes      units.Bytes
+	chunks     uint64
+	retired    Retired
 	faultStats FaultStats
 
 	// Free lists for the per-message and per-chunk scheduling state, so
@@ -152,18 +154,13 @@ type Fabric struct {
 	// probe, when non-nil, receives invariant observations (see probe.go).
 	probe *Probe
 
-	// Observability (nil-safe no-ops when the engine has no registry).
-	mMsgs        *metrics.Counter
-	mBytes       *metrics.Counter
-	mChunks      *metrics.Counter
-	mLost        *metrics.Counter
-	mRetried     *metrics.Counter
-	mRerouted    *metrics.Counter
-	mMsgsDropped *metrics.Counter
-	mFaultWin    *metrics.Counter
-	hWait        *metrics.Histogram // per-chunk link queueing delay, ns
-	track        *metrics.Track
-	linkBytes    []units.Bytes // payload bytes per link; nil when no registry
+	// Observability, all nil when the engine has no registry. The counts
+	// above fold into the registry at FlushMetrics; folded holds what the
+	// last fold saw.
+	hWait     *metrics.Histogram // per-chunk link queueing delay, ns
+	track     *metrics.Track
+	linkBytes []units.Bytes // payload bytes per link
+	folded    [8]uint64
 }
 
 // New builds a fabric over nodes endpoints using chassis of the given radix.
@@ -193,14 +190,7 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 	f.linkUsers = make([]int32, clos.NumLinks())
 	f.coalesce = eng.Metrics() == nil
 	if reg := eng.Metrics(); reg != nil {
-		f.mMsgs = reg.Counter("fabric.messages")
-		f.mBytes = reg.Counter("fabric.bytes")
-		f.mChunks = reg.Counter("fabric.chunks")
-		f.mLost = reg.Counter("fabric.chunks_lost")
-		f.mRetried = reg.Counter("fabric.chunks_hw_retried")
-		f.mRerouted = reg.Counter("fabric.chunks_rerouted")
-		f.mMsgsDropped = reg.Counter("fabric.messages_dropped")
-		f.mFaultWin = reg.Counter("fabric.fault_windows")
+		f.foldCounts(reg)
 		f.hWait = reg.Histogram("fabric.chunk_queue_wait_ns")
 		f.linkBytes = make([]units.Bytes, clos.NumLinks())
 		f.track = eng.TraceTrack()
@@ -227,22 +217,47 @@ func (f *Fabric) Stats() (messages uint64, bytes units.Bytes) {
 	return f.messages, f.bytes
 }
 
+// Retired counts the messages whose last chunk has left the fabric since
+// construction, with their payload bytes, by outcome: delivered (the done
+// signal fired) or dropped by an unrecovered fault. On a drained fabric
+// every sent message is one or the other.
+type Retired struct {
+	Delivered, Dropped           uint64
+	DeliveredBytes, DroppedBytes units.Bytes
+}
+
+// Retired reports the retirement totals.
+func (f *Fabric) Retired() Retired { return f.retired }
+
+// retire counts one message leaving the fabric.
+func (f *Fabric) retire(size units.Bytes, aborted bool) {
+	if aborted {
+		f.retired.Dropped++
+		f.retired.DroppedBytes += size
+		return
+	}
+	f.retired.Delivered++
+	f.retired.DeliveredBytes += size
+}
+
 // LinkUtilization reports the utilization of the given link.
 func (f *Fabric) LinkUtilization(id topology.LinkID) float64 {
 	return f.links[id].Utilization()
 }
 
-// FlushMetrics folds end-of-run link statistics into the engine's registry:
-// a histogram of per-link utilization (percent), a histogram of per-link
+// FlushMetrics folds end-of-run statistics into the engine's registry:
+// the message, chunk and fault counts gained since the last flush, a
+// histogram of per-link utilization (percent), a histogram of per-link
 // payload bytes, and a gauge holding the hottest link's utilization. Only
-// links that carried traffic are sampled. Histogram adds and gauge maxima
-// commute, so a registry shared by parallel sweep jobs stays deterministic.
-// No-op when the engine has no registry attached.
+// links that carried traffic are sampled. Counter and histogram adds and
+// gauge maxima commute, so a registry shared by parallel sweep jobs stays
+// deterministic. No-op when the engine has no registry attached.
 func (f *Fabric) FlushMetrics() {
 	reg := f.eng.Metrics()
 	if reg == nil || f.linkBytes == nil {
 		return
 	}
+	f.foldCounts(reg)
 	hUtil := reg.Histogram("fabric.link_util_pct")
 	hBytes := reg.Histogram("fabric.link_bytes")
 	gMax := reg.Gauge("fabric.max_link_util_pct")
@@ -255,6 +270,20 @@ func (f *Fabric) FlushMetrics() {
 		hBytes.Observe(int64(f.linkBytes[id]))
 		gMax.SetMax(pct)
 	}
+}
+
+// foldCounts adds the fabric's counts to reg (see metrics.Registry.Fold).
+func (f *Fabric) foldCounts(reg *metrics.Registry) {
+	fs := &f.faultStats
+	reg.Fold(f.folded[:],
+		metrics.Tally{Name: "fabric.messages", Total: f.messages},
+		metrics.Tally{Name: "fabric.bytes", Total: uint64(f.bytes)},
+		metrics.Tally{Name: "fabric.chunks", Total: f.chunks},
+		metrics.Tally{Name: "fabric.chunks_lost", Total: fs.ChunksLost},
+		metrics.Tally{Name: "fabric.chunks_hw_retried", Total: fs.ChunksRetried},
+		metrics.Tally{Name: "fabric.chunks_rerouted", Total: fs.ChunksRerouted},
+		metrics.Tally{Name: "fabric.messages_dropped", Total: fs.MessagesDropped},
+		metrics.Tally{Name: "fabric.fault_windows", Total: fs.FaultWindows})
 }
 
 // HostBus exposes the node's PCI bus server so NIC models can charge
@@ -374,7 +403,7 @@ type msgState struct {
 	f         *Fabric
 	pt        path
 	remaining int         // chunks not yet retired
-	size      units.Bytes // payload size: the chunk plan, probe reports
+	size      units.Bytes // payload size: the chunk plan, retirement counts
 	done      *sim.Signal
 	// aborted marks a message killed by an unrecovered fault (see
 	// dropMessage): its remaining chunks still drain through the fabric,
@@ -524,9 +553,7 @@ func (ms *msgState) chunkDelivered() {
 	ms.done = nil
 	ms.aborted = false
 	f.freeMsgs = append(f.freeMsgs, ms)
-	if f.probe != nil {
-		f.probeRetired(size, aborted, f.eng.Now())
-	}
+	f.retire(size, aborted)
 	if !aborted {
 		done.Fire()
 	}
@@ -606,7 +633,6 @@ func (cs *chunkState) step() {
 		spine, rerouted := f.chooseSpine(pt.srcLeaf, pt.dstLeaf)
 		if rerouted {
 			f.faultStats.ChunksRerouted++
-			f.mRerouted.Inc()
 		}
 		cs.upLink = f.clos.Up(pt.srcLeaf, spine)
 		cs.downLink = f.clos.Down(spine, pt.dstLeaf)
@@ -629,7 +655,6 @@ func (cs *chunkState) step() {
 			// recovers — or, at the uplink stage, until the next attempt's
 			// adaptive choice finds a live spine.
 			f.faultStats.ChunksRetried++
-			f.mRetried.Inc()
 			f.probeStalled(link, cs.ready)
 			if i == pt.upIdx {
 				cs.upLink = -1
@@ -639,7 +664,6 @@ func (cs *chunkState) step() {
 			return
 		}
 		f.faultStats.ChunksLost++
-		f.mLost.Inc()
 		f.probeLost(link, cs.ready)
 		f.dropMessage(cs)
 		return
@@ -665,11 +689,9 @@ func (cs *chunkState) step() {
 		// retry delay; otherwise the loss kills the message and recovery
 		// is the transport's business.
 		f.faultStats.ChunksLost++
-		f.mLost.Inc()
 		f.probeLost(link, cs.ready)
 		if f.params.HWRetry {
 			f.faultStats.ChunksRetried++
-			f.mRetried.Inc()
 			if i == pt.upIdx {
 				cs.upLink = -1
 			}
@@ -734,8 +756,6 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	}
 	f.messages++
 	f.bytes += size
-	f.mMsgs.Inc()
-	f.mBytes.Add(uint64(size))
 	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
 	if f.track != nil {
 		begin := f.eng.Now()
@@ -750,7 +770,7 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	ms.aborted = false
 	f.fillPath(&ms.pt, src, dst)
 	n, last := f.chunkPlan(size)
-	f.mChunks.Add(uint64(n))
+	f.chunks += uint64(n)
 	ms.remaining = n
 	ms.size = size
 
@@ -760,7 +780,7 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	f.expandTouching(&ms.pt)
 	f.addRefs(&ms.pt)
 
-	if f.coalesce && f.linkBytes == nil && f.track == nil &&
+	if f.coalesce &&
 		(!f.params.Adaptive || ms.pt.upIdx < 0) &&
 		!f.pathFaulted(&ms.pt) &&
 		f.tryCoalesce(ms, n, last) {

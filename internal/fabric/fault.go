@@ -102,7 +102,6 @@ func (f *Fabric) SetLinkFault(id topology.LinkID, lf LinkFault) {
 	f.faults[id] = lf
 	if lf.Active() {
 		f.faultStats.FaultWindows++
-		f.mFaultWin.Inc()
 	}
 }
 
@@ -215,7 +214,6 @@ func (f *Fabric) dropMessage(cs *chunkState) {
 	if !ms.aborted {
 		ms.aborted = true
 		f.faultStats.MessagesDropped++
-		f.mMsgsDropped.Inc()
 	}
 	ms.chunkDelivered()
 }

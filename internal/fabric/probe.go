@@ -1,31 +1,30 @@
 package fabric
 
 // Invariant probes: observation hooks the campaign engine (internal/campaign)
-// installs to watch fault behaviour from inside the fabric — every loss draw,
-// every down-link stall, every message retirement — so behavioural contracts
-// (conservation of messages/bytes, fault-window containment) can be checked
-// against ground truth rather than inferred from end-to-end timings.
+// installs to watch fault behaviour from inside the fabric — every loss draw
+// and every down-link stall, at its instant and link — so fault-window
+// containment can be checked against ground truth rather than inferred from
+// end-to-end timings. Message retirement needs no hook: the fabric counts it
+// (see Retired).
 //
 // Probes are a diagnostic mode with the same contract as metrics registries:
 //
 //   - zero cost when disabled — every call site is behind a single
 //     `f.probe != nil` check and the default is nil;
 //   - behaviour-neutral — callbacks only observe, and installing a probe
-//     leaves coalescing on. A coalesced message reports its delivery when
-//     its window completes; it has no per-chunk events to report, because
-//     windows never form on a path with a faulted link and SetLinkFault
-//     expands every window on the link it faults before the fault applies.
-//     So every loss and stall happens in the chunk model, where it is
-//     reported.
+//     leaves coalescing on. Windows never form on a path with a faulted
+//     link, and SetLinkFault expands every window on the link it faults
+//     before the fault applies, so every loss and stall happens in the
+//     chunk model, where it is reported.
 
 import (
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-// Probe receives fabric-level fault and delivery observations. Any field may
-// be nil; callbacks run in event context and must not block or mutate
-// simulation state.
+// Probe receives fabric-level fault observations. Either field may be nil;
+// callbacks run in event context and must not block or mutate simulation
+// state.
 type Probe struct {
 	// ChunkLost fires when a chunk is corrupted by a loss draw or killed at
 	// a down link (both recovery models), at the simulated instant of the
@@ -34,12 +33,6 @@ type Probe struct {
 	// ChunkStalled fires on each hardware stall poll of a chunk parked at a
 	// down link (HWRetry fabrics only).
 	ChunkStalled func(link topology.LinkID, at units.Time)
-	// MessageDelivered fires when a message's last chunk lands — the same
-	// instant its done signal fires — with the message's payload size.
-	MessageDelivered func(size units.Bytes, at units.Time)
-	// MessageDropped fires when a message killed by an unrecovered fault
-	// retires its last chunk (its done signal never fires).
-	MessageDropped func(size units.Bytes, at units.Time)
 }
 
 // SetProbe installs (or with nil removes) the fabric's invariant probe.
@@ -57,21 +50,5 @@ func (f *Fabric) probeLost(link topology.LinkID, at units.Time) {
 func (f *Fabric) probeStalled(link topology.LinkID, at units.Time) {
 	if f.probe != nil && f.probe.ChunkStalled != nil {
 		f.probe.ChunkStalled(link, at)
-	}
-}
-
-// probeRetired reports one retired message to the probe, if any.
-func (f *Fabric) probeRetired(size units.Bytes, aborted bool, at units.Time) {
-	if f.probe == nil {
-		return
-	}
-	if aborted {
-		if f.probe.MessageDropped != nil {
-			f.probe.MessageDropped(size, at)
-		}
-		return
-	}
-	if f.probe.MessageDelivered != nil {
-		f.probe.MessageDelivered(size, at)
 	}
 }

@@ -149,6 +149,9 @@ type Network struct {
 
 	// Completion-signal names, rendered once per (node, peer).
 	writeNames, readNames sim.PairNames
+
+	// folded holds the HCA counts the last FlushMetrics saw.
+	folded [8]uint64
 }
 
 // NewNetwork equips every node of the fabric with an HCA.
@@ -158,47 +161,62 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
 		readNames:  sim.PairNames{Prefix: "rdma-read ", Sep: "<-"},
 	}
 	n.hcas = make([]*HCA, fab.Nodes())
-	// Instruments are network-wide aggregates; nil (no registry) no-ops.
-	reg := eng.Metrics()
-	mSends := reg.Counter("ib.rdma_posts")
-	mRecvs := reg.Counter("ib.deliveries")
-	mRetrans := reg.Counter("ib.retransmits")
-	mTimeouts := reg.Counter("ib.timeouts")
-	mQPErrs := reg.Counter("ib.qp_errors")
 	for i := range n.hcas {
 		n.hcas[i] = &HCA{
-			net:       n,
-			eng:       eng,
-			fab:       fab,
-			node:      i,
-			params:    params,
-			engine:    eng.NewServer(fmt.Sprintf("hca%d", i)),
-			regCache:  NewRegCache(params.RegCacheCap),
-			qps:       map[int]bool{},
-			mSends:    mSends,
-			mRecvs:    mRecvs,
-			mRetrans:  mRetrans,
-			mTimeouts: mTimeouts,
-			mQPErrs:   mQPErrs,
+			net:      n,
+			eng:      eng,
+			fab:      fab,
+			node:     i,
+			params:   params,
+			engine:   eng.NewServer(fmt.Sprintf("hca%d", i)),
+			regCache: NewRegCache(params.RegCacheCap),
+			qps:      map[int]bool{},
 		}
-		n.hcas[i].regCache.SetCounters(
-			reg.Counter("ib.regcache_hits"),
-			reg.Counter("ib.regcache_misses"),
-			reg.Counter("ib.regcache_evictions"))
 	}
+	n.foldCounts(eng.Metrics())
 	return n
 }
 
-// FlushMetrics folds end-of-run connection-state levels into the engine's
-// registry: total established QPs, QP context memory, and currently pinned
-// registration-cache bytes (summed across HCAs). Gauge maxima commute, so a
-// registry shared by parallel jobs stays deterministic. No-op without a
-// registry.
+// foldCounts adds the HCAs' counts, summed network-wide, to reg (see
+// metrics.Registry.Fold).
+func (n *Network) foldCounts(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	var sends, recvs, retrans, timeouts, qpErrs, hits, misses, evictions uint64
+	for _, h := range n.hcas {
+		sends += h.SendCount
+		recvs += h.RecvCount
+		retrans += h.Retransmits
+		timeouts += h.Timeouts
+		qpErrs += h.QPErrors
+		hits += h.regCache.Hits
+		misses += h.regCache.Misses
+		evictions += h.regCache.Evictions
+	}
+	reg.Fold(n.folded[:],
+		metrics.Tally{Name: "ib.rdma_posts", Total: sends},
+		metrics.Tally{Name: "ib.deliveries", Total: recvs},
+		metrics.Tally{Name: "ib.retransmits", Total: retrans},
+		metrics.Tally{Name: "ib.timeouts", Total: timeouts},
+		metrics.Tally{Name: "ib.qp_errors", Total: qpErrs},
+		metrics.Tally{Name: "ib.regcache_hits", Total: hits},
+		metrics.Tally{Name: "ib.regcache_misses", Total: misses},
+		metrics.Tally{Name: "ib.regcache_evictions", Total: evictions})
+}
+
+// FlushMetrics folds end-of-run statistics into the engine's registry: the
+// HCAs' post, delivery, recovery and registration-cache counts gained since
+// the last flush, and the connection-state levels — total established QPs,
+// QP context memory, and currently pinned registration-cache bytes (summed
+// across HCAs). Counter adds and gauge maxima commute, so a registry shared
+// by parallel jobs stays deterministic. No-op without a registry.
 func (n *Network) FlushMetrics() {
 	reg := n.eng.Metrics()
 	if reg == nil {
 		return
 	}
+	n.foldCounts(reg)
 	var qps int
 	var qpMem, pinned units.Bytes
 	for _, h := range n.hcas {
@@ -236,19 +254,14 @@ type HCA struct {
 	// Retransmits counts fabric re-sends issued by this HCA's RC
 	// transport timers; Timeouts counts timer expirations (each retry is
 	// preceded by a timeout, so Timeouts >= Retransmits — the excess is
-	// retry-budget exhaustion).
+	// retry-budget exhaustion, which QPErrors counts).
 	Retransmits uint64
 	Timeouts    uint64
+	QPErrors    uint64
 
 	// reqSeq numbers reliable() requests for delivery-probe reports; only
 	// advanced while a probe is installed.
 	reqSeq uint64
-
-	mSends    *metrics.Counter // nil-safe; shared network-wide
-	mRecvs    *metrics.Counter
-	mRetrans  *metrics.Counter
-	mTimeouts *metrics.Counter
-	mQPErrs   *metrics.Counter
 }
 
 // Node reports the fabric endpoint this HCA serves.
@@ -348,9 +361,6 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 		attempt = n
 		h.fab.Send(src, dst, size).OnFire(func() {
 			if delivered {
-				if probe != nil && probe.Duplicate != nil {
-					probe.Duplicate(req, n, h.eng.Now())
-				}
 				return // duplicate: a retransmission already delivered
 			}
 			delivered = true
@@ -372,19 +382,14 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 				return
 			}
 			h.Timeouts++
-			h.mTimeouts.Inc()
 			if n >= h.params.MaxRetries {
-				h.mQPErrs.Inc()
+				h.QPErrors++
 				h.eng.Fail(fmt.Errorf(
 					"ib: QP error on node %d (%s to peer %d): retry budget exhausted after %d retransmissions",
 					h.node, kind, peer, n))
 				return
 			}
 			h.Retransmits++
-			h.mRetrans.Inc()
-			if probe != nil && probe.Retransmit != nil {
-				probe.Retransmit(req, n+1, h.eng.Now())
-			}
 			try(n + 1)
 		})
 	}
@@ -425,7 +430,6 @@ func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{})
 // doorbell, and starts the operation's continuation chain.
 func (h *HCA) post(p *sim.Proc, peer int, size units.Bytes, imm interface{}, read bool, name string) *sim.Signal {
 	h.SendCount++
-	h.mSends.Inc()
 	p.Sleep(h.params.PostOverhead)
 	if bus := h.fab.HostBus(h.node); bus != nil {
 		// Doorbell + WQE PIO occupy the shared PCI-X bus.
@@ -496,7 +500,6 @@ func (op *rdmaOp) step() {
 		op.stage = stageComplete
 		dst := op.placer()
 		dst.RecvCount++
-		dst.mRecvs.Inc()
 		dst.engine.ServeThen(dst.params.RecvProc, op.stepFn)
 	case stageComplete:
 		dst, src := op.placer(), op.peer

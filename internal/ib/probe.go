@@ -1,35 +1,27 @@
 package ib
 
-// Delivery probe: observation hooks for the RC recovery state machine in
+// Delivery probe: an observation hook on the RC recovery state machine in
 // reliable(), installed by the campaign engine (internal/campaign) to check
 // the paper's §3 exactly-once contract — every reliable request delivers its
-// payload exactly once, no matter how many retransmissions raced it, and
-// duplicates are absorbed rather than re-delivered.
+// payload exactly once, no matter how many retransmissions raced it.
 //
 // Same contract as fabric probes (see fabric/probe.go): zero cost when
-// disabled, and hooks live exclusively on the faulty
-// branch of reliable() — the fault-free fast path (Send(...).OnFire(deliver))
+// disabled, and the hook lives exclusively on the faulty branch of
+// reliable() — the fault-free fast path (Send(...).OnFire(deliver))
 // is untouched, so clean runs remain byte-identical with a probe installed.
 
 import (
 	"repro/internal/units"
 )
 
-// DeliveryProbe receives RC transport observations. Any field may be nil;
-// callbacks run in event context and must not block or mutate simulation
-// state.
+// DeliveryProbe receives RC transport observations. Delivered may be nil;
+// it runs in event context and must not block or mutate simulation state.
 type DeliveryProbe struct {
 	// Delivered fires when a reliable request's payload is placed at the
 	// destination for the first time — the instant deliver() runs. attempt
 	// is the attempt index whose transfer was in flight when delivery
 	// happened (0 = original send).
 	Delivered func(req ReqID, attempt int, at units.Time)
-	// Duplicate fires when a late transfer of an already-delivered request
-	// lands and is absorbed by the delivered flag.
-	Duplicate func(req ReqID, attempt int, at units.Time)
-	// Retransmit fires when a transport timer expires and re-issues the
-	// request; attempt is the new attempt index.
-	Retransmit func(req ReqID, attempt int, at units.Time)
 }
 
 // ReqID identifies one reliable request for probe reports.

@@ -3,7 +3,6 @@ package ib
 import (
 	"container/list"
 
-	"repro/internal/metrics"
 	"repro/internal/units"
 )
 
@@ -24,8 +23,6 @@ type RegCache struct {
 	byKey    map[uint64]*list.Element
 
 	Hits, Misses, Evictions uint64
-
-	mHits, mMisses, mEvictions *metrics.Counter // nil-safe mirrors of the above
 }
 
 type regEntry struct {
@@ -42,13 +39,6 @@ func NewRegCache(capacity units.Bytes) *RegCache {
 	}
 }
 
-// SetCounters mirrors the cache's hit/miss/eviction statistics into registry
-// counters (typically shared across a network's caches). Nil counters no-op,
-// so this is safe to call unconditionally.
-func (c *RegCache) SetCounters(hits, misses, evictions *metrics.Counter) {
-	c.mHits, c.mMisses, c.mEvictions = hits, misses, evictions
-}
-
 // Access registers the buffer (key, size) if needed and returns the host
 // CPU time the operation costs under the given cost parameters. A hit costs
 // only the lookup; a miss costs registration of every page plus
@@ -59,7 +49,6 @@ func (c *RegCache) Access(key uint64, size units.Bytes, p *Params) units.Duratio
 		if ent.size >= size {
 			c.lru.MoveToFront(el)
 			c.Hits++
-			c.mHits.Inc()
 			return p.RegLookup
 		}
 		// Grown buffer: treat as miss for the whole new size.
@@ -68,7 +57,6 @@ func (c *RegCache) Access(key uint64, size units.Bytes, p *Params) units.Duratio
 		delete(c.byKey, key)
 	}
 	c.Misses++
-	c.mMisses.Inc()
 	cost := p.RegLookup + p.RegBase + c.pageCost(size, p.RegPerPage, p)
 	// Evict LRU entries until the new buffer fits.
 	for c.used+size > c.capacity && c.lru.Len() > 0 {
@@ -78,7 +66,6 @@ func (c *RegCache) Access(key uint64, size units.Bytes, p *Params) units.Duratio
 		delete(c.byKey, ent.key)
 		c.used -= ent.size
 		c.Evictions++
-		c.mEvictions.Inc()
 		cost += p.DeregBase + c.pageCost(ent.size, p.DeregPerPage, p)
 	}
 	c.used += size

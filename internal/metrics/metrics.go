@@ -4,15 +4,18 @@
 //
 // Design constraints, in order:
 //
-//  1. Zero cost when disabled. Every instrument method is nil-safe: a nil
-//     *Registry hands out nil instruments, and Inc/Add/Set/Observe on a nil
-//     instrument is a single predictable branch. Model code therefore
-//     instruments unconditionally and default runs stay byte-identical —
-//     metrics never alter simulated behaviour, only record it.
-//  2. Zero allocation on the hot path. Instruments are looked up (and
-//     allocated) once, at model construction; Inc/Add/Observe are atomic
-//     operations on preallocated state. Histograms use fixed power-of-two
-//     buckets, so observation never allocates.
+//  1. Zero cost when disabled. Model code holds no counters: each layer
+//     keeps one plain count per fact, registry or not, and folds what it
+//     counted into named counters at the end of a run (Fold). Histograms,
+//     gauges and tracks are nil-safe: a nil *Registry hands out nil ones,
+//     and Set/Observe on a nil instrument is a single predictable branch.
+//     Default runs stay byte-identical — metrics never alter simulated
+//     behaviour, only record it.
+//  2. Zero allocation on the hot path. Histograms are looked up (and
+//     allocated) once, at model construction; Observe is an atomic
+//     operation on preallocated state with fixed power-of-two buckets, so
+//     observation never allocates. Model code touches counters only through
+//     Fold, once per run.
 //  3. Deterministic output. A Snapshot lists instruments sorted by name.
 //     Counter sums, gauge maxima, and histogram merges all commute, so a
 //     registry shared by parallel sweep jobs (one engine per job) snapshots
@@ -121,15 +124,30 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Counter is a monotonically increasing event count.
-type Counter struct{ v atomic.Uint64 }
+// Tally is one plain count a model layer keeps, under the name of the
+// registry counter it folds into.
+type Tally struct {
+	Name  string
+	Total uint64
+}
 
-// Inc adds one. No-op on nil.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
+// Fold adds to each tally's counter what its total gained since the last
+// fold. folded holds the totals as of that fold, one slot per tally in
+// order, and is advanced to the new totals. Every counter is registered,
+// even one that gains nothing, so a layer that folds at construction lists
+// its counters at zero until it runs. No-op on a nil registry.
+func (r *Registry) Fold(folded []uint64, tallies ...Tally) {
+	if r == nil {
+		return
+	}
+	for i, t := range tallies {
+		r.Counter(t.Name).Add(t.Total - folded[i])
+		folded[i] = t.Total
 	}
 }
+
+// Counter is a monotonically increasing event count.
+type Counter struct{ v atomic.Uint64 }
 
 // Add adds n. No-op on nil.
 func (c *Counter) Add(n uint64) {

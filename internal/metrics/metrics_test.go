@@ -18,7 +18,6 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 		t.Fatal("nil registry handed out live instruments")
 	}
 	// Every instrument method must be a safe no-op on nil.
-	c.Inc()
 	c.Add(5)
 	g.Set(1)
 	g.SetMax(2)
@@ -42,7 +41,7 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 func TestCounterAndGauge(t *testing.T) {
 	r := New()
 	c := r.Counter("events")
-	c.Inc()
+	c.Add(1)
 	c.Add(9)
 	if c.Value() != 10 {
 		t.Fatalf("counter = %d, want 10", c.Value())
@@ -59,6 +58,27 @@ func TestCounterAndGauge(t *testing.T) {
 	g.SetMax(7)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %v after SetMax(7), want 7", g.Value())
+	}
+}
+
+// TestFold: each fold adds what the totals gained since the last one,
+// and registers every counter even when it gained nothing.
+func TestFold(t *testing.T) {
+	r := New()
+	var folded [2]uint64
+	r.Fold(folded[:], Tally{"a", 0}, Tally{"b", 0})
+	if s := r.Snapshot(); len(s.Counters) != 2 || s.Counters[0].Value != 0 || s.Counters[1].Value != 0 {
+		t.Fatalf("fold of zero totals: %+v", s.Counters)
+	}
+	r.Fold(folded[:], Tally{"a", 3}, Tally{"b", 5})
+	r.Fold(folded[:], Tally{"a", 4}, Tally{"b", 5})
+	if a, b := r.Counter("a").Value(), r.Counter("b").Value(); a != 4 || b != 5 {
+		t.Fatalf("after folds: a=%d b=%d, want 4 and 5", a, b)
+	}
+	var nilReg *Registry
+	nilReg.Fold(folded[:], Tally{"a", 9}, Tally{"b", 9})
+	if folded != [2]uint64{4, 5} {
+		t.Fatalf("nil registry advanced the marks: %v", folded)
 	}
 }
 
@@ -119,7 +139,7 @@ func TestEmptyHistogramSnapshot(t *testing.T) {
 func TestSnapshotSortedByName(t *testing.T) {
 	r := New()
 	for _, n := range []string{"zeta", "alpha", "mid"} {
-		r.Counter(n).Inc()
+		r.Counter(n).Add(1)
 		r.Gauge(n).Set(1)
 		r.Histogram(n).Observe(1)
 	}
@@ -145,7 +165,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 				g.SetMax(float64(w*per + i))
 				h.Observe(int64(i))
 			}

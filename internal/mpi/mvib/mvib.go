@@ -143,7 +143,8 @@ type Transport struct {
 	// Request names, rendered once per (rank, peer).
 	sendNames, recvNames sim.PairNames
 
-	mEager, mRndv, mUnexpected *metrics.Counter // nil-safe; world-wide totals
+	// folded holds the per-rank counts the last FlushMetrics saw.
+	folded [3]uint64
 }
 
 // New wraps an IB network as an MPI transport.
@@ -196,10 +197,6 @@ func (t *Transport) EagerMemoryPerRank() units.Bytes {
 // install the delivery handler on every HCA.
 func (t *Transport) Attach(w *mpi.World) {
 	t.w = w
-	reg := w.Engine().Metrics()
-	t.mEager = reg.Counter("mvib.eager_sends")
-	t.mRndv = reg.Counter("mvib.rndv_sends")
-	t.mUnexpected = reg.Counter("mvib.unexpected")
 	t.states = make([]*rankState, w.Size())
 	for i := range t.states {
 		t.states[i] = &rankState{
@@ -228,7 +225,29 @@ func (t *Transport) Attach(w *mpi.World) {
 			}
 		}
 	}
+	reg := w.Engine().Metrics()
 	reg.Gauge("mvib.eager_memory_per_rank_bytes").SetMax(float64(t.EagerMemoryPerRank()))
+	t.FlushMetrics()
+}
+
+// FlushMetrics adds to the engine's registry the eager sends, rendezvous
+// sends and unexpected arrivals of every rank since the last flush. No-op
+// without a registry.
+func (t *Transport) FlushMetrics() {
+	reg := t.w.Engine().Metrics()
+	if reg == nil {
+		return
+	}
+	var eager, rndv, unexpected uint64
+	for _, st := range t.states {
+		eager += st.EagerSends
+		rndv += st.RndvSends
+		unexpected += st.Unexpected
+	}
+	reg.Fold(t.folded[:],
+		metrics.Tally{Name: "mvib.eager_sends", Total: eager},
+		metrics.Tally{Name: "mvib.rndv_sends", Total: rndv},
+		metrics.Tally{Name: "mvib.unexpected", Total: unexpected})
 }
 
 // deliver runs in event context when an RDMA write has been placed in host
@@ -250,7 +269,6 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 
 	if size <= t.params.EagerThreshold {
 		st.EagerSends++
-		t.mEager.Inc()
 		// Flow control: block (making progress) until a slot is free.
 		for st.credits[dst] == 0 {
 			sig := r.Incoming()
@@ -277,7 +295,6 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 	}
 
 	st.RndvSends++
-	t.mRndv.Inc()
 	// Rendezvous: pin the send buffer, then RTS.
 	hca.Register(r.Proc(), key, size)
 	ss := &sendState{req: req, rank: r, dst: dst, size: size, key: key}
@@ -411,7 +428,6 @@ func (t *Transport) hostMatch(r *mpi.Rank, st *rankState, msg *wireMsg) {
 	}
 	if !found {
 		st.Unexpected++
-		t.mUnexpected.Inc()
 		if msg.kind == kindEager {
 			// Drain the slot to a temp buffer so the slot can recycle.
 			r.HostCopy(msg.size)

@@ -235,14 +235,17 @@ func New(opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// Run executes the app on the machine's world, then folds end-of-run
-// utilization and occupancy levels into the attached metrics registry (a
-// no-op without one).
+// Run executes the app on the machine's world, then folds what every layer
+// counted during the run, and its end-of-run utilization and occupancy
+// levels, into the attached metrics registry (a no-op without one). The
+// fold happens whether or not the run failed.
 func (m *Machine) Run(app func(*mpi.Rank)) (*mpi.Result, error) {
 	res, err := m.World.Run(app)
 	if m.Eng.Metrics() != nil {
+		m.Eng.FlushMetrics()
 		m.Fab.FlushMetrics()
 		if m.IB != nil {
+			m.IB.FlushMetrics()
 			m.IB.Network().FlushMetrics()
 		}
 		if m.Elan != nil {

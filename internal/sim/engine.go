@@ -7,7 +7,7 @@
 //     Callbacks run on the scheduler goroutine.
 //   - Simulated processes ((*Engine).Spawn), each a coroutine that can
 //     block on simulated time (Sleep) and synchronization objects (Signal,
-//     Queue, Server). At most one process executes at a time, and control
+//     Server). At most one process executes at a time, and control
 //     transfers between the scheduler and processes are fully synchronous
 //     coroutine switches, so simulations are deterministic: the same
 //     program with the same seeds produces bit-identical event orders and
@@ -182,16 +182,16 @@ type Engine struct {
 	stopped   bool
 	err       error
 	nEvents   uint64
+	nWakes    uint64
 	maxEvents uint64
 
-	// Observability (see internal/metrics). All fields stay nil by default:
-	// instrument methods on nil receivers are no-ops, so an engine without
-	// metrics runs the exact same event sequence at negligible extra cost.
-	reg     *metrics.Registry
-	track   *metrics.Track
-	mEvents *metrics.Counter
-	mWakes  *metrics.Counter
-	mSpawns *metrics.Counter
+	// Observability (see internal/metrics). Both stay nil by default, and
+	// the engine runs the same event sequence with or without them. The
+	// counts above fold into reg at FlushMetrics; folded holds what the
+	// last fold saw.
+	reg    *metrics.Registry
+	track  *metrics.Track
+	folded [3]uint64
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -208,10 +208,18 @@ func (e *Engine) Now() Time { return e.now }
 // Call before running. A nil registry detaches.
 func (e *Engine) SetMetrics(reg *metrics.Registry, label string) {
 	e.reg = reg
-	e.mEvents = reg.Counter("sim.events_dispatched")
-	e.mWakes = reg.Counter("sim.proc_wakes")
-	e.mSpawns = reg.Counter("sim.procs_spawned")
 	e.track = reg.NewTrack(label)
+	e.FlushMetrics()
+}
+
+// FlushMetrics adds to the attached registry the events dispatched,
+// process wakes and processes spawned since the last flush. No-op without
+// a registry.
+func (e *Engine) FlushMetrics() {
+	e.reg.Fold(e.folded[:],
+		metrics.Tally{Name: "sim.events_dispatched", Total: e.nEvents},
+		metrics.Tally{Name: "sim.proc_wakes", Total: e.nWakes},
+		metrics.Tally{Name: "sim.procs_spawned", Total: uint64(len(e.procs))})
 }
 
 // Metrics returns the attached registry (nil when detached). Model layers
@@ -331,7 +339,6 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 		}
 		e.now = ev.at
 		e.nEvents++
-		e.mEvents.Inc()
 		if e.maxEvents > 0 && e.nEvents > e.maxEvents {
 			e.err = fmt.Errorf("%w after %d events at t=%v", ErrEventLimit, e.nEvents, e.now)
 			return e.err

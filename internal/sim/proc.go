@@ -54,7 +54,6 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	}
 	e.procs = append(e.procs, p)
 	p.switchFn = func() { e.switchTo(p) }
-	e.mSpawns.Inc()
 	if e.track != nil {
 		e.track.SetThreadName(TidProc+int64(p.id), "blocked "+name)
 	}
@@ -125,7 +124,7 @@ func (p *Proc) checkRunning() {
 // just re-parks.
 func (p *Proc) wake() {
 	e := p.eng
-	e.mWakes.Inc()
+	e.nWakes++
 	e.After(0, p.switchFn)
 }
 

@@ -189,66 +189,6 @@ func (p *Proc) WaitAny(sigs ...*Signal) int {
 	}
 }
 
-// Queue is an unbounded FIFO connecting producers (any context) with
-// consumers (process context).
-type Queue struct {
-	eng     *Engine
-	name    string
-	items   []interface{}
-	waiters []*Proc
-}
-
-// NewQueue creates an empty queue. The name appears in deadlock reports.
-func (e *Engine) NewQueue(name string) *Queue {
-	return &Queue{eng: e, name: name}
-}
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Push appends an item and wakes one blocked consumer, if any. Safe from
-// event or process context.
-func (q *Queue) Push(v interface{}) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		w.wake()
-	}
-}
-
-// TryPop removes and returns the head item, or (nil, false) if empty.
-func (q *Queue) TryPop() (interface{}, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Pop blocks the process until an item is available and returns it.
-func (q *Queue) Pop(p *Proc) interface{} {
-	p.checkRunning()
-	for {
-		if v, ok := q.TryPop(); ok {
-			return v
-		}
-		dup := false
-		for _, w := range q.waiters {
-			if w == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			q.waiters = append(q.waiters, p)
-		}
-		p.park("popping queue ", q.name)
-	}
-}
-
 // Server models a FIFO resource with a single service channel (a link, a
 // DMA engine, a NIC processor, a bus). Work items are serialized: each item
 // begins service when the server becomes free and occupies it for the item's
@@ -337,13 +277,6 @@ func (s *Server) ServePipelined(occupancy, latency Duration, fn func()) Time {
 	ready := end.Add(latency - occupancy)
 	s.eng.At(ready, fn)
 	return ready
-}
-
-// Occupy enqueues work on behalf of the calling process and blocks the
-// process until the work completes (FIFO with other users of the server).
-func (s *Server) Occupy(p *Proc, d Duration) {
-	done := s.Serve(d)
-	p.SleepUntil(done)
 }
 
 // OnServe installs (or, with nil, removes) the server's touch hook: a
