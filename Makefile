@@ -1,15 +1,16 @@
 # Development targets. `make check` is the tier-1 gate: gofmt, vet (of
 # the bench module too), build, test, the race detector over the whole
 # module, simlint — the determinism/invariant static-analysis suite
-# (internal/lint, see DESIGN.md "Determinism invariants") — and the
-# benchmark module's own tests.
+# (internal/lint, see DESIGN.md "Determinism invariants") — the
+# benchmark module's own tests, and one iteration of every kernel
+# microbenchmark (bench-run).
 
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: check fmt vet build test race lint lint-sarif bench-test bench-smoke fix-verify bench regen trace-demo chaos campaign
+.PHONY: check fmt vet build test race lint lint-sarif bench-test bench-run bench-smoke fix-verify bench regen trace-demo chaos campaign
 
-check: fmt vet build test race lint bench-test
+check: fmt vet build test race lint bench-test bench-run
 
 # fmt fails, listing the files, if any Go file in the tree (bench/
 # included) is not gofmt-formatted.
@@ -77,6 +78,12 @@ race:
 # The benchmark itself runs with `bash bench/run.sh`; see bench/README.md.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# bench-run runs every Benchmark function under internal/ once, so one
+# that no longer runs fails here and not when someone next measures with
+# it. One iteration each measures nothing. ~7 s on a 2-vCPU host.
+bench-run:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # bench-smoke runs every benchmark workload end to end: a warm-up and
 # three passes each, checking every simulation's digest against

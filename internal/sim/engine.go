@@ -20,6 +20,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -44,16 +45,20 @@ type event struct {
 
 // eventQueue is a monomorphic 4-ary min-heap of events ordered by
 // (at, seq). It replaces container/heap on the kernel's hottest path:
-// a concrete element type means no interface{} boxing on push/pop, and
-// a 4-ary layout halves the tree depth versus a binary heap, trading a
-// slightly wider sibling scan (cheap: the elements are adjacent in one
-// or two cache lines) for fewer swap levels per sift.
+// a concrete element type means no interface{} boxing on push/pop.
+//
+// The heap is shallow (tens of entries on the benchmark workloads), so
+// its cost is branch mispredictions, not depth. A sift moves the element
+// being placed instead of swapping it, and picks each level's smallest
+// child with no data-dependent branch: keyLess compares two keys as one
+// 128-bit unsigned subtraction, and the running minimum is selected
+// through the borrow as a mask. DESIGN §9.1 has the measurements.
 //
 // Because every queued event carries a unique seq and the comparison is
 // a strict total order on (at, seq), the dequeue sequence is the unique
 // sorted order of the queued keys — identical to what any correct heap
 // (including the previous container/heap implementation) produces. The
-// arity is therefore invisible to simulations; see
+// arity and the sift are therefore invisible to simulations; see
 // TestEventQueueMatchesReferenceHeap for the differential proof.
 //
 // The backing slice is retained across Run/RunUntil calls and popped
@@ -63,65 +68,77 @@ type eventQueue struct {
 	ev []event
 }
 
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// keyLess returns 1 if the key (at1, seq1) is below (at2, seq2) and 0
+// otherwise: the borrow out of the 128-bit subtraction at1:seq1 −
+// at2:seq2. Comparing at as unsigned is exact because no key's at is
+// negative: At clamps to now ≥ 0, and Forever is MaxInt64.
+func keyLess(at1 Time, seq1 uint64, at2 Time, seq2 uint64) uint64 {
+	_, b := bits.Sub64(seq1, seq2, 0)
+	_, b = bits.Sub64(uint64(at1), uint64(at2), b)
+	return b
 }
+
+func eventLess(a, b event) bool { return keyLess(a.at, a.seq, b.at, b.seq) != 0 }
 
 func (q *eventQueue) len() int { return len(q.ev) }
 
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	i := len(q.ev) - 1
+// push sifts x up from a new last slot, moving each larger parent down
+// one level, and writes x once where it stops.
+func (q *eventQueue) push(x event) {
+	q.ev = append(q.ev, x)
+	ev := q.ev
+	i := len(ev) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(q.ev[i], q.ev[p]) {
+		if !eventLess(x, ev[p]) {
 			break
 		}
-		q.ev[i], q.ev[p] = q.ev[p], q.ev[i]
+		ev[i] = ev[p]
 		i = p
 	}
+	ev[i] = x
 }
 
 func (q *eventQueue) pop() event {
 	top := q.ev[0]
 	n := len(q.ev) - 1
-	q.ev[0] = q.ev[n]
+	x := q.ev[n]
 	q.ev[n] = event{} // clear the vacated slot so fn can be collected
 	q.ev = q.ev[:n]
 	if n > 1 {
-		q.siftDown()
+		q.siftDown(x)
+	} else if n == 1 {
+		q.ev[0] = x
 	}
 	return top
 }
 
-func (q *eventQueue) siftDown() {
+// siftDown places x, which replaces the root, moving the smallest child
+// up one level while it is below x.
+func (q *eventQueue) siftDown(x event) {
 	ev := q.ev
 	n := len(ev)
 	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		m, at, seq := first, ev[first].at, ev[first].seq
+		for c := first + 1; c < min(first+4, n); c++ {
+			cat, cseq := ev[c].at, ev[c].seq
+			mask := -keyLess(cat, cseq, at, seq)
+			at ^= (at ^ cat) & Time(mask)
+			seq ^= (seq ^ cseq) & mask
+			m ^= (m ^ c) & int(mask)
 		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(ev[c], ev[min]) {
-				min = c
-			}
+		if keyLess(at, seq, x.at, x.seq) == 0 {
+			break
 		}
-		if !eventLess(ev[min], ev[i]) {
-			return
-		}
-		ev[i], ev[min] = ev[min], ev[i]
-		i = min
+		ev[i] = ev[m]
+		i = m
 	}
+	ev[i] = x
 }
 
 // nowRing is the FIFO of events scheduled at the current instant. Their

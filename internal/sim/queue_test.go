@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -91,6 +92,50 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 	}
 	if q.len() != 0 {
 		t.Fatalf("queue not drained: %d left", q.len())
+	}
+}
+
+// TestEventLessFullRange pins the branch-free compare over the whole key
+// range the kernel can produce: at from 0 to Forever, and seqs with bit 63
+// set. eventLess must agree with the plain two-branch definition on every
+// pair, and the queue must pop any shuffle of those keys in sorted order.
+// The random test above never leaves small keys, so a compare that
+// ignored the high bits of either word would pass it.
+func TestEventLessFullRange(t *testing.T) {
+	ats := []units.Time{0, 1, 1 << 32, 1 << 62, units.Forever - 1, units.Forever}
+	seqs := []uint64{0, 1, 1 << 32, 1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64}
+	var keys []event
+	for _, at := range ats {
+		for _, seq := range seqs {
+			keys = append(keys, event{at: at, seq: seq})
+		}
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			// refHeap.Less is the plain two-branch definition.
+			if got, want := eventLess(a, b), (refHeap{a, b}).Less(0, 1); got != want {
+				t.Errorf("eventLess((%d,%#x), (%d,%#x)) = %v, want %v", a.at, a.seq, b.at, b.seq, got, want)
+			}
+		}
+	}
+
+	// keys is sorted by construction.
+	r := rng.New(0xf0117a6e)
+	var q eventQueue
+	for round := 0; round < 200; round++ {
+		shuffled := append([]event(nil), keys...)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		for _, ev := range shuffled {
+			q.push(ev)
+		}
+		for i, want := range keys {
+			if got := q.pop(); got.at != want.at || got.seq != want.seq {
+				t.Fatalf("round %d pop %d: got (%d,%#x), want (%d,%#x)", round, i, got.at, got.seq, want.at, want.seq)
+			}
+		}
 	}
 }
 
@@ -224,9 +269,11 @@ func TestEventSliceReusedAcrossRuns(t *testing.T) {
 }
 
 // BenchmarkEventQueue measures the kernel's schedule-plus-dispatch cost in
-// three shapes: "burst" queues 512 heap events per op and drains them;
-// "deep" and "lane" report per event with 1,600 pending, the mean queue
-// depth of the halo workload, either all in the heap or fed through 64
+// four shapes. "burst" queues 512 heap events per op and drains them. The
+// others report per event with a fixed number pending: "shallow" keeps 64
+// in the heap, about the mean heap length of the beff workload (56; halo's
+// is about 20); "deep" keeps 1,600, the halo workload's queue depth before
+// lanes took chunk hops out of the heap; "lane" feeds 1,600 through 64
 // server lanes in FIFO order the way the fabric's chunk hops are.
 func BenchmarkEventQueue(b *testing.B) {
 	b.Run("burst", func(b *testing.B) {
@@ -244,8 +291,9 @@ func BenchmarkEventQueue(b *testing.B) {
 			}
 		}
 	})
-	const depth = 1600
-	b.Run("deep", func(b *testing.B) {
+	// churn keeps depth events in the heap: each one dispatched schedules
+	// its successor a random 1–1000 ps later.
+	churn := func(b *testing.B, depth int) {
 		e := NewEngine()
 		r := rng.New(1)
 		left := b.N
@@ -264,7 +312,10 @@ func BenchmarkEventQueue(b *testing.B) {
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
-	})
+	}
+	const depth = 1600
+	b.Run("shallow", func(b *testing.B) { churn(b, 64) })
+	b.Run("deep", func(b *testing.B) { churn(b, depth) })
 	b.Run("lane", func(b *testing.B) {
 		e := NewEngine()
 		r := rng.New(1)
