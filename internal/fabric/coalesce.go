@@ -3,17 +3,18 @@ package fabric
 // Idle-path message coalescing.
 //
 // The chunk-level cut-through model costs O(chunks × hops) events per
-// message even when nothing contends. But when every hop of a message's
-// path is idle for the whole transfer, the FIFO pipeline recurrence that
-// the event model executes has a closed form, so the delivery time can
-// be computed at Send and realized with a single completion event. The
-// fabric takes that fast path under a strict eligibility test and keeps
-// a "window" describing the summarized traffic; if anything else touches
-// a covered server before the message completes, the window expands —
-// the already-elapsed prefix of the schedule is folded into the servers'
-// accounting and the still-pending chunk arrivals are re-issued through
-// the ordinary lazy chunk machinery — so contention is resolved by the
-// exact event-by-event model from that instant on.
+// message even when nothing contends. But when a message is alone in the
+// fabric and every hop of its path is idle when its first chunk gets
+// there, the FIFO pipeline recurrence that the event model executes has a
+// closed form, so the delivery time can be computed at Send and realized
+// with a single completion event. The fabric takes that fast path under a
+// strict eligibility test and keeps a "window" describing the summarized
+// traffic; if anything else touches the fabric before the message
+// completes, the window expands — the already-elapsed prefix of the
+// schedule is folded into the servers' accounting and the still-pending
+// chunk arrivals are re-issued through the ordinary lazy chunk machinery —
+// so contention is resolved by the exact event-by-event model from that
+// instant on.
 //
 // Closed form. Let stage i have full-chunk service sF[i], last-chunk
 // service sL[i] (sL <= sF), and post-service latency lat[i]; let the
@@ -41,35 +42,39 @@ package fabric
 // Eligibility. A window forms only when (1) coalescing is enabled (it is
 // off whenever a metrics registry is attached), (2) the path does not
 // cross spines in an adaptive fabric (per-chunk spine choice must
-// observe true load), (3) no other in-flight message uses any server of the path (in-flight
-// refcounts; the lazy chunk model's busy horizon cannot reveal traffic
-// that has not arrived yet), (4) every stage's busy horizon has cleared
-// by the time the message's first chunk arrives there, and (5) every
-// per-stage service time is strictly positive (so arrivals at later
-// stages are strictly ordered and the fold-at-expansion boundary is
-// unambiguous), and (6) no link of the path carries a fault. SetLinkFault
-// expands every window on the link it faults, so every chunk loss and
-// stall happens in the chunk model, where probes see it.
+// observe true load), (3) no other message is in flight (the in-flight
+// count is one: this message), (4) every stage's busy horizon has cleared
+// by the time the message's first chunk arrives there (direct Serve
+// calls, such as IB doorbells on a host bus, load servers outside any
+// message), (5) every per-stage service time is strictly positive (so
+// arrivals at later stages are strictly ordered and the
+// fold-at-expansion boundary is unambiguous), and (6) no link of the
+// path carries a fault. By (3) at most one window is open, and it is
+// open only while its message is alone in the fabric.
 //
-// Exactness boundary. While a window is open the covered servers' busy
-// horizons lag the true schedule; every observer is intercepted — a new
-// Send overlapping the window expands it before scheduling (Send), and
-// any direct ServeAt on a covered server (e.g. the IB doorbell charging
-// the host bus) expands it via the server's OnServe hook before the
-// newcomer's work is applied. On completion the summarized work is
-// folded in bulk, leaving busyUntil/busyTotal/served exactly as the
-// expanded model would have. What a window does not keep is event *order*
-// among same-picosecond events of unrelated messages: its one delivery
-// event, and the chunk events an expansion re-issues, take seqs when the
-// window forms or expands, not where the chunk model would take them. So
-// two messages delivered in the same picosecond can fire in a different
-// order with coalescing on (TestCoalescedTieOrder pins one such case);
-// their delivery times, and every server's accounting, stay the same.
+// Exactness boundary. While a window is open its servers' busy horizons
+// lag the true schedule; every observer is intercepted. Send expands the
+// open window, whatever its path, before it schedules anything;
+// SetLinkFault expands it, whatever link it faults, so every chunk loss
+// and stall happens in the chunk model, where probes see it; and any
+// direct ServeAt on a covered server (the IB doorbell charging the host
+// bus) expands it via the server's OnServe hook before the newcomer's
+// work is applied. On completion the summarized work is folded in bulk,
+// leaving busyUntil/busyTotal/served exactly as the expanded model would
+// have. What a window does not keep is the seq of its own events: its
+// delivery event takes its seq when the window opens, and the chunk
+// events an expansion re-issues take theirs when it expands, not where
+// the chunk model would take them. Messages sent later take later seqs
+// in both models, so deliveries of different messages fire in the chunk
+// model's order. But an event scheduled while the window is open, for
+// the picosecond of one of the window's events, can run on the other
+// side of it. A reader at the delivery instant can see done already
+// fired. A direct Serve at the instant a chunk reaches the same server
+// expands the window and is served ahead of the chunk the expansion
+// re-issues, where the chunk model may serve the chunk first, and then
+// the delivery moves. TestCoalescedTieOrder pins both cases.
 
-import (
-	"repro/internal/topology"
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // window summarizes one coalesced in-flight message.
 type window struct {
@@ -115,81 +120,18 @@ func (f *Fabric) putWindow(w *window) {
 	f.freeWins = append(f.freeWins, w)
 }
 
-func (f *Fabric) removeWindow(w *window) {
-	for i, x := range f.windows {
-		if x == w {
-			copy(f.windows[i:], f.windows[i+1:])
-			f.windows[len(f.windows)-1] = nil
-			f.windows = f.windows[:len(f.windows)-1]
-			return
-		}
-	}
-}
-
-// expandTouching materializes every window that shares a server with the
-// given path. Called at the top of Send so a new message always queues
-// behind fully-posted traffic.
-func (f *Fabric) expandTouching(pt *path) {
-	for i := 0; i < len(f.windows); {
-		w := f.windows[i]
-		if w.overlaps(pt) {
-			w.expand() // removes w from f.windows
-			continue
-		}
-		i++
-	}
-}
-
-// usesLink reports whether the window's path traverses the given link.
-// Adaptive spine-crossing paths never coalesce, so the fixed stage list is
-// the complete truth.
-func (w *window) usesLink(id topology.LinkID) bool {
-	wp := &w.ms.pt
-	for i := 0; i < wp.n; i++ {
-		if wp.stages[i].link == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *window) overlaps(pt *path) bool {
-	wp := &w.ms.pt
-	for i := 0; i < wp.n; i++ {
-		for j := 0; j < pt.n; j++ {
-			if wp.stages[i].srv == pt.stages[j].srv {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // tryCoalesce attempts to open a window for ms (n chunks, final chunk
-// size last). Caller has verified policy gates (coalescing enabled, no
-// instruments, not an adaptive spine crossing); this checks per-server
-// eligibility while evaluating the closed-form schedule, and on success
-// installs the window and its single delivery event. Refcounts for ms
-// are already held.
+// size last). Caller has verified the policy gates (coalescing enabled,
+// ms alone in flight, not an adaptive spine crossing, no faulted link);
+// this checks per-server eligibility while evaluating the closed-form
+// schedule, and on success installs the window and its single delivery
+// event.
 func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 	pt := &ms.pt
 	m := pt.n
 	t0 := f.eng.Now()
 	ov := f.params.PacketOverhead
 	full := n > 1
-
-	// A window may only form when no other in-flight message shares any
-	// of its servers. Our own refcount is already counted.
-	for i := 0; i < m; i++ {
-		st := &pt.stages[i]
-		if st.link >= 0 {
-			if f.linkUsers[st.link] > 1 {
-				return false
-			}
-		} else if f.hostUsers[st.host] > 1 {
-			return false
-		}
-	}
 
 	w := f.getWindow()
 	var bneck units.Duration
@@ -251,7 +193,7 @@ func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 	for i := 0; i < m; i++ {
 		pt.stages[i].srv.OnServe(w.expandFn)
 	}
-	f.windows = append(f.windows, w)
+	f.open = w
 	f.eng.At(w.deliverAt, w.completeFn)
 	return true
 }
@@ -278,8 +220,8 @@ func (w *window) complete() {
 		}
 		srv.Absorb(w.cLast[i], busy, uint64(w.n))
 	}
-	f.removeWindow(w)
-	f.releaseRefs(pt)
+	f.open = nil
+	f.inflight--
 	done := ms.done
 	size := ms.size
 	ms.done = nil
@@ -300,9 +242,10 @@ func (w *window) arrFull(k, i int) units.Time {
 
 // expand materializes the window at the current instant: every chunk
 // arrival strictly before now is folded into its stage's accounting in
-// bulk, and every later arrival (or pending final delivery) is re-issued
-// through the exact lazy chunk machinery. From this event on the message
-// is indistinguishable from one that was never coalesced.
+// bulk, and every arrival at or after now (or pending final delivery) is
+// re-issued through the exact lazy chunk machinery. From this event on
+// the message follows the chunk model, except that the re-issued events
+// take their seqs now (see the exactness boundary above).
 func (w *window) expand() {
 	f := w.f
 	w.expanded = true
@@ -311,7 +254,7 @@ func (w *window) expand() {
 	for i := 0; i < w.m; i++ {
 		pt.stages[i].srv.OnServe(nil)
 	}
-	f.removeWindow(w)
+	f.open = nil
 	now := f.eng.Now()
 	nFull := w.n - 1
 

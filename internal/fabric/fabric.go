@@ -119,24 +119,22 @@ type Fabric struct {
 	freeChunks []*chunkState
 	freeMsgs   []*msgState
 
-	// coalesce enables the idle-path fast path: an uncontended message
-	// is delivered by one analytically-scheduled event instead of
+	// coalesce enables the idle-path fast path: a message alone in the
+	// fabric is delivered by one analytically-scheduled event instead of
 	// per-chunk cut-through events (see tryCoalesce). It is true exactly
 	// when no metrics registry is attached, so instrumented runs always
 	// execute the fully-expanded chunk model; in-package tests clear it
 	// to run that model too.
 	coalesce bool
-	// In-flight message counts per server, keyed the same way stages
-	// are: fabric links by LinkID, host buses by node. A window may only
-	// form on servers no other in-flight message is using — the lazy
-	// chunk model's busy horizon alone cannot reveal traffic that has
-	// not reached a stage yet.
-	linkUsers []int32
-	hostUsers []int32
-	// windows holds the active coalescing windows in creation order.
-	windows []*window
+	// inflight counts the messages sent and not yet retired. A window
+	// forms only for a message sent when no other is in flight, so at
+	// most one is open, and open holds it (nil when none is).
+	inflight int
+	open     *window
 
-	// freeWins pools coalescing windows.
+	// freeWins pools coalescing windows. An expanded window stays out of
+	// the pool until its stale completion event fires, which can be after
+	// its message has retired.
 	freeWins []*window
 
 	// msgNames names message signals, once per (src, dst).
@@ -185,9 +183,7 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 		for i := range f.hosts {
 			f.hosts[i] = eng.NewServer(fmt.Sprintf("pci%d", i))
 		}
-		f.hostUsers = make([]int32, nodes)
 	}
-	f.linkUsers = make([]int32, clos.NumLinks())
 	f.coalesce = eng.Metrics() == nil
 	if reg := eng.Metrics(); reg != nil {
 		f.foldCounts(reg)
@@ -307,7 +303,6 @@ type stage struct {
 	full units.Duration  // serialization time of a full-MTU chunk
 	lat  units.Duration  // latency paid after serialization on this hop
 	link topology.LinkID // -1 for host-bus stages (not a fabric link)
-	host int             // node index for host-bus stages, -1 for links
 }
 
 // path is the materialized hop list for one message, with the index of the
@@ -334,11 +329,11 @@ func (f *Fabric) fillPath(pt *path, src, dst int) {
 	pt.upIdx = -1
 	pt.srcLeaf, pt.dstLeaf = 0, 0
 	if f.hosts != nil {
-		pt.add(stage{f.hosts[src], p.HostBandwidth, f.hostFull, p.HostLatency, -1, src})
+		pt.add(stage{f.hosts[src], p.HostBandwidth, f.hostFull, p.HostLatency, -1})
 	}
 	cross := clos.Levels == 2 && clos.LeafOf(src) != clos.LeafOf(dst)
 	inj := clos.Injection(src)
-	pt.add(stage{f.links[inj], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, inj, -1})
+	pt.add(stage{f.links[inj], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, inj})
 	if cross {
 		pt.srcLeaf, pt.dstLeaf = clos.LeafOf(src), clos.LeafOf(dst)
 		spine := 0
@@ -347,40 +342,13 @@ func (f *Fabric) fillPath(pt *path, src, dst int) {
 		}
 		pt.upIdx = pt.n
 		up, down := clos.Up(pt.srcLeaf, spine), clos.Down(spine, pt.dstLeaf)
-		pt.add(stage{f.links[up], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, up, -1})
-		pt.add(stage{f.links[down], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, down, -1})
+		pt.add(stage{f.links[up], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, up})
+		pt.add(stage{f.links[down], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, down})
 	}
 	ej := clos.Ejection(dst)
-	pt.add(stage{f.links[ej], p.LinkBandwidth, f.linkFull, p.WireLatency, ej, -1})
+	pt.add(stage{f.links[ej], p.LinkBandwidth, f.linkFull, p.WireLatency, ej})
 	if f.hosts != nil {
-		pt.add(stage{f.hosts[dst], p.HostBandwidth, f.hostFull, p.HostLatency, -1, dst})
-	}
-}
-
-// addRefs / releaseRefs maintain the per-server in-flight message counts
-// for the whole life of a message (Send to final delivery). For adaptive
-// spine-crossing paths the counted up/down stages are the spine-0
-// placeholders; that is harmless, because windows — the only readers of
-// these counts — never form on spine-crossing paths in adaptive fabrics.
-func (f *Fabric) addRefs(pt *path) {
-	for i := 0; i < pt.n; i++ {
-		st := &pt.stages[i]
-		if st.link >= 0 {
-			f.linkUsers[st.link]++
-		} else {
-			f.hostUsers[st.host]++
-		}
-	}
-}
-
-func (f *Fabric) releaseRefs(pt *path) {
-	for i := 0; i < pt.n; i++ {
-		st := &pt.stages[i]
-		if st.link >= 0 {
-			f.linkUsers[st.link]--
-		} else {
-			f.hostUsers[st.host]--
-		}
+		pt.add(stage{f.hosts[dst], p.HostBandwidth, f.hostFull, p.HostLatency, -1})
 	}
 }
 
@@ -487,8 +455,8 @@ func (ms *msgState) startTrain(now units.Time, n int, last units.Bytes) bool {
 	srv := st.srv
 	if srv.Hooked() {
 		// A touch hook runs inside ServeAt and could take seqs between
-		// the chunks'. Send expanded every window on the path, and the
-		// message's in-flight refcounts keep new ones from forming.
+		// the chunks'. Send expanded the open window, and no window forms
+		// while this message is in flight.
 		panic("fabric: coalescing window open on an injecting path")
 	}
 	lastSer := st.rate.TimeFor(last + f.params.PacketOverhead)
@@ -538,15 +506,15 @@ func (ms *msgState) fire() (units.Time, bool) {
 	return next, more
 }
 
-// chunkDelivered retires one chunk; the last one releases the message's
-// in-flight refcounts, recycles the state, and fires completion.
+// chunkDelivered retires one chunk; the last one retires the message,
+// recycles the state, and fires completion.
 func (ms *msgState) chunkDelivered() {
 	ms.remaining--
 	if ms.remaining > 0 {
 		return
 	}
 	f := ms.f
-	f.releaseRefs(&ms.pt)
+	f.inflight--
 	done := ms.done
 	aborted := ms.aborted
 	size := ms.size
@@ -774,13 +742,16 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	ms.remaining = n
 	ms.size = size
 
-	// Any window sharing a server with this message must materialize
-	// before the newcomer is scheduled, so its chunks queue behind
-	// exactly the traffic the expanded model would have posted.
-	f.expandTouching(&ms.pt)
-	f.addRefs(&ms.pt)
+	// A window is open only while its message is alone in the fabric, so
+	// it materializes before the newcomer is scheduled, whatever its path,
+	// and the newcomer's chunks queue behind exactly the traffic the
+	// expanded model would have posted.
+	if f.open != nil {
+		f.open.expand()
+	}
+	f.inflight++
 
-	if f.coalesce &&
+	if f.inflight == 1 && f.coalesce &&
 		(!f.params.Adaptive || ms.pt.upIdx < 0) &&
 		!f.pathFaulted(&ms.pt) &&
 		f.tryCoalesce(ms, n, last) {

@@ -84,20 +84,15 @@ func (f *Fabric) EnableFaults(seed uint64) {
 func (f *Fabric) FaultsEnabled() bool { return f.faultsOn }
 
 // SetLinkFault installs (or, with the zero LinkFault, clears) the fault
-// condition on one link, effective immediately. Any open coalescing window
-// whose path covers the link is expanded back to the exact chunk model
-// first, so the fault applies to every in-flight chunk individually.
+// condition on one link, effective immediately. An open coalescing window
+// is expanded back to the exact chunk model first, whatever link it uses,
+// so the fault applies to every in-flight chunk individually.
 func (f *Fabric) SetLinkFault(id topology.LinkID, lf LinkFault) {
 	if !f.faultsOn {
 		panic("fabric: SetLinkFault before EnableFaults")
 	}
-	for i := 0; i < len(f.windows); {
-		w := f.windows[i]
-		if w.usesLink(id) {
-			w.expand() // removes w from f.windows
-			continue
-		}
-		i++
+	if f.open != nil {
+		f.open.expand()
 	}
 	f.faults[id] = lf
 	if lf.Active() {

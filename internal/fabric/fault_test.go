@@ -113,17 +113,25 @@ func TestFaultStormCoalescingExact(t *testing.T) {
 // TestFaultMidMessageWindowExpansion is the targeted regression for the
 // SetLinkFault/coalescing interaction: a fault landing on a link while a
 // coalesced message is in flight must expand the window back to the exact
-// chunk model, bit-identically to a run that never coalesced.
+// chunk model, bit-identically to a run that never coalesced. That holds
+// for a link the window does not use, too: node 1's injection link
+// carries nothing of the 0→1 message, and the fault expands it all the
+// same.
 func TestFaultMidMessageWindowExpansion(t *testing.T) {
+	onPath := func(f *Fabric) topology.LinkID { return f.clos.Injection(0) }
+	offPath := func(f *Fabric) topology.LinkID { return f.clos.Injection(1) }
 	cases := []struct {
 		name   string
 		params Params
 		fault  LinkFault
+		link   func(*Fabric) topology.LinkID
 	}{
-		{"ib/derate", ibTestParams(), LinkFault{BandwidthScale: 0.5, ExtraLatency: 200 * units.Nanosecond}},
-		{"ib/down", ibTestParams(), LinkFault{Down: true}},
-		{"elan/loss", elanFaultParams(), LinkFault{LossProb: 0.1}},
-		{"elan/down", elanFaultParams(), LinkFault{Down: true}},
+		{"ib/derate", ibTestParams(), LinkFault{BandwidthScale: 0.5, ExtraLatency: 200 * units.Nanosecond}, onPath},
+		{"ib/down", ibTestParams(), LinkFault{Down: true}, onPath},
+		{"elan/loss", elanFaultParams(), LinkFault{LossProb: 0.1}, onPath},
+		{"elan/down", elanFaultParams(), LinkFault{Down: true}, onPath},
+		{"ib/down/off-path", ibTestParams(), LinkFault{Down: true}, offPath},
+		{"elan/loss/off-path", elanFaultParams(), LinkFault{LossProb: 0.1}, offPath},
 	}
 	for _, c := range cases {
 		c := c
@@ -138,16 +146,16 @@ func TestFaultMidMessageWindowExpansion(t *testing.T) {
 				f.EnableFaults(11)
 				done := f.Send(0, 1, 1*units.MiB)
 				done.OnFire(func() { fired = eng.Now() })
-				if coalesce && len(f.windows) != 1 {
-					t.Fatalf("expected one coalesced window, have %d", len(f.windows))
+				if coalesce && f.open == nil {
+					t.Fatal("expected a coalesced window")
 				}
-				link := f.clos.Injection(0)
+				link := c.link(f)
 				// Strike mid-flight: well after injection started, well
 				// before a 1 MiB transfer (~1.2 ms) can finish.
 				at := units.Time(200 * units.Microsecond)
 				eng.At(at, func() {
 					f.SetLinkFault(link, c.fault)
-					if len(f.windows) != 0 {
+					if f.open != nil {
 						t.Errorf("window not expanded by mid-flight fault")
 					}
 				})
@@ -156,6 +164,7 @@ func TestFaultMidMessageWindowExpansion(t *testing.T) {
 				if err := eng.Run(); err != nil {
 					t.Fatal(err)
 				}
+				requireDrained(t, f)
 				return fired, f.FaultStats()
 			}
 			onAt, onStats := run(true)
@@ -238,12 +247,8 @@ func TestDropModelKillsMessage(t *testing.T) {
 	if stats.MessagesDropped != 1 || stats.ChunksLost == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	// The dead message's resources must still be reclaimed.
-	for id, u := range f.linkUsers {
-		if u != 0 {
-			t.Fatalf("link %d refcount leaked after drop: %d", id, u)
-		}
-	}
+	// The dead message must still retire.
+	requireDrained(t, f)
 }
 
 // TestDownLinkStallsUntilRecovery: on an HWRetry fabric a chunk at a down

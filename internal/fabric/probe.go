@@ -13,9 +13,9 @@ package fabric
 //     `f.probe != nil` check and the default is nil;
 //   - behaviour-neutral — callbacks only observe, and installing a probe
 //     leaves coalescing on. Windows never form on a path with a faulted
-//     link, and SetLinkFault expands every window on the link it faults
-//     before the fault applies, so every loss and stall happens in the
-//     chunk model, where it is reported.
+//     link, and SetLinkFault expands the open window, whatever link it
+//     faults, before the fault applies, so every loss and stall happens
+//     in the chunk model, where it is reported.
 
 import (
 	"repro/internal/topology"

@@ -156,34 +156,32 @@ func runReference(t *testing.T, c stormFabric, gen storm, seed uint64) stormOutc
 }
 
 // referenceMode is a fault-free production mode compared with the
-// reference model. Where order is set, messages must also be delivered in
-// the reference's order, same-picosecond ties included; coalescing keeps
-// times but not that order (TestCoalescedTieOrder).
+// reference model.
 type referenceMode struct {
 	name  string
 	setup func(f *Fabric)
-	order bool
 }
 
 var (
 	// coalescingModes run the default path, coalescing windows on, and the
 	// expanded per-chunk path with coalescing off.
 	coalescingModes = []referenceMode{
-		{"default", func(*Fabric) {}, false},
-		{"chunked", func(f *Fabric) { f.coalesce = false }, true},
+		{"default", func(*Fabric) {}},
+		{"chunked", func(f *Fabric) { f.coalesce = false }},
 	}
 	// armedModes arm faults and install none: every chunk keeps its
 	// delivery event, where the other modes retire all but the last early.
 	armedModes = []referenceMode{
-		{"armed", func(f *Fabric) { f.EnableFaults(1) }, false},
-		{"armed/chunked", func(f *Fabric) { f.coalesce = false; f.EnableFaults(1) }, true},
+		{"armed", func(f *Fabric) { f.EnableFaults(1) }},
+		{"armed/chunked", func(f *Fabric) { f.coalesce = false; f.EnableFaults(1) }},
 	}
 )
 
 // checkReference runs a storm on each fabric, seeds 1..seeds, through the
 // reference and through production in each mode. Every message must be
-// delivered at the reference's time, the run must end at its clock, and
-// every server must end with its BusyUntil, BusyTotal and Served.
+// delivered at the reference's time and in its order, same-picosecond
+// ties included, the run must end at its clock, and every server must end
+// with its BusyUntil, BusyTotal and Served.
 func checkReference(t *testing.T, gen storm, fabrics []stormFabric, seeds uint64, modes []referenceMode) {
 	for _, c := range fabrics {
 		t.Run(c.name, func(t *testing.T) {
@@ -193,7 +191,7 @@ func checkReference(t *testing.T, gen storm, fabrics []stormFabric, seeds uint64
 				for _, mode := range modes {
 					got := runFabric(t, c, gen, seed, mode.setup)
 					requireSameOutcome(t, seed, got, want, mode.name, "reference")
-					if mode.order && !slices.Equal(got.order, want.order) {
+					if !slices.Equal(got.order, want.order) {
 						t.Fatalf("seed %d: messages delivered in order\n%v %s,\n%v in the reference",
 							seed, got.order, mode.name, want.order)
 					}
@@ -218,9 +216,18 @@ func TestEarlyRetirementExact(t *testing.T) {
 	checkReference(t, runStorm, experimentFabrics(), 4, armedModes)
 }
 
-// TestTrainKeysExact runs the tie storm, built for same-picosecond ties
+// TestTrainKeysExact runs the tie storms, built for same-picosecond ties
 // between train and lane entries, through the reference model and every
-// fault-free production mode.
+// fault-free production mode: the two-destination tie storm on the tie
+// fabrics, and the random-destination one, under "random/", on the tie
+// fabrics and every experiment fabric.
 func TestTrainKeysExact(t *testing.T) {
-	checkReference(t, tieStorm, tieFabrics(), 8, append(slices.Clone(coalescingModes), armedModes...))
+	modes := append(slices.Clone(coalescingModes), armedModes...)
+	checkReference(t, tieStorm, tieFabrics(), 8, modes)
+	var random []stormFabric
+	for _, c := range append(tieFabrics(), experimentFabrics()...) {
+		c.name = "random/" + c.name
+		random = append(random, c)
+	}
+	checkReference(t, randomTieStorm, random, 20, modes)
 }

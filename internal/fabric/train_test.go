@@ -80,3 +80,17 @@ func tieStorm(eng *sim.Engine, net stormNet, params Params, nodes int, seed uint
 		eng.At(at, func() { out.deliver(eng, slot, net.Send(src, dst, size)) })
 	}
 }
+
+// randomTieStorm is the tie storm with random destinations: the general
+// storm's traffic (see traffic), but with sizes from a bare header to 16
+// chunks and with injections and doorbells on the tie storm's grid of
+// chunk times. Same-picosecond deliveries then meet on disjoint paths as
+// well as shared ones.
+func randomTieStorm(eng *sim.Engine, net stormNet, params Params, nodes int, seed uint64, out *stormOutcome) {
+	mtu := params.MTU
+	sizes := []units.Bytes{0, mtu / 2, mtu, 2 * mtu, 3*mtu + mtu/2, 8 * mtu, 16 * mtu}
+	grid := params.LinkBandwidth.TimeFor(mtu)
+	at := func(r *rng.Source) units.Time { return units.Time(r.Intn(12)) * units.Time(grid) }
+	ring := func(r *rng.Source) units.Duration { return units.Duration(r.Intn(4)) * grid / 2 }
+	traffic(eng, net, nodes, rng.New(seed), sizes, at, ring, out)
+}

@@ -223,9 +223,9 @@ func TestLaneDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestEventSliceReusedAcrossRuns pins the satellite requirement that
-// repeated Run/RunUntil sweeps on one engine reuse the heap's backing
-// slice and the now-ring's buffer instead of growing fresh ones each time.
+// TestEventSliceReusedAcrossRuns checks that repeated Run/RunUntil sweeps
+// on one engine reuse the heap's backing slice and the now-ring's buffer
+// instead of growing fresh ones each time.
 func TestEventSliceReusedAcrossRuns(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
