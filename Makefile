@@ -103,14 +103,14 @@ regen:
 	$(GO) run ./cmd/repro -exp all -out results
 
 # chaos runs the whole suite under a fixed-seed randomized fault storm on
-# every fabric, with per-job retries on, serial and parallel, and asserts
-# the two runs are byte-identical: fault injection, recovery, and the
-# runner's failure handling are all deterministic functions of (spec,
-# seed). An experiment that dies under the storm (e.g. an IB QP error
-# after retry exhaustion) is a legitimate deterministic outcome, so a
-# nonzero repro exit is tolerated — but the SAME experiments must survive
-# at every worker count, which the directory diff enforces (a missing or
-# extra artifact fails it). The .txt tables must match exactly; .json
+# every fabric, serial and parallel, and asserts the two runs are
+# byte-identical: fault injection, recovery, and the runner's failure
+# handling are all deterministic functions of (spec, seed). An experiment
+# or sweep point that dies under the storm (e.g. an IB QP error after
+# retry exhaustion) is a legitimate deterministic outcome — the point
+# reads "failed" — but the SAME experiments must survive at every worker
+# count, which the directory diff enforces (a missing or extra artifact
+# fails it). The .txt tables must match exactly; .json
 # artifacts are compared modulo the same per-run metadata as fix-verify
 # plus the jobs count, which differs between the legs by construction.
 # Each leg also writes its metrics registry snapshot (metrics.json) into
@@ -118,14 +118,14 @@ regen:
 # and histogram is identical at both worker counts.
 #
 # Each leg runs under -chaos-strict rather than `|| true`: an experiment
-# the storm deterministically kills (IB retry-budget exhaustion) is a
-# tolerated outcome and the leg still exits 0, but any OTHER failure —
+# or point the storm deterministically kills (IB retry-budget exhaustion)
+# is a tolerated outcome and the leg still exits 0, but any OTHER failure —
 # a panic, a timeout, a real bug the storm shook loose — fails the
 # target instead of being silently swallowed.
 chaos:
 	rm -rf .chaos-1 .chaos-n
-	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 1 -out .chaos-1 -metrics .chaos-1/metrics.json >/dev/null
-	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -retries 2 -chaos-strict -jobs 8 -out .chaos-n -metrics .chaos-n/metrics.json >/dev/null
+	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -chaos-strict -jobs 1 -out .chaos-1 -metrics .chaos-1/metrics.json >/dev/null
+	$(GO) run ./cmd/repro -exp all -quick -faults storm:2026 -chaos-strict -jobs 8 -out .chaos-n -metrics .chaos-n/metrics.json >/dev/null
 	@ls .chaos-1/*.txt >/dev/null 2>&1 || { echo "chaos: no experiment survived the storm"; exit 1; }
 	diff -ru --exclude='*.json' .chaos-1 .chaos-n
 	@for f in .chaos-1/*.json; do \

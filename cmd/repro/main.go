@@ -12,11 +12,11 @@
 //	repro -exp fig3 -quick      # fast, reduced sweep
 //	repro -exp fig7 -csv        # emit CSV instead of aligned tables
 //	repro -exp all -out results # also write one .txt + .json per experiment
-//	repro -exp all -timeout 5m  # abandon any single simulation past 5m
+//	repro -exp all -timeout 5m  # stop any single simulation at 5m
 //	repro -exp fig1b -metrics m.json    # counters/histograms snapshot per experiment
 //	repro -exp fig2 -tracefile t.json   # chrome://tracing timeline of every machine
 //	repro -exp all -faults storm:2026   # seeded random fault storm on every fabric
-//	repro -exp fig4 -faults 'loss:all:p=0.001' -retries 2  # explicit plan + job retry
+//	repro -exp fig4 -faults 'loss:all:p=0.001'   # explicit fault plan
 //	repro -exp all -quick -faults storm:2026 -chaos-strict # fault-kills tolerated, real bugs still exit 1
 //	repro -campaign 64                  # behavioral-contract campaign over 64 generated scenarios
 //	repro -campaign 64 -campaign-seed 7 -campaign-corpus corpus  # write shrunk reproducers
@@ -37,6 +37,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -67,13 +68,12 @@ func run() int {
 		plot     = flag.Bool("plot", false, "append ASCII charts for numeric tables")
 		out      = flag.String("out", "", "directory to also write per-experiment .txt/.csv and .json files into")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations per sweep (and concurrent experiments with -exp all); 1 = serial")
-		timeout  = flag.Duration("timeout", 0, "per-simulation timeout inside sweeps (0 = none)")
+		timeout  = flag.Duration("timeout", 0, "per-simulation timeout inside sweeps (0 = none); a point it stops reads 'failed' and the exit status is nonzero")
 		progress = flag.Bool("progress", false, "report per-sweep progress on stderr (done/total, ETA)")
 		metOut   = flag.String("metrics", "", "write a per-experiment JSON snapshot of simulation counters/gauges/histograms to this file")
 		traceOut = flag.String("tracefile", "", "write a merged chrome://tracing (trace_event JSON) timeline of every simulated machine to this file")
 		faults   = flag.String("faults", "", "fault plan installed on every simulated fabric: a spec like 'loss:all:p=0.001;down:spine(0):at=10us:for=200us', or 'storm:<seed>' for a randomized storm (deterministic: same spec => byte-identical output at any -jobs)")
-		retries  = flag.Int("retries", 0, "re-run a sweep point that panics or times out up to N extra times before recording the failure")
-		strict   = flag.Bool("chaos-strict", false, "with -faults: tolerate experiments deterministically killed by the fault plan (IB retry-budget exhaustion) but still exit nonzero on any other failure (panic, timeout, bug)")
+		strict   = flag.Bool("chaos-strict", false, "with -faults: tolerate experiments and sweep points deterministically killed by the fault plan (IB retry-budget exhaustion) but still exit nonzero on any other failure (panic, timeout, bug)")
 
 		campaignN      = flag.Int("campaign", 0, "run a behavioral-contract campaign over N generated scenarios instead of experiments (see internal/campaign); violations are auto-shrunk and reported")
 		campaignSeed   = flag.Uint64("campaign-seed", campaign.DefaultSeed, "scenario-generation seed for -campaign (same seed => identical scenarios, digest, and findings at any -jobs)")
@@ -122,7 +122,7 @@ func run() int {
 	defer stop()
 
 	opts := experiments.Options{Quick: *quick, Jobs: *jobs, Timeout: *timeout,
-		Faults: *faults, Retries: *retries, Ctx: ctx}
+		Faults: *faults, Ctx: ctx}
 	if *progress {
 		opts.Progress = os.Stderr
 	}
@@ -202,13 +202,18 @@ func run() int {
 	}
 
 	// Per-experiment wall-time summary; failures listed explicitly so an
-	// error in a late experiment cannot scroll past unnoticed. Under
-	// -chaos-strict a death by the installed fault plan (an IB QP entering
-	// the error state after retry exhaustion — a modeled, deterministic
-	// outcome) is tolerated, so the exit code stays meaningful for every
-	// OTHER kind of failure instead of being masked wholesale. An
-	// experiment cut short by the interrupt has only partial tables: it is
-	// listed as interrupted and writes no artifacts.
+	// error in a late experiment cannot scroll past unnoticed. A failed
+	// sweep point fails the run too, though its experiment's tables (where
+	// the point reads "failed") and artifacts are kept. Under -chaos-strict
+	// a death by the installed fault plan (an IB QP entering the error
+	// state after retry exhaustion — a modeled, deterministic outcome), of
+	// an experiment or of a point, is tolerated, so the exit code stays
+	// meaningful for every OTHER kind of failure instead of being masked
+	// wholesale. An experiment cut short by the interrupt has only partial
+	// tables: it is listed as interrupted and writes no artifacts.
+	killedByPlan := func(cause string) bool {
+		return *strict && *faults != "" && strings.Contains(cause, "retry budget exhausted")
+	}
 	failed, tolerated := 0, 0
 	fmt.Fprintf(os.Stderr, "repro: %d experiment(s), jobs=%d, wall %v\n",
 		len(todo), *jobs, time.Since(suiteStart).Round(time.Millisecond))
@@ -219,7 +224,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "  %-8s interrupted\n", e.ID)
 				continue
 			}
-			if *strict && *faults != "" && strings.Contains(r.Err.Error(), "retry budget exhausted") {
+			if killedByPlan(r.Err.Error()) {
 				tolerated++
 				fmt.Fprintf(os.Stderr, "  %-8s killed by fault plan in %8v (tolerated): %v\n",
 					e.ID, r.Wall.Round(time.Millisecond), r.Err)
@@ -230,7 +235,17 @@ func run() int {
 			continue
 		}
 		oc := r.Value.(*outcome)
-		fmt.Fprintf(os.Stderr, "  %-8s ok in %8v\n", e.ID, oc.wall.Round(time.Millisecond))
+		status := "ok"
+		if fails := oc.res.Failures; len(fails) > 0 {
+			if slices.ContainsFunc(fails, func(f runner.Failure) bool { return !killedByPlan(f.Cause) }) {
+				failed++
+				status = fmt.Sprintf("FAILED: %d point(s) failed", len(fails))
+			} else {
+				tolerated++
+				status = fmt.Sprintf("%d point(s) killed by fault plan (tolerated)", len(fails))
+			}
+		}
+		fmt.Fprintf(os.Stderr, "  %-8s %s in %8v\n", e.ID, status, oc.wall.Round(time.Millisecond))
 		if *out != "" {
 			if err := writeArtifacts(*out, e, oc, opts, *csv, *timeout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -251,7 +266,7 @@ func run() int {
 		}
 	}
 	if tolerated > 0 {
-		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments killed by the fault plan (tolerated under -chaos-strict)\n",
+		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments lost runs to the fault plan (tolerated under -chaos-strict)\n",
 			tolerated, len(todo))
 	}
 	if failed > 0 {

@@ -19,9 +19,6 @@ func init() {
 	register("xoverlap", "Extension: overlap / independent-progress ablation (Sections 3.3.3, 3.3.5)", runXOverlap)
 }
 
-// secondsToDuration converts runSeries output back to simulated duration.
-func secondsToDuration(s float64) units.Duration { return units.FromSeconds(s) }
-
 // pingPongOneWay measures average one-way time for `size` on a machine.
 func pingPongOneWay(m *platform.Machine, size units.Bytes, iters int) (units.Duration, error) {
 	var span units.Duration
@@ -75,15 +72,15 @@ func runXReg(o Options) (*Result, error) {
 	// serial within a column while the four columns run in parallel.
 	type column struct {
 		label string
-		build func() (*platform.Machine, error)
+		build func(ctx context.Context) (*platform.Machine, error)
 	}
 	var cols []column
 	for _, c := range caps {
 		c := c
-		cols = append(cols, column{label: capLabel(c), build: func() (*platform.Machine, error) {
+		cols = append(cols, column{label: capLabel(c), build: func(ctx context.Context) (*platform.Machine, error) {
 			return platform.New(platform.Options{
 				Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults,
+				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx,
 				TuneIB: func(hp *ib.Params, _ *mvib.Params) {
 					if c == 0 {
 						hp.RegCacheCap = 1 // effectively uncacheable
@@ -94,14 +91,14 @@ func runXReg(o Options) (*Result, error) {
 			})
 		}})
 	}
-	cols = append(cols, column{label: "Elan4", build: func() (*platform.Machine, error) {
+	cols = append(cols, column{label: "Elan4", build: func(ctx context.Context) (*platform.Machine, error) {
 		return platform.New(platform.Options{Network: platform.QuadricsElan4, Ranks: 2, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults})
+			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx})
 	}})
 	colVals, err := runner.Map(o.ctx(), o.pool("xreg"), cols,
 		func(_ int, c column) string { return c.label },
-		func(_ context.Context, c column) ([]float64, error) {
-			m, err := c.build()
+		func(ctx context.Context, c column) ([]float64, error) {
+			m, err := c.build(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -155,9 +152,9 @@ func runXOverlap(o Options) (*Result, error) {
 	}
 	ratios, err := runner.Map(o.ctx(), o.pool("xoverlap"), cells,
 		func(_ int, c cell) string { return fmt.Sprintf("overlap %s %v", c.net.Short(), c.size) },
-		func(_ context.Context, c cell) (float64, error) {
+		func(ctx context.Context, c cell) (float64, error) {
 			m, err := platform.New(platform.Options{Network: c.net, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults})
+				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx})
 			if err != nil {
 				return 0, err
 			}
@@ -219,11 +216,11 @@ func runXLogGP(o Options) (*Result, error) {
 	if o.Quick {
 		iters = 3
 	}
-	elPP, err := microbench.PingPong(platform.QuadricsElan4, sizes, iters)
+	elPP, err := microbench.PingPong(platform.QuadricsElan4, sizes, iters, microbench.Env{Ctx: o.ctx()})
 	if err != nil {
 		return nil, err
 	}
-	ibPP, err := microbench.PingPong(platform.InfiniBand4X, sizes, iters)
+	ibPP, err := microbench.PingPong(platform.InfiniBand4X, sizes, iters, microbench.Env{Ctx: o.ctx()})
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func runXAttrib(o Options) (*Result, error) {
 		opts.Ranks = nodes * ppn
 		opts.PPN = ppn
 		opts.Metrics = o.Metrics
-		opts.FaultSpec = o.Faults
+		opts.FaultSpec, opts.Ctx = o.Faults, o.ctx()
 		m, err := platform.New(opts)
 		if err != nil {
 			return 0, err
@@ -128,7 +128,7 @@ func runXEager(o Options) (*Result, error) {
 		th := th
 		m, err := platform.New(platform.Options{
 			Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults,
+			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: o.ctx(),
 			TuneIB: func(_ *ib.Params, tp *mvib.Params) {
 				tp.RDMAEagerMax = th
 				if tp.EagerThreshold < th {
@@ -188,7 +188,7 @@ func runXNoise(o Options) (*Result, error) {
 	run := func(nodes int, noisy bool) (float64, error) {
 		m, err := platform.New(platform.Options{
 			Network: platform.QuadricsElan4, Ranks: nodes, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults,
+			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: o.ctx(),
 			TuneMPI: func(cfg *mpi.Config) {
 				if noisy {
 					cfg.Node.NoiseFraction = 0.02
@@ -249,7 +249,7 @@ func runXRGet(o Options) (*Result, error) {
 	measure := func(opts platform.Options, size units.Bytes) (float64, error) {
 		opts.Ranks, opts.PPN = 2, 1
 		opts.Metrics = o.Metrics
-		opts.FaultSpec = o.Faults
+		opts.FaultSpec, opts.Ctx = o.Faults, o.ctx()
 		m, err := platform.New(opts)
 		if err != nil {
 			return 0, err

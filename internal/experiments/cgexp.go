@@ -5,6 +5,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/report"
+	"repro/internal/units"
 )
 
 func init() {
@@ -46,8 +47,8 @@ func runFig6(o Options) (*Result, error) {
 		erow := []interface{}{n * 1}
 		for _, net := range platform.Networks {
 			for _, ppn := range []int{1, 2} {
-				elapsed := secondsToDuration(times[seriesKey{net, ppn, n}])
-				mrow = append(mrow, params.MOpsPerProcess(elapsed, n*ppn))
+				mrow = append(mrow, ofElapsed(times[seriesKey{net, ppn, n}],
+					func(d units.Duration) float64 { return params.MOpsPerProcess(d, n*ppn) }))
 				erow = append(erow, effSeries[seriesLabel(net, ppn)][i])
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -40,8 +41,9 @@ type Options struct {
 	// output is byte-identical for any value of Jobs.
 	Jobs int
 	// Timeout bounds each individual simulation; 0 means unbounded. A
-	// simulation past its deadline is abandoned and surfaces as a
-	// structured error naming the sweep point.
+	// simulation stops at its deadline (its engine polls the sweep job's
+	// context), and the point surfaces as a structured error naming it
+	// and renders as "failed" in the tables.
 	Timeout time.Duration
 	// Progress, when non-nil, receives sweep progress lines (done/total,
 	// elapsed, ETA). Point it at stderr so tables stay clean.
@@ -57,12 +59,10 @@ type Options struct {
 	// "storm:<seed>"). Faulty runs are exactly as deterministic as clean
 	// ones: same spec + seed => byte-identical output at any Jobs.
 	Faults string
-	// Retries re-runs sweep points that panic or time out up to this many
-	// additional times before recording the failure (see runner.Pool).
-	Retries int
 	// Ctx, when non-nil, is the base context every sweep runs under:
-	// cancelling it drains the worker pools gracefully (in-flight points
-	// finish, queued points are skipped). Nil means context.Background().
+	// cancelling it drains the worker pools (in-flight points stop at
+	// their engines' next poll, queued points are skipped). Nil means
+	// context.Background().
 	// An experiment whose Ctx was cancelled returns an error wrapping
 	// Ctx.Err(), never its partial tables.
 	Ctx context.Context
@@ -70,8 +70,7 @@ type Options struct {
 
 // pool builds the parallel runner every sweep in this package executes on.
 func (o Options) pool(name string) *runner.Pool {
-	return &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress,
-		Name: name, Retries: o.Retries}
+	return &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress, Name: name}
 }
 
 // ctx returns the base context sweeps run under.
@@ -82,9 +81,10 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// env packages the per-machine environment for microbench calls.
-func (o Options) env() microbench.Env {
-	return microbench.Env{Metrics: o.Metrics, Faults: o.Faults}
+// env packages the per-machine environment for microbench calls made by
+// the sweep job whose context is ctx.
+func (o Options) env(ctx context.Context) microbench.Env {
+	return microbench.Env{Metrics: o.Metrics, Faults: o.Faults, Ctx: ctx}
 }
 
 // Result is an experiment's output.
@@ -93,9 +93,9 @@ type Result struct {
 	Title  string
 	Tables []*report.Table
 	Notes  []string
-	// Failures lists sweep points that failed after retries. The series
-	// still completes — affected table cells read 0 — and the artifact
-	// records the provenance.
+	// Failures lists sweep points that failed. The series still
+	// completes — affected table cells, and cells derived from them, read
+	// "failed" — and the artifact records the provenance.
 	Failures []runner.Failure
 }
 
@@ -124,8 +124,8 @@ var registry []Experiment
 func register(id, title string, run func(Options) (*Result, error)) {
 	guarded := func(o Options) (*Result, error) {
 		res, err := run(o)
-		// Cancellation makes the sweeps skip their remaining points, and a
-		// skipped point reads 0 in the tables, so the result is partial.
+		// Cancellation makes the sweeps skip or stop their remaining
+		// points, so the result is partial.
 		if cerr := o.ctx().Err(); cerr != nil && !errors.Is(err, cerr) {
 			return nil, fmt.Errorf("experiments: %s interrupted: %w", id, cerr)
 		}
@@ -172,14 +172,15 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, sorted)
 }
 
-// appSeries runs an application across networks, node counts, and PPNs,
-// returning elapsed seconds keyed by [network][ppn][nodes].
+// seriesKey names one point of runSeries' grid.
 type seriesKey struct {
 	net   platform.Network
 	ppn   int
 	nodes int
 }
 
+// runSeries runs an application across networks, node counts, and PPNs,
+// returning elapsed seconds per point; a failed point's value is NaN.
 func runSeries(o Options, nets []platform.Network, nodeCounts []int, ppns []int,
 	app func(r *mpi.Rank)) (map[seriesKey]float64, []runner.Failure, error) {
 	var keys []seriesKey
@@ -193,8 +194,8 @@ func runSeries(o Options, nets []platform.Network, nodeCounts []int, ppns []int,
 	// Every point builds its own machine (private event engine, private
 	// RNG streams), so the grid is embarrassingly parallel; results are
 	// assembled in key order, keeping output independent of o.Jobs. A
-	// point that fails (even after retries) does not abort the series: its
-	// cell stays 0 and the failure is recorded with its provenance.
+	// point that fails does not abort the series: its value is NaN, which
+	// renders as "failed", and the failure is recorded with its provenance.
 	jobs := make([]runner.Job, len(keys))
 	for i, k := range keys {
 		k := k
@@ -202,10 +203,9 @@ func runSeries(o Options, nets []platform.Network, nodeCounts []int, ppns []int,
 		jobs[i] = runner.Job{ID: id,
 			Labels: map[string]string{"net": k.net.Short(),
 				"ppn": fmt.Sprint(k.ppn), "nodes": fmt.Sprint(k.nodes)},
-			Run: func(_ context.Context) (interface{}, error) {
+			Run: func(ctx context.Context) (interface{}, error) {
 				m, err := platform.New(platform.Options{Network: k.net, Ranks: k.nodes * k.ppn, PPN: k.ppn,
-					Metrics: o.Metrics, FaultSpec: o.Faults,
-					Label: id})
+					Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx, Label: id})
 				if err != nil {
 					return nil, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
 				}
@@ -219,11 +219,34 @@ func runSeries(o Options, nets []platform.Network, nodeCounts []int, ppns []int,
 	results := o.pool("series").Run(o.ctx(), jobs)
 	out := make(map[seriesKey]float64, len(keys))
 	for i, k := range keys {
+		out[k] = math.NaN()
 		if results[i].Err == nil {
 			out[k] = results[i].Value.(float64)
 		}
 	}
 	return out, runner.Failures(results), nil
+}
+
+// ofElapsed applies f to a runSeries value converted back to simulated
+// time; a failed point (NaN) stays failed.
+func ofElapsed(s float64, f func(units.Duration) float64) float64 {
+	if math.IsNaN(s) {
+		return s
+	}
+	return f(units.FromSeconds(s))
+}
+
+// cellsOf returns the cells a job rendered, or n cells reading
+// report.Failed when the job failed.
+func cellsOf(r runner.Result, n int) []string {
+	if r.Err == nil {
+		return r.Value.([]string)
+	}
+	cells := make([]string, n)
+	for i := range cells {
+		cells[i] = report.Failed
+	}
+	return cells
 }
 
 // attachFailures folds sweep failures into an experiment result: the
@@ -233,7 +256,7 @@ func attachFailures(res *Result, fails []runner.Failure) {
 	res.Failures = append(res.Failures, fails...)
 	for _, f := range fails {
 		res.Notes = append(res.Notes,
-			fmt.Sprintf("point %q failed after %d attempt(s): %s", f.Job, f.Attempts, f.Cause))
+			fmt.Sprintf("point %q failed: %s", f.Job, f.Cause))
 	}
 }
 
@@ -242,9 +265,12 @@ func seriesLabel(net platform.Network, ppn int) string {
 	return fmt.Sprintf("%s %dPPN", net.Short(), ppn)
 }
 
-// fmtSeconds renders a time in seconds with sensible precision.
+// fmtSeconds renders a time in seconds with sensible precision, and a
+// failed point (NaN) as report.Failed.
 func fmtSeconds(s float64) string {
 	switch {
+	case math.IsNaN(s):
+		return report.Failed
 	case s >= 100:
 		return fmt.Sprintf("%.0f", s)
 	case s >= 1:

@@ -58,40 +58,32 @@ func runXFault(o Options) (*Result, error) {
 			lossCells = append(lossCells, lossCell{net, p})
 		}
 	}
-	type lossVal struct {
-		latUS, mbps      float64
-		retried, retrans uint64
-	}
 	lossJobs := make([]runner.Job, len(lossCells))
 	for i, c := range lossCells {
 		c := c
 		id := fmt.Sprintf("loss %s p=%g", c.net.Short(), c.p)
 		lossJobs[i] = runner.Job{ID: id,
 			Labels: map[string]string{"net": c.net.Short(), "p": fmt.Sprint(c.p)},
-			Run: func(_ context.Context) (interface{}, error) {
+			Run: func(ctx context.Context) (interface{}, error) {
 				spec := ""
 				if c.p > 0 {
 					spec = fmt.Sprintf("loss:inj(0):p=%g", c.p)
 				}
-				var v lossVal
 				// Ping-pong latency.
-				span, m, err := faultPingPong(o, c.net, spec, 0, 1, size, ppIters)
+				span, m, err := faultPingPong(ctx, o, c.net, spec, 0, 1, size, ppIters)
 				if err != nil {
 					return nil, err
 				}
 				lat := span / units.Duration(2*ppIters)
-				v.latUS = lat.Microseconds()
-				v.retried, v.retrans = recoveryCounts(m)
+				retried, retrans := recoveryCounts(m)
 				// Streaming bandwidth (same machine shape, fresh machine).
-				bw, m, err := faultStreaming(o, c.net, spec, size, stIters)
+				bw, m, err := faultStreaming(ctx, o, c.net, spec, size, stIters)
 				if err != nil {
 					return nil, err
 				}
-				v.mbps = bw
 				hw, rt := recoveryCounts(m)
-				v.retried += hw
-				v.retrans += rt
-				return v, nil
+				return []string{fmt.Sprintf("%.2f", lat.Microseconds()), fmt.Sprintf("%.0f", bw),
+					fmt.Sprint(retried + hw), fmt.Sprint(retrans + rt)}, nil
 			}}
 	}
 	lossRes := o.pool("xfault-loss").Run(o.ctx(), lossJobs)
@@ -100,20 +92,11 @@ func runXFault(o Options) (*Result, error) {
 	t1 := newTable("Injection-link chunk loss (ping-pong + streaming, 4 KiB)",
 		"loss p", "Elan4 lat us", "IB lat us", "Elan4 stream MB/s", "IB stream MB/s",
 		"Elan4 hw retries", "IB retransmits")
-	cellOf := func(res []runner.Result, idx int) lossVal {
-		if idx < 0 || res[idx].Err != nil || res[idx].Value == nil {
-			return lossVal{}
-		}
-		return res[idx].Value.(lossVal)
-	}
 	for pi, p := range lossPs {
-		// Cells were laid out p-major over Networks = [Elan, IB].
-		el := cellOf(lossRes, pi*2)
-		ib := cellOf(lossRes, pi*2+1)
-		t1.AddRow(fmt.Sprintf("%g", p),
-			fmt.Sprintf("%.2f", el.latUS), fmt.Sprintf("%.2f", ib.latUS),
-			fmt.Sprintf("%.0f", el.mbps), fmt.Sprintf("%.0f", ib.mbps),
-			fmt.Sprint(el.retried), fmt.Sprint(ib.retrans))
+		// Cells were laid out p-major over Networks = [Elan, IB]; each job
+		// renders latency, bandwidth, hardware retries and retransmits.
+		el, ib := cellsOf(lossRes[pi*2], 4), cellsOf(lossRes[pi*2+1], 4)
+		t1.AddRow(fmt.Sprintf("%g", p), el[0], ib[0], el[1], ib[1], el[2], ib[3])
 	}
 	r.Tables = append(r.Tables, t1)
 
@@ -138,24 +121,20 @@ func runXFault(o Options) (*Result, error) {
 			spineCells = append(spineCells, spineCell{net, wi})
 		}
 	}
-	type spineVal struct {
-		totalMS           float64
-		rerouted, retrans uint64
-	}
 	spineJobs := make([]runner.Job, len(spineCells))
 	for i, c := range spineCells {
 		c := c
 		id := fmt.Sprintf("spine %s %s", c.net.Short(), windows[c.wi].label)
 		spineJobs[i] = runner.Job{ID: id,
 			Labels: map[string]string{"net": c.net.Short(), "outage": windows[c.wi].label},
-			Run: func(_ context.Context) (interface{}, error) {
-				span, m, err := faultPingPong(o, c.net, windows[c.wi].spec, 0, 6, size, spIters)
+			Run: func(ctx context.Context) (interface{}, error) {
+				span, m, err := faultPingPong(ctx, o, c.net, windows[c.wi].spec, 0, 6, size, spIters)
 				if err != nil {
 					return nil, err
 				}
 				_, retrans := recoveryCounts(m)
-				return spineVal{totalMS: span.Seconds() * 1e3,
-					rerouted: m.Fab.FaultStats().ChunksRerouted, retrans: retrans}, nil
+				return []string{fmt.Sprintf("%.3f", span.Seconds()*1e3),
+					fmt.Sprint(m.Fab.FaultStats().ChunksRerouted), fmt.Sprint(retrans)}, nil
 			}}
 	}
 	spineRes := o.pool("xfault-spine").Run(o.ctx(), spineJobs)
@@ -164,16 +143,9 @@ func runXFault(o Options) (*Result, error) {
 	t2 := newTable("Spine-0 outage, radix-4 fabric (ping-pong 0<->6, 4 KiB)",
 		"outage", "Elan4 total ms", "IB total ms", "Elan4 rerouted chunks", "IB retransmits")
 	for wi, w := range windows {
-		var el, ib spineVal
-		if res := spineRes[wi*2]; res.Err == nil && res.Value != nil {
-			el = res.Value.(spineVal)
-		}
-		if res := spineRes[wi*2+1]; res.Err == nil && res.Value != nil {
-			ib = res.Value.(spineVal)
-		}
-		t2.AddRow(w.label,
-			fmt.Sprintf("%.3f", el.totalMS), fmt.Sprintf("%.3f", ib.totalMS),
-			fmt.Sprint(el.rerouted), fmt.Sprint(ib.retrans))
+		// Each job renders total time, rerouted chunks and retransmits.
+		el, ib := cellsOf(spineRes[wi*2], 3), cellsOf(spineRes[wi*2+1], 3)
+		t2.AddRow(w.label, el[0], ib[0], el[1], ib[2])
 	}
 	r.Tables = append(r.Tables, t2)
 	r.Notes = append(r.Notes,
@@ -184,10 +156,10 @@ func runXFault(o Options) (*Result, error) {
 // faultPingPong runs a ping-pong between ranks a and b under the given
 // fault spec and returns the measured span (2*iters one-way trips) plus the
 // machine for counter inspection. Ranks other than a and b exit at once.
-func faultPingPong(o Options, net platform.Network, spec string, a, b int,
+func faultPingPong(ctx context.Context, o Options, net platform.Network, spec string, a, b int,
 	size units.Bytes, iters int) (units.Duration, *platform.Machine, error) {
 	opts := platform.Options{Network: net, Ranks: 2, PPN: 1,
-		Metrics: o.Metrics, FaultSpec: spec,
+		Metrics: o.Metrics, FaultSpec: spec, Ctx: ctx,
 		Label: fmt.Sprintf("xfault pp %s", net.Short())}
 	if b >= 2 {
 		// The spine sweep needs a multi-leaf fabric: 8 nodes, radix 4.
@@ -222,11 +194,11 @@ func faultPingPong(o Options, net platform.Network, spec string, a, b int,
 
 // faultStreaming streams windowed non-blocking sends 0->1 under the given
 // fault spec and returns sustained bandwidth in MB/s plus the machine.
-func faultStreaming(o Options, net platform.Network, spec string,
+func faultStreaming(ctx context.Context, o Options, net platform.Network, spec string,
 	size units.Bytes, iters int) (float64, *platform.Machine, error) {
 	const window = 8
 	m, err := platform.New(platform.Options{Network: net, Ranks: 2, PPN: 1,
-		Metrics: o.Metrics, FaultSpec: spec,
+		Metrics: o.Metrics, FaultSpec: spec, Ctx: ctx,
 		Label: fmt.Sprintf("xfault stream %s", net.Short())})
 	if err != nil {
 		return 0, nil, err

@@ -56,8 +56,8 @@ func runFig1a(o Options) (*Result, error) {
 	iters := fig1Iters(o.Quick)
 	pp, err := runner.Map(o.ctx(), o.pool("fig1a"), platform.Networks,
 		func(_ int, net platform.Network) string { return "pingpong " + net.Short() },
-		func(_ context.Context, net platform.Network) ([]microbench.PingPongPoint, error) {
-			return microbench.PingPong(net, sizes, iters, o.env())
+		func(ctx context.Context, net platform.Network) ([]microbench.PingPongPoint, error) {
+			return microbench.PingPong(net, sizes, iters, o.env(ctx))
 		})
 	if err != nil {
 		return nil, err
@@ -89,17 +89,17 @@ func runFig1b(o Options) (*Result, error) {
 	// The four micro-benchmark curves are independent two-rank sims; run
 	// them as one parallel batch and pull typed values back by index.
 	jobs := []runner.Job{
-		{ID: "pingpong Elan4", Run: func(context.Context) (interface{}, error) {
-			return microbench.PingPong(platform.QuadricsElan4, sizes, iters, o.env())
+		{ID: "pingpong Elan4", Run: func(ctx context.Context) (interface{}, error) {
+			return microbench.PingPong(platform.QuadricsElan4, sizes, iters, o.env(ctx))
 		}},
-		{ID: "pingpong IB", Run: func(context.Context) (interface{}, error) {
-			return microbench.PingPong(platform.InfiniBand4X, sizes, iters, o.env())
+		{ID: "pingpong IB", Run: func(ctx context.Context) (interface{}, error) {
+			return microbench.PingPong(platform.InfiniBand4X, sizes, iters, o.env(ctx))
 		}},
-		{ID: "streaming Elan4", Run: func(context.Context) (interface{}, error) {
-			return microbench.Streaming(platform.QuadricsElan4, ssizes, window, witers, o.env())
+		{ID: "streaming Elan4", Run: func(ctx context.Context) (interface{}, error) {
+			return microbench.Streaming(platform.QuadricsElan4, ssizes, window, witers, o.env(ctx))
 		}},
-		{ID: "streaming IB", Run: func(context.Context) (interface{}, error) {
-			return microbench.Streaming(platform.InfiniBand4X, ssizes, window, witers, o.env())
+		{ID: "streaming IB", Run: func(ctx context.Context) (interface{}, error) {
+			return microbench.Streaming(platform.InfiniBand4X, ssizes, window, witers, o.env(ctx))
 		}},
 	}
 	rs := o.pool("fig1b").Run(o.ctx(), jobs)
@@ -162,8 +162,8 @@ func runFig1d(o Options) (*Result, error) {
 	}
 	vals, err := runner.Map(o.ctx(), o.pool("fig1d"), cfgs,
 		func(_ int, c beffCfg) string { return fmt.Sprintf("b_eff %s procs=%d", c.net.Short(), c.procs) },
-		func(_ context.Context, c beffCfg) (*microbench.BEffResult, error) {
-			return microbench.BEff(c.net, c.procs, iters, CanonicalSeed, o.env())
+		func(ctx context.Context, c beffCfg) (*microbench.BEffResult, error) {
+			return microbench.BEff(c.net, c.procs, iters, CanonicalSeed, o.env(ctx))
 		})
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ func runXRoute(o Options) (*Result, error) {
 
 	measure := func(net platform.Network, forceAdaptive bool, nodes int) (float64, error) {
 		opts := platform.Options{Network: net, Ranks: nodes, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults}
+			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: o.ctx()}
 		if forceAdaptive {
 			opts.TuneFabric = func(p *fabric.Params) { p.Adaptive = true }
 		}

@@ -115,8 +115,7 @@ func membraneFits(o Options) (map[string]*extrapolate.Fit, []int, error) {
 	if len(fails) > 0 {
 		// A trend fit cannot tolerate missing points the way a table can.
 		f := fails[0]
-		return nil, nil, fmt.Errorf("experiments: point %q failed after %d attempt(s): %s",
-			f.Job, f.Attempts, f.Cause)
+		return nil, nil, fmt.Errorf("experiments: point %q failed: %s", f.Job, f.Cause)
 	}
 	fits := map[string]*extrapolate.Fit{}
 	for _, net := range platform.Networks {

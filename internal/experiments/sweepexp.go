@@ -7,6 +7,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/report"
+	"repro/internal/units"
 )
 
 func init() {
@@ -42,9 +43,6 @@ func runFig4(o Options) (*Result, error) {
 	tg := newTable("Figure 4(a) — grind time (ns/cell-angle)", "procs", "Elan4", "IB")
 	te := newTable("Figure 4(b) — scaling efficiency (%)", "procs", "Elan4", "IB")
 	eff := report.Efficiency{Scaled: false}
-	for _, net := range platform.Networks {
-		_ = net
-	}
 	elTimes := make([]float64, len(procs))
 	ibTimes := make([]float64, len(procs))
 	for i, p := range procs {
@@ -54,9 +52,8 @@ func runFig4(o Options) (*Result, error) {
 	elEff := eff.Compute(procs, elTimes)
 	ibEff := eff.Compute(procs, ibTimes)
 	for i, p := range procs {
-		tg.AddRow(p,
-			params.GrindTime(secondsToDuration(elTimes[i]), p),
-			params.GrindTime(secondsToDuration(ibTimes[i]), p))
+		grind := func(d units.Duration) float64 { return params.GrindTime(d, p) }
+		tg.AddRow(p, ofElapsed(elTimes[i], grind), ofElapsed(ibTimes[i], grind))
 		te.AddRow(p, elEff[i], ibEff[i])
 	}
 	r.Tables = append(r.Tables, tg, te)

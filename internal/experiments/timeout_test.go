@@ -1,0 +1,77 @@
+package experiments
+
+import (
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/apps/sweep3d"
+	"repro/internal/mpi"
+	"repro/internal/platform"
+	"repro/internal/report"
+)
+
+// TestTimedOutSweepLeavesNoGoroutines: a sweep whose simulations run past
+// the timeout stops them. Each point fails with the timeout, and once the
+// sweep returns the goroutine count is back at its baseline — no
+// simulation keeps running after its point was given up. (Run to the end,
+// each of these simulations takes seconds.)
+func TestTimedOutSweepLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	params := sweep3d.Default(192)
+	o := Options{Jobs: 2, Timeout: 20 * time.Millisecond}
+	times, fails, err := runSeries(o, platform.Networks, []int{16}, []int{1},
+		func(r *mpi.Rank) { sweep3d.Run(r, params) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fails) != len(platform.Networks) {
+		t.Fatalf("%d failures, want every point to time out: %+v", len(fails), fails)
+	}
+	for _, f := range fails {
+		if !strings.Contains(f.Cause, "exceeded timeout 20ms") {
+			t.Fatalf("failure cause %q, want the timeout", f.Cause)
+		}
+	}
+	for k, v := range times {
+		if !math.IsNaN(v) {
+			t.Fatalf("failed point %+v reads %v, want NaN", k, v)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after the sweep, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFailedPointsRenderFailed: a quick fig4 whose every simulation times
+// out renders each failed point, and each efficiency normalised against
+// one, as "failed" — never as 0 or any other number — and records every
+// failure.
+func TestFailedPointsRenderFailed(t *testing.T) {
+	e, err := Get("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(Options{Quick: true, Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 6 {
+		t.Fatalf("%d failures, want all 6 points", len(res.Failures))
+	}
+	for _, tb := range res.Tables {
+		for _, row := range tb.Rows {
+			for _, cell := range row[1:] {
+				if cell != report.Failed {
+					t.Errorf("%s: row %v has cell %q, want %q", tb.Title, row, cell, report.Failed)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@
 package microbench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -15,13 +16,15 @@ import (
 )
 
 // Env is the optional trailing environment each benchmark accepts: an
-// observability registry (nil disables recording) and a fault spec
+// observability registry (nil disables recording), a fault spec
 // installed on the machine's fabric (empty leaves fault injection off; see
-// internal/fault for the language). The zero value — what callers passing
-// nothing get — is the default clean environment.
+// internal/fault for the language) and a context that cancels the run
+// (nil never cancels; see platform.Options.Ctx). The zero value — what
+// callers passing nothing get — is the default clean environment.
 type Env struct {
 	Metrics *metrics.Registry
 	Faults  string
+	Ctx     context.Context
 }
 
 // envOf unwraps the optional trailing environment.
@@ -57,7 +60,7 @@ func DefaultSizes() []units.Bytes {
 func PingPong(network platform.Network, sizes []units.Bytes, iters int, env ...Env) ([]PingPongPoint, error) {
 	e := envOf(env)
 	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Label: "pingpong " + network.Short()})
+		Metrics: e.Metrics, FaultSpec: e.Faults, Ctx: e.Ctx, Label: "pingpong " + network.Short()})
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +113,7 @@ type StreamingPoint struct {
 func Streaming(network platform.Network, sizes []units.Bytes, window, iters int, env ...Env) ([]StreamingPoint, error) {
 	e := envOf(env)
 	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Label: "streaming " + network.Short()})
+		Metrics: e.Metrics, FaultSpec: e.Faults, Ctx: e.Ctx, Label: "streaming " + network.Short()})
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +188,7 @@ func BEff(network platform.Network, ranks, itersPerSize int, seed uint64, env ..
 	}
 	e := envOf(env)
 	m, err := platform.New(platform.Options{Network: network, Ranks: ranks, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Label: fmt.Sprintf("beff%d %s", ranks, network.Short())})
+		Metrics: e.Metrics, FaultSpec: e.Faults, Ctx: e.Ctx, Label: fmt.Sprintf("beff%d %s", ranks, network.Short())})
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@
 package platform
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/elan"
@@ -131,6 +132,12 @@ type Options struct {
 	// Label names the machine's timeline track (e.g. "pingpong IB").
 	Label string
 
+	// Ctx, when non-nil, cancels the machine's runs: the engine polls it
+	// (see sim.Engine.SetContext), and once it is done Run fails with an
+	// error wrapping sim.ErrCanceled and Ctx.Err(). A context that is never
+	// done leaves the run's events unchanged.
+	Ctx context.Context
+
 	// FaultSpec, when non-empty, installs a fault plan on the machine's
 	// fabric (see internal/fault for the spec language). Faults are
 	// simulated-time events from a seeded plan, so a faulty run is exactly
@@ -202,6 +209,7 @@ func New(opts Options) (*Machine, error) {
 	}
 
 	eng := sim.NewEngine()
+	eng.SetContext(opts.Ctx)
 	if opts.Metrics != nil {
 		label := opts.Label
 		if label == "" {

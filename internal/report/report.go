@@ -21,7 +21,13 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; each cell is formatted with %v.
+// Failed is the cell text of a value that a failed point left undefined.
+// Experiments mark such a value as NaN, and AddRow renders NaN as Failed,
+// so a failed point never reads as a number.
+const Failed = "failed"
+
+// AddRow appends a row; each cell is formatted with %v, except float64
+// cells, which get a precision by magnitude and render NaN as Failed.
 func (t *Table) AddRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
@@ -38,6 +44,8 @@ func (t *Table) AddRow(cells ...interface{}) {
 
 func formatFloat(v float64) string {
 	switch {
+	case math.IsNaN(v):
+		return Failed
 	case v == 0:
 		return "0"
 	case math.Abs(v) >= 1000:
@@ -135,7 +143,9 @@ type Efficiency struct {
 }
 
 // Compute returns the efficiency (percent) per point given process counts
-// and times (seconds or any consistent unit).
+// and times (seconds or any consistent unit). A NaN time (a failed point)
+// gives NaN efficiency, and a NaN first time makes every point NaN: a
+// value normalised against a failed point is failed too.
 func (e Efficiency) Compute(procs []int, times []float64) []float64 {
 	if len(procs) != len(times) || len(procs) == 0 {
 		panic("report: mismatched efficiency series")

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,28 @@ func TestCSVQuoting(t *testing.T) {
 	want := `plain,"with ""quote"", comma"`
 	if !strings.Contains(csv, want) {
 		t.Fatalf("CSV = %q, want substring %q", csv, want)
+	}
+}
+
+// TestFailedValues: NaN marks a failed point. It renders as Failed, and an
+// efficiency computed from it, or normalised against it, stays NaN.
+func TestFailedValues(t *testing.T) {
+	tb := NewTable("", "x", "a", "b")
+	tb.AddRow(1, math.NaN(), 0.0)
+	if got := tb.Rows[0]; got[1] != Failed || got[2] != "0" {
+		t.Fatalf("row = %q, want [1 %s 0]", got, Failed)
+	}
+	for _, scaled := range []bool{false, true} {
+		e := Efficiency{Scaled: scaled}
+		eff := e.Compute([]int{1, 2, 4}, []float64{8, math.NaN(), 2})
+		if math.IsNaN(eff[0]) || !math.IsNaN(eff[1]) || math.IsNaN(eff[2]) {
+			t.Fatalf("scaled=%v: efficiency %v, want only the failed point NaN", scaled, eff)
+		}
+		for i, v := range e.Compute([]int{1, 2}, []float64{math.NaN(), 4}) {
+			if !math.IsNaN(v) {
+				t.Fatalf("scaled=%v: point %d normalised against a failed point reads %v", scaled, i, v)
+			}
+		}
 	}
 }
 

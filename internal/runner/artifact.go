@@ -34,16 +34,15 @@ type Table struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// Failure records one job that ultimately failed (after any retries), so a
-// sweep can degrade gracefully: the series completes, the affected points
-// are marked, and the artifact carries the provenance. Cause is the final
-// error's message — structurally stable (no stacks, no addresses), so
-// artifacts with the same failures are byte-identical across runs.
+// Failure records one job that failed, so a sweep can degrade gracefully:
+// the series completes, the affected points read "failed", and the
+// artifact carries the provenance. Cause is the error's message —
+// structurally stable (no stacks, no addresses), so artifacts with the
+// same failures are byte-identical across runs.
 type Failure struct {
-	Job      string            `json:"job"`
-	Labels   map[string]string `json:"labels,omitempty"`
-	Cause    string            `json:"cause"`
-	Attempts int               `json:"attempts"`
+	Job    string            `json:"job"`
+	Labels map[string]string `json:"labels,omitempty"`
+	Cause  string            `json:"cause"`
 }
 
 // Failures collects the failed results, in submission order.
@@ -53,12 +52,7 @@ func Failures(results []Result) []Failure {
 		if r.Err == nil {
 			continue
 		}
-		attempts := r.Attempts
-		if attempts == 0 {
-			attempts = 1
-		}
-		out = append(out, Failure{Job: r.ID, Labels: r.Labels,
-			Cause: r.Err.Error(), Attempts: attempts})
+		out = append(out, Failure{Job: r.ID, Labels: r.Labels, Cause: r.Err.Error()})
 	}
 	return out
 }

@@ -12,9 +12,12 @@
 //     order, so parallel output is byte-identical to serial output;
 //   - a panicking job becomes a structured *PanicError naming the job
 //     instead of killing the whole sweep;
-//   - context cancellation skips jobs that have not started and lets
-//     in-flight simulations drain gracefully;
-//   - per-job timeouts abandon runaway simulations with a *TimeoutError;
+//   - context cancellation skips jobs that have not started, and hands
+//     in-flight jobs a done context, which a simulation polls and stops on;
+//   - the per-job timeout is a deadline on the job's context, and a job
+//     it stops reports a *TimeoutError;
+//   - a job runs on its worker's goroutine, so when Run returns no job is
+//     still running;
 //   - an optional progress reporter prints done/total, elapsed, and ETA.
 //
 // As the boundary between deterministic simulations and the
@@ -54,12 +57,10 @@ type Job struct {
 	// Labels carry the sweep coordinates (network, nodes, ppn, ...) so a
 	// failure can be attributed without parsing the ID.
 	Labels map[string]string
-	// Timeout overrides the pool's per-job timeout when non-zero.
-	Timeout time.Duration
-	// Run performs the work. The context is cancelled when the job's
-	// timeout expires or the caller cancels the sweep; simulations that
-	// cannot observe it are abandoned on timeout (they finish into a
-	// buffered channel nobody reads).
+	// Run performs the work and must observe its context: the context is
+	// done when the pool's timeout expires or the caller cancels the sweep,
+	// and Run should then return the context's error (a simulation built
+	// with platform.Options.Ctx does). The pool waits for Run to return.
 	Run func(ctx context.Context) (interface{}, error)
 }
 
@@ -70,10 +71,6 @@ type Result struct {
 	Value  interface{}
 	Err    error
 	Wall   time.Duration
-	// Attempts counts executions of the job: 1 for a clean first run,
-	// more when the pool retried a panic or timeout (see Pool.Retries).
-	// Wall spans all attempts, including backoff.
-	Attempts int
 }
 
 // PanicError is a job panic converted into a structured error. The sweep
@@ -106,7 +103,7 @@ func (e *PanicError) Error() string {
 	return b.String()
 }
 
-// TimeoutError reports a job abandoned at its deadline.
+// TimeoutError reports a job that its timeout stopped.
 type TimeoutError struct {
 	JobID string
 	Limit time.Duration
@@ -126,7 +123,7 @@ func (e *TimeoutError) Is(target error) bool { return target == context.Deadline
 type Pool struct {
 	// Workers caps concurrency; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Timeout bounds each job unless the job sets its own; 0 = unbounded.
+	// Timeout bounds each job; 0 = unbounded.
 	Timeout time.Duration
 	// Progress, when non-nil, receives carriage-return progress lines
 	// (jobs done/total, elapsed, ETA). Point it at os.Stderr so result
@@ -138,18 +135,6 @@ type Pool struct {
 	// job's submission index. Calls are serialized (never concurrent),
 	// but arrive in completion order, not submission order.
 	OnResult func(index int, r Result)
-
-	// Retries re-runs a job that panicked or timed out up to this many
-	// additional times before accepting the failure. Only infrastructure
-	// failures (*PanicError, *TimeoutError) are retried: an ordinary error
-	// returned by Job.Run comes from a deterministic simulation and would
-	// simply recur. 0 disables retries; cancellation stops them early.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per subsequent
-	// retry and capped at 5s. <= 0 means 100ms. Purely wall-clock pacing
-	// between attempts of a host-level failure; never observable in
-	// results.
-	Backoff time.Duration
 
 	// progressLen is the length of the last progress line written, so a
 	// shorter overwrite can pad over the previous line's tail. Accessed
@@ -198,11 +183,11 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []Result {
 				if err := ctx.Err(); err != nil {
 					// Graceful drain: jobs that have not started when the
 					// sweep is cancelled are skipped; in-flight jobs (on
-					// other workers) complete normally.
+					// other workers) see it through their own contexts.
 					r = Result{ID: jobs[i].ID, Labels: jobs[i].Labels,
 						Err: fmt.Errorf("runner: job %q skipped: %w", jobs[i].ID, err)}
 				} else {
-					r = p.runWithRetries(ctx, jobs[i])
+					r = p.runJob(ctx, jobs[i])
 				}
 				results[i] = r
 				d := int(atomic.AddInt64(&done, 1))
@@ -219,108 +204,29 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// runWithRetries executes one job, re-running infrastructure failures
-// (panic, timeout) up to p.Retries times with capped exponential backoff.
-// Simulations are deterministic, so a retry only helps when the failure is
-// host-level (resource exhaustion, scheduling-induced timeout) — which is
-// exactly what panics and timeouts signal. Deterministic failures recur and
-// surface after the final attempt with the true attempt count.
-func (p *Pool) runWithRetries(ctx context.Context, job Job) Result {
-	r := p.runJob(ctx, job)
-	r.Attempts = 1
-	if p.Retries <= 0 {
-		return r
-	}
-	start := time.Now() //simlint:allow wallclock — Wall is diagnostic
-	for attempt := 1; attempt <= p.Retries; attempt++ {
-		if !retryable(r.Err) || ctx.Err() != nil {
-			break
-		}
-		time.Sleep(backoffDelay(p.Backoff, attempt)) //simlint:allow wallclock — retry pacing between host-level failures, never in results
-		r = p.runJob(ctx, job)
-		r.Attempts = attempt + 1
-	}
-	r.Wall = time.Since(start) //simlint:allow wallclock,timetaint — Wall is diagnostic
-	return r
-}
-
-// maxBackoff caps the exponential retry backoff: past it, waiting longer
-// cannot help a host-level failure, it only starves the sweep.
-const maxBackoff = 5 * time.Second
-
-// backoffDelay is the pure backoff schedule: the sleep before retry
-// attempt n (1-based) given the pool's initial backoff — doubling each
-// attempt, capped at maxBackoff. Non-positive initial means the 100ms
-// default. Pure so the cap and growth are unit-testable without sleeping.
-func backoffDelay(initial time.Duration, attempt int) time.Duration {
-	if initial <= 0 {
-		initial = 100 * time.Millisecond
-	}
-	d := initial
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= maxBackoff {
-			return maxBackoff
-		}
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	return d
-}
-
-// retryable reports whether err is an infrastructure failure worth
-// re-running (as opposed to a deterministic simulation error).
-func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *PanicError
-	var te *TimeoutError
-	return errors.As(err, &pe) || errors.As(err, &te)
-}
-
-// runJob executes one job with panic recovery and an optional deadline.
-func (p *Pool) runJob(ctx context.Context, job Job) Result {
-	timeout := job.Timeout
-	if timeout == 0 {
-		timeout = p.Timeout
-	}
-	jctx := ctx
-	var timerC <-chan time.Time
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-		timer := time.NewTimer(timeout) //simlint:allow wallclock — real-time job timeout for runaway sims
-		defer timer.Stop()
-		timerC = timer.C
-	}
+// runJob executes one job on the calling worker's goroutine, under the
+// pool's timeout and with panic recovery. The job observes its context
+// and returns once it is done; a deadline error that the pool's own
+// timeout caused becomes a *TimeoutError.
+func (p *Pool) runJob(ctx context.Context, job Job) (r Result) {
 	start := time.Now() //simlint:allow wallclock — Result.Wall diagnostics on stderr only
-	ch := make(chan Result, 1)
-	//simlint:allow goroutine — job body isolation (panic recovery + timeout abandonment)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				ch <- Result{Err: &PanicError{JobID: job.ID, Labels: job.Labels,
-					Value: v, Stack: string(debug.Stack())}}
-			}
-		}()
-		v, err := job.Run(jctx)
-		ch <- Result{Value: v, Err: err}
-	}()
-	select {
-	case r := <-ch:
-		r.ID, r.Labels, r.Wall = job.ID, job.Labels, time.Since(start) //simlint:allow wallclock,timetaint — Wall is diagnostic
-		return r
-	case <-timerC:
-		// Abandon the job: its context is cancelled so a cooperative
-		// closure unwinds soon, and a runaway simulation finishes into the
-		// buffered channel without blocking a worker.
-		//simlint:allow wallclock,timetaint — Wall is diagnostic
-		return Result{ID: job.ID, Labels: job.Labels, Wall: time.Since(start),
-			Err: &TimeoutError{JobID: job.ID, Limit: timeout}}
+	jctx := ctx
+	if p.Timeout > 0 {
+		var cancel context.CancelFunc
+		jctx, cancel = context.WithTimeout(ctx, p.Timeout)
+		defer cancel()
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			r.Err = &PanicError{JobID: job.ID, Labels: job.Labels, Value: v, Stack: string(debug.Stack())}
+		}
+		if p.Timeout > 0 && errors.Is(r.Err, context.DeadlineExceeded) && ctx.Err() == nil {
+			r.Err = &TimeoutError{JobID: job.ID, Limit: p.Timeout}
+		}
+		r.ID, r.Labels, r.Wall = job.ID, job.Labels, time.Since(start) //simlint:allow wallclock,timetaint — Wall is diagnostic
+	}()
+	r.Value, r.Err = job.Run(jctx)
+	return r
 }
 
 // FirstError returns the first failure in submission order (deterministic

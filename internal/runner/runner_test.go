@@ -135,20 +135,25 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestTimeout: a runaway job is abandoned with a *TimeoutError that also
-// matches context.DeadlineExceeded; fast jobs are unaffected.
+// TestTimeout: a job that runs past the pool's timeout sees its context
+// done, stops, and reports a *TimeoutError that also matches
+// context.DeadlineExceeded; fast jobs are unaffected. The pool waits for
+// the stopped job: when Run returns, no job is still running.
 func TestTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
+	var stopped atomic.Bool
 	jobs := []Job{
 		{ID: "fast", Run: func(context.Context) (interface{}, error) { return "ok", nil }},
-		{ID: "stuck", Run: func(context.Context) (interface{}, error) {
-			<-block // simulates a sim that never converges
-			return nil, nil
+		{ID: "stuck", Run: func(ctx context.Context) (interface{}, error) {
+			<-ctx.Done() // simulates a sim that never converges and polls its context
+			stopped.Store(true)
+			return nil, ctx.Err()
 		}},
 	}
 	p := &Pool{Workers: 2, Timeout: 20 * time.Millisecond}
 	results := p.Run(context.Background(), jobs)
+	if !stopped.Load() {
+		t.Fatal("Run returned before the stuck job stopped")
+	}
 	if results[0].Err != nil || results[0].Value != "ok" {
 		t.Fatalf("fast job: %+v", results[0])
 	}
@@ -156,25 +161,42 @@ func TestTimeout(t *testing.T) {
 	if !errors.As(results[1].Err, &te) {
 		t.Fatalf("stuck job: got %v, want *TimeoutError", results[1].Err)
 	}
-	if te.JobID != "stuck" {
-		t.Errorf("TimeoutError.JobID = %q", te.JobID)
+	if te.JobID != "stuck" || te.Limit != p.Timeout {
+		t.Errorf("TimeoutError = %+v", te)
 	}
 	if !errors.Is(results[1].Err, context.DeadlineExceeded) {
 		t.Error("TimeoutError should match context.DeadlineExceeded")
 	}
 }
 
+// TestCanceledJobIsNotATimeout: a job stopped because the caller canceled
+// the sweep reports the cancellation, not a *TimeoutError, even when the
+// pool has a timeout.
+func TestCanceledJobIsNotATimeout(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	results := (&Pool{Workers: 1, Timeout: time.Minute}).Run(ctx, []Job{{ID: "j",
+		Run: func(jctx context.Context) (interface{}, error) {
+			cancel()
+			<-jctx.Done()
+			return nil, jctx.Err()
+		}}})
+	var te *TimeoutError
+	if err := results[0].Err; !errors.Is(err, context.Canceled) || errors.As(err, &te) {
+		t.Fatalf("err = %v, want context.Canceled and no *TimeoutError", err)
+	}
+}
+
 // TestJobContextDeadline: the job's context carries the deadline, so
 // cooperative jobs can bail out early themselves.
 func TestJobContextDeadline(t *testing.T) {
-	jobs := []Job{{ID: "coop", Timeout: 10 * time.Millisecond,
+	jobs := []Job{{ID: "coop",
 		Run: func(ctx context.Context) (interface{}, error) {
 			if _, ok := ctx.Deadline(); !ok {
 				return nil, errors.New("no deadline on job context")
 			}
 			return "ok", nil
 		}}}
-	results := (&Pool{Workers: 1}).Run(context.Background(), jobs)
+	results := (&Pool{Workers: 1, Timeout: 10 * time.Millisecond}).Run(context.Background(), jobs)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,10 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime/debug"
 	"sort"
@@ -202,6 +204,12 @@ type Engine struct {
 	nWakes    uint64
 	maxEvents uint64
 
+	// checkAt is the event count at which dispatch next takes the slow
+	// path, which enforces maxEvents and polls ctx: MaxUint64 when neither
+	// is set, and one compare per event either way.
+	ctx     context.Context
+	checkAt uint64
+
 	// Observability (see internal/metrics). Both stay nil by default, and
 	// the engine runs the same event sequence with or without them. The
 	// counts above fold into reg at FlushMetrics; folded holds what the
@@ -213,7 +221,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{checkAt: math.MaxUint64}
 }
 
 // Now reports the current simulated time.
@@ -264,7 +272,50 @@ func (e *Engine) Events() uint64 { return e.nEvents }
 // SetEventLimit aborts the run with an error after n dispatched events.
 // Zero (the default) means no limit. Used as a runaway-model backstop in
 // tests.
-func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
+func (e *Engine) SetEventLimit(n uint64) {
+	e.maxEvents = n
+	e.rearm()
+}
+
+// pollEvery is how many events dispatch runs between two polls of the
+// context: rare enough to cost nothing per event, often enough that a
+// canceled run stops within about a millisecond of host time.
+const pollEvery = 1 << 12
+
+// SetContext makes later runs observe ctx: a run polls it before its first
+// event and every pollEvery events after, and once ctx is done the run
+// ends with an error wrapping both ErrCanceled and ctx.Err(). A context
+// that is never done changes no event. Nil detaches.
+func (e *Engine) SetContext(ctx context.Context) {
+	e.ctx = ctx
+	e.rearm()
+}
+
+// rearm sets checkAt to the next event count at which the slow path must
+// run: one past the event limit, or the next poll, whichever comes first.
+func (e *Engine) rearm() {
+	e.checkAt = math.MaxUint64
+	if e.maxEvents > 0 {
+		e.checkAt = e.maxEvents + 1
+	}
+	if e.ctx != nil {
+		e.checkAt = min(e.checkAt, e.nEvents+pollEvery)
+	}
+}
+
+// checkpoint is dispatch's slow path, taken before a run's first event
+// and whenever nEvents reaches checkAt: it fails the run past the event
+// limit or once the context is done, and otherwise sets the next checkAt.
+func (e *Engine) checkpoint() error {
+	if e.maxEvents > 0 && e.nEvents > e.maxEvents {
+		return fmt.Errorf("%w after %d events at t=%v", ErrEventLimit, e.nEvents, e.now)
+	}
+	if e.ctx != nil && e.ctx.Err() != nil {
+		return fmt.Errorf("%w after %d events at t=%v: %w", ErrCanceled, e.nEvents, e.now, e.ctx.Err())
+	}
+	e.rearm()
+	return nil
+}
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in the model; the kernel treats it as "now". Events at the current
@@ -294,6 +345,11 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // ErrEventLimit is returned when the configured event limit is exceeded.
 var ErrEventLimit = errors.New("sim: event limit exceeded")
 
+// ErrCanceled is returned when the context set with SetContext is done.
+// The error also wraps the context's own error, so errors.Is matches
+// context.Canceled or context.DeadlineExceeded as well.
+var ErrCanceled = errors.New("sim: canceled")
+
 // Stop requests that the run loop return after the current event. It may be
 // called from event or process context, or before a run: a Stop issued
 // while the engine is idle makes the next Run/RunUntil return immediately
@@ -311,7 +367,8 @@ func (e *Engine) Run() error { return e.RunUntil(units.Forever) }
 // the past leaves it unchanged), never advances to the Forever sentinel,
 // and is left at the last dispatched event when the run ends early via
 // Stop, an error, or deadlock. A panic in an event ends the run with an
-// error naming the event's time; the engine keeps that error.
+// error naming the event's time; the engine keeps that error, as it keeps
+// ErrCanceled and ErrEventLimit.
 func (e *Engine) RunUntil(deadline Time) (err error) {
 	if e.err != nil {
 		return e.err
@@ -320,6 +377,10 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 		// Honor a Stop issued before this run: consume it and do nothing.
 		e.stopped = false
 		return nil
+	}
+	// A run whose context is already done dispatches nothing.
+	if e.err = e.checkpoint(); e.err != nil {
+		return e.err
 	}
 	// One recover for the whole run, not one per event: a panic unwinds
 	// the loop, which is over either way.
@@ -356,9 +417,10 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 		}
 		e.now = ev.at
 		e.nEvents++
-		if e.maxEvents > 0 && e.nEvents > e.maxEvents {
-			e.err = fmt.Errorf("%w after %d events at t=%v", ErrEventLimit, e.nEvents, e.now)
-			return e.err
+		if e.nEvents >= e.checkAt {
+			if e.err = e.checkpoint(); e.err != nil {
+				return e.err
+			}
 		}
 		ev.fn()
 		if e.err != nil {
