@@ -200,7 +200,7 @@ func runXLogGP(o Options) (*Result, error) {
 	t := newTable("Extension X-4", "network", "L (wire+NIC)", "o (host/msg)", "g (msg gap)", "G (ns/byte)", "1/G MB/s")
 	var fitted []*loggp.Params
 	for _, net := range platform.Networks {
-		p, err := loggp.Measure(net)
+		p, err := loggp.Measure(o.ctx(), net)
 		if err != nil {
 			return nil, err
 		}

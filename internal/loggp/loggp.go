@@ -11,6 +11,7 @@
 package loggp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/microbench"
@@ -52,20 +53,22 @@ func (p *Params) PredictLatency(size units.Bytes) units.Duration {
 }
 
 // Measure extracts the parameters by running the standard micro-benchmarks
-// on a two-node instance of the network.
-func Measure(network platform.Network) (*Params, error) {
+// on a two-node instance of the network. Once ctx is done, the running
+// simulation stops and Measure returns an error wrapping sim.ErrCanceled.
+func Measure(ctx context.Context, network platform.Network) (*Params, error) {
 	out := &Params{Network: network}
+	env := microbench.Env{Ctx: ctx}
 
 	// o: the time an Isend occupies the host before returning, averaged
 	// over a small burst (kept under the eager credit ring).
-	o, err := measureOverhead(network)
+	o, err := measureOverhead(ctx, network)
 	if err != nil {
 		return nil, err
 	}
 	out.O = o
 
 	// Round trip: 0-byte ping-pong gives L + 2o per direction.
-	pp, err := microbench.PingPong(network, []units.Bytes{0}, 30)
+	pp, err := microbench.PingPong(network, []units.Bytes{0}, 30, env)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +78,7 @@ func Measure(network platform.Network) (*Params, error) {
 	}
 
 	// g: streaming 1-byte messages; G: streaming 1 MiB messages.
-	st, err := microbench.Streaming(network, []units.Bytes{1, 1 * units.MiB}, 16, 10)
+	st, err := microbench.Streaming(network, []units.Bytes{1, 1 * units.MiB}, 16, 10, env)
 	if err != nil {
 		return nil, err
 	}
@@ -85,8 +88,8 @@ func Measure(network platform.Network) (*Params, error) {
 }
 
 // measureOverhead times a burst of nonblocking sends at the sender.
-func measureOverhead(network platform.Network) (units.Duration, error) {
-	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1})
+func measureOverhead(ctx context.Context, network platform.Network) (units.Duration, error) {
+	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1, Ctx: ctx})
 	if err != nil {
 		return 0, err
 	}

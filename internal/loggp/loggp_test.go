@@ -1,18 +1,21 @@
 package loggp
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/microbench"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
 func TestMeasureBothNetworks(t *testing.T) {
 	params := map[platform.Network]*Params{}
 	for _, net := range platform.Networks {
-		p, err := Measure(net)
+		p, err := Measure(context.Background(), net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +49,7 @@ func TestPredictionTracksSimulation(t *testing.T) {
 	// LogGP is a crude model; predictions should land within 2x of
 	// simulated ping-pong for latency-dominated sizes.
 	for _, net := range platform.Networks {
-		p, err := Measure(net)
+		p, err := Measure(context.Background(), net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,6 +67,22 @@ func TestPredictionTracksSimulation(t *testing.T) {
 				t.Errorf("%v size %v: prediction %v vs simulation %v out of 2x band",
 					net, size, pred, meas)
 			}
+		}
+	}
+}
+
+// TestMeasureCanceled: with its context already canceled, Measure runs no
+// simulation to the end and returns an error wrapping sim.ErrCanceled.
+func TestMeasureCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, net := range platform.Networks {
+		p, err := Measure(ctx, net)
+		if !errors.Is(err, sim.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want sim.ErrCanceled wrapping context.Canceled", net, err)
+		}
+		if p != nil {
+			t.Fatalf("%v: canceled Measure returned parameters %v", net, p)
 		}
 	}
 }

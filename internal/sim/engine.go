@@ -4,7 +4,8 @@
 // The kernel supports two styles of model code:
 //
 //   - Event-driven callbacks, scheduled with (*Engine).At / (*Engine).After.
-//     Callbacks run on the scheduler goroutine.
+//     Callbacks run on the scheduler or on a parked process's stack; either
+//     way, one at a time in (at, seq) order.
 //   - Simulated processes ((*Engine).Spawn), each a coroutine that can
 //     block on simulated time (Sleep) and synchronization objects (Signal,
 //     Server). At most one process executes at a time, and control
@@ -198,6 +199,13 @@ type Engine struct {
 	procs   []*Proc
 	running *Proc
 
+	// The run's deadline, and the dispatch loop's state while it runs on a
+	// parked process's stack (see Proc.park): onProc is set for the whole
+	// loop, and handoff is the process a callback there resumed.
+	deadline Time
+	handoff  *Proc
+	onProc   bool
+
 	stopped   bool
 	err       error
 	nEvents   uint64
@@ -386,13 +394,41 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 	// the loop, which is over either way.
 	defer func() {
 		if r := recover(); r != nil {
-			e.err = fmt.Errorf("sim: panic in event at t=%v: %v\n%s", e.now, r, debug.Stack())
+			e.eventPanic(r)
 			err = e.err
 		}
 	}()
-	for !e.stopped {
-		// The next event is the smaller by (at, seq) of the ring front and
-		// the heap top; lane heads sit in the heap like any other event.
+	e.deadline = deadline
+	e.dispatch()
+	switch {
+	case e.err != nil:
+		return e.err
+	case e.stopped:
+		e.stopped = false
+		return nil
+	case e.ready.n+e.events.len() > 0: // the next event lies past the deadline
+		e.advanceTo(deadline)
+		return nil
+	}
+	if blocked := e.blockedProcs(); len(blocked) > 0 {
+		e.err = fmt.Errorf("%w at t=%v: %d blocked process(es): %s",
+			ErrDeadlock, e.now, len(blocked), strings.Join(blocked, "; "))
+		return e.err
+	}
+	e.advanceTo(deadline)
+	return nil
+}
+
+// dispatch runs events in (at, seq) order, the smaller of the ring front
+// and the heap top first, until the run must end: Stop was called, an
+// error is recorded, no event is queued, or the next lies past the
+// deadline; RunUntil tells these apart from the engine's state. On a
+// parked process's stack it also returns once a callback resumed a
+// process (handoff). RunUntil and Proc.park both run this one loop, so
+// the order and the checks are the same on either stack.
+func (e *Engine) dispatch() {
+	for !e.stopped && e.err == nil && e.handoff == nil {
+		// Lane heads sit in the heap like any other event.
 		var next *event
 		fromRing := e.ready.n > 0
 		if fromRing {
@@ -403,11 +439,10 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 		} else if e.events.len() > 0 {
 			next = &e.events.ev[0]
 		} else {
-			break
+			return
 		}
-		if next.at > deadline {
-			e.advanceTo(deadline)
-			return nil
+		if next.at > e.deadline {
+			return
 		}
 		var ev event
 		if fromRing {
@@ -419,25 +454,17 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 		e.nEvents++
 		if e.nEvents >= e.checkAt {
 			if e.err = e.checkpoint(); e.err != nil {
-				return e.err
+				return
 			}
 		}
 		ev.fn()
-		if e.err != nil {
-			return e.err
-		}
 	}
-	if e.stopped {
-		e.stopped = false
-		return nil
-	}
-	if blocked := e.blockedProcs(); len(blocked) > 0 {
-		e.err = fmt.Errorf("%w at t=%v: %d blocked process(es): %s",
-			ErrDeadlock, e.now, len(blocked), strings.Join(blocked, "; "))
-		return e.err
-	}
-	e.advanceTo(deadline)
-	return nil
+}
+
+// eventPanic records a panic raised by an event callback as the run's
+// error, naming the event's time.
+func (e *Engine) eventPanic(r any) {
+	e.err = fmt.Errorf("sim: panic in event at t=%v: %v\n%s", e.now, r, debug.Stack())
 }
 
 // advanceTo moves the clock forward to deadline on a clean RunUntil return.
@@ -478,6 +505,8 @@ func (e *Engine) Fail(err error) {
 // engine (after a deadlock, error, or early Stop) to avoid leaking parked
 // coroutines. The engine must not be run again afterwards.
 func (e *Engine) Shutdown() {
+	// A process that blocks again while it unwinds runs no event.
+	e.stopped = true
 	for _, p := range e.procs {
 		if p.done {
 			continue

@@ -20,8 +20,9 @@ type refModel struct {
 	ref     refHeap
 	id      uint64
 	fired   int
-	left    int  // scheduling budget
-	stopped bool // Stop was called since the driver last looked
+	left    int   // scheduling budget
+	stopped bool  // Stop was called since the test last looked
+	host    *Proc // the parked process whose stack runs the dispatch loop
 
 	lanes     []*Lane
 	laneLast  []units.Time // last time pushed per lane (not its live tail)
@@ -39,6 +40,12 @@ type coverage struct {
 	seriesRefused int // Lane.Series refused; the events went one by one
 	laneStops     int // Stop with lane entries pending
 	laneDeadlines int // RunUntil returned between two entries of one lane
+	sharedWakes   int // one callback woke several processes at one instant
+	procStops     int // Stop called by a process
+	// How the dispatch loop on a parked process's stack ended.
+	selfResumes int // it reached the process's own wake: no switch
+	handoffs    int // it reached another process's resume
+	loopEnds    int // the run ended (deadline, Stop or drain)
 }
 
 // expect records a scheduling call whose event will run at at (already
@@ -56,12 +63,83 @@ func (m *refModel) check(k event) {
 	if len(m.ref) == 0 {
 		m.t.Fatalf("dispatched (%d,%d) with nothing pending in the reference", k.at, k.seq)
 	}
+	if m.stopped {
+		m.t.Fatalf("dispatched (%d,%d) after Stop", k.at, k.seq)
+	}
+	if m.e.onProc != (m.host != nil) {
+		m.t.Fatalf("dispatch %d ran on a process stack: %v, want %v", m.fired, m.e.onProc, m.host != nil)
+	}
 	want := heap.Pop(&m.ref).(event)
 	if want.at != k.at || want.seq != k.seq || m.e.Now() != k.at {
 		m.t.Fatalf("dispatch %d: got (%d,%d) at clock %d, want (%d,%d)",
 			m.fired, k.at, k.seq, m.e.Now(), want.at, want.seq)
 	}
 	m.fired++
+}
+
+// park runs block, which must park p, noting that the dispatch loop runs
+// on p's stack until a process resumes.
+func (m *refModel) park(p *Proc, block func()) {
+	m.host = p
+	block()
+	m.resume(p)
+}
+
+// resume counts how p came to run: its own stack's loop reached its wake
+// (no switch), another parked process's loop handed off to it, or the
+// scheduler resumed it.
+func (m *refModel) resume(p *Proc) {
+	switch m.host {
+	case nil:
+	case p:
+		m.cov.selfResumes++
+	default:
+		m.cov.handoffs++
+	}
+	m.host = nil
+}
+
+// waiters spawns processes that wait on one signal, which a callback
+// fires at or after now: their wakes share the fire's instant.
+func (m *refModel) waiters(now units.Time) {
+	e := m.e
+	s := e.NewSignal("s")
+	n := 1 + m.r.Intn(3)
+	wakes := make([]event, n)
+	var waiting []int
+	for i := 0; i < n; i++ {
+		spawn := m.expect(now)
+		e.Spawn("w", func(p *Proc) {
+			m.resume(p)
+			m.check(spawn)
+			waiting = append(waiting, i)
+			m.park(p, func() { p.Wait(s) })
+			m.check(wakes[i])
+			m.act()
+		})
+	}
+	var cb event
+	withCallback := m.r.Intn(2) == 0
+	if withCallback {
+		s.OnFire(m.callback(&cb, -1))
+	}
+	fire := m.expect(now + units.Time(m.r.Intn(20)))
+	e.At(fire.at, func() {
+		m.check(fire)
+		// Fire wakes the waiters in the order they registered, then
+		// schedules the callback: one seq each.
+		for _, i := range waiting {
+			wakes[i] = m.expect(fire.at)
+		}
+		if withCallback {
+			cb = m.expect(fire.at)
+		}
+		if len(waiting) > 1 {
+			m.cov.sharedWakes++
+		}
+		s.Fire()
+		m.act()
+	})
 }
 
 // callback returns an event body that checks its key, counts a dispatch
@@ -86,7 +164,7 @@ func (m *refModel) act() {
 	e := m.e
 	now := e.Now()
 	k := new(event)
-	switch op := m.r.Intn(22); {
+	switch op := m.r.Intn(24); {
 	case op < 4: // At in the future
 		t := now + units.Time(1+m.r.Intn(40))
 		*k = m.expect(t)
@@ -133,22 +211,30 @@ func (m *refModel) act() {
 		spawn := m.expect(now)
 		steps := 1 + m.r.Intn(4)
 		e.Spawn("p", func(p *Proc) {
+			m.resume(p)
 			m.check(spawn)
 			for i := 0; i < steps; i++ {
 				if m.r.Intn(2) == 0 {
 					d := units.Duration(1 + m.r.Intn(30))
 					wake := m.expect(p.Now().Add(d))
-					p.Sleep(d)
+					m.park(p, func() { p.Sleep(d) })
 					m.check(wake)
 				} else {
 					wake := m.expect(p.Now())
-					p.Yield()
+					m.park(p, func() { p.Yield() })
 					m.check(wake)
+				}
+				if m.r.Intn(8) == 0 {
+					m.cov.procStops++
+					m.stopped = true
+					e.Stop()
 				}
 				m.act()
 			}
 		})
-	case op < 21: // Stop after the current event
+	case op < 22: // processes waiting on a signal a callback fires
+		m.waiters(now)
+	case op < 23: // Stop after the current event
 		for _, l := range m.lanes {
 			if l.head != nil {
 				m.cov.laneStops++
@@ -213,10 +299,15 @@ func (m *refModel) series(now units.Time) {
 
 // TestEngineMatchesReferenceOrder is the kernel's differential test: a
 // random mix of At (future, now, past), After(0), process sleeps and
-// yields, in-order and out-of-order Lane.At calls, and Lane.Series trains
-// (queued, or refused and issued one by one), run in RunUntil
-// rounds whose deadlines fall inside lanes and interrupted by Stop, must
-// dispatch exactly the sorted (at, seq) order of everything scheduled.
+// yields, processes waiting on signals that callbacks fire (several woken
+// at one instant), in-order and out-of-order Lane.At calls, and
+// Lane.Series trains (queued, or refused and issued one by one), run in
+// RunUntil rounds whose deadlines fall inside lanes and interrupted by
+// Stop from callbacks and from processes, must dispatch exactly the
+// sorted (at, seq) order of everything scheduled. Every dispatch also
+// checks that it runs on a parked process's stack exactly when the model
+// says a process parked since the last resume and the run is still on,
+// and the mix must end that loop in each of its three ways.
 func TestEngineMatchesReferenceOrder(t *testing.T) {
 	var cov coverage
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -249,6 +340,10 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 			if err := e.RunUntil(deadline); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
+			if m.host != nil {
+				m.cov.loopEnds++
+				m.host = nil
+			}
 			if m.stopped {
 				m.stopped = false
 				continue // a Stop may leave due events for the next round
@@ -272,6 +367,7 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("seed %d: final drain: %v", seed, err)
 		}
+		m.host = nil
 		for i, l := range m.lanes {
 			if l.head != nil || l.tail != nil {
 				t.Fatalf("seed %d: lane %d not empty after drain", seed, i)
@@ -287,9 +383,16 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		cov.behindSeries += m.cov.behindSeries
 		cov.seriesQueued += m.cov.seriesQueued
 		cov.seriesRefused += m.cov.seriesRefused
+		cov.sharedWakes += m.cov.sharedWakes
+		cov.procStops += m.cov.procStops
+		cov.selfResumes += m.cov.selfResumes
+		cov.handoffs += m.cov.handoffs
+		cov.loopEnds += m.cov.loopEnds
 	}
 	if cov.appended == 0 || cov.fellBack == 0 || cov.laneStops == 0 || cov.laneDeadlines == 0 ||
-		cov.behindSeries == 0 || cov.seriesQueued == 0 || cov.seriesRefused == 0 {
+		cov.behindSeries == 0 || cov.seriesQueued == 0 || cov.seriesRefused == 0 ||
+		cov.sharedWakes == 0 || cov.procStops == 0 ||
+		cov.selfResumes == 0 || cov.handoffs == 0 || cov.loopEnds == 0 {
 		t.Fatalf("mix missed a path: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)

@@ -63,7 +63,13 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
-				if _, isKill := r.(killedSentinel); !isKill && e.err == nil {
+				switch _, isKill := r.(killedSentinel); {
+				case e.onProc:
+					// A callback dispatched on this stack panicked: the
+					// run ends as if it had panicked on the scheduler's.
+					e.onProc, e.handoff = false, nil
+					e.eventPanic(r)
+				case !isKill && e.err == nil:
 					e.err = fmt.Errorf("sim: panic in process %q at t=%v: %v\n%s",
 						p.name, e.now, r, debug.Stack())
 				}
@@ -77,30 +83,50 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// switchTo transfers control to p until it parks or finishes. Must be called
-// from scheduler (event) context only.
+// switchTo resumes p, the continuation of p's wake event. Called on the
+// scheduler's stack, it transfers control to p until the stack it parks
+// on hands off or ends the run, then on to each process handed off to.
+// Called on a parked process's stack, it only records p as the handoff
+// for that process's park.
 func (e *Engine) switchTo(p *Proc) {
 	if p.done {
+		return
+	}
+	if e.onProc {
+		e.handoff = p
 		return
 	}
 	if e.running != nil {
 		panic("sim: switchTo while a process is running")
 	}
-	e.running = p
-	p.state, p.stateObj = "running", ""
-	p.next()
-	e.running = nil
+	for p != nil {
+		e.running = p
+		p.state, p.stateObj = "running", ""
+		p.next()
+		e.running = nil
+		p, e.handoff = e.handoff, nil
+	}
 }
 
-// park blocks the calling process until the scheduler resumes it. The
-// state/obj pair documents what the process is waiting for; it is only
-// rendered to a string when a deadlock report or timeline span needs it, so parking itself allocates nothing.
+// park blocks the calling process until its wake event is dispatched. The
+// process runs the dispatch loop on its own stack meanwhile: when the
+// next process to resume is itself, park returns with no switch at all;
+// when it is another process, or the run ends (deadline, Stop, error, no
+// event left), park yields to the scheduler, which resumes that process
+// or finds the run over. The state/obj pair documents what the process is
+// waiting for; it is only rendered to a string when a deadlock report or
+// timeline span needs it, so parking itself allocates nothing.
 func (p *Proc) park(state, obj string) {
 	p.checkRunning()
 	p.state, p.stateObj = state, obj
 	e := p.eng
 	blockedAt := e.now
-	if !p.yield(struct{}{}) {
+	e.running, e.onProc = nil, true
+	e.dispatch()
+	e.onProc = false
+	if e.handoff == p {
+		e.handoff, e.running = nil, p
+	} else if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
 	}
 	if e.track != nil && e.now > blockedAt {
