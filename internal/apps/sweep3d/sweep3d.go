@@ -168,10 +168,10 @@ func Run(r *mpi.Rank, p Params) {
 				}
 				r.Compute(blockWork, p.MemIntensity)
 				if dnI >= 0 {
-					r.Wait(r.Isend(dnI, tag, iMsg))
+					r.Send(dnI, tag, iMsg)
 				}
 				if dnJ >= 0 {
-					r.Wait(r.Isend(dnJ, tag, jMsg))
+					r.Send(dnJ, tag, jMsg)
 				}
 			}
 		}

@@ -172,7 +172,8 @@ func (n *Network) Fabric() *fabric.Fabric { return n.fab }
 // Recv is an in-flight tagged receive.
 type Recv struct {
 	// Done fires when the receive completes. It points at a signal inside
-	// the Recv, so a posted receive is one allocation.
+	// the Recv, so a posted receive is one allocation. It is nil for a
+	// receive posted with RxPostThen.
 	Done    *sim.Signal
 	Src     int // filled at completion
 	Tag     int
@@ -180,6 +181,7 @@ type Recv struct {
 	Payload interface{}
 
 	done sim.Signal
+	then func() // RxPostThen's continuation
 }
 
 // port is the per-local-rank Tports context on a NIC.
@@ -200,6 +202,8 @@ type NIC struct {
 
 	ports map[int]*port     // key: local rank
 	txSeq map[[2]int]uint64 // key: (source rank, destination rank) send sequence
+
+	freeMsgs sim.FreeList[envelopeMsg] // sends of the continuation path
 
 	Sends, Recvs, Unexpected uint64
 }
@@ -230,8 +234,16 @@ func (n *NIC) portOf(rank int) *port {
 // with the payload for eager. It carries the send's whole life, from the
 // command post to the matched receive's completion, as one continuation,
 // stepFn, bound once, so no stage schedules a closure.
+//
+// A send completes either by firing txDone, which TxPost handed out, so
+// the message is never reused, or by scheduling then; the latter goes back
+// to the source NIC's pool when the matched receive completes, its one
+// release point.
 type envelopeMsg struct {
 	net     *Network
+	live    sim.Live
+	signal  bool // the send completes by firing txDone
+	then    func()
 	env     match.Envelope
 	dstRank int
 	seq     uint64
@@ -267,6 +279,22 @@ const (
 // after the NIC has consumed it; rendezvous: after the payload has been
 // pulled by the receiver).
 func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size units.Bytes, payload interface{}) *sim.Signal {
+	msg := n.txPost(p, srcRank, dstRank, env, size, payload)
+	n.eng.InitSignal(&msg.txDone, n.net.txNames.Name(srcRank, dstRank))
+	msg.signal = true
+	return &msg.txDone
+}
+
+// TxPostThen is TxPost for a caller that needs no signal: when the
+// application buffer is reusable it schedules then (if not nil), exactly
+// as the signal's Fire would schedule a single OnFire callback.
+func (n *NIC) TxPostThen(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size units.Bytes, payload interface{}, then func()) {
+	n.txPost(p, srcRank, dstRank, env, size, payload).then = then
+}
+
+// txPost charges the command post and hands the send to the NIC thread.
+// The caller sets how the send completes before the thread picks it up.
+func (n *NIC) txPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size units.Bytes, payload interface{}) *envelopeMsg {
 	dstNode := n.net.nodeOf(dstRank)
 	if dstNode == n.node {
 		panic("elan: intra-node sends belong to the MPI shared-memory channel")
@@ -275,26 +303,40 @@ func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 	p.Sleep(n.params.TxPostOverhead)
 
 	flow := [2]int{srcRank, dstRank}
-	msg := &envelopeMsg{
-		net:     n.net,
-		env:     env,
-		dstRank: dstRank,
-		seq:     n.txSeq[flow],
-		size:    size,
-		eager:   size <= n.params.EagerThreshold,
-		payload: payload,
-		srcNode: n.node,
-		dstNode: dstNode,
+	msg := n.freeMsgs.Get()
+	if msg == nil {
+		msg = &envelopeMsg{net: n.net}
+		msg.stepFn = msg.step
 	}
+	msg.live.Acquire()
+	msg.env = env
+	msg.dstRank = dstRank
+	msg.seq = n.txSeq[flow]
+	msg.size = size
+	msg.eager = size <= n.params.EagerThreshold
+	msg.stage = stageInject
+	msg.payload = payload
+	msg.srcNode = n.node
+	msg.dstNode = dstNode
 	n.txSeq[flow]++
-	n.eng.InitSignal(&msg.txDone, n.net.txNames.Name(srcRank, dstRank))
-	msg.stepFn = msg.step
 	// NIC picks up the command (pipelined engines), then injects.
 	n.thread.ServePipelined(n.params.NICOccupancy, n.params.NICProcess, msg.stepFn)
-	return &msg.txDone
+	return msg
+}
+
+// sent completes the send: the application buffer is reusable.
+func (msg *envelopeMsg) sent() {
+	if msg.signal {
+		msg.txDone.Fire()
+		return
+	}
+	if msg.then != nil {
+		msg.net.eng.After(0, msg.then)
+	}
 }
 
 func (msg *envelopeMsg) step() {
+	msg.live.Check(msg)
 	fab := msg.net.fab
 	src, dst := msg.net.nics[msg.srcNode], msg.net.nics[msg.dstNode]
 	switch msg.stage {
@@ -305,12 +347,12 @@ func (msg *envelopeMsg) step() {
 		wire := msg.size
 		if msg.eager {
 			// Buffer ownership passes to the NIC at injection time.
-			msg.txDone.Fire()
+			msg.sent()
 		} else {
 			wire = src.params.EnvelopeBytes
 		}
 		msg.stage = stageArrive
-		fab.Send(msg.srcNode, msg.dstNode, wire).OnFire(msg.stepFn)
+		fab.SendThen(msg.srcNode, msg.dstNode, wire, msg.stepFn)
 	case stageArrive:
 		dst.envelopeArrived(msg)
 	case stageMatched:
@@ -331,12 +373,10 @@ func (msg *envelopeMsg) step() {
 		// The payload's delivery runs two callbacks, in this order: one
 		// frees the send buffer, the next starts the receive completion.
 		msg.stage = stagePulled
-		pull := fab.Send(msg.srcNode, msg.dstNode, msg.size)
-		pull.OnFire(msg.stepFn)
-		pull.OnFire(msg.stepFn)
+		fab.SendThen(msg.srcNode, msg.dstNode, msg.size, msg.stepFn, msg.stepFn)
 	case stagePulled:
 		msg.stage = stageFinish
-		msg.txDone.Fire()
+		msg.sent()
 	case stageFinish:
 		msg.stage = stageComplete
 		dst.thread.ServePipelined(dst.params.NICOccupancy, dst.params.NICProcess, msg.stepFn)
@@ -346,13 +386,24 @@ func (msg *envelopeMsg) step() {
 }
 
 // finishRecv completes the matched receive with the message's envelope.
+// It is the message's last stage: a message of the continuation path goes
+// back to its source NIC's pool.
 func (msg *envelopeMsg) finishRecv() {
 	rx := msg.rx
 	rx.Src = msg.env.Src
 	rx.Tag = msg.env.Tag
 	rx.Size = msg.size
 	rx.Payload = msg.payload
-	rx.done.Fire()
+	if rx.then != nil {
+		msg.net.eng.After(0, rx.then)
+	} else {
+		rx.done.Fire()
+	}
+	if msg.signal {
+		return
+	}
+	msg.rx, msg.payload, msg.then = nil, nil, nil
+	msg.net.nics[msg.srcNode].freeMsgs.Put(msg, &msg.live)
 }
 
 // envelopeArrived runs on the destination NIC when an envelope (possibly
@@ -360,6 +411,8 @@ func (msg *envelopeMsg) finishRecv() {
 // restored before matching, since the adaptive fabric may reorder messages.
 func (n *NIC) envelopeArrived(msg *envelopeMsg) {
 	pt := n.portOf(msg.dstRank)
+	// The batch is reused by the port's next Submit, which matchArrival,
+	// scheduling only, never reaches.
 	for _, m := range pt.seq.Submit(msg.env.Src, msg.seq, msg) {
 		em := m.(*envelopeMsg)
 		if n.net.orderProbe != nil {
@@ -397,34 +450,50 @@ func (n *NIC) completeMatch(msg *envelopeMsg) {
 	// sender's buffer is reusable, and txDone fires, at exactly the
 	// payload's delivery time.
 	msg.stage = stageCTS
-	n.net.fab.Send(n.node, msg.srcNode, n.params.EnvelopeBytes).OnFire(msg.stepFn)
+	n.net.fab.SendThen(n.node, msg.srcNode, n.params.EnvelopeBytes, msg.stepFn)
 }
 
 // RxPost posts a tagged receive for the given local rank. The calling
 // process pays only the descriptor-post overhead; matching runs on the NIC.
 func (n *NIC) RxPost(p *sim.Proc, dstRank int, env match.Envelope) *Recv {
+	recv := &Recv{}
+	recv.Done = &recv.done
+	n.rxPost(p, dstRank, env, recv)
+	return recv
+}
+
+// RxPostThen is RxPost for a caller that keeps the receive in its own
+// state: rx is filled in at completion, and then is scheduled exactly as
+// Done's Fire would schedule a single OnFire callback. rx must stay
+// untouched until then runs.
+func (n *NIC) RxPostThen(p *sim.Proc, dstRank int, env match.Envelope, rx *Recv, then func()) {
+	*rx = Recv{then: then}
+	n.rxPost(p, dstRank, env, rx)
+}
+
+// rxPost charges the descriptor post and matches recv on the NIC.
+func (n *NIC) rxPost(p *sim.Proc, dstRank int, env match.Envelope, recv *Recv) {
 	pt := n.portOf(dstRank)
 	n.Recvs++
 	p.Sleep(n.params.RxPostOverhead)
 
-	if pt.rxName == "" {
-		pt.rxName = "elan rx rank" + strconv.Itoa(dstRank)
+	if recv.then == nil {
+		if pt.rxName == "" {
+			pt.rxName = "elan rx rank" + strconv.Itoa(dstRank)
+		}
+		n.eng.InitSignal(&recv.done, pt.rxName)
 	}
-	recv := &Recv{}
-	n.eng.InitSignal(&recv.done, pt.rxName)
-	recv.Done = &recv.done
 	// The NIC thread walks the unexpected queue (or appends the post).
 	data, found, traversed := pt.eng.PostRecv(env, recv)
 	walk := units.Duration(traversed) * n.params.MatchPerEntry
 	if !found {
 		n.thread.Serve(n.params.NICOccupancy + walk)
-		return recv
+		return
 	}
 	msg := data.(*envelopeMsg)
 	msg.rx = recv
 	msg.stage = stagePosted
 	n.thread.ServePipelined(n.params.NICOccupancy+walk, n.params.NICProcess+walk, msg.stepFn)
-	return recv
 }
 
 // QueueStats reports the peak matching-queue depths across all ports of

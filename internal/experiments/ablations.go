@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/ib"
 	"repro/internal/loggp"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/mvib"
 	"repro/internal/platform"
+	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/units"
 )
@@ -198,11 +200,18 @@ func init() {
 func runXLogGP(o Options) (*Result, error) {
 	r := &Result{ID: "xloggp", Title: "LogGP parameters extracted from each simulated interconnect"}
 	t := newTable("Extension X-4", "network", "L (wire+NIC)", "o (host/msg)", "g (msg gap)", "G (ns/byte)", "1/G MB/s")
-	var fitted []*loggp.Params
+	var fitted []*loggp.Params // nil for a network whose fit failed
 	for _, net := range platform.Networks {
-		p, err := loggp.Measure(o.ctx(), net)
+		p, ok, err := simulate(o, r, "fit "+net.Short(), func(ctx context.Context) (*loggp.Params, error) {
+			return loggp.Measure(ctx, net)
+		})
 		if err != nil {
 			return nil, err
+		}
+		if !ok {
+			fitted = append(fitted, nil)
+			t.AddRow(net.Short(), report.Failed, report.Failed, report.Failed, math.NaN(), math.NaN())
+			continue
 		}
 		fitted = append(fitted, p)
 		t.AddRow(net.Short(), fmt.Sprint(p.L), fmt.Sprint(p.O), fmt.Sprint(p.Gap),
@@ -216,18 +225,40 @@ func runXLogGP(o Options) (*Result, error) {
 	if o.Quick {
 		iters = 3
 	}
-	elPP, err := microbench.PingPong(platform.QuadricsElan4, sizes, iters, microbench.Env{Ctx: o.ctx()})
+	pingPong := func(net platform.Network) ([]microbench.PingPongPoint, error) {
+		pp, ok, err := simulate(o, r, "ping-pong "+net.Short(), func(ctx context.Context) ([]microbench.PingPongPoint, error) {
+			return microbench.PingPong(net, sizes, iters, microbench.Env{Ctx: ctx})
+		})
+		if !ok {
+			pp = nil
+		}
+		return pp, err
+	}
+	elPP, err := pingPong(platform.QuadricsElan4)
 	if err != nil {
 		return nil, err
 	}
-	ibPP, err := microbench.PingPong(platform.InfiniBand4X, sizes, iters, microbench.Env{Ctx: o.ctx()})
+	ibPP, err := pingPong(platform.InfiniBand4X)
 	if err != nil {
 		return nil, err
+	}
+	// predicted and simulated one-way latency, NaN for a failed point.
+	predicted := func(p *loggp.Params, size units.Bytes) float64 {
+		if p == nil {
+			return math.NaN()
+		}
+		return p.PredictLatency(size).Microseconds()
+	}
+	simulated := func(pp []microbench.PingPongPoint, i int) float64 {
+		if pp == nil {
+			return math.NaN()
+		}
+		return pp[i].Latency.Microseconds()
 	}
 	for i, size := range sizes {
 		v.AddRow(fmtBytes(size),
-			fitted[0].PredictLatency(size).Microseconds(), elPP[i].Latency.Microseconds(),
-			fitted[1].PredictLatency(size).Microseconds(), ibPP[i].Latency.Microseconds())
+			predicted(fitted[0], size), simulated(elPP, i),
+			predicted(fitted[1], size), simulated(ibPP, i))
 	}
 	r.Tables = append(r.Tables, v)
 	r.Notes = append(r.Notes,

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/apps/lammps"
 	"repro/internal/fabric"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/mvib"
 	"repro/internal/platform"
+	"repro/internal/report"
 	"repro/internal/units"
 )
 
@@ -40,28 +43,31 @@ func runXAttrib(o Options) (*Result, error) {
 	}
 	params := lammps.Membrane(steps)
 	app := func(r *mpi.Rank) { lammps.Run(r, params) }
+	r := &Result{ID: "xattrib", Title: fmt.Sprintf("LAMMPS membrane, %d nodes x %d PPN: what closes the gap?", nodes, ppn)}
 
-	run := func(opts platform.Options) (float64, error) {
-		opts.Ranks = nodes * ppn
-		opts.PPN = ppn
-		opts.Metrics = o.Metrics
-		opts.FaultSpec, opts.Ctx = o.Faults, o.ctx()
-		m, err := platform.New(opts)
-		if err != nil {
-			return 0, err
-		}
-		res, err := m.Run(app)
-		if err != nil {
-			return 0, err
-		}
-		return res.Elapsed.Seconds(), nil
+	run := func(point string, opts platform.Options) (float64, error) {
+		return simFloat(o, r, point, func(ctx context.Context) (float64, error) {
+			opts.Ranks = nodes * ppn
+			opts.PPN = ppn
+			opts.Metrics = o.Metrics
+			opts.FaultSpec, opts.Ctx = o.Faults, ctx
+			m, err := platform.New(opts)
+			if err != nil {
+				return 0, err
+			}
+			res, err := m.Run(app)
+			if err != nil {
+				return 0, err
+			}
+			return res.Elapsed.Seconds(), nil
+		})
 	}
 
-	stock, err := run(platform.Options{Network: platform.InfiniBand4X})
+	stock, err := run("stock IB", platform.Options{Network: platform.InfiniBand4X})
 	if err != nil {
 		return nil, err
 	}
-	upgraded, err := run(platform.Options{
+	upgraded, err := run("upgraded IB", platform.Options{
 		Network: platform.InfiniBand4X,
 		TuneFabric: func(p *fabric.Params) {
 			ep := platform.ElanFabricParams()
@@ -81,25 +87,34 @@ func runXAttrib(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	elan, err := run(platform.Options{Network: platform.QuadricsElan4})
+	elan, err := run("Elan4", platform.Options{Network: platform.QuadricsElan4})
 	if err != nil {
 		return nil, err
 	}
 
-	r := &Result{ID: "xattrib", Title: fmt.Sprintf("LAMMPS membrane, %d nodes x %d PPN: what closes the gap?", nodes, ppn)}
 	t := newTable("Extension X-5", "configuration", "time (s)", "vs Elan-4")
 	addRow := func(label string, v float64) {
-		t.AddRow(label, fmtSeconds(v), fmt.Sprintf("%+.1f%%", (v/elan-1)*100))
+		t.AddRow(label, fmtSeconds(v), fmtPercent(v/elan-1))
 	}
 	addRow("stock 4X InfiniBand (MVAPICH architecture)", stock)
 	addRow("IB with Elan-class wires/NIC speed, same architecture", upgraded)
 	addRow("stock Quadrics Elan-4", elan)
 	r.Tables = append(r.Tables, t)
 
-	closed := (stock - upgraded) / (stock - elan) * 100
-	r.Notes = append(r.Notes, fmt.Sprintf(
-		"raw speed closes only %.0f%% of the gap; the remainder is architecture (host matching, no independent progress) — the paper's Section 4.2.1 attribution, demonstrated", closed))
+	if closed := (stock - upgraded) / (stock - elan) * 100; !math.IsNaN(closed) {
+		r.Notes = append(r.Notes, fmt.Sprintf(
+			"raw speed closes only %.0f%% of the gap; the remainder is architecture (host matching, no independent progress) — the paper's Section 4.2.1 attribution, demonstrated", closed))
+	}
 	return r, nil
+}
+
+// fmtPercent renders a relative change as a signed percentage, and a
+// failed one (NaN) as report.Failed.
+func fmtPercent(x float64) string {
+	if math.IsNaN(x) {
+		return report.Failed
+	}
+	return fmt.Sprintf("%+.1f%%", x*100)
 }
 
 // runXEager reproduces the Section 4.1 trade-off: raising MVAPICH's eager
@@ -126,26 +141,40 @@ func runXEager(o Options) (*Result, error) {
 
 	for _, th := range thresholds {
 		th := th
-		m, err := platform.New(platform.Options{
-			Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: o.ctx(),
-			TuneIB: func(_ *ib.Params, tp *mvib.Params) {
-				tp.RDMAEagerMax = th
-				if tp.EagerThreshold < th {
-					tp.EagerThreshold = th
+		lats, ok, err := simulate(o, r, "threshold "+fmtBytes(th), func(ctx context.Context) ([]float64, error) {
+			m, err := platform.New(platform.Options{
+				Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
+				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx,
+				TuneIB: func(_ *ib.Params, tp *mvib.Params) {
+					tp.RDMAEagerMax = th
+					if tp.EagerThreshold < th {
+						tp.EagerThreshold = th
+					}
+				},
+			})
+			if err != nil {
+				return nil, err
+			}
+			var lats []float64
+			for _, size := range probeSizes {
+				lat, err := pingPongOneWay(m, size, iters)
+				if err != nil {
+					return nil, err
 				}
-			},
+				lats = append(lats, lat.Microseconds())
+			}
+			return lats, nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		row := []interface{}{fmtBytes(th)}
-		for _, size := range probeSizes {
-			lat, err := pingPongOneWay(m, size, iters)
-			if err != nil {
-				return nil, err
+		for i := range probeSizes {
+			lat := math.NaN()
+			if ok {
+				lat = lats[i]
 			}
-			row = append(row, lat.Microseconds())
+			row = append(row, lat)
 		}
 		// Memory: slots * (threshold+header) * 2 directions * (P-1) peers.
 		tp := mvib.DefaultParams()
@@ -185,28 +214,31 @@ func runXNoise(o Options) (*Result, error) {
 			r.Allreduce(64)
 		}
 	}
-	run := func(nodes int, noisy bool) (float64, error) {
-		m, err := platform.New(platform.Options{
-			Network: platform.QuadricsElan4, Ranks: nodes, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: o.ctx(),
-			TuneMPI: func(cfg *mpi.Config) {
-				if noisy {
-					cfg.Node.NoiseFraction = 0.02
-					cfg.Node.NoiseBurst = 250 * units.Microsecond
-					cfg.Node.NoiseSeed = 1234
-				}
-			},
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := m.Run(app)
-		if err != nil {
-			return 0, err
-		}
-		return res.Elapsed.Seconds(), nil
-	}
 	r := &Result{ID: "xnoise", Title: "2% per-node OS noise under a compute+allreduce loop (Elan-4, 1 PPN)"}
+	run := func(nodes int, noisy bool) (float64, error) {
+		point := fmt.Sprintf("nodes=%d noisy=%t", nodes, noisy)
+		return simFloat(o, r, point, func(ctx context.Context) (float64, error) {
+			m, err := platform.New(platform.Options{
+				Network: platform.QuadricsElan4, Ranks: nodes, PPN: 1,
+				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx,
+				TuneMPI: func(cfg *mpi.Config) {
+					if noisy {
+						cfg.Node.NoiseFraction = 0.02
+						cfg.Node.NoiseBurst = 250 * units.Microsecond
+						cfg.Node.NoiseSeed = 1234
+					}
+				},
+			})
+			if err != nil {
+				return 0, err
+			}
+			res, err := m.Run(app)
+			if err != nil {
+				return 0, err
+			}
+			return res.Elapsed.Seconds(), nil
+		})
+	}
 	t := newTable("Extension X-7", "nodes", "quiet (s)", "noisy (s)", "slowdown %")
 	for _, n := range nodeCounts {
 		quiet, err := run(n, false)
@@ -246,43 +278,45 @@ func runXRGet(o Options) (*Result, error) {
 	// in Recv the whole time. Push rendezvous cannot move the payload until
 	// the SENDER re-enters MPI (ratio >= 1); pull moves it as soon as the
 	// receiver matches the RTS (ratio << 1), like Elan's NIC does.
-	measure := func(opts platform.Options, size units.Bytes) (float64, error) {
-		opts.Ranks, opts.PPN = 2, 1
-		opts.Metrics = o.Metrics
-		opts.FaultSpec, opts.Ctx = o.Faults, o.ctx()
-		m, err := platform.New(opts)
-		if err != nil {
-			return 0, err
-		}
-		var recvDone units.Duration
-		_, err = m.Run(func(rk *mpi.Rank) {
-			if rk.ID() == 0 {
-				req := rk.Isend(1, 0, size)
-				rk.Compute(compute, 0)
-				rk.Wait(req)
-			} else {
-				rk.Recv(0, 0)
-				recvDone = units.Duration(rk.Now())
+	measure := func(config string, opts platform.Options, size units.Bytes) (float64, error) {
+		return simFloat(o, r, config+" "+fmtBytes(size), func(ctx context.Context) (float64, error) {
+			opts.Ranks, opts.PPN = 2, 1
+			opts.Metrics = o.Metrics
+			opts.FaultSpec, opts.Ctx = o.Faults, ctx
+			m, err := platform.New(opts)
+			if err != nil {
+				return 0, err
 			}
+			var recvDone units.Duration
+			_, err = m.Run(func(rk *mpi.Rank) {
+				if rk.ID() == 0 {
+					req := rk.Isend(1, 0, size)
+					rk.Compute(compute, 0)
+					rk.Wait(req)
+				} else {
+					rk.Recv(0, 0)
+					recvDone = units.Duration(rk.Now())
+				}
+			})
+			if err != nil {
+				return 0, err
+			}
+			return float64(recvDone) / float64(compute), nil
 		})
-		if err != nil {
-			return 0, err
-		}
-		return float64(recvDone) / float64(compute), nil
 	}
 	for _, size := range sizes {
-		push, err := measure(platform.Options{Network: platform.InfiniBand4X}, size)
+		push, err := measure("IB push", platform.Options{Network: platform.InfiniBand4X}, size)
 		if err != nil {
 			return nil, err
 		}
-		pull, err := measure(platform.Options{
+		pull, err := measure("IB pull", platform.Options{
 			Network: platform.InfiniBand4X,
 			TuneIB:  func(_ *ib.Params, tp *mvib.Params) { tp.ReadRendezvous = true },
 		}, size)
 		if err != nil {
 			return nil, err
 		}
-		elan, err := measure(platform.Options{Network: platform.QuadricsElan4}, size)
+		elan, err := measure("Elan4", platform.Options{Network: platform.QuadricsElan4}, size)
 		if err != nil {
 			return nil, err
 		}

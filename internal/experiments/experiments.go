@@ -40,10 +40,10 @@ type Options struct {
 	// event engine and results are assembled in submission order, so the
 	// output is byte-identical for any value of Jobs.
 	Jobs int
-	// Timeout bounds each individual simulation; 0 means unbounded. A
-	// simulation stops at its deadline (its engine polls the sweep job's
-	// context), and the point surfaces as a structured error naming it
-	// and renders as "failed" in the tables.
+	// Timeout bounds each individual simulation, in a sweep or not (see
+	// simulate); 0 means unbounded. A simulation stops at its deadline
+	// (its engine polls its context), and the point surfaces as a
+	// structured error naming it and renders as "failed" in the tables.
 	Timeout time.Duration
 	// Progress, when non-nil, receives sweep progress lines (done/total,
 	// elapsed, ETA). Point it at stderr so tables stay clean.
@@ -79,6 +79,37 @@ func (o Options) ctx() context.Context {
 		return o.Ctx
 	}
 	return context.Background()
+}
+
+// simulate runs one simulation that an experiment makes outside a sweep
+// pool, under the experiment's context bounded by Timeout, as a pool
+// bounds each of its jobs. A simulation its deadline stopped is recorded
+// on res as a failed point named point, and simulate reports ok false
+// with a nil error, so the caller renders the point's cells as "failed",
+// as a sweep does. Any other error is returned.
+func simulate[T any](o Options, res *Result, point string, run func(ctx context.Context) (T, error)) (v T, ok bool, err error) {
+	ctx := o.ctx()
+	if o.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		defer cancel()
+	}
+	v, err = run(ctx)
+	if err != nil && o.ctx().Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		attachFailures(res, []runner.Failure{{Job: point, Cause: err.Error(), Err: err}})
+		return v, false, nil
+	}
+	return v, err == nil, err
+}
+
+// simFloat is simulate for a simulation measuring one number: a failed
+// point reads NaN, which renders as "failed".
+func simFloat(o Options, res *Result, point string, run func(ctx context.Context) (float64, error)) (float64, error) {
+	v, ok, err := simulate(o, res, point, run)
+	if !ok {
+		v = math.NaN()
+	}
+	return v, err
 }
 
 // env packages the per-machine environment for microbench calls made by

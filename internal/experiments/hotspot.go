@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"math"
+
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/platform"
@@ -31,55 +35,57 @@ func runXRoute(o Options) (*Result, error) {
 		iters = 2
 	}
 
-	measure := func(net platform.Network, forceAdaptive bool, nodes int) (float64, error) {
-		opts := platform.Options{Network: net, Ranks: nodes, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: o.ctx()}
-		if forceAdaptive {
-			opts.TuneFabric = func(p *fabric.Params) { p.Adaptive = true }
-		}
-		m, err := platform.New(opts)
-		if err != nil {
-			return 0, err
-		}
-		// Fixed random permutation, same for every configuration. Each
-		// rank streams a window of messages so flows run at line rate —
-		// only then does spine routing matter.
-		const window = 8
-		perm := derangement(nodes, 99)
-		inv := make([]int, nodes)
-		for i, v := range perm {
-			inv[v] = i
-		}
-		res, err := m.Run(func(r *mpi.Rank) {
-			for it := 0; it < iters; it++ {
-				reqs := make([]*mpi.Request, 0, 2*window)
-				for w := 0; w < window; w++ {
-					reqs = append(reqs, r.Irecv(inv[r.ID()], it))
-					reqs = append(reqs, r.Isend(perm[r.ID()], it, size))
-				}
-				r.Waitall(reqs...)
+	r := &Result{ID: "xroute", Title: "Permutation traffic across the spine: aggregate MB/s"}
+	measure := func(point string, net platform.Network, forceAdaptive bool, nodes int) (float64, error) {
+		return simFloat(o, r, fmt.Sprintf("%s nodes=%d", point, nodes), func(ctx context.Context) (float64, error) {
+			opts := platform.Options{Network: net, Ranks: nodes, PPN: 1,
+				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx}
+			if forceAdaptive {
+				opts.TuneFabric = func(p *fabric.Params) { p.Adaptive = true }
 			}
-			r.Barrier()
+			m, err := platform.New(opts)
+			if err != nil {
+				return 0, err
+			}
+			// Fixed random permutation, same for every configuration. Each
+			// rank streams a window of messages so flows run at line rate —
+			// only then does spine routing matter.
+			const window = 8
+			perm := derangement(nodes, 99)
+			inv := make([]int, nodes)
+			for i, v := range perm {
+				inv[v] = i
+			}
+			res, err := m.Run(func(r *mpi.Rank) {
+				for it := 0; it < iters; it++ {
+					reqs := make([]*mpi.Request, 0, 2*window)
+					for w := 0; w < window; w++ {
+						reqs = append(reqs, r.Irecv(inv[r.ID()], it))
+						reqs = append(reqs, r.Isend(perm[r.ID()], it, size))
+					}
+					r.Waitall(reqs...)
+				}
+				r.Barrier()
+			})
+			if err != nil {
+				return 0, err
+			}
+			bytes := float64(nodes*iters*window) * float64(size)
+			return bytes / res.Elapsed.Seconds() / 1e6, nil // aggregate MB/s
 		})
-		if err != nil {
-			return 0, err
-		}
-		bytes := float64(nodes*iters*window) * float64(size)
-		return bytes / res.Elapsed.Seconds() / 1e6, nil // aggregate MB/s
 	}
 
-	r := &Result{ID: "xroute", Title: "Permutation traffic across the spine: aggregate MB/s"}
 	t := newTable("Extension X-8", "nodes", "Elan4 (adaptive)", "IB (static routes)", "IB + adaptive (counterfactual)")
 	for _, n := range nodeCounts {
-		el, err := measure(platform.QuadricsElan4, false, n)
+		el, err := measure("Elan4", platform.QuadricsElan4, false, n)
 		if err != nil {
 			return nil, err
 		}
-		ibStatic, err := measure(platform.InfiniBand4X, false, n)
+		ibStatic, err := measure("IB static", platform.InfiniBand4X, false, n)
 		if err != nil {
 			return nil, err
 		}
-		ibAdaptive, err := measure(platform.InfiniBand4X, true, n)
+		ibAdaptive, err := measure("IB adaptive", platform.InfiniBand4X, true, n)
 		if err != nil {
 			return nil, err
 		}
@@ -95,15 +101,21 @@ func runXRoute(o Options) (*Result, error) {
 	t2 := newTable("Same question on a narrow radix-4 fabric with aligned flows (fabric-level)",
 		"routing", "makespan (ms)", "aggregate MB/s")
 	for _, adaptive := range []bool{false, true} {
-		makespan, agg, err := narrowFabricPermutation(adaptive, o)
-		if err != nil {
-			return nil, err
-		}
 		label := "static destination routes"
 		if adaptive {
 			label = "per-packet adaptive"
 		}
-		t2.AddRow(label, makespan.Seconds()*1e3, agg)
+		span, ok, err := simulate(o, r, "narrow "+label, func(ctx context.Context) ([2]float64, error) {
+			makespan, agg, err := narrowFabricPermutation(ctx, adaptive, o)
+			return [2]float64{makespan.Seconds() * 1e3, agg}, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			span = [2]float64{math.NaN(), math.NaN()}
+		}
+		t2.AddRow(label, span[0], span[1])
 	}
 	r.Tables = append(r.Tables, t2)
 	r.Notes = append(r.Notes,
@@ -119,13 +131,14 @@ func runXRoute(o Options) (*Result, error) {
 // per-packet adaptivity doubles throughput. (With full-radix chassis the
 // collision cannot be provoked at line rate, which is the first table's
 // point.)
-func narrowFabricPermutation(adaptive bool, o Options) (units.Duration, float64, error) {
+func narrowFabricPermutation(ctx context.Context, adaptive bool, o Options) (units.Duration, float64, error) {
 	msgs := 12
 	size := units.Bytes(256 * units.KiB)
 	if o.Quick {
 		msgs = 3
 	}
 	eng := sim.NewEngine()
+	eng.SetContext(ctx)
 	fab, err := fabric.New(eng, 8, 4, fabric.Params{
 		LinkBandwidth:  1000 * units.MBps,
 		WireLatency:    50 * units.Nanosecond,

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // TestTimedOutSweepLeavesNoGoroutines: a sweep whose simulations run past
@@ -64,6 +67,39 @@ func TestFailedPointsRenderFailed(t *testing.T) {
 	}
 	if len(res.Failures) != 6 {
 		t.Fatalf("%d failures, want all 6 points", len(res.Failures))
+	}
+	for _, tb := range res.Tables {
+		for _, row := range tb.Rows {
+			for _, cell := range row[1:] {
+				if cell != report.Failed {
+					t.Errorf("%s: row %v has cell %q, want %q", tb.Title, row, cell, report.Failed)
+				}
+			}
+		}
+	}
+}
+
+// TestTimeoutBoundsSimulationsOutsidePools: the experiments that build
+// machines outside a sweep pool bound each simulation by -timeout too. A
+// quick xrget at 1 ns fails every simulation with an error wrapping
+// sim.ErrCanceled and context.DeadlineExceeded, records each as a failed
+// point, and renders every measured cell "failed".
+func TestTimeoutBoundsSimulationsOutsidePools(t *testing.T) {
+	e, err := Get("xrget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(Options{Quick: true, Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 9 {
+		t.Fatalf("%d failures, want all 9 simulations", len(res.Failures))
+	}
+	for _, f := range res.Failures {
+		if !errors.Is(f.Err, sim.ErrCanceled) || !errors.Is(f.Err, context.DeadlineExceeded) {
+			t.Errorf("point %q: error %v, want sim.ErrCanceled wrapping the deadline", f.Job, f.Err)
+		}
 	}
 	for _, tb := range res.Tables {
 		for _, row := range tb.Rows {

@@ -74,12 +74,16 @@ package fabric
 // re-issues, where the chunk model may serve the chunk first, and then
 // the delivery moves. TestCoalescedTieOrder pins both cases.
 
-import "repro/internal/units"
+import (
+	"repro/internal/sim"
+	"repro/internal/units"
+)
 
 // window summarizes one coalesced in-flight message.
 type window struct {
-	f  *Fabric
-	ms *msgState
+	f    *Fabric
+	live sim.Live
+	ms   *msgState
 
 	t0   units.Time
 	n    int         // chunk count
@@ -102,22 +106,20 @@ type window struct {
 }
 
 func (f *Fabric) getWindow() *window {
-	if n := len(f.freeWins); n > 0 {
-		w := f.freeWins[n-1]
-		f.freeWins[n-1] = nil
-		f.freeWins = f.freeWins[:n-1]
-		return w
+	w := f.freeWins.Get()
+	if w == nil {
+		w = &window{f: f}
+		w.expandFn = w.expand
+		w.completeFn = w.complete
 	}
-	w := &window{f: f}
-	w.expandFn = w.expand
-	w.completeFn = w.complete
+	w.live.Acquire()
 	return w
 }
 
 func (f *Fabric) putWindow(w *window) {
 	w.ms = nil
 	w.expanded = false
-	f.freeWins = append(f.freeWins, w)
+	f.freeWins.Put(w, &w.live)
 }
 
 // tryCoalesce attempts to open a window for ms (n chunks, final chunk
@@ -204,6 +206,7 @@ func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 // completion, and busyTotal/served exactly as n per-chunk ServeAt calls
 // would have — then retires the message.
 func (w *window) complete() {
+	w.live.Check(w)
 	f := w.f
 	if w.expanded {
 		f.putWindow(w)
@@ -221,15 +224,9 @@ func (w *window) complete() {
 		srv.Absorb(w.cLast[i], busy, uint64(w.n))
 	}
 	f.open = nil
-	f.inflight--
-	done := ms.done
-	size := ms.size
-	ms.done = nil
 	ms.remaining = 0
-	f.freeMsgs = append(f.freeMsgs, ms)
 	f.putWindow(w)
-	f.retire(size, false)
-	done.Fire()
+	f.retireMsg(ms)
 }
 
 // arrFull reports full chunk k's arrival time at stage i.
@@ -247,6 +244,7 @@ func (w *window) arrFull(k, i int) units.Time {
 // the message follows the chunk model, except that the re-issued events
 // take their seqs now (see the exactness boundary above).
 func (w *window) expand() {
+	w.live.Check(w)
 	f := w.f
 	w.expanded = true
 	ms := w.ms

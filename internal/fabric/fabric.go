@@ -116,8 +116,8 @@ type Fabric struct {
 	// steady-state Send/chunk traffic allocates nothing. Pool contents
 	// never escape the fabric, and every field is reset on get, so reuse
 	// cannot leak state across messages.
-	freeChunks []*chunkState
-	freeMsgs   []*msgState
+	freeChunks sim.FreeList[chunkState]
+	freeMsgs   sim.FreeList[msgState]
 
 	// coalesce enables the idle-path fast path: a message alone in the
 	// fabric is delivered by one analytically-scheduled event instead of
@@ -135,7 +135,7 @@ type Fabric struct {
 	// freeWins pools coalescing windows. An expanded window stays out of
 	// the pool until its stale completion event fires, which can be after
 	// its message has retired.
-	freeWins []*window
+	freeWins sim.FreeList[window]
 
 	// msgNames names message signals, once per (src, dst).
 	msgNames sim.PairNames
@@ -366,16 +366,21 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
 // allocates no tracking state in steady flow. Its continuations, injectFn
-// and fireFn, are bound once at allocation like chunkState.stepFn.
+// and fireFn, are bound once at allocation like chunkState.stepFn. It is
+// released when the message retires (see retireMsg).
 type msgState struct {
 	f         *Fabric
+	live      sim.Live
 	pt        path
 	remaining int         // chunks not yet retired
 	size      units.Bytes // payload size: the chunk plan, retirement counts
-	done      *sim.Signal
+	// The message's completion: done, the signal Send handed out, or,
+	// when done is nil, the continuations SendThen was given.
+	done *sim.Signal
+	then []func()
 	// aborted marks a message killed by an unrecovered fault (see
 	// dropMessage): its remaining chunks still drain through the fabric,
-	// but done never fires.
+	// but it never completes.
 	aborted  bool
 	injectFn func()
 
@@ -391,16 +396,34 @@ type msgState struct {
 }
 
 func (f *Fabric) getMsg() *msgState {
-	if n := len(f.freeMsgs); n > 0 {
-		ms := f.freeMsgs[n-1]
-		f.freeMsgs[n-1] = nil
-		f.freeMsgs = f.freeMsgs[:n-1]
-		return ms
+	ms := f.freeMsgs.Get()
+	if ms == nil {
+		ms = &msgState{f: f}
+		ms.injectFn = ms.inject
+		ms.fireFn = ms.fire
 	}
-	ms := &msgState{f: f}
-	ms.injectFn = ms.inject
-	ms.fireFn = ms.fire
+	ms.live.Acquire()
 	return ms
+}
+
+// retireMsg is a message's one release point: it leaves the fabric,
+// completes unless a fault killed it, and its state goes back to the pool.
+// Completion fires the signal Send handed out or schedules SendThen's
+// continuations, each as Fire would schedule a callback, in order.
+func (f *Fabric) retireMsg(ms *msgState) {
+	f.inflight--
+	f.retire(ms.size, ms.aborted)
+	if !ms.aborted {
+		if ms.done != nil {
+			ms.done.Fire()
+		}
+		for _, fn := range ms.then {
+			f.eng.After(0, fn)
+		}
+	}
+	clear(ms.then)
+	ms.done, ms.then, ms.aborted = nil, ms.then[:0], false
+	f.freeMsgs.Put(ms, &ms.live)
 }
 
 // inject is the message's one injection event: it puts chunks 0..n-1 on
@@ -416,6 +439,7 @@ func (f *Fabric) getMsg() *msgState {
 // second stage on. Otherwise, or when the first stage's lane refuses the
 // train, each chunk takes its own state and steps through the first stage.
 func (ms *msgState) inject() {
+	ms.live.Check(ms)
 	f := ms.f
 	now := f.eng.Now()
 	n, last := f.chunkPlan(ms.size)
@@ -490,6 +514,7 @@ func (ms *msgState) startTrain(now units.Time, n int, last units.Bytes) bool {
 // stage, takes a chunk state there and steps on. It reports the arrival
 // of the chunk after it, which is the train's next firing.
 func (ms *msgState) fire() (units.Time, bool) {
+	ms.live.Check(ms)
 	f := ms.f
 	at, size := ms.trainAt, f.params.MTU
 	ms.trainLeft--
@@ -506,25 +531,13 @@ func (ms *msgState) fire() (units.Time, bool) {
 	return next, more
 }
 
-// chunkDelivered retires one chunk; the last one retires the message,
-// recycles the state, and fires completion.
+// chunkDelivered retires one chunk; the last one retires the message.
 func (ms *msgState) chunkDelivered() {
 	ms.remaining--
 	if ms.remaining > 0 {
 		return
 	}
-	f := ms.f
-	f.inflight--
-	done := ms.done
-	aborted := ms.aborted
-	size := ms.size
-	ms.done = nil
-	ms.aborted = false
-	f.freeMsgs = append(f.freeMsgs, ms)
-	f.retire(size, aborted)
-	if !aborted {
-		done.Fire()
-	}
+	ms.f.retireMsg(ms)
 }
 
 // chunkState carries one in-flight chunk through its path. It is pooled,
@@ -540,7 +553,8 @@ func (ms *msgState) chunkDelivered() {
 type chunkState struct {
 	lane  sim.LaneEntry
 	ms    *msgState
-	i     int // the stage the chunk arrives at next; ms.pt.n is delivery
+	i     int32 // the stage the chunk arrives at next; ms.pt.n is delivery
+	live  sim.Live
 	size  units.Bytes
 	ready units.Time
 	// Adaptive per-chunk spine override, chosen when the chunk reaches
@@ -551,16 +565,13 @@ type chunkState struct {
 }
 
 func (f *Fabric) getChunk(ms *msgState, i int, size units.Bytes, ready units.Time) *chunkState {
-	var cs *chunkState
-	if n := len(f.freeChunks); n > 0 {
-		cs = f.freeChunks[n-1]
-		f.freeChunks[n-1] = nil
-		f.freeChunks = f.freeChunks[:n-1]
-	} else {
+	cs := f.freeChunks.Get()
+	if cs == nil {
 		cs = &chunkState{}
 		cs.stepFn = cs.step
 	}
-	cs.ms, cs.i, cs.size, cs.ready = ms, i, size, ready
+	cs.live.Acquire()
+	cs.ms, cs.i, cs.size, cs.ready = ms, int32(i), size, ready
 	cs.upLink = -1
 	return cs
 }
@@ -568,7 +579,7 @@ func (f *Fabric) getChunk(ms *msgState, i int, size units.Bytes, ready units.Tim
 // putChunk retires cs into the pool.
 func (f *Fabric) putChunk(cs *chunkState) {
 	cs.ms = nil
-	f.freeChunks = append(f.freeChunks, cs)
+	f.freeChunks.Put(cs, &cs.live)
 }
 
 // step is one hop of the lazy cut-through pipeline: the chunk claims the
@@ -588,10 +599,11 @@ func (f *Fabric) putChunk(cs *chunkState) {
 // the message before a chunk already served has been delivered. So with
 // faults on every chunk keeps its delivery event.
 func (cs *chunkState) step() {
+	cs.live.Check(cs)
 	ms := cs.ms
 	f := ms.f
 	pt := &ms.pt
-	i := cs.i
+	i := int(cs.i)
 	if i == pt.n {
 		f.putChunk(cs)
 		ms.chunkDelivered()
@@ -670,8 +682,8 @@ func (cs *chunkState) step() {
 		f.dropMessage(cs)
 		return
 	}
-	cs.i = i + 1
-	if cs.i == pt.n && !f.faultsOn && ms.remaining > 1 {
+	cs.i = int32(i + 1)
+	if i+1 == pt.n && !f.faultsOn && ms.remaining > 1 {
 		ms.remaining--
 		f.putChunk(cs)
 		return
@@ -716,6 +728,31 @@ func (f *Fabric) chunkPlan(size units.Bytes) (n int, last units.Bytes) {
 // been delivered into dst's host memory. Zero-size messages (pure control
 // traffic) still pay one packet's serialization and the full route latency.
 func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
+	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
+	f.send(src, dst, size, done, nil)
+	return done
+}
+
+// SendThen is Send for a caller that needs no signal: at delivery it
+// schedules each of then, in order, exactly as the signal's Fire would
+// schedule callbacks registered with OnFire, so every event keeps its key.
+// A traced fabric still builds the signal, so the message's span callback
+// keeps its place ahead of them.
+func (f *Fabric) SendThen(src, dst int, size units.Bytes, then ...func()) {
+	if f.track == nil {
+		f.send(src, dst, size, nil, then)
+		return
+	}
+	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
+	f.send(src, dst, size, done, nil)
+	for _, fn := range then {
+		done.OnFire(fn)
+	}
+}
+
+// send is Send and SendThen: the message completes by firing done, when it
+// is not nil, and by scheduling then.
+func (f *Fabric) send(src, dst int, size units.Bytes, done *sim.Signal, then []func()) {
 	if src == dst {
 		panic("fabric: send to self must be handled above the fabric (loopback)")
 	}
@@ -724,7 +761,6 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	}
 	f.messages++
 	f.bytes += size
-	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
 	if f.track != nil {
 		begin := f.eng.Now()
 		name := fmt.Sprintf("msg->%d %v", dst, size)
@@ -735,7 +771,7 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 
 	ms := f.getMsg()
 	ms.done = done
-	ms.aborted = false
+	ms.then = append(ms.then, then...)
 	f.fillPath(&ms.pt, src, dst)
 	n, last := f.chunkPlan(size)
 	f.chunks += uint64(n)
@@ -755,14 +791,13 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 		(!f.params.Adaptive || ms.pt.upIdx < 0) &&
 		!f.pathFaulted(&ms.pt) &&
 		f.tryCoalesce(ms, n, last) {
-		return done
+		return
 	}
 
 	// One event injects every chunk (see inject). An idle n-chunk message
 	// over an m-stage path then costs n·(m-1)+2 events: the injection, one
 	// arrival per chunk at each later stage, and the final delivery.
 	f.eng.At(f.eng.Now(), ms.injectFn)
-	return done
 }
 
 // MinLatency reports the unloaded one-way latency of a size-byte message

@@ -33,7 +33,7 @@ func TestTrainChunkStates(t *testing.T) {
 				t.Fatalf("%s/%d chunks: delivered at %v, want %v", c.name, n, done.FiredAt(), want)
 			}
 			// Every chunk state the run built is back in the pool.
-			if built := len(f.freeChunks); built > 4 {
+			if built := f.freeChunks.Len(); built > 4 {
 				t.Errorf("%s/%d chunks: built %d chunk states, want at most 4", c.name, n, built)
 			}
 		}

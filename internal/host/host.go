@@ -80,7 +80,7 @@ type Node struct {
 	epoch       uint64
 	changed     *sim.Signal // replaced at every membership change it would announce
 	changedName string      // changed's name, rendered once
-	freeTimers  []*computeTimer
+	freeTimers  sim.FreeList[computeTimer]
 
 	debt      []units.Duration // per-slot overhead owed to the next Compute
 	busyTotal []units.Duration // per-slot accumulated compute time
@@ -164,26 +164,25 @@ func (n *Node) membershipChanged() {
 // woken process also waits on; so that process still leaves its wait.
 type computeTimer struct {
 	node   *Node
+	live   sim.Live
 	sig    sim.Signal
 	fireFn func() // bound once
 }
 
 func (t *computeTimer) fire() {
+	t.live.Check(t)
 	t.sig.Fire()
-	t.node.freeTimers = append(t.node.freeTimers, t)
+	t.node.freeTimers.Put(t, &t.live)
 }
 
 // startTimer returns a fresh timer signal that fires at deadline.
 func (n *Node) startTimer(deadline units.Time) *sim.Signal {
-	var t *computeTimer
-	if k := len(n.freeTimers); k > 0 {
-		t = n.freeTimers[k-1]
-		n.freeTimers[k-1] = nil
-		n.freeTimers = n.freeTimers[:k-1]
-	} else {
+	t := n.freeTimers.Get()
+	if t == nil {
 		t = &computeTimer{node: n}
 		t.fireFn = t.fire
 	}
+	t.live.Acquire()
 	n.eng.InitSignal(&t.sig, "compute timer")
 	n.eng.At(deadline, t.fireFn)
 	return &t.sig

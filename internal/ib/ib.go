@@ -249,6 +249,7 @@ type HCA struct {
 
 	qps       map[int]bool
 	QPMemory  units.Bytes
+	freeOps   sim.FreeList[rdmaOp] // RDMA operations of the continuation path
 	SendCount uint64
 	RecvCount uint64
 	// Retransmits counts fabric re-sends issued by this HCA's RC
@@ -340,7 +341,7 @@ func (h *HCA) Register(p *sim.Proc, key uint64, size units.Bytes) {
 // stale timer from double-retrying.
 func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, deliver func()) {
 	if !h.fab.FaultsEnabled() {
-		h.fab.Send(src, dst, size).OnFire(deliver)
+		h.fab.SendThen(src, dst, size, deliver)
 		return
 	}
 	// Computed only on faulty fabrics: MinLatency walks the chunk
@@ -359,7 +360,7 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 	)
 	try = func(n int) {
 		attempt = n
-		h.fab.Send(src, dst, size).OnFire(func() {
+		h.fab.SendThen(src, dst, size, func() {
 			if delivered {
 				return // duplicate: a retransmission already delivered
 			}
@@ -405,10 +406,18 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 // The destination buffer is the caller's business (RDMA semantics): the
 // remote host is not interrupted and performs no work.
 func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
-	if !h.qps[peer] {
-		panic(fmt.Sprintf("ib: RDMA write on node %d to unconnected peer %d", h.node, peer))
-	}
-	return h.post(p, peer, size, imm, false, h.net.writeNames.Name(h.node, peer))
+	op := h.post(p, peer, size, imm, false)
+	h.eng.InitSignal(&op.done, h.net.writeNames.Name(h.node, peer))
+	op.signal = true
+	return &op.done
+}
+
+// RDMAWriteThen is RDMAWrite for a caller that needs no signal: at local
+// completion it schedules then (if not nil), exactly as the signal's Fire
+// would schedule a single OnFire callback, and the operation's state goes
+// back to the HCA's pool.
+func (h *HCA) RDMAWriteThen(p *sim.Proc, peer int, size units.Bytes, imm interface{}, then func()) {
+	h.post(p, peer, size, imm, false).then = then
 }
 
 // RDMARead posts an RDMA read of size bytes FROM the peer node into local
@@ -420,40 +429,65 @@ func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}
 //
 // The returned signal fires at local completion (data placed locally).
 func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
-	if !h.qps[peer] {
-		panic(fmt.Sprintf("ib: RDMA read on node %d from unconnected peer %d", h.node, peer))
-	}
-	return h.post(p, peer, size, imm, true, h.net.readNames.Name(h.node, peer))
+	op := h.post(p, peer, size, imm, true)
+	h.eng.InitSignal(&op.done, h.net.readNames.Name(h.node, peer))
+	op.signal = true
+	return &op.done
+}
+
+// RDMAReadThen is RDMARead for a caller that needs no signal, as
+// RDMAWriteThen is for RDMAWrite.
+func (h *HCA) RDMAReadThen(p *sim.Proc, peer int, size units.Bytes, imm interface{}, then func()) {
+	h.post(p, peer, size, imm, true).then = then
 }
 
 // post charges the calling process for posting a work request, rings the
-// doorbell, and starts the operation's continuation chain.
-func (h *HCA) post(p *sim.Proc, peer int, size units.Bytes, imm interface{}, read bool, name string) *sim.Signal {
+// doorbell, and starts the operation's continuation chain. The caller
+// sets how the operation completes before the doorbell lands.
+func (h *HCA) post(p *sim.Proc, peer int, size units.Bytes, imm interface{}, read bool) *rdmaOp {
+	if !h.qps[peer] {
+		what := "write on node %d to"
+		if read {
+			what = "read on node %d from"
+		}
+		panic(fmt.Sprintf("ib: RDMA "+what+" unconnected peer %d", h.node, peer))
+	}
 	h.SendCount++
 	p.Sleep(h.params.PostOverhead)
 	if bus := h.fab.HostBus(h.node); bus != nil {
 		// Doorbell + WQE PIO occupy the shared PCI-X bus.
 		bus.Serve(h.params.DoorbellBusTime)
 	}
-	op := &rdmaOp{h: h, peer: peer, size: size, imm: imm, read: read}
-	h.eng.InitSignal(&op.done, name)
-	op.stepFn = op.step
+	op := h.freeOps.Get()
+	if op == nil {
+		op = &rdmaOp{h: h}
+		op.stepFn = op.step
+	}
+	op.live.Acquire()
+	op.peer, op.size, op.imm, op.read, op.stage = peer, size, imm, read, stageDoorbell
 	h.eng.After(h.params.DoorbellLatency, op.stepFn)
-	return &op.done
+	return op
 }
 
 // rdmaOp is one RDMA write or read in flight: the operation's whole state,
 // its local-completion signal included, in one allocation. Its stages run
 // as one continuation, stepFn, bound once, so the doorbell -> WQE -> wire
 // -> placement chain schedules no closure per hop.
+//
+// An operation completes either by firing done, which RDMAWrite or
+// RDMARead handed out, so it is never reused, or by scheduling then; the
+// latter goes back to its HCA's pool at completion, its one release point.
 type rdmaOp struct {
 	h      *HCA // the requester
+	live   sim.Live
 	peer   int
 	size   units.Bytes
 	imm    interface{}
 	read   bool
+	signal bool      // completes by firing done
 	stage  rdmaStage // the stage step runs next
 	stepFn func()
+	then   func()
 	done   sim.Signal
 }
 
@@ -469,6 +503,7 @@ const (
 )
 
 func (op *rdmaOp) step() {
+	op.live.Check(op)
 	h := op.h
 	switch op.stage {
 	case stageDoorbell:
@@ -509,7 +544,15 @@ func (op *rdmaOp) step() {
 		if dst.handler != nil {
 			dst.handler(Delivery{SrcNode: src, Imm: op.imm, Size: op.size})
 		}
-		op.done.Fire()
+		if op.signal {
+			op.done.Fire()
+			return
+		}
+		if op.then != nil {
+			h.eng.After(0, op.then)
+		}
+		op.imm, op.then = nil, nil
+		h.freeOps.Put(op, &op.live)
 	}
 }
 

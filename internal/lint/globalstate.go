@@ -11,9 +11,11 @@ import (
 // deterministic packages. A package-level var is flagged when any
 // function other than init writes to it (assignment, compound
 // assignment, ++/--, element or field store) or takes its address
-// (which would let it escape to arbitrary writers). Read-only tables,
-// error sentinels, and vars touched only by init remain legal: they
-// cannot make two runs diverge.
+// (which would let it escape to arbitrary writers), explicitly with & or
+// implicitly, by selecting a pointer-receiver method on it: pool.Put(x)
+// on a package-level sync.Pool is (&pool).Put(x). Read-only tables,
+// error sentinels, value-receiver method calls, and vars touched only by
+// init remain legal: they cannot make two runs diverge.
 var GlobalStateAnalyzer = &Analyzer{
 	Name: "globalstate",
 	Doc: "flags package-level vars written outside init in deterministic packages; " +
@@ -98,6 +100,10 @@ func runGlobalState(pass *Pass) {
 					if n.Op == token.AND {
 						record(n.X, n.Pos(), "address-taken")
 					}
+				case *ast.SelectorExpr:
+					if takesAddress(pass, n) {
+						record(n.X, n.Pos(), "address-taken")
+					}
 				case *ast.RangeStmt:
 					if n.Tok == token.ASSIGN {
 						record(n.Key, n.Pos(), "assigned")
@@ -131,6 +137,25 @@ func runGlobalState(pass *Pass) {
 				"global mutable state (annotate //simlint:allow globalstate if the access pattern is provably safe)",
 			obj.Name(), w.kind, at.Filename, at.Line)
 	}
+}
+
+// takesAddress reports whether sel selects a pointer-receiver method on an
+// addressable value, which takes that value's address implicitly. A path
+// through a pointer (an embedded *T, say) leaves the value itself alone.
+func takesAddress(pass *Pass, sel *ast.SelectorExpr) bool {
+	s := pass.Info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal || s.Indirect() {
+		return false
+	}
+	recv := s.Obj().(*types.Func).Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	if _, ptrRecv := recv.Type().(*types.Pointer); !ptrRecv {
+		return false
+	}
+	_, ptrX := s.Recv().Underlying().(*types.Pointer)
+	return !ptrX
 }
 
 // rootIdent unwraps selector/index/star/paren chains to the base

@@ -123,6 +123,7 @@ func (e *Engine) CancelRecv(data interface{}) bool {
 type Sequencer struct {
 	next    map[int]uint64
 	pending map[int]map[uint64]interface{}
+	batch   []interface{} // Submit's result, reused by the next call
 }
 
 // NewSequencer returns an empty sequencer.
@@ -132,7 +133,9 @@ func NewSequencer() *Sequencer {
 
 // Submit hands the sequencer message seq from the given sender and returns
 // the (possibly empty) batch of messages now deliverable in order. Each
-// sender's sequence must start at 0 and increment by 1 per message.
+// sender's sequence must start at 0 and increment by 1 per message. The
+// batch is valid until the next call, which reuses it, so a caller must not
+// submit again while it iterates.
 func (s *Sequencer) Submit(sender int, seq uint64, msg interface{}) []interface{} {
 	if seq != s.next[sender] {
 		p := s.pending[sender]
@@ -146,16 +149,17 @@ func (s *Sequencer) Submit(sender int, seq uint64, msg interface{}) []interface{
 		p[seq] = msg
 		return nil
 	}
-	out := []interface{}{msg}
+	clear(s.batch)
+	s.batch = append(s.batch[:0], msg)
 	s.next[sender] = seq + 1
 	for {
 		p := s.pending[sender]
 		m, ok := p[s.next[sender]]
 		if !ok {
-			return out
+			return s.batch
 		}
 		delete(p, s.next[sender])
-		out = append(out, m)
+		s.batch = append(s.batch, m)
 		s.next[sender]++
 	}
 }

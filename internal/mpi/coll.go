@@ -57,8 +57,8 @@ func (c *Comm) Barrier() {
 		src := (me - k + p) % p
 		sreq := c.collSend(dst, tagBarrier, 0)
 		rreq := c.collRecv(src, tagBarrier)
-		c.owner.Wait(sreq)
-		c.owner.Wait(rreq)
+		c.owner.waitFree(sreq)
+		c.owner.waitFree(rreq)
 	}
 }
 
@@ -74,7 +74,7 @@ func (c *Comm) Bcast(root int, size units.Bytes) {
 	mask := 1
 	for mask < p {
 		if vr&mask != 0 {
-			c.owner.Wait(c.collRecv(abs(vr-mask), tagBcast))
+			c.owner.waitFree(c.collRecv(abs(vr-mask), tagBcast))
 			break
 		}
 		mask <<= 1
@@ -82,7 +82,7 @@ func (c *Comm) Bcast(root int, size units.Bytes) {
 	mask >>= 1
 	for mask > 0 {
 		if vr+mask < p {
-			c.owner.Wait(c.collSend(abs(vr+mask), tagBcast, size))
+			c.owner.waitFree(c.collSend(abs(vr+mask), tagBcast, size))
 		}
 		mask >>= 1
 	}
@@ -102,11 +102,11 @@ func (c *Comm) Reduce(root int, size units.Bytes) {
 		if vr&mask == 0 {
 			src := vr | mask
 			if src < p {
-				c.owner.Wait(c.collRecv(abs(src), tagReduce))
+				c.owner.waitFree(c.collRecv(abs(src), tagReduce))
 				c.reduceLocal(size)
 			}
 		} else {
-			c.owner.Wait(c.collSend(abs(vr&^mask), tagReduce, size))
+			c.owner.waitFree(c.collSend(abs(vr&^mask), tagReduce, size))
 			break
 		}
 		mask <<= 1
@@ -131,8 +131,8 @@ func (c *Comm) Allreduce(size units.Bytes) {
 		peer := me ^ mask
 		sreq := c.collSend(peer, tagAllreduce, size)
 		rreq := c.collRecv(peer, tagAllreduce)
-		c.owner.Wait(sreq)
-		c.owner.Wait(rreq)
+		c.owner.waitFree(sreq)
+		c.owner.waitFree(rreq)
 		c.reduceLocal(size)
 	}
 }
@@ -150,8 +150,8 @@ func (c *Comm) Allgather(size units.Bytes) {
 	for step := 0; step < p-1; step++ {
 		sreq := c.collSend(next, tagAllgather, size)
 		rreq := c.collRecv(prev, tagAllgather)
-		c.owner.Wait(sreq)
-		c.owner.Wait(rreq)
+		c.owner.waitFree(sreq)
+		c.owner.waitFree(rreq)
 	}
 }
 
@@ -175,8 +175,8 @@ func (c *Comm) Alltoall(size units.Bytes) {
 		}
 		sreq := c.collSend(sendTo, tagAlltoall, size)
 		rreq := c.collRecv(recvFrom, tagAlltoall)
-		c.owner.Wait(sreq)
-		c.owner.Wait(rreq)
+		c.owner.waitFree(sreq)
+		c.owner.waitFree(rreq)
 	}
 }
 
@@ -193,10 +193,12 @@ func (c *Comm) Gather(root int, size units.Bytes) {
 				reqs = append(reqs, c.collRecv(src, tagGather))
 			}
 		}
-		c.owner.Waitall(reqs...)
+		for _, q := range reqs {
+			c.owner.waitFree(q)
+		}
 		return
 	}
-	c.owner.Wait(c.collSend(root, tagGather, size))
+	c.owner.waitFree(c.collSend(root, tagGather, size))
 }
 
 // Scatter distributes a distinct size-byte block from root to every member
@@ -213,10 +215,12 @@ func (c *Comm) Scatter(root int, size units.Bytes) {
 				reqs = append(reqs, c.collSend(dst, tagScatter, size))
 			}
 		}
-		c.owner.Waitall(reqs...)
+		for _, q := range reqs {
+			c.owner.waitFree(q)
+		}
 		return
 	}
-	c.owner.Wait(c.collRecv(root, tagScatter))
+	c.owner.waitFree(c.collRecv(root, tagScatter))
 }
 
 // ReduceScatter combines P blocks of size bytes each and leaves one reduced
@@ -240,8 +244,8 @@ func (c *Comm) ReduceScatter(size units.Bytes) {
 		peer := me ^ mask
 		sreq := c.collSend(peer, tagReduceScatter, chunk)
 		rreq := c.collRecv(peer, tagReduceScatter)
-		c.owner.Wait(sreq)
-		c.owner.Wait(rreq)
+		c.owner.waitFree(sreq)
+		c.owner.waitFree(rreq)
 		c.reduceLocal(chunk)
 		if chunk > size {
 			chunk /= 2
@@ -259,11 +263,11 @@ func (c *Comm) Scan(size units.Bytes) {
 	}
 	me := c.myRank
 	if me > 0 {
-		c.owner.Wait(c.collRecv(me-1, tagScan))
+		c.owner.waitFree(c.collRecv(me-1, tagScan))
 		c.reduceLocal(size)
 	}
 	if me < p-1 {
-		c.owner.Wait(c.collSend(me+1, tagScan, size))
+		c.owner.waitFree(c.collSend(me+1, tagScan, size))
 	}
 }
 

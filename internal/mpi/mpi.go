@@ -119,18 +119,15 @@ type Status struct {
 }
 
 // Request is a nonblocking operation handle. Its completion signal lives
-// inside it, so a request is one allocation.
+// inside it, so a request is one allocation. Requests come from their
+// rank's pool (Rank.NewRequest); a blocking call returns the ones it
+// created when it returns, and a request that Isend or Irecv hands out is
+// never reused.
 type Request struct {
 	done   sim.Signal
+	live   sim.Live
 	isRecv bool
 	status Status
-}
-
-// NewRequest creates a request (transport use).
-func NewRequest(eng *sim.Engine, name string, isRecv bool) *Request {
-	q := &Request{isRecv: isRecv}
-	eng.InitSignal(&q.done, name)
-	return q
 }
 
 // Done exposes the completion signal (transport use).

@@ -90,8 +90,11 @@ const (
 	kindFin      // RGET: tells the sender its buffer is free
 )
 
-// wireMsg is the software envelope riding on every RDMA write.
+// wireMsg is the software envelope riding on every RDMA write. It is
+// pooled on the transport and released once the receiving rank has
+// consumed it (see release).
 type wireMsg struct {
+	live    sim.Live
 	kind    msgKind
 	env     match.Envelope
 	dstRank int
@@ -104,18 +107,27 @@ type wireMsg struct {
 	channel bool // channel (send/recv) eager path, not RDMA fast path
 }
 
+// sendState is a rendezvous send awaiting its handshake. It is pooled on
+// the transport and released when the send completes: in doneFn, bound
+// once, after the payload's RDMA write, or on the RGET FIN.
 type sendState struct {
-	req  *mpi.Request
-	rank *mpi.Rank
-	dst  int
-	size units.Bytes
-	key  uint64
-	msg  *wireMsg
+	t       *Transport
+	live    sim.Live
+	req     *mpi.Request
+	rank    *mpi.Rank
+	dst     int
+	size    units.Bytes
+	env     match.Envelope
+	payload interface{}
+	doneFn  func()
 }
 
+// recvState is a posted receive. It is pooled on the transport and
+// released when its request completes.
 type recvState struct {
-	req *mpi.Request
-	key uint64
+	live sim.Live
+	req  *mpi.Request
+	key  uint64
 }
 
 // rankState is the per-rank host protocol state.
@@ -142,6 +154,11 @@ type Transport struct {
 
 	// Request names, rendered once per (rank, peer).
 	sendNames, recvNames sim.PairNames
+
+	// Free lists of the per-message protocol state.
+	freeMsgs  sim.FreeList[wireMsg]
+	freeSends sim.FreeList[sendState]
+	freeRecvs sim.FreeList[recvState]
 
 	// folded holds the per-rank counts the last FlushMetrics saw.
 	folded [3]uint64
@@ -264,7 +281,7 @@ func (t *Transport) deliver(d ib.Delivery) {
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
 	hca := t.net.HCA(r.NodeID())
-	req := mpi.NewRequest(r.Engine(), t.sendNames.Name(r.ID(), dst), false)
+	req := r.NewRequest(t.sendNames.Name(r.ID(), dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 
 	if size <= t.params.EagerThreshold {
@@ -279,16 +296,16 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 			r.Proc().Wait(sig)
 		}
 		st.credits[dst]--
-		msg := &wireMsg{kind: kindEager, env: env, dstRank: dst, seq: st.sendSeq[dst],
+		msg := t.newMsg(wireMsg{kind: kindEager, env: env, dstRank: dst, seq: st.sendSeq[dst],
 			size: size, payload: payload, credits: t.takeOwed(st, dst),
-			channel: size > t.params.RDMAEagerMax}
+			channel: size > t.params.RDMAEagerMax})
 		st.sendSeq[dst]++
 		// Stage the payload into the pre-registered slot.
 		r.HostCopy(size)
 		if msg.channel {
 			r.Proc().Sleep(t.params.ChanExtraSend)
 		}
-		hca.RDMAWrite(r.Proc(), t.w.NodeOf(dst), size+t.params.HeaderBytes, msg)
+		hca.RDMAWriteThen(r.Proc(), t.w.NodeOf(dst), size+t.params.HeaderBytes, msg, nil)
 		// Buffer is reusable as soon as it has been staged.
 		req.Complete(r.ID(), tag, size, payload)
 		return req
@@ -297,13 +314,54 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 	st.RndvSends++
 	// Rendezvous: pin the send buffer, then RTS.
 	hca.Register(r.Proc(), key, size)
-	ss := &sendState{req: req, rank: r, dst: dst, size: size, key: key}
-	msg := &wireMsg{kind: kindRTS, env: env, dstRank: dst, seq: st.sendSeq[dst],
-		size: size, payload: payload, sstate: ss, credits: t.takeOwed(st, dst)}
-	ss.msg = msg
+	ss := t.freeSends.Get()
+	if ss == nil {
+		ss = &sendState{t: t}
+		ss.doneFn = ss.done
+	}
+	ss.live.Acquire()
+	ss.req, ss.rank, ss.dst, ss.size, ss.env, ss.payload = req, r, dst, size, env, payload
+	msg := t.newMsg(wireMsg{kind: kindRTS, env: env, dstRank: dst, seq: st.sendSeq[dst],
+		size: size, payload: payload, sstate: ss, credits: t.takeOwed(st, dst)})
 	st.sendSeq[dst]++
-	hca.RDMAWrite(r.Proc(), t.w.NodeOf(dst), t.params.HeaderBytes, msg)
+	hca.RDMAWriteThen(r.Proc(), t.w.NodeOf(dst), t.params.HeaderBytes, msg, nil)
 	return req
+}
+
+// newMsg returns a pooled copy of m.
+func (t *Transport) newMsg(m wireMsg) *wireMsg {
+	msg := t.freeMsgs.Get()
+	if msg == nil {
+		msg = &wireMsg{}
+	}
+	*msg = m
+	msg.live.Acquire()
+	return msg
+}
+
+// release returns msg, consumed, to the pool: its one release point. An
+// eager or RTS message is consumed when it matches a receive, any other
+// kind when the rank's progress engine has processed it.
+func (t *Transport) release(msg *wireMsg) {
+	msg.payload, msg.sstate, msg.rstate = nil, nil, nil
+	t.freeMsgs.Put(msg, &msg.live)
+}
+
+// done completes a rendezvous send and releases its state: its one
+// release point.
+func (ss *sendState) done() {
+	ss.live.Check(ss)
+	ss.req.Complete(ss.rank.ID(), ss.env.Tag, ss.size, ss.payload)
+	ss.req, ss.rank, ss.payload = nil, nil, nil
+	ss.t.freeSends.Put(ss, &ss.live)
+}
+
+// finish completes a posted receive and releases its state: its one
+// release point.
+func (t *Transport) finish(rs *recvState, msg *wireMsg) {
+	rs.req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
+	rs.req = nil
+	t.freeRecvs.Put(rs, &rs.live)
 }
 
 // takeOwed collects the piggyback credit field for a message to dst.
@@ -316,8 +374,13 @@ func (t *Transport) takeOwed(st *rankState, dst int) int {
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
-	req := mpi.NewRequest(r.Engine(), t.recvNames.Name(r.ID(), src), true)
-	rs := &recvState{req: req, key: key}
+	req := r.NewRequest(t.recvNames.Name(r.ID(), src), true)
+	rs := t.freeRecvs.Get()
+	if rs == nil {
+		rs = &recvState{}
+	}
+	rs.live.Acquire()
+	rs.req, rs.key = req, key
 	// Drain anything already delivered, then post.
 	t.Progress(r)
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
@@ -330,25 +393,27 @@ func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Req
 	data, found, traversed := st.engine.PostRecv(env, rs)
 	r.Proc().Sleep(units.Duration(traversed) * t.params.MatchPerEntry)
 	if found {
-		t.matchedUnexpected(r, st, rs, data.(*wireMsg))
+		t.matched(r, rs, data.(*wireMsg))
 	}
 	return req
 }
 
-// matchedUnexpected completes the receive side for a message that arrived
-// before its receive was posted.
-func (t *Transport) matchedUnexpected(r *mpi.Rank, st *rankState, rs *recvState, msg *wireMsg) {
+// matched runs the receive side of an eager or RTS message once it has
+// met its receive, on arrival or from the unexpected queue, and releases
+// the message.
+func (t *Transport) matched(r *mpi.Rank, rs *recvState, msg *wireMsg) {
 	switch msg.kind {
 	case kindEager:
-		// Payload was staged to a temp buffer when it was processed;
-		// copy it out to the user buffer now.
+		// The payload is copied out of the slot (or, for a message that
+		// arrived unexpected, the temp buffer) into the user buffer.
 		r.HostCopy(msg.size)
-		rs.req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
+		t.finish(rs, msg)
 	case kindRTS:
 		t.sendCTS(r, rs, msg)
 	default:
 		panic("mvib: non-matchable message in unexpected queue")
 	}
+	t.release(msg)
 }
 
 // sendCTS registers the receive buffer and answers the RTS: with the
@@ -359,14 +424,14 @@ func (t *Transport) sendCTS(r *mpi.Rank, rs *recvState, rts *wireMsg) {
 	hca.Register(r.Proc(), rs.key, rts.size)
 	srcNode := t.w.NodeOf(rts.env.Src)
 	if t.params.ReadRendezvous {
-		note := &wireMsg{kind: kindReadDone, env: rts.env, dstRank: r.ID(),
-			size: rts.size, payload: rts.payload, sstate: rts.sstate, rstate: rs}
-		hca.RDMARead(r.Proc(), srcNode, rts.size, note)
+		note := t.newMsg(wireMsg{kind: kindReadDone, env: rts.env, dstRank: r.ID(),
+			size: rts.size, payload: rts.payload, sstate: rts.sstate, rstate: rs})
+		hca.RDMAReadThen(r.Proc(), srcNode, rts.size, note, nil)
 		return
 	}
-	cts := &wireMsg{kind: kindCTS, dstRank: rts.env.Src, size: rts.size,
-		sstate: rts.sstate, rstate: rs}
-	hca.RDMAWrite(r.Proc(), srcNode, t.params.HeaderBytes, cts)
+	cts := t.newMsg(wireMsg{kind: kindCTS, dstRank: rts.env.Src, size: rts.size,
+		sstate: rts.sstate, rstate: rs})
+	hca.RDMAWriteThen(r.Proc(), srcNode, t.params.HeaderBytes, cts, nil)
 }
 
 // Progress implements mpi.Transport: poll the virtual CQ and process every
@@ -387,31 +452,32 @@ func (t *Transport) Progress(r *mpi.Rank) {
 		}
 		switch msg.kind {
 		case kindEager, kindRTS:
+			// The sequencer's batch is reused by its next Submit, which
+			// only this loop makes: hostMatch never reaches Progress.
 			for _, m := range st.seq.Submit(msg.env.Src, msg.seq, msg) {
 				t.hostMatch(r, st, m.(*wireMsg))
 			}
+			continue // released when matched
 		case kindCTS:
 			t.pushData(r, msg)
 		case kindData:
 			// RDMA placed the payload straight into the user buffer;
 			// arrival is the FIN.
-			rs := msg.rstate
-			rs.req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
+			t.finish(msg.rstate, msg)
 		case kindCredit:
 			st.credits[msg.env.Src] += msg.credits
 		case kindReadDone:
 			// RGET: the pulled payload is in the user buffer; finish the
 			// receive and release the sender with a FIN.
-			rs := msg.rstate
-			rs.req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
-			fin := &wireMsg{kind: kindFin, env: msg.env, dstRank: msg.env.Src,
-				sstate: msg.sstate}
-			t.net.HCA(r.NodeID()).RDMAWrite(r.Proc(), t.w.NodeOf(msg.env.Src),
-				t.params.HeaderBytes, fin)
+			t.finish(msg.rstate, msg)
+			fin := t.newMsg(wireMsg{kind: kindFin, env: msg.env, dstRank: msg.env.Src,
+				sstate: msg.sstate})
+			t.net.HCA(r.NodeID()).RDMAWriteThen(r.Proc(), t.w.NodeOf(msg.env.Src),
+				t.params.HeaderBytes, fin, nil)
 		case kindFin:
-			ss := msg.sstate
-			ss.req.Complete(ss.rank.ID(), msg.env.Tag, ss.size, ss.msg.payload)
+			msg.sstate.done()
 		}
+		t.release(msg)
 	}
 }
 
@@ -434,14 +500,7 @@ func (t *Transport) hostMatch(r *mpi.Rank, st *rankState, msg *wireMsg) {
 		}
 		return
 	}
-	rs := data.(*recvState)
-	switch msg.kind {
-	case kindEager:
-		r.HostCopy(msg.size)
-		rs.req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
-	case kindRTS:
-		t.sendCTS(r, rs, msg)
-	}
+	t.matched(r, data.(*recvState), msg)
 }
 
 // ackEager accounts a consumed eager slot and returns credits explicitly
@@ -449,10 +508,10 @@ func (t *Transport) hostMatch(r *mpi.Rank, st *rankState, msg *wireMsg) {
 func (t *Transport) ackEager(r *mpi.Rank, st *rankState, src int) {
 	st.creditOwed[src]++
 	if st.creditOwed[src] >= t.params.EagerSlots/2 {
-		msg := &wireMsg{kind: kindCredit, env: match.Envelope{Src: r.ID()},
-			dstRank: src, credits: st.creditOwed[src]}
+		msg := t.newMsg(wireMsg{kind: kindCredit, env: match.Envelope{Src: r.ID()},
+			dstRank: src, credits: st.creditOwed[src]})
 		st.creditOwed[src] = 0
-		t.net.HCA(r.NodeID()).RDMAWrite(r.Proc(), t.w.NodeOf(src), t.params.HeaderBytes, msg)
+		t.net.HCA(r.NodeID()).RDMAWriteThen(r.Proc(), t.w.NodeOf(src), t.params.HeaderBytes, msg, nil)
 	}
 }
 
@@ -463,10 +522,7 @@ func (t *Transport) ackEager(r *mpi.Rank, st *rankState, src int) {
 func (t *Transport) pushData(r *mpi.Rank, cts *wireMsg) {
 	ss := cts.sstate
 	hca := t.net.HCA(r.NodeID())
-	data := &wireMsg{kind: kindData, env: ss.msg.env, dstRank: ss.dst,
-		size: ss.size, payload: ss.msg.payload, rstate: cts.rstate}
-	local := hca.RDMAWrite(r.Proc(), t.w.NodeOf(ss.dst), ss.size+t.params.HeaderBytes, data)
-	local.OnFire(func() {
-		ss.req.Complete(ss.rank.ID(), ss.msg.env.Tag, ss.size, ss.msg.payload)
-	})
+	data := t.newMsg(wireMsg{kind: kindData, env: ss.env, dstRank: ss.dst,
+		size: ss.size, payload: ss.payload, rstate: cts.rstate})
+	hca.RDMAWriteThen(r.Proc(), t.w.NodeOf(ss.dst), ss.size+t.params.HeaderBytes, data, ss.doneFn)
 }

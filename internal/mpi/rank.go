@@ -31,6 +31,9 @@ type Rank struct {
 	commWorld *Comm
 	prof      profileState
 
+	// freeReqs holds the requests blocking calls have returned.
+	freeReqs sim.FreeList[Request]
+
 	// Statistics.
 	SendsPosted, RecvsPosted uint64
 	BytesSent                units.Bytes
@@ -67,6 +70,42 @@ func (r *Rank) Now() units.Time { return r.eng.Now() }
 // Incoming returns the current wake-up signal (transport use): capture it,
 // check your condition, then wait on it if the condition is not met.
 func (r *Rank) Incoming() *sim.Signal { return r.incoming }
+
+// NewRequest returns a fresh request of this rank, named for deadlock
+// reports (transport use).
+func (r *Rank) NewRequest(name string, isRecv bool) *Request {
+	q := r.freeReqs.Get()
+	if q == nil {
+		q = &Request{}
+	}
+	q.live.Acquire()
+	r.eng.InitSignal(&q.done, name)
+	q.isRecv = isRecv
+	return q
+}
+
+// waitFree is Wait for a request the rank created for a blocking call,
+// which it then releases.
+func (r *Rank) waitFree(q *Request) Status {
+	st := r.Wait(q)
+	r.release(q)
+	return st
+}
+
+// release returns a blocking call's request to the pool once its Wait has
+// returned: the request's one release point. By then it has fired, so no
+// waiter or callback refers to it. With a timeline track nothing is
+// recycled, since traceReq's span callback may still be queued.
+func (r *Rank) release(q *Request) {
+	if r.world.track != nil {
+		return
+	}
+	if !q.done.Fired() || q.done.HasListeners() {
+		panic("mpi: recycling a request that has not completed")
+	}
+	q.status = Status{}
+	r.freeReqs.Put(q, &q.live)
+}
 
 // Kick wakes the rank from a blocking MPI call to re-examine protocol
 // state. Safe from any simulation context.
@@ -293,17 +332,17 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 
 // Send is a blocking send.
 func (r *Rank) Send(dst, tag int, size units.Bytes) {
-	r.Wait(r.Isend(dst, tag, size))
+	r.waitFree(r.Isend(dst, tag, size))
 }
 
 // SendPayload is a blocking send carrying data.
 func (r *Rank) SendPayload(dst, tag int, size units.Bytes, payload interface{}) {
-	r.Wait(r.IsendPayload(dst, tag, size, payload))
+	r.waitFree(r.IsendPayload(dst, tag, size, payload))
 }
 
 // Recv is a blocking receive.
 func (r *Rank) Recv(src, tag int) Status {
-	return r.Wait(r.Irecv(src, tag))
+	return r.waitFree(r.Irecv(src, tag))
 }
 
 // Sendrecv exchanges messages with possibly different peers, as
@@ -312,8 +351,8 @@ func (r *Rank) Recv(src, tag int) Status {
 func (r *Rank) Sendrecv(dst, sendTag int, size units.Bytes, src, recvTag int) Status {
 	sreq := r.Isend(dst, sendTag, size)
 	rreq := r.Irecv(src, recvTag)
-	r.Wait(sreq)
-	return r.Wait(rreq)
+	r.waitFree(sreq)
+	return r.waitFree(rreq)
 }
 
 // progress drains the shared-memory channel and lets the transport advance
@@ -342,7 +381,7 @@ type shmMsg struct {
 // destination rank, completing immediately (buffered semantics). The
 // receiver pays the copy-out when it matches.
 func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{}) *Request {
-	req := NewRequest(r.eng, r.world.shmSendNames.Name(r.id, dst), false)
+	req := r.NewRequest(r.world.shmSendNames.Name(r.id, dst), false)
 	r.HostCopy(size)
 	msg := &shmMsg{env: match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}, size: size, payload: payload}
 	peer := r.world.ranks[dst]
@@ -360,7 +399,7 @@ func (r *Rank) shmDeliver(msg *shmMsg) {
 
 // shmRecv posts an intra-node receive.
 func (r *Rank) shmRecv(src, tag, ctx int) *Request {
-	req := NewRequest(r.eng, r.world.shmRecvNames.Name(r.id, src), true)
+	req := r.NewRequest(r.world.shmRecvNames.Name(r.id, src), true)
 	r.shmProgress() // drain anything already arrived before posting
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if data, found, _ := r.shm.engine.PostRecv(env, req); found {

@@ -26,6 +26,39 @@ type Transport struct {
 
 	// Request names, rendered once per (rank, peer).
 	sendNames, recvNames sim.PairNames
+
+	freeOps sim.FreeList[op]
+}
+
+// op is one send or receive in flight: the request it completes and the
+// status it completes it with. A receive's status is the NIC's receive
+// record, filled in at completion. An op is pooled on the transport; its
+// continuation, doneFn, is bound once and is its one release point.
+type op struct {
+	t      *Transport
+	live   sim.Live
+	req    *mpi.Request
+	rx     elan.Recv
+	doneFn func()
+}
+
+func (t *Transport) newOp(req *mpi.Request) *op {
+	o := t.freeOps.Get()
+	if o == nil {
+		o = &op{t: t}
+		o.doneFn = o.done
+	}
+	o.live.Acquire()
+	o.req = req
+	return o
+}
+
+// done completes the request and releases the op.
+func (o *op) done() {
+	o.live.Check(o)
+	o.req.Complete(o.rx.Src, o.rx.Tag, o.rx.Size, o.rx.Payload)
+	o.req, o.rx = nil, elan.Recv{}
+	o.t.freeOps.Put(o, &o.live)
 }
 
 // New wraps an Elan network as an MPI transport.
@@ -54,19 +87,18 @@ func (t *Transport) Attach(w *mpi.World) {
 // NetSend implements mpi.Transport. The buffer key is ignored: the Elan MMU
 // needs no registration.
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), t.sendNames.Name(r.ID(), dst), false)
+	req := r.NewRequest(t.sendNames.Name(r.ID(), dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
+	o := t.newOp(req)
+	o.rx.Src, o.rx.Tag, o.rx.Size, o.rx.Payload = r.ID(), tag, size, payload
 	nic := t.net.NIC(r.NodeID())
-	txDone := nic.TxPost(r.Proc(), r.ID(), dst, env, size, payload)
-	txDone.OnFire(func() {
-		req.Complete(r.ID(), tag, size, payload)
-	})
+	nic.TxPostThen(r.Proc(), r.ID(), dst, env, size, payload, o.doneFn)
 	return req
 }
 
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), t.recvNames.Name(r.ID(), src), true)
+	req := r.NewRequest(t.recvNames.Name(r.ID(), src), true)
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if src == mpi.AnySource {
 		env.Src = match.AnySource
@@ -74,11 +106,9 @@ func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, _ uint64) *mpi.Reque
 	if tag == mpi.AnyTag {
 		env.Tag = match.AnyTag
 	}
+	o := t.newOp(req)
 	nic := t.net.NIC(r.NodeID())
-	recv := nic.RxPost(r.Proc(), r.ID(), env)
-	recv.Done.OnFire(func() {
-		req.Complete(recv.Src, recv.Tag, recv.Size, recv.Payload)
-	})
+	nic.RxPostThen(r.Proc(), r.ID(), env, &o.rx, o.doneFn)
 	return req
 }
 

@@ -5,25 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/units"
 )
 
-// pingPongMallocs runs an eager 1 KiB ping-pong of iters round trips on a
-// fresh 2-rank machine and reports the heap objects the run allocated.
-func pingPongMallocs(t *testing.T, net Network, iters int) uint64 {
+// runMallocs runs body for iters iterations on every rank of a fresh
+// machine and reports the heap objects the run allocated.
+func runMallocs(t *testing.T, net Network, ranks, iters int, body func(r *mpi.Rank)) int64 {
 	t.Helper()
-	m, err := New(Options{Network: net, Ranks: 2, PPN: 1})
+	m, err := New(Options{Network: net, Ranks: ranks, PPN: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	app := func(r *mpi.Rank) {
 		for i := 0; i < iters; i++ {
-			if r.ID() == 0 {
-				r.Send(1, 0, 1024)
-				r.Recv(1, 0)
-			} else {
-				r.Recv(0, 0)
-				r.Send(0, 0, 1024)
-			}
+			body(r)
 		}
 	}
 	var m0, m1 runtime.MemStats
@@ -33,25 +28,69 @@ func pingPongMallocs(t *testing.T, net Network, iters int) uint64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
+	return int64(m1.Mallocs - m0.Mallocs)
 }
 
-// TestEagerMessageAllocs pins the heap objects one eager message costs end
-// to end (send and receive requests, wire envelope, NIC and fabric state,
-// wake-ups) on each network. The difference between a 1,000- and a
-// 3,000-iteration run cancels machine construction and warm-up, leaving
-// the steady-state cost of 4,000 messages.
-func TestEagerMessageAllocs(t *testing.T) {
-	const maxPerMsg = 10
+// pinAllocs checks the steady-state heap objects one unit of work costs
+// on each network: the difference between a 1,000- and a 3,000-iteration
+// run, which cancels machine construction and warm-up, divided by the
+// units the extra 2,000 iterations perform. A unit costs a whole number of
+// objects, so anything over want by more than run-to-run noise is a new
+// allocation on the path.
+func pinAllocs(t *testing.T, ranks, unitsPerIter int, want map[string]float64, body func(r *mpi.Rank)) {
 	for _, net := range Networks {
 		t.Run(net.Short(), func(t *testing.T) {
-			short := pingPongMallocs(t, net, 1000)
-			long := pingPongMallocs(t, net, 3000)
-			perMsg := float64(long-short) / 4000
-			if perMsg > maxPerMsg {
-				t.Fatalf("%.2f allocations per eager message, want at most %d", perMsg, maxPerMsg)
+			short := runMallocs(t, net, ranks, 1000, body)
+			long := runMallocs(t, net, ranks, 3000, body)
+			per := float64(long-short) / float64(2000*unitsPerIter)
+			if max := want[net.Short()]; per > max+0.1 {
+				t.Fatalf("%.2f allocations per unit, want at most %v", per, max)
 			}
-			t.Logf("%.2f allocations per eager message", perMsg)
+			t.Logf("%.2f allocations per unit", per)
 		})
 	}
+}
+
+// pingPong is one round trip of size bytes between ranks 0 and 1.
+func pingPong(size units.Bytes) func(r *mpi.Rank) {
+	return func(r *mpi.Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 0, size)
+			r.Recv(1, 0)
+		} else {
+			r.Recv(0, 0)
+			r.Send(0, 0, size)
+		}
+	}
+}
+
+// TestEagerMessageAllocs pins the heap objects one eager 1 KiB message
+// costs end to end. Requests, wire envelopes, RDMA operations, Tports
+// records and fabric state are all pooled, so the only allocation left is
+// IB's: the receiving rank's new incoming signal, which its delivery
+// kick replaces.
+func TestEagerMessageAllocs(t *testing.T) {
+	pinAllocs(t, 2, 2, map[string]float64{"IB": 1, "Elan4": 0}, pingPong(units.KiB))
+}
+
+// TestRendezvousMessageAllocs pins a 64 KiB message, above both networks'
+// eager thresholds. On IB each of the RTS, the clear-to-send and the
+// payload kicks the rank it lands on, and each kick allocates that rank's
+// new incoming signal.
+func TestRendezvousMessageAllocs(t *testing.T) {
+	pinAllocs(t, 2, 2, map[string]float64{"IB": 3, "Elan4": 0}, pingPong(64*units.KiB))
+}
+
+// TestSendrecvBarrierAllocs pins b_eff's pattern on four ranks: a ring
+// Sendrecv of 1 KiB then a Barrier, per rank per iteration. On IB a rank
+// receives three messages an iteration (the ring's and two barrier
+// rounds'), each kicking it once, and returns credits to its ring
+// predecessor in an explicit credit message every eight iterations, one
+// more kick: 3.125 incoming signals.
+func TestSendrecvBarrierAllocs(t *testing.T) {
+	pinAllocs(t, 4, 4, map[string]float64{"IB": 3.125, "Elan4": 0}, func(r *mpi.Rank) {
+		n := r.Size()
+		r.Sendrecv((r.ID()+1)%n, 0, units.KiB, (r.ID()+n-1)%n, 0)
+		r.Barrier()
+	})
 }

@@ -43,6 +43,7 @@ type Failure struct {
 	Job    string            `json:"job"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Cause  string            `json:"cause"`
+	Err    error             `json:"-"` // the error Cause renders
 }
 
 // Failures collects the failed results, in submission order.
@@ -52,7 +53,7 @@ func Failures(results []Result) []Failure {
 		if r.Err == nil {
 			continue
 		}
-		out = append(out, Failure{Job: r.ID, Labels: r.Labels, Cause: r.Err.Error()})
+		out = append(out, Failure{Job: r.ID, Labels: r.Labels, Cause: r.Err.Error(), Err: r.Err})
 	}
 	return out
 }
