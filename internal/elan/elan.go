@@ -111,8 +111,6 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params, nodeOf func(
 			node:   i,
 			params: params,
 			thread: eng.NewServer(fmt.Sprintf("elan%d", i)),
-			ports:  map[int]*port{},
-			txSeq:  map[[2]int]uint64{},
 		}
 	}
 	n.foldCounts(eng.Metrics())
@@ -190,6 +188,9 @@ type port struct {
 	eng    match.Engine
 	seq    *match.Sequencer
 	rxName string // receive-signal name, rendered on the first post
+	// txSeq is the send sequence toward each destination rank, grown on
+	// demand.
+	txSeq []uint64
 }
 
 // NIC is one Elan-4 adapter. All protocol work runs on its thread server.
@@ -200,8 +201,7 @@ type NIC struct {
 	params Params
 	thread *sim.Server
 
-	ports map[int]*port     // key: local rank
-	txSeq map[[2]int]uint64 // key: (source rank, destination rank) send sequence
+	ports []*port // one per local rank: a short list
 
 	freeMsgs sim.FreeList[envelopeMsg] // sends of the continuation path
 
@@ -216,18 +216,21 @@ func (n *NIC) Thread() *sim.Server { return n.thread }
 
 // AttachRank creates the Tports context for a rank hosted on this node.
 func (n *NIC) AttachRank(rank int) {
-	if _, dup := n.ports[rank]; dup {
-		panic(fmt.Sprintf("elan: rank %d already attached to node %d", rank, n.node))
+	for _, pt := range n.ports {
+		if pt.rank == rank {
+			panic(fmt.Sprintf("elan: rank %d already attached to node %d", rank, n.node))
+		}
 	}
-	n.ports[rank] = &port{rank: rank, seq: match.NewSequencer()}
+	n.ports = append(n.ports, &port{rank: rank, seq: match.NewSequencer()})
 }
 
 func (n *NIC) portOf(rank int) *port {
-	p := n.ports[rank]
-	if p == nil {
-		panic(fmt.Sprintf("elan: rank %d not attached to node %d", rank, n.node))
+	for _, pt := range n.ports {
+		if pt.rank == rank {
+			return pt
+		}
 	}
-	return p
+	panic(fmt.Sprintf("elan: rank %d not attached to node %d", rank, n.node))
 }
 
 // envelopeMsg crosses the wire for every send: alone for rendezvous, fused
@@ -302,7 +305,10 @@ func (n *NIC) txPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 	n.Sends++
 	p.Sleep(n.params.TxPostOverhead)
 
-	flow := [2]int{srcRank, dstRank}
+	pt := n.portOf(srcRank)
+	if dstRank >= len(pt.txSeq) {
+		pt.txSeq = append(pt.txSeq, make([]uint64, dstRank+1-len(pt.txSeq))...)
+	}
 	msg := n.freeMsgs.Get()
 	if msg == nil {
 		msg = &envelopeMsg{net: n.net}
@@ -311,14 +317,14 @@ func (n *NIC) txPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 	msg.live.Acquire()
 	msg.env = env
 	msg.dstRank = dstRank
-	msg.seq = n.txSeq[flow]
+	msg.seq = pt.txSeq[dstRank]
 	msg.size = size
 	msg.eager = size <= n.params.EagerThreshold
 	msg.stage = stageInject
 	msg.payload = payload
 	msg.srcNode = n.node
 	msg.dstNode = dstNode
-	n.txSeq[flow]++
+	pt.txSeq[dstRank]++
 	// NIC picks up the command (pipelined engines), then injects.
 	n.thread.ServePipelined(n.params.NICOccupancy, n.params.NICProcess, msg.stepFn)
 	return msg

@@ -170,7 +170,7 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
 			params:   params,
 			engine:   eng.NewServer(fmt.Sprintf("hca%d", i)),
 			regCache: NewRegCache(params.RegCacheCap),
-			qps:      map[int]bool{},
+			qps:      make([]bool, fab.Nodes()),
 		}
 	}
 	n.foldCounts(eng.Metrics())
@@ -247,7 +247,8 @@ type HCA struct {
 	regCache *RegCache
 	handler  func(Delivery)
 
-	qps       map[int]bool
+	qps       []bool // connected, per peer node
+	numQPs    int
 	QPMemory  units.Bytes
 	freeOps   sim.FreeList[rdmaOp] // RDMA operations of the continuation path
 	SendCount uint64
@@ -283,30 +284,32 @@ func (h *HCA) SetHandler(fn func(Delivery)) { h.handler = fn }
 // The paper's Section 3.3.1: InfiniBand requires this step; Quadrics does
 // not.
 func (h *HCA) Connect(p *sim.Proc, peer int) {
-	if h.qps[peer] {
-		return
+	if h.connect(peer) {
+		p.Sleep(h.params.QPSetup)
 	}
-	h.qps[peer] = true
-	h.QPMemory += h.params.QPContextBytes
-	p.Sleep(h.params.QPSetup)
 }
 
 // ConnectNoCost establishes a QP without charging wall time — for
 // connections made during job launch (MPI_Init), where the paper's runs do
 // not time the setup. State and memory are still counted.
-func (h *HCA) ConnectNoCost(peer int) {
+func (h *HCA) ConnectNoCost(peer int) { h.connect(peer) }
+
+// connect records a QP to the peer and reports whether it is new.
+func (h *HCA) connect(peer int) bool {
 	if h.qps[peer] {
-		return
+		return false
 	}
 	h.qps[peer] = true
+	h.numQPs++
 	h.QPMemory += h.params.QPContextBytes
+	return true
 }
 
 // Connected reports whether a QP to the peer exists.
-func (h *HCA) Connected(peer int) bool { return h.qps[peer] }
+func (h *HCA) Connected(peer int) bool { return peer >= 0 && peer < len(h.qps) && h.qps[peer] }
 
 // NumQPs reports the number of established connections.
-func (h *HCA) NumQPs() int { return len(h.qps) }
+func (h *HCA) NumQPs() int { return h.numQPs }
 
 // Register pins the buffer (key, size), charging the calling process the
 // host-side registration cost through the pin-down cache.
@@ -445,7 +448,7 @@ func (h *HCA) RDMAReadThen(p *sim.Proc, peer int, size units.Bytes, imm interfac
 // doorbell, and starts the operation's continuation chain. The caller
 // sets how the operation completes before the doorbell lands.
 func (h *HCA) post(p *sim.Proc, peer int, size units.Bytes, imm interface{}, read bool) *rdmaOp {
-	if !h.qps[peer] {
+	if !h.Connected(peer) {
 		what := "write on node %d to"
 		if read {
 			what = "read on node %d from"

@@ -121,14 +121,15 @@ func (e *Engine) CancelRecv(data interface{}) bool {
 // messages over different spines). MPI's non-overtaking rule requires that
 // matching observe sends from a given rank in program order.
 type Sequencer struct {
-	next    map[int]uint64
+	next    []uint64 // per sender, grown on demand
 	pending map[int]map[uint64]interface{}
+	held    int           // messages in pending, over all senders
 	batch   []interface{} // Submit's result, reused by the next call
 }
 
 // NewSequencer returns an empty sequencer.
 func NewSequencer() *Sequencer {
-	return &Sequencer{next: map[int]uint64{}, pending: map[int]map[uint64]interface{}{}}
+	return &Sequencer{pending: map[int]map[uint64]interface{}{}}
 }
 
 // Submit hands the sequencer message seq from the given sender and returns
@@ -137,6 +138,9 @@ func NewSequencer() *Sequencer {
 // batch is valid until the next call, which reuses it, so a caller must not
 // submit again while it iterates.
 func (s *Sequencer) Submit(sender int, seq uint64, msg interface{}) []interface{} {
+	if sender >= len(s.next) {
+		s.next = append(s.next, make([]uint64, sender+1-len(s.next))...)
+	}
 	if seq != s.next[sender] {
 		p := s.pending[sender]
 		if p == nil {
@@ -147,21 +151,24 @@ func (s *Sequencer) Submit(sender int, seq uint64, msg interface{}) []interface{
 			panic("match: duplicate sequence number")
 		}
 		p[seq] = msg
+		s.held++
 		return nil
 	}
 	clear(s.batch)
 	s.batch = append(s.batch[:0], msg)
 	s.next[sender] = seq + 1
-	for {
+	for s.held > 0 {
 		p := s.pending[sender]
 		m, ok := p[s.next[sender]]
 		if !ok {
-			return s.batch
+			break
 		}
 		delete(p, s.next[sender])
+		s.held--
 		s.batch = append(s.batch, m)
 		s.next[sender]++
 	}
+	return s.batch
 }
 
 // Pending reports the number of held-back out-of-order messages from the

@@ -137,9 +137,10 @@ type rankState struct {
 	pending []*wireMsg // pending[head:] are delivered, awaiting host processing
 	head    int
 
-	credits    map[int]int // send credits toward each peer
-	creditOwed map[int]int // processed eager arrivals not yet acked
-	sendSeq    map[int]uint64
+	// Per peer rank, sized at Attach.
+	credits    []int // send credits toward each peer
+	creditOwed []int // processed eager arrivals not yet acked
+	sendSeq    []uint64
 
 	// Statistics.
 	EagerSends, RndvSends, Unexpected uint64
@@ -218,9 +219,9 @@ func (t *Transport) Attach(w *mpi.World) {
 	for i := range t.states {
 		t.states[i] = &rankState{
 			seq:        match.NewSequencer(),
-			credits:    map[int]int{},
-			creditOwed: map[int]int{},
-			sendSeq:    map[int]uint64{},
+			credits:    make([]int, w.Size()),
+			creditOwed: make([]int, w.Size()),
+			sendSeq:    make([]uint64, w.Size()),
 		}
 		for peer := 0; peer < w.Size(); peer++ {
 			if w.NodeOf(peer) != w.NodeOf(i) {

@@ -47,24 +47,36 @@ func (e *Engine) InitSignal(s *Signal, name string) {
 
 // PairNames renders signal names of the form Prefix+a+Sep+b, such as "ib
 // send 0->1", once per (a, b) on first use, so a layer that creates a
-// signal per operation does not build a string per operation. The zero
-// value with Prefix and Sep set is ready to use.
+// signal per operation does not build a string per operation. Names are
+// kept in one slice per a, indexed by b+1 so that b may be -1 (any
+// source); both grow on demand. The zero value with Prefix and Sep set is
+// ready to use.
 type PairNames struct {
 	Prefix, Sep string
-	names       map[[2]int]string
+	names       [][]string
 }
 
 // Name returns the name for (a, b).
 func (n *PairNames) Name(a, b int) string {
-	if s, ok := n.names[[2]int{a, b}]; ok {
-		return s
+	if a < 0 || b < -1 {
+		return n.render(a, b) // not cached; no layer names such a pair
 	}
-	if n.names == nil {
-		n.names = make(map[[2]int]string)
+	if a >= len(n.names) {
+		n.names = append(n.names, make([][]string, a+1-len(n.names))...)
 	}
-	s := n.Prefix + strconv.Itoa(a) + n.Sep + strconv.Itoa(b)
-	n.names[[2]int{a, b}] = s
-	return s
+	row := n.names[a]
+	if b+1 >= len(row) {
+		row = append(row, make([]string, b+2-len(row))...)
+		n.names[a] = row
+	}
+	if row[b+1] == "" {
+		row[b+1] = n.render(a, b)
+	}
+	return row[b+1]
+}
+
+func (n *PairNames) render(a, b int) string {
+	return n.Prefix + strconv.Itoa(a) + n.Sep + strconv.Itoa(b)
 }
 
 // Fired reports whether the signal has fired.
