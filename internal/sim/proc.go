@@ -20,10 +20,14 @@ type Proc struct {
 	eng   *Engine
 	id    int
 	name  string
-	next  func() (struct{}, bool) // scheduler → process: run until park or return
+	next  func() (struct{}, bool) // resumer → process: run until it yields or returns
 	stop  func()                  // unwind a parked or never-started process
-	yield func(struct{}) bool     // process → scheduler; false once stopped
+	yield func(struct{}) bool     // process → its resumer; false once stopped
 	done  bool
+	// inChain is set while the process is resumed and has not yet yielded
+	// back to its resumer: the scheduler or another parked process (see
+	// park).
+	inChain bool
 	// Blocking reason for deadlock reports and trace spans, split in two
 	// so hot paths park without building a string: the rendered state is
 	// state+stateObj (e.g. "waiting on signal " + name), concatenated
@@ -64,10 +68,10 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		defer func() {
 			if r := recover(); r != nil {
 				switch _, isKill := r.(killedSentinel); {
-				case e.onProc:
+				case e.host == p:
 					// A callback dispatched on this stack panicked: the
 					// run ends as if it had panicked on the scheduler's.
-					e.onProc, e.handoff = false, nil
+					e.host, e.handoff = nil, nil
 					e.eventPanic(r)
 				case !isKill && e.err == nil:
 					e.err = fmt.Errorf("sim: panic in process %q at t=%v: %v\n%s",
@@ -83,51 +87,78 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// switchTo resumes p, the continuation of p's wake event. Called on the
-// scheduler's stack, it transfers control to p until the stack it parks
-// on hands off or ends the run, then on to each process handed off to.
-// Called on a parked process's stack, it only records p as the handoff
-// for that process's park.
+// switchTo is the continuation of p's wake event. On the scheduler's
+// stack it resumes p. On a parked process's stack it only records p as
+// the handoff, which ends that process's dispatch loop; park then resumes
+// p from there.
 func (e *Engine) switchTo(p *Proc) {
 	if p.done {
 		return
 	}
-	if e.onProc {
+	if e.host != nil {
 		e.handoff = p
 		return
 	}
 	if e.running != nil {
 		panic("sim: switchTo while a process is running")
 	}
-	for p != nil {
-		e.running = p
-		p.state, p.stateObj = "running", ""
-		p.next()
-		e.running = nil
-		p, e.handoff = e.handoff, nil
+	e.resume(p)
+}
+
+// resume transfers control to q, which joins the resume chain, and
+// returns once q yields back or finishes: two coroutine switches.
+func (e *Engine) resume(q *Proc) {
+	if q.inChain {
+		panic(fmt.Sprintf("sim: resuming process %q, which is already on the resume chain", q.name))
 	}
+	q.inChain = true
+	e.running = q
+	q.state, q.stateObj = "running", ""
+	e.nSwitches += 2
+	q.next()
+	q.inChain = false
+	e.running = nil
 }
 
 // park blocks the calling process until its wake event is dispatched. The
-// process runs the dispatch loop on its own stack meanwhile: when the
-// next process to resume is itself, park returns with no switch at all;
-// when it is another process, or the run ends (deadline, Stop, error, no
-// event left), park yields to the scheduler, which resumes that process
-// or finds the run over. The state/obj pair documents what the process is
-// waiting for; it is only rendered to a string when a deadlock report or
-// timeline span needs it, so parking itself allocates nothing.
+// process runs the dispatch loop on its own stack meanwhile, and the loop
+// ends in one of three ways:
+//   - it reaches p's own wake: park returns with no switch;
+//   - it reaches the wake of a process q that is not on the resume chain:
+//     p resumes q directly, and keeps dispatching once q yields back or
+//     finishes;
+//   - it reaches the wake of an ancestor of p on the chain, or the run
+//     ends (deadline, Stop, error, no event left): p yields to its
+//     resumer, which decides the same way, so control unwinds one level
+//     at a time to that ancestor or to the scheduler.
+//
+// The state/obj pair documents what the process is waiting for; it is
+// only rendered to a string when a deadlock report or timeline span needs
+// it, so parking itself allocates nothing.
 func (p *Proc) park(state, obj string) {
 	p.checkRunning()
 	p.state, p.stateObj = state, obj
 	e := p.eng
 	blockedAt := e.now
-	e.running, e.onProc = nil, true
-	e.dispatch()
-	e.onProc = false
-	if e.handoff == p {
-		e.handoff, e.running = nil, p
-	} else if !p.yield(struct{}{}) {
-		panic(killedSentinel{})
+	e.running = nil
+	for {
+		e.host = p
+		e.dispatch() // returns at once while a handoff is pending or the run is over
+		e.host = nil
+		q := e.handoff
+		if q == p {
+			e.handoff, e.running = nil, p
+			break
+		}
+		if q != nil && !q.inChain {
+			e.handoff = nil
+			e.resume(q)
+			continue
+		}
+		if !p.yield(struct{}{}) {
+			panic(killedSentinel{})
+		}
+		break // resumed by whoever dispatched p's wake
 	}
 	if e.track != nil && e.now > blockedAt {
 		e.track.Span(TidProc+int64(p.id), state+obj, "block", blockedAt, e.now)
