@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestParallelDeterminism is the regression guard for the runner rewiring:
@@ -96,4 +99,32 @@ func TestSweepErrorDeterminism(t *testing.T) {
 			t.Fatalf("empty sweep reported failures: %v", fails)
 		}
 	}
+}
+
+// TestTracingLeavesMetricsUnchanged: asking for a timeline changes no
+// count. fig1b's snapshot is the same with a plain registry and with a
+// tracing one.
+func TestTracingLeavesMetricsUnchanged(t *testing.T) {
+	e, err := Get("fig1b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(reg *metrics.Registry) metrics.Snapshot {
+		if _, err := e.Run(Options{Quick: true, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot()
+	}
+	traced := metrics.New()
+	traced.EnableTracing()
+	p, tr := snap(metrics.New()), snap(traced)
+	if reflect.DeepEqual(p, tr) {
+		return
+	}
+	for i := range p.Counters {
+		if i < len(tr.Counters) && p.Counters[i] != tr.Counters[i] {
+			t.Errorf("plain %v, traced %v", p.Counters[i], tr.Counters[i])
+		}
+	}
+	t.Fatal("snapshots differ")
 }

@@ -236,11 +236,6 @@ func (f *Fabric) retire(size units.Bytes, aborted bool) {
 	f.retired.DeliveredBytes += size
 }
 
-// LinkUtilization reports the utilization of the given link.
-func (f *Fabric) LinkUtilization(id topology.LinkID) float64 {
-	return f.links[id].Utilization()
-}
-
 // FlushMetrics folds end-of-run statistics into the engine's registry:
 // the message, chunk and fault counts gained since the last flush, a
 // histogram of per-link utilization (percent), a histogram of per-link
@@ -374,6 +369,8 @@ type msgState struct {
 	pt        path
 	remaining int         // chunks not yet retired
 	size      units.Bytes // payload size: the chunk plan, retirement counts
+	src, dst  int         // endpoints and send time: the timeline span
+	sent      units.Time
 	// The message's completion: done, the signal Send handed out, or,
 	// when done is nil, the continuations SendThen was given.
 	done *sim.Signal
@@ -408,12 +405,17 @@ func (f *Fabric) getMsg() *msgState {
 
 // retireMsg is a message's one release point: it leaves the fabric,
 // completes unless a fault killed it, and its state goes back to the pool.
-// Completion fires the signal Send handed out or schedules SendThen's
+// Completion records the message's timeline span, when a track is
+// attached, and fires the signal Send handed out or schedules SendThen's
 // continuations, each as Fire would schedule a callback, in order.
 func (f *Fabric) retireMsg(ms *msgState) {
 	f.inflight--
 	f.retire(ms.size, ms.aborted)
 	if !ms.aborted {
+		if f.track != nil {
+			name := fmt.Sprintf("msg->%d %v", ms.dst, ms.size)
+			f.track.Span(sim.TidNode+int64(ms.src), name, "fabric", ms.sent, f.eng.Now())
+		}
 		if ms.done != nil {
 			ms.done.Fire()
 		}
@@ -736,18 +738,8 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 // SendThen is Send for a caller that needs no signal: at delivery it
 // schedules each of then, in order, exactly as the signal's Fire would
 // schedule callbacks registered with OnFire, so every event keeps its key.
-// A traced fabric still builds the signal, so the message's span callback
-// keeps its place ahead of them.
 func (f *Fabric) SendThen(src, dst int, size units.Bytes, then ...func()) {
-	if f.track == nil {
-		f.send(src, dst, size, nil, then)
-		return
-	}
-	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
-	f.send(src, dst, size, done, nil)
-	for _, fn := range then {
-		done.OnFire(fn)
-	}
+	f.send(src, dst, size, nil, then)
 }
 
 // send is Send and SendThen: the message completes by firing done, when it
@@ -761,13 +753,6 @@ func (f *Fabric) send(src, dst int, size units.Bytes, done *sim.Signal, then []f
 	}
 	f.messages++
 	f.bytes += size
-	if f.track != nil {
-		begin := f.eng.Now()
-		name := fmt.Sprintf("msg->%d %v", dst, size)
-		done.OnFire(func() {
-			f.track.Span(sim.TidNode+int64(src), name, "fabric", begin, f.eng.Now())
-		})
-	}
 
 	ms := f.getMsg()
 	ms.done = done
@@ -777,6 +762,7 @@ func (f *Fabric) send(src, dst int, size units.Bytes, done *sim.Signal, then []f
 	f.chunks += uint64(n)
 	ms.remaining = n
 	ms.size = size
+	ms.src, ms.dst, ms.sent = src, dst, f.eng.Now()
 
 	// A window is open only while its message is alone in the fabric, so
 	// it materializes before the newcomer is scheduled, whatever its path,

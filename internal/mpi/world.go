@@ -62,7 +62,6 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 			incoming:     eng.NewSignal(incoming),
 			incomingName: incoming,
 		}
-		w.ranks[i].shm.init()
 		if w.track != nil {
 			w.track.SetThreadName(sim.TidRank+int64(i), fmt.Sprintf("rank%d", i))
 		}
