@@ -153,7 +153,10 @@ campaign:
 
 # trace-demo produces sample observability artifacts: a counters snapshot
 # and a chrome://tracing (or ui.perfetto.dev) loadable timeline of the
-# fig1b bidirectional-bandwidth runs.
+# fig1b bidirectional-bandwidth runs. It fails if recording the timeline
+# changed the snapshot: the untraced one must be byte-identical.
 trace-demo:
+	$(GO) run ./cmd/repro -exp fig1b -quick -metrics trace-demo-metrics-untraced.json
 	$(GO) run ./cmd/repro -exp fig1b -quick -metrics trace-demo-metrics.json -tracefile trace-demo.json
+	diff trace-demo-metrics-untraced.json trace-demo-metrics.json
 	@echo "wrote trace-demo-metrics.json and trace-demo.json (load in chrome://tracing)"
