@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -21,8 +23,9 @@ func elanFaultParams() Params {
 // runFaultStorm is runStorm under a deterministic fault schedule: before
 // the traffic runs, a seed-derived set of derate/loss/down windows is
 // scheduled onto random links through ordinary events. The schedule is a
-// pure function of seed, so coalesce on/off runs see identical faults.
-func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coalesce bool) stormOutcome {
+// pure function of seed, so coalesce on/off runs see identical faults. It
+// returns the storm's outcome and the fabric's fault totals.
+func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coalesce bool) (stormOutcome, FaultStats) {
 	t.Helper()
 	eng := sim.NewEngine()
 	f, err := New(eng, nodes, radix, params)
@@ -83,28 +86,37 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 	}
 	requireDrained(t, f)
 	out.account(eng, f.links, nil)
-	return out
+	return out, f.FaultStats()
 }
 
-// TestFaultStormCoalescingExact extends the tentpole equivalence claim to
-// faulty fabrics: under randomized traffic AND a randomized fault schedule
-// (deratings, loss windows, down windows), delivery times and per-link
-// accounting must stay bit-identical whether or not coalescing is enabled.
-// Messages killed by the drop model must be killed identically in both.
+// TestFaultStormCoalescingExact extends the equivalence of coalescing and
+// the chunk model to faulty fabrics, and pins the outcome: on each fabric,
+// randomized traffic meets a randomized fault schedule (deratings, loss
+// windows, down windows) for seeds 1 to 4, and with coalescing on and off
+// every message's delivery time, every link's accounting and the fault
+// totals hash to the same recorded digest. Messages the drop model kills
+// are delivered at time zero in the hash.
 func TestFaultStormCoalescingExact(t *testing.T) {
-	cases := []stormFabric{
-		{"ib/drop-model", ibTestParams(), 96, 8},
-		{"elan/hw-retry", elanFaultParams(), 64, 8},
-		{"ib/2level", ibTestParams(), 8, 12},
-		{"elan/2level", elanFaultParams(), 8, 12},
+	cases := []struct {
+		stormFabric
+		want string
+	}{
+		{stormFabric{"ib/drop-model", ibTestParams(), 96, 8}, "e2a09f3ec478b0ad"},
+		{stormFabric{"elan/hw-retry", elanFaultParams(), 64, 8}, "9db11aedde1b2bdc"},
+		{stormFabric{"ib/2level", ibTestParams(), 8, 12}, "cc558709bdd03a7d"},
+		{stormFabric{"elan/2level", elanFaultParams(), 8, 12}, "3fbca33389fd92fe"},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 4; seed++ {
-				on := runFaultStorm(t, c.params, c.radix, c.nodes, seed, true)
-				off := runFaultStorm(t, c.params, c.radix, c.nodes, seed, false)
-				requireSameOutcome(t, seed, on, off, "coalesced", "chunked")
+			for _, coalesce := range []bool{true, false} {
+				h := sha256.New()
+				for seed := uint64(1); seed <= 4; seed++ {
+					out, stats := runFaultStorm(t, c.params, c.radix, c.nodes, seed, coalesce)
+					fmt.Fprintf(h, "%d %d %d %d %d %d %+v\n", seed, out.fired, out.final, out.busy, out.total, out.served, stats)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != c.want {
+					t.Errorf("coalesce=%v: digest %s, want %s", coalesce, got, c.want)
+				}
 			}
 		})
 	}
@@ -113,10 +125,11 @@ func TestFaultStormCoalescingExact(t *testing.T) {
 // TestFaultMidMessageWindowExpansion is the targeted regression for the
 // SetLinkFault/coalescing interaction: a fault landing on a link while a
 // coalesced message is in flight must expand the window back to the exact
-// chunk model, bit-identically to a run that never coalesced. That holds
-// for a link the window does not use, too: node 1's injection link
-// carries nothing of the 0→1 message, and the fault expands it all the
-// same.
+// chunk model. That holds for a link the window does not use, too: node
+// 1's injection link carries nothing of the 0→1 message, and the fault
+// expands it all the same. With coalescing on and off, the delivery time
+// and the fault totals must equal the recorded ones; a delivery at zero
+// means the drop model killed the message.
 func TestFaultMidMessageWindowExpansion(t *testing.T) {
 	onPath := func(f *Fabric) topology.LinkID { return f.clos.Injection(0) }
 	offPath := func(f *Fabric) topology.LinkID { return f.clos.Injection(1) }
@@ -125,18 +138,24 @@ func TestFaultMidMessageWindowExpansion(t *testing.T) {
 		params Params
 		fault  LinkFault
 		link   func(*Fabric) topology.LinkID
+		want   string
 	}{
-		{"ib/derate", ibTestParams(), LinkFault{BandwidthScale: 0.5, ExtraLatency: 200 * units.Nanosecond}, onPath},
-		{"ib/down", ibTestParams(), LinkFault{Down: true}, onPath},
-		{"elan/loss", elanFaultParams(), LinkFault{LossProb: 0.1}, onPath},
-		{"elan/down", elanFaultParams(), LinkFault{Down: true}, onPath},
-		{"ib/down/off-path", ibTestParams(), LinkFault{Down: true}, offPath},
-		{"elan/loss/off-path", elanFaultParams(), LinkFault{LossProb: 0.1}, offPath},
+		{"ib/derate", ibTestParams(), LinkFault{BandwidthScale: 0.5, ExtraLatency: 200 * units.Nanosecond}, onPath,
+			"1445037868ps {ChunksLost:0 ChunksRetried:0 ChunksRerouted:0 MessagesDropped:0 FaultWindows:1}"},
+		{"ib/down", ibTestParams(), LinkFault{Down: true}, onPath,
+			"0ps {ChunksLost:127 ChunksRetried:0 ChunksRerouted:0 MessagesDropped:1 FaultWindows:1}"},
+		{"elan/loss", elanFaultParams(), LinkFault{LossProb: 0.1}, onPath,
+			"1137930818ps {ChunksLost:19 ChunksRetried:19 ChunksRerouted:0 MessagesDropped:0 FaultWindows:1}"},
+		{"elan/down", elanFaultParams(), LinkFault{Down: true}, onPath,
+			"1433995392ps {ChunksLost:0 ChunksRetried:40929 ChunksRerouted:0 MessagesDropped:0 FaultWindows:1}"},
+		{"ib/down/off-path", ibTestParams(), LinkFault{Down: true}, offPath,
+			"1216635732ps {ChunksLost:0 ChunksRetried:0 ChunksRerouted:0 MessagesDropped:0 FaultWindows:1}"},
+		{"elan/loss/off-path", elanFaultParams(), LinkFault{LossProb: 0.1}, offPath,
+			"1134980507ps {ChunksLost:0 ChunksRetried:0 ChunksRerouted:0 MessagesDropped:0 FaultWindows:1}"},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			run := func(coalesce bool) (fired units.Time, stats FaultStats) {
+			for _, coalesce := range []bool{true, false} {
 				eng := sim.NewEngine()
 				f, err := New(eng, 2, 96, c.params)
 				if err != nil {
@@ -144,8 +163,8 @@ func TestFaultMidMessageWindowExpansion(t *testing.T) {
 				}
 				f.coalesce = coalesce
 				f.EnableFaults(11)
-				done := f.Send(0, 1, 1*units.MiB)
-				done.OnFire(func() { fired = eng.Now() })
+				var fired units.Time
+				f.Send(0, 1, 1*units.MiB).OnFire(func() { fired = eng.Now() })
 				if coalesce && f.open == nil {
 					t.Fatal("expected a coalesced window")
 				}
@@ -165,18 +184,9 @@ func TestFaultMidMessageWindowExpansion(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireDrained(t, f)
-				return fired, f.FaultStats()
-			}
-			onAt, onStats := run(true)
-			offAt, offStats := run(false)
-			if onAt != offAt {
-				t.Fatalf("delivery %v (coalesced) != %v (chunked)", onAt, offAt)
-			}
-			if onStats != offStats {
-				t.Fatalf("fault stats diverged: %+v vs %+v", onStats, offStats)
-			}
-			if c.params.HWRetry && onAt == 0 {
-				t.Fatal("HWRetry fabric failed to deliver through the fault")
+				if got := fmt.Sprintf("%dps %+v", int64(fired), f.FaultStats()); got != c.want {
+					t.Errorf("coalesce=%v: got %s\nwant %s", coalesce, got, c.want)
+				}
 			}
 		})
 	}
