@@ -107,22 +107,27 @@ func TestEventKeyDigest(t *testing.T) {
 	}
 }
 
-// TestTracingChangesNoEvent: recording a timeline schedules nothing. On
-// each of digestRuns a tracing registry dispatches exactly the events, key
-// for key, that a plain registry does.
+// TestTracingChangesNoEvent: observing a run schedules nothing. On each of
+// digestRuns a plain registry and a tracing registry dispatch exactly the
+// events, key for key, that a run without a registry does.
 func TestTracingChangesNoEvent(t *testing.T) {
 	for _, net := range platform.Networks {
 		for _, c := range digestRuns() {
 			t.Run(net.Short()+"/"+c.name, func(t *testing.T) {
-				plain := c.run(t, net, metrics.New())
-				reg := metrics.New()
-				reg.EnableTracing()
-				traced := c.run(t, net, reg)
-				if p, tr := plain.Eng.Events(), traced.Eng.Events(); p != tr {
-					t.Errorf("events: plain %d, traced %d", p, tr)
-				}
-				if p, tr := sim.KeyDigest(plain.Eng), sim.KeyDigest(traced.Eng); p != tr {
-					t.Errorf("key digest: plain %016x, traced %016x", p, tr)
+				bare := c.run(t, net, nil)
+				traced := metrics.New()
+				traced.EnableTracing()
+				for _, obs := range []struct {
+					name string
+					reg  *metrics.Registry
+				}{{"plain", metrics.New()}, {"traced", traced}} {
+					m := c.run(t, net, obs.reg)
+					if b, o := bare.Eng.Events(), m.Eng.Events(); b != o {
+						t.Errorf("events: no registry %d, %s %d", b, obs.name, o)
+					}
+					if b, o := sim.KeyDigest(bare.Eng), sim.KeyDigest(m.Eng); b != o {
+						t.Errorf("key digest: no registry %016x, %s %016x", b, obs.name, o)
+					}
 				}
 			})
 		}
