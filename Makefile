@@ -45,8 +45,7 @@ lint-sarif:
 # artifacts embed per-run metadata by design (wall_ms, created_at, the
 # jobs count, which defaults to the host's core count, and — on
 # instrumented runs — sim_events / events_per_sec, which depend on host
-# speed and on whether the fabric fast path was pinned off; see
-# internal/runner artifacts), so those fields are filtered before
+# speed; see internal/runner artifacts), so those fields are filtered before
 # comparing. The scratch directory is removed on success and left in
 # place on failure for inspection. Full fidelity takes about 1.5 min on
 # a 2-vCPU host.

@@ -40,7 +40,7 @@ package fabric
 // a plain per-chunk reference model fabric-wide.
 //
 // Eligibility. A window forms only when (1) coalescing is enabled (it is
-// off whenever a metrics registry is attached), (2) the path does not
+// on from New; only tests clear it), (2) the path does not
 // cross spines in an adaptive fabric (per-chunk spine choice must
 // observe true load), (3) no other message is in flight (the in-flight
 // count is one: this message), (4) every stage's busy horizon has cleared
@@ -56,7 +56,7 @@ package fabric
 // lag the true schedule; every observer is intercepted. Send expands the
 // open window, whatever its path, before it schedules anything;
 // SetLinkFault expands it, whatever link it faults, so every chunk loss
-// and stall happens in the chunk model, where probes see it; and any
+// and stall happens in the chunk model; and any
 // direct ServeAt on a covered server (the IB doorbell charging the host
 // bus) expands it via the server's OnServe hook before the newcomer's
 // work is applied. On completion the summarized work is folded in bulk,
@@ -73,6 +73,16 @@ package fabric
 // expands the window and is served ahead of the chunk the expansion
 // re-issues, where the chunk model may serve the chunk first, and then
 // the delivery moves. TestCoalescedTieOrder pins both cases.
+//
+// Observation. Nothing that observes the fabric decides whether a window
+// forms. A registry's per-chunk instruments, the link byte counts and the
+// chunk-wait histogram, are fed by the window itself: whatever it folds
+// into a server's accounting, at completion or expansion, it also records
+// chunk by chunk as Fabric.account would have (see window.account), and
+// the chunks an expansion re-issues are recorded by the chunk model. A
+// probe sees every loss and stall, since those happen only in the chunk
+// model. checkReference compares the recorded waits and bytes with the
+// reference model's on every storm.
 
 import (
 	"repro/internal/sim"
@@ -222,6 +232,7 @@ func (w *window) complete() {
 			busy += units.Duration(w.n-1) * w.sFull[i]
 		}
 		srv.Absorb(w.cLast[i], busy, uint64(w.n))
+		w.account(i, w.n-1, true)
 	}
 	f.open = nil
 	ms.remaining = 0
@@ -235,6 +246,37 @@ func (w *window) arrFull(k, i int) units.Time {
 		return w.t0
 	}
 	return w.baseC[i-1].Add(units.Duration(k)*w.bneck[i-1] + w.lat[i-1])
+}
+
+// account records at stage i what Fabric.account records for the chunks
+// the window folds there: full chunks 0..nf-1 and, when last is set, the
+// last chunk. No-op without a registry; host-bus stages record nothing,
+// as in Fabric.account.
+func (w *window) account(i, nf int, last bool) {
+	f := w.f
+	link := w.ms.pt.stages[i].link
+	if f.linkBytes == nil || link < 0 {
+		return
+	}
+	f.linkBytes[link] += units.Bytes(nf) * f.params.MTU
+	for k := 0; k < nf; k++ {
+		f.observeWait(w.doneBefore(k, i), w.arrFull(k, i))
+	}
+	if last {
+		f.linkBytes[link] += w.last
+		f.observeWait(w.doneBefore(w.n-1, i), w.aLast[i])
+	}
+}
+
+// doneBefore reports when stage i finishes serving the chunk before chunk
+// k, the server's busy horizon at chunk k's arrival. Chunk 0 has none and
+// finds the stage idle (eligibility 4), so it reports time 0, which
+// charges no wait.
+func (w *window) doneBefore(k, i int) units.Time {
+	if k == 0 {
+		return 0
+	}
+	return w.baseC[i].Add(units.Duration(k-1) * w.bneck[i])
 }
 
 // expand materializes the window at the current instant: every chunk
@@ -288,6 +330,7 @@ func (w *window) expand() {
 			horizon = w.baseC[i].Add(units.Duration(nf-1) * w.bneck[i])
 		}
 		pt.stages[i].srv.Absorb(horizon, busy, uint64(items))
+		w.account(i, nf, lastIn)
 	}
 
 	// Re-issue pending chunk arrivals in chunk order (preserving FIFO

@@ -44,7 +44,9 @@ func elanTestParams() Params {
 
 // stormOutcome captures everything observable about a storm run: each
 // message's delivery time (by slot), the order in which the messages were
-// delivered, and every server's final accounting.
+// delivered, and every server's final accounting. A run with a registry
+// also keeps what it recorded: the chunk-wait histogram and the payload
+// bytes per link.
 type stormOutcome struct {
 	fired  []units.Time
 	order  []int
@@ -52,7 +54,13 @@ type stormOutcome struct {
 	busy   []units.Time
 	total  []units.Duration
 	served []uint64
+
+	waits     metrics.HistogramPoint
+	linkBytes []units.Bytes
 }
+
+// waitHist names the fabric's chunk-wait histogram.
+const waitHist = "fabric.chunk_queue_wait_ns"
 
 // deliver records message slot's delivery when done fires.
 func (out *stormOutcome) deliver(eng *sim.Engine, slot int, done *sim.Signal) {
@@ -73,6 +81,16 @@ func (out *stormOutcome) account(eng *sim.Engine, links, hosts []*sim.Server) {
 			out.served = append(out.served, srv.Served())
 		}
 	}
+}
+
+// observe keeps reg's chunk-wait histogram and a copy of linkBytes.
+func (out *stormOutcome) observe(reg *metrics.Registry, linkBytes []units.Bytes) {
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == waitHist {
+			out.waits = h
+		}
+	}
+	out.linkBytes = slices.Clone(linkBytes)
 }
 
 // requireSameOutcome fails the test unless two storm runs of one seed
@@ -185,12 +203,15 @@ func traffic(eng *sim.Engine, net stormNet, nodes int, r *rng.Source, sizes []un
 	}
 }
 
-// runFabric runs a storm on a fresh Fabric that setup configures, checks
-// that no message or coalescing window outlived the run, and returns the
-// outcome.
-func runFabric(t *testing.T, c stormFabric, gen storm, seed uint64, setup func(*Fabric)) stormOutcome {
+// runFabric runs a storm on a fresh Fabric that setup configures, with
+// reg attached unless it is nil, checks that no message or coalescing
+// window outlived the run, and returns the outcome.
+func runFabric(t *testing.T, c stormFabric, gen storm, seed uint64, reg *metrics.Registry, setup func(*Fabric)) stormOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
+	if reg != nil {
+		eng.SetMetrics(reg, c.name)
+	}
 	f := mustNew(t, eng, c.nodes, c.radix, c.params)
 	setup(f)
 	var out stormOutcome
@@ -200,6 +221,9 @@ func runFabric(t *testing.T, c stormFabric, gen storm, seed uint64, setup func(*
 	}
 	requireDrained(t, f)
 	out.account(eng, f.links, f.hosts)
+	if reg != nil {
+		out.observe(reg, f.linkBytes)
+	}
 	return out
 }
 
@@ -277,8 +301,8 @@ func TestCoalescedMatchesMinLatency(t *testing.T) {
 func TestCoalescedTieOrder(t *testing.T) {
 	c := tieFabrics()[0]
 	const seed = 48
-	on := runFabric(t, c, tieStorm, seed, func(*Fabric) {})
-	off := runFabric(t, c, tieStorm, seed, func(f *Fabric) { f.coalesce = false })
+	on := runFabric(t, c, tieStorm, seed, nil, func(*Fabric) {})
+	off := runFabric(t, c, tieStorm, seed, nil, func(f *Fabric) { f.coalesce = false })
 	requireSameOutcome(t, seed, on, off, "coalesced", "chunked")
 	at := units.Time(4396 * units.Nanosecond)
 	if on.fired[2] != at || on.fired[8] != at {
@@ -351,29 +375,6 @@ func TestCoalescedTieOrder(t *testing.T) {
 	}
 	if got := doorbell(false); got != minLat {
 		t.Errorf("chunked: doorbell at the last chunk's host-bus arrival; delivered at %v, want %v", got, minLat)
-	}
-}
-
-// TestCoalescingDisabledUnderMetrics pins the policy: a fabric built on
-// an engine with a registry must never open windows, so per-chunk
-// instruments see every chunk.
-func TestCoalescingDisabledUnderMetrics(t *testing.T) {
-	bare, err := New(sim.NewEngine(), 2, 8, ibTestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bare.coalesce {
-		t.Fatal("coalescing should default on without a registry")
-	}
-	eng := sim.NewEngine()
-	eng.SetMetrics(metrics.New(), "test")
-	f, err := New(eng, 2, 8, ibTestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Send(0, 1, 64*units.KiB)
-	if f.open != nil {
-		t.Fatal("window opened while per-chunk instruments are live")
 	}
 }
 

@@ -121,10 +121,9 @@ type Fabric struct {
 
 	// coalesce enables the idle-path fast path: a message alone in the
 	// fabric is delivered by one analytically-scheduled event instead of
-	// per-chunk cut-through events (see tryCoalesce). It is true exactly
-	// when no metrics registry is attached, so instrumented runs always
-	// execute the fully-expanded chunk model; in-package tests clear it
-	// to run that model too.
+	// per-chunk cut-through events (see tryCoalesce). It is true from New,
+	// registry or not, as a window records its own chunks (see
+	// window.account); only tests clear it, to run the chunk model.
 	coalesce bool
 	// inflight counts the messages sent and not yet retired. A window
 	// forms only for a message sent when no other is in flight, so at
@@ -170,7 +169,7 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{eng: eng, clos: clos, params: params,
+	f := &Fabric{eng: eng, clos: clos, params: params, coalesce: true,
 		msgNames: sim.PairNames{Prefix: "msg ", Sep: "->"}}
 	f.linkFull = params.LinkBandwidth.TimeFor(params.MTU + params.PacketOverhead)
 	f.hostFull = params.HostBandwidth.TimeFor(params.MTU + params.PacketOverhead)
@@ -184,7 +183,6 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 			f.hosts[i] = eng.NewServer(fmt.Sprintf("pci%d", i))
 		}
 	}
-	f.coalesce = eng.Metrics() == nil
 	if reg := eng.Metrics(); reg != nil {
 		f.foldCounts(reg)
 		f.hWait = reg.Histogram("fabric.chunk_queue_wait_ns")
@@ -705,7 +703,13 @@ func (f *Fabric) account(link topology.LinkID, srv *sim.Server, size units.Bytes
 		return
 	}
 	f.linkBytes[link] += size
-	if wait := srv.BusyUntil().Sub(ready); wait > 0 {
+	f.observeWait(srv.BusyUntil(), ready)
+}
+
+// observeWait records the queueing delay of a chunk arriving at ready at a
+// server busy until busy: the difference in whole ns, floored at 0.
+func (f *Fabric) observeWait(busy, ready units.Time) {
+	if wait := busy.Sub(ready); wait > 0 {
 		f.hWait.Observe(int64(wait / units.Nanosecond))
 	} else {
 		f.hWait.Observe(0)

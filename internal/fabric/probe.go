@@ -11,11 +11,12 @@ package fabric
 //
 //   - zero cost when disabled — every call site is behind a single
 //     `f.probe != nil` check and the default is nil;
-//   - behaviour-neutral — callbacks only observe, and installing a probe
-//     leaves coalescing on. Windows never form on a path with a faulted
-//     link, and SetLinkFault expands the open window, whatever link it
-//     faults, before the fault applies, so every loss and stall happens
-//     in the chunk model, where it is reported.
+//   - behaviour-neutral — callbacks only observe, and neither a probe nor
+//     a registry changes whether a coalescing window forms. Windows never
+//     form on a path with a faulted link, and SetLinkFault expands the
+//     open window, whatever link it faults, before the fault applies, so
+//     every loss and stall happens in the chunk model, where it is
+//     reported.
 
 import (
 	"repro/internal/topology"

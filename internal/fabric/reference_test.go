@@ -2,9 +2,11 @@ package fabric
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -17,12 +19,20 @@ import (
 // message is delivered with its last chunk. There are no lanes, trains,
 // coalescing windows or early retirement, and paths come from
 // topology.Clos and Params, not from fillPath or MinLatency.
+//
+// It also records what a metrics registry records of the chunk model: the
+// payload bytes each link carries, and each chunk's wait at each link
+// stage, the server's BusyUntil at its arrival less the arrival, in whole
+// ns and floored at 0.
 type refFabric struct {
-	eng   *sim.Engine
-	clos  *topology.Clos
-	p     Params
-	links []*sim.Server // by topology.LinkID
-	hosts []*sim.Server // PCI bus per node; nil without a host stage
+	eng       *sim.Engine
+	clos      *topology.Clos
+	p         Params
+	links     []*sim.Server // by topology.LinkID
+	hosts     []*sim.Server // PCI bus per node; nil without a host stage
+	reg       *metrics.Registry
+	waits     *metrics.Histogram // in reg, under the fabric's name
+	linkBytes []units.Bytes      // by topology.LinkID
 }
 
 func newRefFabric(t *testing.T, eng *sim.Engine, nodes, radix int, p Params) *refFabric {
@@ -31,7 +41,9 @@ func newRefFabric(t *testing.T, eng *sim.Engine, nodes, radix int, p Params) *re
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &refFabric{eng: eng, clos: clos, p: p}
+	r := &refFabric{eng: eng, clos: clos, p: p, reg: metrics.New(),
+		linkBytes: make([]units.Bytes, clos.NumLinks())}
+	r.waits = r.reg.Histogram(waitHist)
 	for i := 0; i < clos.NumLinks(); i++ {
 		r.links = append(r.links, eng.NewServer(fmt.Sprintf("ref link%d", i)))
 	}
@@ -100,21 +112,25 @@ func (r *refFabric) arrive(c *refChunk, i int) {
 		}
 		return
 	}
-	srv, ser, lat := r.stage(c, i)
+	srv, link, ser, lat := r.stage(c, i)
+	if link >= 0 {
+		r.linkBytes[link] += c.size
+		r.waits.Observe(max(0, int64(srv.BusyUntil().Sub(r.eng.Now())/units.Nanosecond)))
+	}
 	out := srv.Serve(ser).Add(lat)
 	r.eng.At(out, func() { r.arrive(c, i+1) })
 }
 
-// stage returns the server of c's stage i, c's service time there, and
-// the latency it pays after service.
-func (r *refFabric) stage(c *refChunk, i int) (srv *sim.Server, ser, lat units.Duration) {
+// stage returns the server of c's stage i, its link (-1 for a PCI bus),
+// c's service time there, and the latency it pays after service.
+func (r *refFabric) stage(c *refChunk, i int) (srv *sim.Server, link topology.LinkID, ser, lat units.Duration) {
 	bytes := c.size + r.p.PacketOverhead
 	if r.hosts != nil {
 		switch i {
 		case 0:
-			return r.hosts[c.m.src], r.p.HostBandwidth.TimeFor(bytes), r.p.HostLatency
+			return r.hosts[c.m.src], -1, r.p.HostBandwidth.TimeFor(bytes), r.p.HostLatency
 		case len(c.route) + 1:
-			return r.hosts[c.m.dst], r.p.HostBandwidth.TimeFor(bytes), r.p.HostLatency
+			return r.hosts[c.m.dst], -1, r.p.HostBandwidth.TimeFor(bytes), r.p.HostLatency
 		}
 		i--
 	}
@@ -126,7 +142,8 @@ func (r *refFabric) stage(c *refChunk, i int) (srv *sim.Server, ser, lat units.D
 	if i < len(c.route)-1 {
 		lat += r.p.ChassisLatency
 	}
-	return r.links[c.route[i]], r.p.LinkBandwidth.TimeFor(bytes), lat
+	link = c.route[i]
+	return r.links[link], link, r.p.LinkBandwidth.TimeFor(bytes), lat
 }
 
 // leastLoadedSpine is adaptive routing: the spine whose uplink from src's
@@ -152,6 +169,7 @@ func runReference(t *testing.T, c stormFabric, gen storm, seed uint64) stormOutc
 		t.Fatal(err)
 	}
 	out.account(eng, r.links, r.hosts)
+	out.observe(r.reg, r.linkBytes)
 	return out
 }
 
@@ -182,6 +200,11 @@ var (
 // delivered at the reference's time and in its order, same-picosecond
 // ties included, the run must end at its clock, and every server must end
 // with its BusyUntil, BusyTotal and Served.
+//
+// Each storm also runs once in the default mode with a registry attached.
+// Besides the outcome, its chunk-wait histogram and per-link payload bytes
+// must equal the reference's, so what coalescing windows record of the
+// chunks they stand in for is checked chunk by chunk.
 func checkReference(t *testing.T, gen storm, fabrics []stormFabric, seeds uint64, modes []referenceMode) {
 	for _, c := range fabrics {
 		t.Run(c.name, func(t *testing.T) {
@@ -189,15 +212,30 @@ func checkReference(t *testing.T, gen storm, fabrics []stormFabric, seeds uint64
 			for seed := uint64(1); seed <= seeds; seed++ {
 				want := runReference(t, c, gen, seed)
 				for _, mode := range modes {
-					got := runFabric(t, c, gen, seed, mode.setup)
-					requireSameOutcome(t, seed, got, want, mode.name, "reference")
-					if !slices.Equal(got.order, want.order) {
-						t.Fatalf("seed %d: messages delivered in order\n%v %s,\n%v in the reference",
-							seed, got.order, mode.name, want.order)
-					}
+					got := runFabric(t, c, gen, seed, nil, mode.setup)
+					requireSameDelivery(t, seed, got, want, mode.name)
+				}
+				got := runFabric(t, c, gen, seed, metrics.New(), func(*Fabric) {})
+				requireSameDelivery(t, seed, got, want, "observed")
+				if !reflect.DeepEqual(got.waits, want.waits) {
+					t.Fatalf("seed %d: chunk waits\n%+v observed,\n%+v in the reference", seed, got.waits, want.waits)
+				}
+				if !slices.Equal(got.linkBytes, want.linkBytes) {
+					t.Fatalf("seed %d: link bytes\n%v observed,\n%v in the reference", seed, got.linkBytes, want.linkBytes)
 				}
 			}
 		})
+	}
+}
+
+// requireSameDelivery fails the test unless a production run of one seed,
+// in the named mode, had the reference's outcome and delivery order.
+func requireSameDelivery(t *testing.T, seed uint64, got, want stormOutcome, mode string) {
+	t.Helper()
+	requireSameOutcome(t, seed, got, want, mode, "reference")
+	if !slices.Equal(got.order, want.order) {
+		t.Fatalf("seed %d: messages delivered in order\n%v %s,\n%v in the reference",
+			seed, got.order, mode, want.order)
 	}
 }
 

@@ -18,7 +18,6 @@ const (
 	EvRecvDone
 	EvComputeBegin
 	EvComputeEnd
-	EvCollective
 )
 
 // String implements fmt.Stringer.
@@ -36,8 +35,6 @@ func (k EventKind) String() string {
 		return "compute-begin"
 	case EvComputeEnd:
 		return "compute-end"
-	case EvCollective:
-		return "collective"
 	default:
 		return fmt.Sprintf("ev(%d)", uint8(k))
 	}

@@ -124,12 +124,9 @@ type Options struct {
 	// machine's engine: every layer records counters/histograms into it,
 	// and — if the registry has tracing enabled — a timeline track labelled
 	// Label. Nil (the default) disables all recording; simulated behaviour
-	// is identical either way. Tracing schedules nothing: a traced run
-	// dispatches exactly the events of an untraced one with a registry
-	// (TestTracingChangesNoEvent). An attached registry runs the fabric's
-	// fully-expanded chunk model, with coalescing off, so that per-chunk
-	// instruments see every chunk (TestCoalescingExactMachine
-	// compares the two).
+	// is identical either way. Observing schedules nothing: a run with a
+	// plain or a tracing registry dispatches exactly the events of a run
+	// without one (TestTracingChangesNoEvent).
 	Metrics *metrics.Registry
 	// Label names the machine's timeline track (e.g. "pingpong IB").
 	Label string
