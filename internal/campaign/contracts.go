@@ -24,8 +24,11 @@ package campaign
 //	                        link (half-open [at, at+for))
 //	BC-6  elan-order        Elan Tports presents each sender's envelopes
 //	                        to matching in per-flow sequence order
-//	BC-7  ib-exactly-once   an IB RC request delivers exactly once no
-//	                        matter how many retransmissions raced it
+//	BC-7  (retired)         IB exactly-once delivery; HCA.reliable's
+//	                        delivered flag absorbs duplicates before any
+//	                        probe could see them, and a duplicate that got
+//	                        through fails TestDuplicateDeliverySuppressed
+//	                        and BC-1; its ID is not reused
 //	BC-8  determinism       two identical runs produce identical digests
 //	BC-9  (retired)         kernel equivalence; retired with the second
 //	                        simulation kernel, its ID is not reused
@@ -43,8 +46,8 @@ type Contract struct {
 
 // Catalog lists every behavioral contract the campaign checks, in ID
 // order. BC-10 and BC-11 are meta-contracts checked by the test suite
-// rather than per scenario. BC-9 is retired and absent; the later IDs keep
-// their numbers.
+// rather than per scenario. BC-7 and BC-9 are retired and absent; the
+// later IDs keep their numbers.
 var Catalog = []Contract{
 	{"BC-1", "progress"},
 	{"BC-2", "monotone-degrade"},
@@ -52,7 +55,6 @@ var Catalog = []Contract{
 	{"BC-4", "conserve-bytes"},
 	{"BC-5", "fault-containment"},
 	{"BC-6", "elan-order"},
-	{"BC-7", "ib-exactly-once"},
 	{"BC-8", "determinism"},
 	{"BC-10", "jobs-invariance"},
 	{"BC-11", "artifact-integrity"},

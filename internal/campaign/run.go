@@ -1,12 +1,12 @@
 package campaign
 
 // The scenario executor: builds the machine a scenario describes, installs
-// the invariant probes (fabric loss and stall, IB RC delivery, Elan
-// sequencer order), runs the workload under an event budget, and reduces
-// the run to a deterministic digest, the probe observations and the
-// fabric's message totals. check() then runs the variant legs a scenario
-// needs — twice for determinism and a clean baseline for monotonicity —
-// and evaluates every applicable behavioral contract.
+// the invariant probes (fabric loss and stall, Elan sequencer order), runs
+// the workload under an event budget, and reduces the run to a
+// deterministic digest, the probe observations and the fabric's message
+// totals. check() then runs the variant legs a scenario needs — twice for
+// determinism and a clean baseline for monotonicity — and evaluates every
+// applicable behavioral contract.
 
 import (
 	"crypto/sha256"
@@ -37,7 +37,6 @@ const DefaultEventBudget = 50_000_000
 type observation struct {
 	containViol []string // BC-5: losses/stalls outside declared windows
 	orderViol   []string // BC-6: sequencer released out of order
-	onceViol    []string // BC-7: an RC request delivered twice
 }
 
 const violationCap = 8
@@ -168,19 +167,6 @@ func runProbed(sc *Scenario, effFaults string, declared *fault.Plan, budget uint
 			}
 		},
 	})
-	if m.IB != nil {
-		seen := make(map[ib.ReqID]int)
-		m.IB.Network().SetDeliveryProbe(&ib.DeliveryProbe{
-			Delivered: func(req ib.ReqID, attempt int, _ units.Time) {
-				seen[req]++
-				if seen[req] == 2 && len(obs.onceViol) < violationCap {
-					obs.onceViol = append(obs.onceViol, fmt.Sprintf(
-						"RC request %s #%d (%d->%d) delivered twice (second on attempt %d)",
-						req.Kind, req.Seq, req.Node, req.Peer, attempt))
-				}
-			},
-		})
-	}
 	if m.Elan != nil {
 		next := make(map[[2]int]uint64)
 		m.Elan.Network().SetOrderProbe(func(src, dst int, seq uint64) {
@@ -314,13 +300,9 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 	if len(a.obs.containViol) > 0 {
 		v = append(v, violation("BC-5", sc, strings.Join(a.obs.containViol, "; ")))
 	}
-	// BC-6 / BC-7 transport ordering contracts, likewise valid on partial
-	// runs.
+	// BC-6 transport ordering, likewise valid on partial runs.
 	if len(a.obs.orderViol) > 0 {
 		v = append(v, violation("BC-6", sc, strings.Join(a.obs.orderViol, "; ")))
-	}
-	if len(a.obs.onceViol) > 0 {
-		v = append(v, violation("BC-7", sc, strings.Join(a.obs.onceViol, "; ")))
 	}
 	// BC-8 determinism: identical runs, identical digests (error digests
 	// included — a failed run must fail identically).

@@ -143,10 +143,6 @@ type Network struct {
 	fab  *fabric.Fabric
 	hcas []*HCA
 
-	// probe, when non-nil, receives RC transport observations (see
-	// probe.go). Faulty-branch call sites only.
-	probe *DeliveryProbe
-
 	// Completion-signal names, rendered once per (node, peer).
 	writeNames, readNames sim.PairNames
 
@@ -260,10 +256,6 @@ type HCA struct {
 	Retransmits uint64
 	Timeouts    uint64
 	QPErrors    uint64
-
-	// reqSeq numbers reliable() requests for delivery-probe reports; only
-	// advanced while a probe is installed.
-	reqSeq uint64
 }
 
 // Node reports the fabric endpoint this HCA serves.
@@ -350,12 +342,6 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 	// Computed only on faulty fabrics: MinLatency walks the chunk
 	// recurrence (O(chunks)), too costly for the fault-free hot path.
 	floor := h.fab.MinLatency(src, dst, size)
-	probe := h.net.probe
-	var req ReqID
-	if probe != nil {
-		h.reqSeq++
-		req = ReqID{Node: h.node, Peer: peer, Kind: kind, Seq: h.reqSeq}
-	}
 	var (
 		delivered bool // an attempt has delivered: timers stand down, duplicates are absorbed
 		attempt   int
@@ -368,9 +354,6 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 				return // duplicate: a retransmission already delivered
 			}
 			delivered = true
-			if probe != nil && probe.Delivered != nil {
-				probe.Delivered(req, n, h.eng.Now())
-			}
 			deliver()
 		})
 		timeout := h.params.RetransTimeout

@@ -11,11 +11,11 @@ import (
 
 // cancelWorkload schedules a mixed workload of callbacks and processes on
 // e: four callback chains and three sleeping processes, with delays from a
-// fixed LCG that include zero (the now-ring) and ties. Every dispatched
-// callback and process resume appends "time:id" to the returned log; ids
-// are handed out in scheduling order, so the log records the event keys.
-// stepsPerChain bounds the run; hook, when non-nil, runs before each
-// callback logs, with the number of callbacks run so far.
+// fixed LCG that include zero (same-instant events) and ties. Every
+// dispatched callback and process resume appends "time:id" to the returned
+// log; ids are handed out in scheduling order, so the log records the
+// event keys. stepsPerChain bounds the run; hook, when non-nil, runs
+// before each callback logs, with the number of callbacks run so far.
 func cancelWorkload(e *Engine, stepsPerChain int, hook func(n int)) *[]string {
 	log := new([]string)
 	state := uint64(2026)
@@ -137,7 +137,7 @@ func TestContextLeavesRunUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			for e.Events() == 0 || len(e.events.ev)+e.ready.n > 0 {
+			for e.Events() == 0 || len(e.events.ev) > 0 {
 				if err := e.RunUntil(e.Now().Add(step)); err != nil {
 					t.Fatal(err)
 				}

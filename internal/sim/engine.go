@@ -146,56 +146,11 @@ func (q *eventQueue) siftDown(x event) {
 	ev[i] = x
 }
 
-// nowRing is the FIFO of events scheduled at the current instant. Their
-// keys arrive in increasing order — every one has at == now and a fresh,
-// larger seq — so a ring holds them sorted with no sifting. The clock
-// cannot pass a pending ring entry (RunUntil dispatches the smaller of
-// the ring front and the heap top), so all entries share one at.
-//
-// Like the heap, the buffer is retained across runs and popped slots are
-// cleared; after warm-up, push and pop are allocation-free.
-type nowRing struct {
-	buf  []event // len(buf) is zero or a power of two
-	head int
-	n    int
-}
-
-func (r *nowRing) push(ev event) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
-	r.n++
-}
-
-// grow doubles a full ring, unwrapping its contents to the front.
-func (r *nowRing) grow() {
-	size := 2 * len(r.buf)
-	if size == 0 {
-		size = 64
-	}
-	buf := make([]event, size)
-	k := copy(buf, r.buf[r.head:])
-	copy(buf[k:], r.buf[:r.head])
-	r.buf, r.head = buf, 0
-}
-
-func (r *nowRing) front() *event { return &r.buf[r.head] }
-
-func (r *nowRing) pop() event {
-	ev := r.buf[r.head]
-	r.buf[r.head] = event{} // clear the vacated slot so fn can be collected
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return ev
-}
-
 // Engine is a discrete-event scheduler. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now    Time
 	events eventQueue
-	ready  nowRing // events due at the current instant
 	seq    uint64
 
 	procs   []*Proc
@@ -335,16 +290,11 @@ func (e *Engine) checkpoint() error {
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
-// error in the model; the kernel treats it as "now". Events at the current
-// instant go to the now-ring, later ones to the heap; either way the key
-// is (max(t, now), next seq).
+// error in the model; the kernel treats it as "now". Every event goes to
+// the heap with the key (max(t, now), next seq).
 func (e *Engine) At(t Time, fn func()) {
 	e.seq++
-	if t > e.now {
-		e.events.push(event{at: t, seq: e.seq, fn: fn})
-		return
-	}
-	e.ready.push(event{at: e.now, seq: e.seq, fn: fn})
+	e.events.push(event{at: max(t, e.now), seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
@@ -415,7 +365,7 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 	case e.stopped:
 		e.stopped = false
 		return nil
-	case e.ready.n+e.events.len() > 0: // the next event lies past the deadline
+	case e.events.len() > 0: // the next event lies past the deadline
 		e.advanceTo(deadline)
 		return nil
 	}
@@ -428,37 +378,20 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 	return nil
 }
 
-// dispatch runs events in (at, seq) order, the smaller of the ring front
-// and the heap top first, until the run must end: Stop was called, an
-// error is recorded, no event is queued, or the next lies past the
-// deadline; RunUntil tells these apart from the engine's state. On a
-// parked process's stack it also returns once a callback resumed a
-// process (handoff). RunUntil and Proc.park both run this one loop, so
-// the order and the checks are the same on either stack.
+// dispatch runs events in (at, seq) order, each time taking the heap's
+// top, until the run must end: Stop was called, an error is recorded, no
+// event is queued, or the next lies past the deadline; RunUntil tells
+// these apart from the engine's state. On a parked process's stack it also
+// returns once a callback resumed a process (handoff). RunUntil and
+// Proc.park both run this one loop, so the order and the checks are the
+// same on either stack.
 func (e *Engine) dispatch() {
 	for !e.stopped && e.err == nil && e.handoff == nil {
 		// Lane heads sit in the heap like any other event.
-		var next *event
-		fromRing := e.ready.n > 0
-		if fromRing {
-			next = e.ready.front()
-			if e.events.len() > 0 && eventLess(e.events.ev[0], *next) {
-				next, fromRing = &e.events.ev[0], false
-			}
-		} else if e.events.len() > 0 {
-			next = &e.events.ev[0]
-		} else {
+		if e.events.len() == 0 || e.events.ev[0].at > e.deadline {
 			return
 		}
-		if next.at > e.deadline {
-			return
-		}
-		var ev event
-		if fromRing {
-			ev = e.ready.pop()
-		} else {
-			ev = e.events.pop()
-		}
+		ev := e.events.pop()
 		e.now = ev.at
 		e.nEvents++
 		e.keys = (e.keys^ev.seq)*keyMul ^ uint64(ev.at)

@@ -169,8 +169,8 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 		t.Fatalf("schedule path allocates: %v allocs per run, want 0", allocs)
 	}
 
-	// The now-ring: a burst of After(0) events plus a chain in which each
-	// reschedules itself at the same instant.
+	// Same-instant events: a burst of After(0) events plus a chain in
+	// which each reschedules itself at the same instant.
 	chain := 0
 	var link func()
 	link = func() {
@@ -187,9 +187,9 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sameInstant() // grow the ring
+	sameInstant() // grow the heap
 	if allocs := testing.AllocsPerRun(200, sameInstant); allocs != 0 {
-		t.Fatalf("now-ring allocates: %v allocs per run, want 0", allocs)
+		t.Fatalf("same-instant schedule path allocates: %v allocs per run, want 0", allocs)
 	}
 	if chain == 0 || chain%256 != 0 {
 		t.Fatalf("chain dispatched %d events, want whole chains of 256", chain)
@@ -224,8 +224,8 @@ func TestLaneDoesNotAllocate(t *testing.T) {
 }
 
 // TestEventSliceReusedAcrossRuns checks that repeated Run/RunUntil sweeps
-// on one engine reuse the heap's backing slice and the now-ring's buffer
-// instead of growing fresh ones each time.
+// on one engine, After(0) events included, reuse the heap's backing slice
+// instead of growing a fresh one each time.
 func TestEventSliceReusedAcrossRuns(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -234,7 +234,7 @@ func TestEventSliceReusedAcrossRuns(t *testing.T) {
 		for i := 0; i < 1024; i++ {
 			e.At(base+units.Time(i), fn)
 			if i%8 == 0 {
-				e.After(0, fn) // the now-ring, wrapping around its end
+				e.After(0, fn) // a same-instant event
 			}
 		}
 		if err := e.Run(); err != nil {
@@ -242,39 +242,34 @@ func TestEventSliceReusedAcrossRuns(t *testing.T) {
 		}
 	}
 	sweep()
-	capAfterWarm, ringAfterWarm := cap(e.events.ev), len(e.ready.buf)
+	capAfterWarm := cap(e.events.ev)
 	for round := 0; round < 8; round++ {
 		sweep()
 	}
 	if cap(e.events.ev) != capAfterWarm {
 		t.Fatalf("backing slice regrew: cap %d -> %d", capAfterWarm, cap(e.events.ev))
 	}
-	if len(e.ready.buf) != ringAfterWarm {
-		t.Fatalf("now-ring regrew: %d -> %d slots", ringAfterWarm, len(e.ready.buf))
-	}
 	// Popped slots must be cleared so dispatched closures are
-	// collectable: the live regions are empty, so every retained slot
-	// within capacity must be zero.
+	// collectable: the heap is empty, so every retained slot within
+	// capacity must be zero.
 	spare := e.events.ev[:cap(e.events.ev)]
 	for i, ev := range spare {
 		if ev.fn != nil || ev.at != 0 || ev.seq != 0 {
 			t.Fatalf("popped slot %d not cleared: %+v", i, ev)
 		}
 	}
-	for i, ev := range e.ready.buf {
-		if ev.fn != nil || ev.at != 0 || ev.seq != 0 {
-			t.Fatalf("popped ring slot %d not cleared: %+v", i, ev)
-		}
-	}
 }
 
 // BenchmarkEventQueue measures the kernel's schedule-plus-dispatch cost in
-// four shapes. "burst" queues 512 heap events per op and drains them. The
+// five shapes. "burst" queues 512 heap events per op and drains them. The
 // others report per event with a fixed number pending: "shallow" keeps 64
 // in the heap, about the mean heap length of the beff workload (56; halo's
-// is about 20); "deep" keeps 1,600, the halo workload's queue depth before
-// lanes took chunk hops out of the heap; "lane" feeds 1,600 through 64
-// server lanes in FIFO order the way the fabric's chunk hops are.
+// is about 20); "now" keeps the same 64, but every one dispatched also
+// schedules an After(0) event, so half the events run at the instant they
+// were scheduled, as process wakes and handoffs do; "deep" keeps 1,600,
+// the halo workload's queue depth before lanes took chunk hops out of the
+// heap; "lane" feeds 1,600 through 64 server lanes in FIFO order the way
+// the fabric's chunk hops are.
 func BenchmarkEventQueue(b *testing.B) {
 	b.Run("burst", func(b *testing.B) {
 		e := NewEngine()
@@ -315,6 +310,31 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 	const depth = 1600
 	b.Run("shallow", func(b *testing.B) { churn(b, 64) })
+	b.Run("now", func(b *testing.B) {
+		e := NewEngine()
+		r := rng.New(1)
+		left := b.N
+		same := func() {}
+		var fn func()
+		fn = func() {
+			if left > 0 {
+				left--
+				e.After(Duration(1+r.Intn(1000)), fn)
+			}
+			if left > 0 {
+				left--
+				e.After(0, same)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			e.After(Duration(1+r.Intn(1000)), fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 	b.Run("deep", func(b *testing.B) { churn(b, depth) })
 	b.Run("lane", func(b *testing.B) {
 		e := NewEngine()
