@@ -9,10 +9,18 @@ import (
 	"repro/internal/units"
 )
 
-// testNet builds a 1-rank-per-node Elan network over `nodes` nodes.
+// testNet builds a 1-rank-per-node Elan network over `nodes` nodes on one
+// radix-64 switch.
 func testNet(t *testing.T, eng *sim.Engine, nodes int) *Network {
 	t.Helper()
-	f, err := fabric.New(eng, nodes, 64, fabric.Params{
+	return testClos(t, eng, nodes, 64)
+}
+
+// testClos builds a 1-rank-per-node Elan network over `nodes` nodes on an
+// adaptive Clos of the given radix.
+func testClos(t *testing.T, eng *sim.Engine, nodes, radix int) *Network {
+	t.Helper()
+	f, err := fabric.New(eng, nodes, radix, fabric.Params{
 		LinkBandwidth:  1300 * units.MBps,
 		WireLatency:    30 * units.Nanosecond,
 		ChassisLatency: 120 * units.Nanosecond,
@@ -152,12 +160,16 @@ func TestIndependentProgressRendezvousWhileComputing(t *testing.T) {
 }
 
 func TestPerSenderOrderingPreserved(t *testing.T) {
-	// Many back-to-back sends with the same tag must match receives in
-	// program order even over the adaptive fabric.
+	// Rank 0 alternates 64 KiB rendezvous and empty eager sends with the
+	// same tag to rank 7 across the spines of an adaptive 2-level Clos, so
+	// envelopes overtake one another on the wire. Receives must still
+	// match in program order.
 	eng := sim.NewEngine()
-	net := testNet(t, eng, 8)
+	net := testClos(t, eng, 8, 4)
+	seq := net.NIC(7).portOf(7).seq
 	const n = 20
 	var got []interface{}
+	held := 0
 	eng.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			r := net.NIC(7).RxPost(p, 7, env(0, 5))
@@ -167,11 +179,27 @@ func TestPerSenderOrderingPreserved(t *testing.T) {
 	})
 	eng.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			net.NIC(0).TxPost(p, 0, 7, env(0, 5), 4*units.KiB, i)
+			size := 64 * units.KiB
+			if i%2 == 1 {
+				size = 0
+			}
+			net.NIC(0).TxPost(p, 0, 7, env(0, 5), size, i)
+		}
+	})
+	eng.Spawn("watch", func(p *sim.Proc) {
+		for len(got) < n {
+			held = max(held, seq.Pending(0))
+			p.Sleep(10 * units.Nanosecond)
 		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if held == 0 {
+		t.Fatal("the sequencer never held an envelope back: nothing was reordered")
+	}
+	if len(got) != n {
+		t.Fatalf("received %d messages, want %d", len(got), n)
 	}
 	for i, v := range got {
 		if v != i {
