@@ -22,8 +22,11 @@ package campaign
 //	BC-5  fault-containment no chunk loss or down-link stall occurs
 //	                        outside a declared loss/down window on that
 //	                        link (half-open [at, at+for))
-//	BC-6  elan-order        Elan Tports presents each sender's envelopes
-//	                        to matching in per-flow sequence order
+//	BC-6  (retired)         Elan per-sender order; the NIC refuses to
+//	                        match an envelope its sequencer has not
+//	                        released, so a breach panics the run, fails
+//	                        TestPerSenderOrderingPreserved and BC-1; its
+//	                        ID is not reused
 //	BC-7  (retired)         IB exactly-once delivery; HCA.reliable's
 //	                        delivered flag absorbs duplicates before any
 //	                        probe could see them, and a duplicate that got
@@ -46,15 +49,14 @@ type Contract struct {
 
 // Catalog lists every behavioral contract the campaign checks, in ID
 // order. BC-10 and BC-11 are meta-contracts checked by the test suite
-// rather than per scenario. BC-7 and BC-9 are retired and absent; the
-// later IDs keep their numbers.
+// rather than per scenario. BC-6, BC-7 and BC-9 are retired and absent;
+// the later IDs keep their numbers.
 var Catalog = []Contract{
 	{"BC-1", "progress"},
 	{"BC-2", "monotone-degrade"},
 	{"BC-3", "conserve-msgs"},
 	{"BC-4", "conserve-bytes"},
 	{"BC-5", "fault-containment"},
-	{"BC-6", "elan-order"},
 	{"BC-8", "determinism"},
 	{"BC-10", "jobs-invariance"},
 	{"BC-11", "artifact-integrity"},

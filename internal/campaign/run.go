@@ -1,12 +1,12 @@
 package campaign
 
 // The scenario executor: builds the machine a scenario describes, installs
-// the invariant probes (fabric loss and stall, Elan sequencer order), runs
-// the workload under an event budget, and reduces the run to a
-// deterministic digest, the probe observations and the fabric's message
-// totals. check() then runs the variant legs a scenario needs — twice for
-// determinism and a clean baseline for monotonicity — and evaluates every
-// applicable behavioral contract.
+// the fault-containment probe (fabric loss and stall), runs the workload
+// under an event budget, and reduces the run to a deterministic digest,
+// the probe's violations and the fabric's message totals. check() then
+// runs the variant legs a scenario needs — twice for determinism and a
+// clean baseline for monotonicity — and evaluates every applicable
+// behavioral contract.
 
 import (
 	"crypto/sha256"
@@ -31,25 +31,19 @@ import (
 // exists to catch.
 const DefaultEventBudget = 50_000_000
 
-// observation is what the probes saw during one run. Violating
-// observations are capped (the first violationCap per category) so a
-// pathological scenario cannot hold the whole loss history in memory.
-type observation struct {
-	containViol []string // BC-5: losses/stalls outside declared windows
-	orderViol   []string // BC-6: sequencer released out of order
-}
-
+// violationCap caps the BC-5 violations one run keeps (the first ones), so
+// a pathological scenario cannot hold the whole loss history in memory.
 const violationCap = 8
 
 // runOut is the outcome of one leg.
 type runOut struct {
-	runErr  error
-	elapsed units.Duration
-	digest  string
-	obs     *observation
-	msgs    uint64
-	bytes   units.Bytes
-	retired fabric.Retired
+	runErr      error
+	elapsed     units.Duration
+	digest      string
+	containViol []string // BC-5: losses/stalls outside declared windows
+	msgs        uint64
+	bytes       units.Bytes
+	retired     fabric.Retired
 }
 
 // faultKilled reports whether the run error is IB retry-budget exhaustion
@@ -148,40 +142,29 @@ func runProbed(sc *Scenario, effFaults string, declared *fault.Plan, budget uint
 	if err != nil {
 		return runOut{runErr: err, digest: digestErr(err)}
 	}
-	obs := &observation{}
+	var viol []string
 	m.Fab.SetProbe(&fabric.Probe{
 		ChunkLost: func(link topology.LinkID, at units.Time) {
 			if declared == nil || !declared.AllowsLossAt(link, at) {
-				if len(obs.containViol) < violationCap {
-					obs.containViol = append(obs.containViol, fmt.Sprintf(
+				if len(viol) < violationCap {
+					viol = append(viol, fmt.Sprintf(
 						"chunk lost on link %d at %dps outside any declared loss/down window", link, int64(at)))
 				}
 			}
 		},
 		ChunkStalled: func(link topology.LinkID, at units.Time) {
 			if declared == nil || !declared.AllowsStallAt(link, at) {
-				if len(obs.containViol) < violationCap {
-					obs.containViol = append(obs.containViol, fmt.Sprintf(
+				if len(viol) < violationCap {
+					viol = append(viol, fmt.Sprintf(
 						"chunk stalled on link %d at %dps outside any declared down window", link, int64(at)))
 				}
 			}
 		},
 	})
-	if m.Elan != nil {
-		next := make(map[[2]int]uint64)
-		m.Elan.Network().SetOrderProbe(func(src, dst int, seq uint64) {
-			k := [2]int{src, dst}
-			if seq != next[k] && len(obs.orderViol) < violationCap {
-				obs.orderViol = append(obs.orderViol, fmt.Sprintf(
-					"flow %d->%d released seq %d to matching, want %d", src, dst, seq, next[k]))
-			}
-			next[k] = seq + 1
-		})
-	}
 	m.Eng.SetEventLimit(budget)
 
 	res, err := m.Run(appFor(sc))
-	out := runOut{runErr: err, obs: obs}
+	out := runOut{runErr: err, containViol: viol}
 	out.msgs, out.bytes = m.Fab.Stats()
 	out.retired = m.Fab.Retired()
 	if err != nil {
@@ -297,12 +280,8 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 	}
 	// BC-5 containment: valid even on a fault-killed run — every loss the
 	// probe saw was checked against the declared plan at its instant.
-	if len(a.obs.containViol) > 0 {
-		v = append(v, violation("BC-5", sc, strings.Join(a.obs.containViol, "; ")))
-	}
-	// BC-6 transport ordering, likewise valid on partial runs.
-	if len(a.obs.orderViol) > 0 {
-		v = append(v, violation("BC-6", sc, strings.Join(a.obs.orderViol, "; ")))
+	if len(a.containViol) > 0 {
+		v = append(v, violation("BC-5", sc, strings.Join(a.containViol, "; ")))
 	}
 	// BC-8 determinism: identical runs, identical digests (error digests
 	// included — a failed run must fail identically).

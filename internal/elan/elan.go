@@ -87,9 +87,6 @@ type Network struct {
 	nics   []*NIC
 	nodeOf func(rank int) int
 
-	// orderProbe, when non-nil, observes sequencer releases (see probe.go).
-	orderProbe OrderProbe
-
 	// Send-signal names, rendered once per (source rank, destination rank).
 	txNames sim.PairNames
 
@@ -414,21 +411,25 @@ func (msg *envelopeMsg) finishRecv() {
 
 // envelopeArrived runs on the destination NIC when an envelope (possibly
 // fused with eager payload) has been fully delivered. Per-sender order is
-// restored before matching, since the adaptive fabric may reorder messages.
+// restored before matching, since the adaptive fabric may reorder messages
+// (paper §3: Tports presents each sender's messages in order).
 func (n *NIC) envelopeArrived(msg *envelopeMsg) {
 	pt := n.portOf(msg.dstRank)
 	// The batch is reused by the port's next Submit, which matchArrival,
 	// scheduling only, never reaches.
 	for _, m := range pt.seq.Submit(msg.env.Src, msg.seq, msg) {
-		em := m.(*envelopeMsg)
-		if n.net.orderProbe != nil {
-			n.net.orderProbe(em.env.Src, em.dstRank, em.seq)
-		}
-		n.matchArrival(pt, em)
+		n.matchArrival(pt, m.(*envelopeMsg))
 	}
 }
 
+// matchArrival is the only way an envelope enters matching. It refuses one
+// the port's sequencer has not released, so the in-order contract is
+// checked on every run.
 func (n *NIC) matchArrival(pt *port, msg *envelopeMsg) {
+	if !pt.seq.Released(msg.env.Src, msg.seq) {
+		panic(fmt.Sprintf("elan: rank %d matched seq %d from rank %d before its sequencer released it",
+			msg.dstRank, msg.seq, msg.env.Src))
+	}
 	data, found, traversed := pt.eng.Arrive(msg.env, msg)
 	walk := units.Duration(traversed) * n.params.MatchPerEntry
 	occ := n.params.NICOccupancy + walk

@@ -151,13 +151,14 @@ func narrowFabricPermutation(ctx context.Context, adaptive bool, o Options) (uni
 	}
 	flows := [][2]int{{0, 4}, {1, 6}, {4, 0}, {5, 2}}
 	var last units.Time
+	delivered := func() {
+		if eng.Now() > last {
+			last = eng.Now()
+		}
+	}
 	for _, f := range flows {
 		for k := 0; k < msgs; k++ {
-			fab.Send(f[0], f[1], size).OnFire(func() {
-				if eng.Now() > last {
-					last = eng.Now()
-				}
-			})
+			fab.SendThen(f[0], f[1], size, delivered)
 		}
 	}
 	if err := eng.Run(); err != nil {

@@ -174,3 +174,9 @@ func (s *Sequencer) Submit(sender int, seq uint64, msg interface{}) []interface{
 // Pending reports the number of held-back out-of-order messages from the
 // given sender.
 func (s *Sequencer) Pending(sender int) int { return len(s.pending[sender]) }
+
+// Released reports whether Submit has already returned message seq from
+// the given sender in a batch.
+func (s *Sequencer) Released(sender int, seq uint64) bool {
+	return sender < len(s.next) && seq < s.next[sender]
+}

@@ -179,6 +179,24 @@ func TestSequencerPerSenderIndependent(t *testing.T) {
 	}
 }
 
+func TestSequencerReleased(t *testing.T) {
+	s := NewSequencer()
+	if s.Released(3, 0) {
+		t.Fatal("an unseen sender's seq 0 reads released")
+	}
+	s.Submit(3, 1, "b")
+	if s.Released(3, 0) || s.Released(3, 1) {
+		t.Fatal("a held-back message reads released")
+	}
+	s.Submit(3, 0, "a")
+	if !s.Released(3, 0) || !s.Released(3, 1) || s.Released(3, 2) {
+		t.Fatal("Released disagrees with the batch Submit returned")
+	}
+	if s.Released(2, 0) {
+		t.Fatal("another sender's release leaked")
+	}
+}
+
 func TestSequencerDuplicatePanics(t *testing.T) {
 	s := NewSequencer()
 	s.Submit(1, 5, "x")

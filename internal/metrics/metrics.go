@@ -66,16 +66,6 @@ func (r *Registry) EnableTracing() {
 	r.mu.Unlock()
 }
 
-// Tracing reports whether timeline recording is on.
-func (r *Registry) Tracing() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracing
-}
-
 // Counter returns the named counter, creating it on first use. Returns nil
 // on a nil registry (and nil counters no-op).
 func (r *Registry) Counter(name string) *Counter {
@@ -164,17 +154,10 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a float64 level. Set overwrites; SetMax keeps the maximum, which
-// commutes and is therefore the right merge when parallel jobs share one
-// gauge.
+// Gauge is a float64 level that only rises: SetMax keeps the maximum,
+// which commutes and is therefore the right merge when parallel jobs share
+// one gauge.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. No-op on nil.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
 
 // SetMax stores v if it exceeds the current value. No-op on nil.
 func (g *Gauge) SetMax(v float64) {

@@ -19,18 +19,16 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	}
 	// Every instrument method must be a safe no-op on nil.
 	c.Add(5)
-	g.Set(1)
 	g.SetMax(2)
 	h.Observe(3)
 	tr.SetThreadName(0, "x")
 	tr.Span(0, "s", "c", 0, 1)
-	tr.Instant(0, "i", "c", 0)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Events() != 0 {
 		t.Fatal("nil instrument reported nonzero state")
 	}
 	r.EnableTracing()
-	if r.Tracing() {
-		t.Fatal("nil registry reports tracing on")
+	if r.NewTrack("m") != nil {
+		t.Fatal("nil registry turned tracing on")
 	}
 	s := r.Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
@@ -50,7 +48,7 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatal("same name returned a different counter")
 	}
 	g := r.Gauge("depth")
-	g.Set(4)
+	g.SetMax(4)
 	g.SetMax(2) // lower: ignored
 	if g.Value() != 4 {
 		t.Fatalf("gauge = %v after SetMax(2), want 4", g.Value())
@@ -140,7 +138,7 @@ func TestSnapshotSortedByName(t *testing.T) {
 	r := New()
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		r.Counter(n).Add(1)
-		r.Gauge(n).Set(1)
+		r.Gauge(n).SetMax(1)
 		r.Histogram(n).Observe(1)
 	}
 	s := r.Snapshot()
@@ -203,7 +201,7 @@ func TestTrackRequiresTracing(t *testing.T) {
 		t.Fatal("NewTrack returned nil with tracing on")
 	}
 	tr.Span(0, "a", "cat", 1000, 3000)
-	tr.Instant(1, "b", "cat", 2000)
+	tr.Span(1, "b", "cat", 2000, 2000)
 	if tr.Events() != 2 {
 		t.Fatalf("events = %d", tr.Events())
 	}
@@ -232,7 +230,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	a := r.NewTrack("alpha")
 	a.SetThreadName(0, "rank0")
 	a.Span(0, "send", "mpi", 1_000_000, 3_000_000) // 1us..3us in ps
-	b.Instant(5, "drop", "fabric", 2_000_000)
+	b.Span(5, "drop", "fabric", 2_000_000, 2_000_000)
 
 	var buf jsonBuffer
 	if err := WriteChromeTrace(&buf, TraceSource{Label: "fig1", Reg: r}); err != nil {

@@ -24,12 +24,11 @@ type Track struct {
 
 // spanEvent is one recorded timeline entry.
 type spanEvent struct {
-	name    string
-	cat     string
-	tid     int64
-	begin   units.Time
-	dur     units.Duration
-	instant bool
+	name  string
+	cat   string
+	tid   int64
+	begin units.Time
+	dur   units.Duration
 }
 
 // NewTrack creates a timeline track labelled label (shown as the process
@@ -66,15 +65,6 @@ func (t *Track) Span(tid int64, name, cat string, begin, end units.Time) {
 		begin: begin, dur: end.Sub(begin)})
 }
 
-// Instant records a zero-duration marker on row tid. No-op on nil.
-func (t *Track) Instant(tid int64, name, cat string, at units.Time) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, spanEvent{name: name, cat: cat, tid: tid,
-		begin: at, instant: true})
-}
-
 // Events reports the number of recorded entries (0 on nil).
 func (t *Track) Events() int {
 	if t == nil {
@@ -92,7 +82,7 @@ type TraceSource struct {
 }
 
 // chromeEvent is the trace_event JSON wire format (the subset chrome://
-// tracing and Perfetto load: X = complete span, i = instant, M = metadata).
+// tracing and Perfetto load: X = complete span, M = metadata).
 type chromeEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat,omitempty"`
@@ -101,7 +91,6 @@ type chromeEvent struct {
 	Dur  float64           `json:"dur,omitempty"`
 	Pid  int               `json:"pid"`
 	Tid  int64             `json:"tid"`
-	S    string            `json:"s,omitempty"`
 	Args map[string]string `json:"args,omitempty"`
 }
 
@@ -154,14 +143,8 @@ func WriteChromeTrace(w io.Writer, sources ...TraceSource) error {
 				}
 			}
 			for _, ev := range tr.events {
-				ce := chromeEvent{Name: ev.name, Cat: ev.cat, Pid: pid, Tid: ev.tid,
-					Ts: usOf(int64(ev.begin))}
-				if ev.instant {
-					ce.Ph, ce.S = "i", "t"
-				} else {
-					ce.Ph, ce.Dur = "X", usOf(int64(ev.dur))
-				}
-				if err := emit(ce); err != nil {
+				if err := emit(chromeEvent{Name: ev.name, Cat: ev.cat, Ph: "X", Pid: pid, Tid: ev.tid,
+					Ts: usOf(int64(ev.begin)), Dur: usOf(int64(ev.dur))}); err != nil {
 					return err
 				}
 			}
