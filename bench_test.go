@@ -81,7 +81,7 @@ func BenchmarkRunnerSpeedupParallel(b *testing.B) {
 // kernel.
 func BenchmarkSimulatorPingPong8KiB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := microbench.PingPong(platform.QuadricsElan4,
+		if _, err := microbench.PingPong(platform.Options{Network: platform.QuadricsElan4},
 			[]units.Bytes{8 * units.KiB}, 50); err != nil {
 			b.Fatal(err)
 		}

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/ib"
 	"repro/internal/loggp"
-	"repro/internal/microbench"
 	"repro/internal/mpi"
 	"repro/internal/mpi/mvib"
 	"repro/internal/platform"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/units"
 )
 
@@ -68,39 +65,14 @@ func runXReg(o Options) (*Result, error) {
 	headers = append(headers, "Elan4 (no registration) MB/s")
 	t := newTable("Extension X-2", headers...)
 
-	// One job per table column. Each column deliberately reuses a single
+	// One point per table column. Each column deliberately reuses a single
 	// machine across the size loop — registration-cache state carrying
 	// over between transfers is the effect under study — so the sizes stay
 	// serial within a column while the four columns run in parallel.
-	type column struct {
-		label string
-		build func(ctx context.Context) (*platform.Machine, error)
-	}
-	var cols []column
-	for _, c := range caps {
-		c := c
-		cols = append(cols, column{label: capLabel(c), build: func(ctx context.Context) (*platform.Machine, error) {
-			return platform.New(platform.Options{
-				Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx,
-				TuneIB: func(hp *ib.Params, _ *mvib.Params) {
-					if c == 0 {
-						hp.RegCacheCap = 1 // effectively uncacheable
-					} else {
-						hp.RegCacheCap = c
-					}
-				},
-			})
-		}})
-	}
-	cols = append(cols, column{label: "Elan4", build: func(ctx context.Context) (*platform.Machine, error) {
-		return platform.New(platform.Options{Network: platform.QuadricsElan4, Ranks: 2, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx})
-	}})
-	colVals, err := runner.Map(o.ctx(), o.pool("xreg"), cols,
-		func(_ int, c column) string { return c.label },
-		func(ctx context.Context, c column) ([]float64, error) {
-			m, err := c.build(ctx)
+	column := func(label string, net platform.Network, tuneIB func(*ib.Params, *mvib.Params)) point[[]float64] {
+		return point[[]float64]{label, func(base platform.Options) ([]float64, error) {
+			base.Network, base.Ranks, base.PPN, base.TuneIB = net, 2, 1, tuneIB
+			m, err := platform.New(base)
 			if err != nil {
 				return nil, err
 			}
@@ -113,14 +85,24 @@ func runXReg(o Options) (*Result, error) {
 				out[i] = units.RateOver(size, oneWay).MBpsValue()
 			}
 			return out, nil
-		})
-	if err != nil {
-		return nil, err
+		}}
 	}
+	var points []point[[]float64]
+	for _, c := range caps {
+		points = append(points, column(capLabel(c), platform.InfiniBand4X, func(hp *ib.Params, _ *mvib.Params) {
+			if c == 0 {
+				hp.RegCacheCap = 1 // effectively uncacheable
+			} else {
+				hp.RegCacheCap = c
+			}
+		}))
+	}
+	points = append(points, column("Elan4", platform.QuadricsElan4, nil))
+	cols, _ := runPoints(o, r, points)
 	for i, size := range sizes {
 		row := []interface{}{fmtBytes(size)}
-		for _, col := range colVals {
-			row = append(row, col[i])
+		for _, col := range cols {
+			row = append(row, nanAt(col, i))
 		}
 		t.AddRow(row...)
 	}
@@ -142,45 +124,37 @@ func runXOverlap(o Options) (*Result, error) {
 	sizes := []units.Bytes{64 * units.KiB, 512 * units.KiB, 2 * units.MiB}
 	r := &Result{ID: "xoverlap", Title: "Overlap capability: (post, compute, wait) total time / compute time"}
 	t := newTable("Extension X-3", "size", "Elan4 ratio", "IB ratio")
-	type cell struct {
-		size units.Bytes
-		net  platform.Network
-	}
-	var cells []cell
+	var points []point[float64]
 	for _, size := range sizes {
 		for _, net := range platform.Networks {
-			cells = append(cells, cell{size, net})
+			points = append(points, point[float64]{fmt.Sprintf("overlap %s %v", net.Short(), size),
+				func(base platform.Options) (float64, error) {
+					base.Network, base.Ranks, base.PPN = net, 2, 1
+					m, err := platform.New(base)
+					if err != nil {
+						return 0, err
+					}
+					var total units.Duration
+					_, err = m.Run(func(rk *mpi.Rank) {
+						peer := 1 - rk.ID()
+						start := rk.Now()
+						rreq := rk.Irecv(peer, 0)
+						sreq := rk.Isend(peer, 0, size)
+						rk.Compute(compute, 0)
+						rk.Wait(sreq)
+						rk.Wait(rreq)
+						if rk.ID() == 0 {
+							total = rk.Now().Sub(start)
+						}
+					})
+					if err != nil {
+						return 0, err
+					}
+					return float64(total) / float64(compute), nil
+				}})
 		}
 	}
-	ratios, err := runner.Map(o.ctx(), o.pool("xoverlap"), cells,
-		func(_ int, c cell) string { return fmt.Sprintf("overlap %s %v", c.net.Short(), c.size) },
-		func(ctx context.Context, c cell) (float64, error) {
-			m, err := platform.New(platform.Options{Network: c.net, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx})
-			if err != nil {
-				return 0, err
-			}
-			var total units.Duration
-			_, err = m.Run(func(rk *mpi.Rank) {
-				peer := 1 - rk.ID()
-				start := rk.Now()
-				rreq := rk.Irecv(peer, 0)
-				sreq := rk.Isend(peer, 0, c.size)
-				rk.Compute(compute, 0)
-				rk.Wait(sreq)
-				rk.Wait(rreq)
-				if rk.ID() == 0 {
-					total = rk.Now().Sub(start)
-				}
-			})
-			if err != nil {
-				return 0, err
-			}
-			return float64(total) / float64(compute), nil
-		})
-	if err != nil {
-		return nil, err
-	}
+	ratios := runFloats(o, r, points)
 	for i, size := range sizes {
 		t.AddRow(fmtBytes(size), ratios[2*i], ratios[2*i+1])
 	}
@@ -200,65 +174,45 @@ func init() {
 func runXLogGP(o Options) (*Result, error) {
 	r := &Result{ID: "xloggp", Title: "LogGP parameters extracted from each simulated interconnect"}
 	t := newTable("Extension X-4", "network", "L (wire+NIC)", "o (host/msg)", "g (msg gap)", "G (ns/byte)", "1/G MB/s")
-	var fitted []*loggp.Params // nil for a network whose fit failed
+	sizes := []units.Bytes{0, 256, 1 * units.KiB}
+	iters := 10
+	if o.Quick {
+		iters = 3
+	}
+	var fits []point[*loggp.Params]
+	var pingPongs []point[[]float64]
 	for _, net := range platform.Networks {
-		p, ok, err := simulate(o, r, "fit "+net.Short(), func(ctx context.Context) (*loggp.Params, error) {
-			return loggp.Measure(ctx, net)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			fitted = append(fitted, nil)
+		fits = append(fits, point[*loggp.Params]{"fit " + net.Short(), func(base platform.Options) (*loggp.Params, error) {
+			base.Network = net
+			return loggp.Measure(base)
+		}})
+		pingPongs = append(pingPongs, pingPongUs("ping-pong "+net.Short(), net, sizes, iters))
+	}
+	fitted, _ := runPoints(o, r, fits) // nil for a network whose fit failed
+	simulated, _ := runPoints(o, r, pingPongs)
+	for i, p := range fitted {
+		net := platform.Networks[i]
+		if p == nil {
 			t.AddRow(net.Short(), report.Failed, report.Failed, report.Failed, math.NaN(), math.NaN())
 			continue
 		}
-		fitted = append(fitted, p)
 		t.AddRow(net.Short(), fmt.Sprint(p.L), fmt.Sprint(p.O), fmt.Sprint(p.Gap),
 			p.G.Nanoseconds(), 1e3/p.G.Nanoseconds())
 	}
 	r.Tables = append(r.Tables, t)
 
 	v := newTable("LogGP prediction vs simulation (one-way us)", "size", "Elan4 pred", "Elan4 sim", "IB pred", "IB sim")
-	sizes := []units.Bytes{0, 256, 1 * units.KiB}
-	iters := 10
-	if o.Quick {
-		iters = 3
-	}
-	pingPong := func(net platform.Network) ([]microbench.PingPongPoint, error) {
-		pp, ok, err := simulate(o, r, "ping-pong "+net.Short(), func(ctx context.Context) ([]microbench.PingPongPoint, error) {
-			return microbench.PingPong(net, sizes, iters, microbench.Env{Ctx: ctx})
-		})
-		if !ok {
-			pp = nil
-		}
-		return pp, err
-	}
-	elPP, err := pingPong(platform.QuadricsElan4)
-	if err != nil {
-		return nil, err
-	}
-	ibPP, err := pingPong(platform.InfiniBand4X)
-	if err != nil {
-		return nil, err
-	}
-	// predicted and simulated one-way latency, NaN for a failed point.
+	// predicted one-way latency, NaN for a failed fit.
 	predicted := func(p *loggp.Params, size units.Bytes) float64 {
 		if p == nil {
 			return math.NaN()
 		}
 		return p.PredictLatency(size).Microseconds()
 	}
-	simulated := func(pp []microbench.PingPongPoint, i int) float64 {
-		if pp == nil {
-			return math.NaN()
-		}
-		return pp[i].Latency.Microseconds()
-	}
 	for i, size := range sizes {
 		v.AddRow(fmtBytes(size),
-			predicted(fitted[0], size), simulated(elPP, i),
-			predicted(fitted[1], size), simulated(ibPP, i))
+			predicted(fitted[0], size), nanAt(simulated[0], i),
+			predicted(fitted[1], size), nanAt(simulated[1], i))
 	}
 	r.Tables = append(r.Tables, v)
 	r.Notes = append(r.Notes,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -45,13 +44,13 @@ func runXAttrib(o Options) (*Result, error) {
 	app := func(r *mpi.Rank) { lammps.Run(r, params) }
 	r := &Result{ID: "xattrib", Title: fmt.Sprintf("LAMMPS membrane, %d nodes x %d PPN: what closes the gap?", nodes, ppn)}
 
-	run := func(point string, opts platform.Options) (float64, error) {
-		return simFloat(o, r, point, func(ctx context.Context) (float64, error) {
-			opts.Ranks = nodes * ppn
-			opts.PPN = ppn
-			opts.Metrics = o.Metrics
-			opts.FaultSpec, opts.Ctx = o.Faults, ctx
-			m, err := platform.New(opts)
+	// Each configuration sets the network and the Tune* hooks it changes.
+	config := func(id string, net platform.Network, tuneFabric func(*fabric.Params),
+		tuneIB func(*ib.Params, *mvib.Params)) point[float64] {
+		return point[float64]{id, func(base platform.Options) (float64, error) {
+			base.Network, base.Ranks, base.PPN = net, nodes*ppn, ppn
+			base.TuneFabric, base.TuneIB = tuneFabric, tuneIB
+			m, err := platform.New(base)
 			if err != nil {
 				return 0, err
 			}
@@ -60,37 +59,28 @@ func runXAttrib(o Options) (*Result, error) {
 				return 0, err
 			}
 			return res.Elapsed.Seconds(), nil
-		})
+		}}
 	}
-
-	stock, err := run("stock IB", platform.Options{Network: platform.InfiniBand4X})
-	if err != nil {
-		return nil, err
-	}
-	upgraded, err := run("upgraded IB", platform.Options{
-		Network: platform.InfiniBand4X,
-		TuneFabric: func(p *fabric.Params) {
-			ep := platform.ElanFabricParams()
-			p.LinkBandwidth = ep.LinkBandwidth
-			p.WireLatency = ep.WireLatency
-			p.ChassisLatency = ep.ChassisLatency
-			p.HostBandwidth = ep.HostBandwidth
-			p.HostLatency = ep.HostLatency
-		},
-		TuneIB: func(hp *ib.Params, _ *mvib.Params) {
-			// Elan-class adapter speed, MVAPICH-class architecture.
-			hp.DoorbellLatency = 300 * units.Nanosecond
-			hp.ProcPerWQE = 400 * units.Nanosecond
-			hp.RecvProc = 300 * units.Nanosecond
-		},
+	vals := runFloats(o, r, []point[float64]{
+		config("stock IB", platform.InfiniBand4X, nil, nil),
+		config("upgraded IB", platform.InfiniBand4X,
+			func(p *fabric.Params) {
+				ep := platform.ElanFabricParams()
+				p.LinkBandwidth = ep.LinkBandwidth
+				p.WireLatency = ep.WireLatency
+				p.ChassisLatency = ep.ChassisLatency
+				p.HostBandwidth = ep.HostBandwidth
+				p.HostLatency = ep.HostLatency
+			},
+			func(hp *ib.Params, _ *mvib.Params) {
+				// Elan-class adapter speed, MVAPICH-class architecture.
+				hp.DoorbellLatency = 300 * units.Nanosecond
+				hp.ProcPerWQE = 400 * units.Nanosecond
+				hp.RecvProc = 300 * units.Nanosecond
+			}),
+		config("Elan4", platform.QuadricsElan4, nil, nil),
 	})
-	if err != nil {
-		return nil, err
-	}
-	elan, err := run("Elan4", platform.Options{Network: platform.QuadricsElan4})
-	if err != nil {
-		return nil, err
-	}
+	stock, upgraded, elan := vals[0], vals[1], vals[2]
 
 	t := newTable("Extension X-5", "configuration", "time (s)", "vs Elan-4")
 	addRow := func(label string, v float64) {
@@ -139,19 +129,17 @@ func runXEager(o Options) (*Result, error) {
 	headers = append(headers, fmt.Sprintf("eager MiB/rank @%d ranks", jobRanks))
 	t := newTable("Extension X-6", headers...)
 
+	var points []point[[]float64]
 	for _, th := range thresholds {
-		th := th
-		lats, ok, err := simulate(o, r, "threshold "+fmtBytes(th), func(ctx context.Context) ([]float64, error) {
-			m, err := platform.New(platform.Options{
-				Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx,
-				TuneIB: func(_ *ib.Params, tp *mvib.Params) {
-					tp.RDMAEagerMax = th
-					if tp.EagerThreshold < th {
-						tp.EagerThreshold = th
-					}
-				},
-			})
+		points = append(points, point[[]float64]{"threshold " + fmtBytes(th), func(base platform.Options) ([]float64, error) {
+			base.Network, base.Ranks, base.PPN = platform.InfiniBand4X, 2, 1
+			base.TuneIB = func(_ *ib.Params, tp *mvib.Params) {
+				tp.RDMAEagerMax = th
+				if tp.EagerThreshold < th {
+					tp.EagerThreshold = th
+				}
+			}
+			m, err := platform.New(base)
 			if err != nil {
 				return nil, err
 			}
@@ -164,17 +152,13 @@ func runXEager(o Options) (*Result, error) {
 				lats = append(lats, lat.Microseconds())
 			}
 			return lats, nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		}})
+	}
+	lats, _ := runPoints(o, r, points)
+	for ti, th := range thresholds {
 		row := []interface{}{fmtBytes(th)}
 		for i := range probeSizes {
-			lat := math.NaN()
-			if ok {
-				lat = lats[i]
-			}
-			row = append(row, lat)
+			row = append(row, nanAt(lats[ti], i))
 		}
 		// Memory: slots * (threshold+header) * 2 directions * (P-1) peers.
 		tp := mvib.DefaultParams()
@@ -215,40 +199,35 @@ func runXNoise(o Options) (*Result, error) {
 		}
 	}
 	r := &Result{ID: "xnoise", Title: "2% per-node OS noise under a compute+allreduce loop (Elan-4, 1 PPN)"}
-	run := func(nodes int, noisy bool) (float64, error) {
-		point := fmt.Sprintf("nodes=%d noisy=%t", nodes, noisy)
-		return simFloat(o, r, point, func(ctx context.Context) (float64, error) {
-			m, err := platform.New(platform.Options{
-				Network: platform.QuadricsElan4, Ranks: nodes, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx,
-				TuneMPI: func(cfg *mpi.Config) {
-					if noisy {
-						cfg.Node.NoiseFraction = 0.02
-						cfg.Node.NoiseBurst = 250 * units.Microsecond
-						cfg.Node.NoiseSeed = 1234
+	var points []point[float64]
+	for _, nodes := range nodeCounts {
+		for _, noisy := range []bool{false, true} {
+			points = append(points, point[float64]{fmt.Sprintf("nodes=%d noisy=%t", nodes, noisy),
+				func(base platform.Options) (float64, error) {
+					base.Network, base.Ranks, base.PPN = platform.QuadricsElan4, nodes, 1
+					base.TuneMPI = func(cfg *mpi.Config) {
+						if noisy {
+							cfg.Node.NoiseFraction = 0.02
+							cfg.Node.NoiseBurst = 250 * units.Microsecond
+							cfg.Node.NoiseSeed = 1234
+						}
 					}
-				},
-			})
-			if err != nil {
-				return 0, err
-			}
-			res, err := m.Run(app)
-			if err != nil {
-				return 0, err
-			}
-			return res.Elapsed.Seconds(), nil
-		})
+					m, err := platform.New(base)
+					if err != nil {
+						return 0, err
+					}
+					res, err := m.Run(app)
+					if err != nil {
+						return 0, err
+					}
+					return res.Elapsed.Seconds(), nil
+				}})
+		}
 	}
+	vals := runFloats(o, r, points)
 	t := newTable("Extension X-7", "nodes", "quiet (s)", "noisy (s)", "slowdown %")
-	for _, n := range nodeCounts {
-		quiet, err := run(n, false)
-		if err != nil {
-			return nil, err
-		}
-		noisy, err := run(n, true)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range nodeCounts {
+		quiet, noisy := vals[2*i], vals[2*i+1]
 		t.AddRow(n, fmtSeconds(quiet), fmtSeconds(noisy), (noisy/quiet-1)*100)
 	}
 	r.Tables = append(r.Tables, t)
@@ -278,12 +257,10 @@ func runXRGet(o Options) (*Result, error) {
 	// in Recv the whole time. Push rendezvous cannot move the payload until
 	// the SENDER re-enters MPI (ratio >= 1); pull moves it as soon as the
 	// receiver matches the RTS (ratio << 1), like Elan's NIC does.
-	measure := func(config string, opts platform.Options, size units.Bytes) (float64, error) {
-		return simFloat(o, r, config+" "+fmtBytes(size), func(ctx context.Context) (float64, error) {
-			opts.Ranks, opts.PPN = 2, 1
-			opts.Metrics = o.Metrics
-			opts.FaultSpec, opts.Ctx = o.Faults, ctx
-			m, err := platform.New(opts)
+	measure := func(config string, net platform.Network, tuneIB func(*ib.Params, *mvib.Params), size units.Bytes) point[float64] {
+		return point[float64]{config + " " + fmtBytes(size), func(base platform.Options) (float64, error) {
+			base.Network, base.Ranks, base.PPN, base.TuneIB = net, 2, 1, tuneIB
+			m, err := platform.New(base)
 			if err != nil {
 				return 0, err
 			}
@@ -302,25 +279,19 @@ func runXRGet(o Options) (*Result, error) {
 				return 0, err
 			}
 			return float64(recvDone) / float64(compute), nil
-		})
+		}}
 	}
+	pull := func(_ *ib.Params, tp *mvib.Params) { tp.ReadRendezvous = true }
+	var points []point[float64]
 	for _, size := range sizes {
-		push, err := measure("IB push", platform.Options{Network: platform.InfiniBand4X}, size)
-		if err != nil {
-			return nil, err
-		}
-		pull, err := measure("IB pull", platform.Options{
-			Network: platform.InfiniBand4X,
-			TuneIB:  func(_ *ib.Params, tp *mvib.Params) { tp.ReadRendezvous = true },
-		}, size)
-		if err != nil {
-			return nil, err
-		}
-		elan, err := measure("Elan4", platform.Options{Network: platform.QuadricsElan4}, size)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmtBytes(size), push, pull, elan)
+		points = append(points,
+			measure("IB push", platform.InfiniBand4X, nil, size),
+			measure("IB pull", platform.InfiniBand4X, pull, size),
+			measure("Elan4", platform.QuadricsElan4, nil, size))
+	}
+	vals := runFloats(o, r, points)
+	for i, size := range sizes {
+		t.AddRow(fmtBytes(size), vals[3*i], vals[3*i+1], vals[3*i+2])
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,

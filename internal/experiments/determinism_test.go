@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/platform"
+	"repro/internal/runner"
 )
 
 // TestParallelDeterminism is the regression guard for the runner rewiring:
@@ -84,20 +90,37 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepErrorDeterminism: when a sweep point fails, the error that
-// surfaces is the first one in submission order, independent of worker
-// count and completion order.
+// TestSweepErrorDeterminism: when every point of a sweep fails, the
+// failures are listed in submission order, with the same causes, whether
+// the sweep runs on one worker or eight.
 func TestSweepErrorDeterminism(t *testing.T) {
-	// Ranks=0 is invalid for every point: all jobs fail, and the reported
-	// error must be the first submitted point (Elan-4, first ppn/nodes).
+	// Ranks=0 is invalid: every point fails to build its machine.
+	nets, nodes, ppns := platform.Networks, []int{0}, []int{1, 2}
+	var want []string
+	for _, net := range nets {
+		for _, ppn := range ppns {
+			want = append(want, fmt.Sprintf("%s ppn=%d nodes=0", net.Short(), ppn))
+		}
+	}
+	var lists [][]runner.Failure
 	for _, jobs := range []int{1, 8} {
-		_, fails, err := runSeries(Options{Jobs: jobs}, nil, nil, nil, nil)
-		if err != nil {
-			t.Fatalf("empty sweep must not fail, got %v", err)
+		res := &Result{ID: "sweep"}
+		runSeries(Options{Jobs: jobs}, res, "", nets, nodes, ppns, nil)
+		if len(res.Failures) != len(want) {
+			t.Fatalf("jobs=%d: %d failures, want every one of %d points", jobs, len(res.Failures), len(want))
 		}
-		if len(fails) != 0 {
-			t.Fatalf("empty sweep reported failures: %v", fails)
+		for i, f := range res.Failures {
+			if f.Job != want[i] {
+				t.Errorf("jobs=%d: failure %d is %q, want %q (submission order)", jobs, i, f.Job, want[i])
+			}
 		}
+		for i := range res.Failures {
+			res.Failures[i].Err = nil // compare the rendered causes
+		}
+		lists = append(lists, res.Failures)
+	}
+	if !reflect.DeepEqual(lists[0], lists[1]) {
+		t.Fatalf("failures differ between jobs=1 and jobs=8:\n%v\n%v", lists[0], lists[1])
 	}
 }
 
@@ -127,4 +150,72 @@ func TestTracingLeavesMetricsUnchanged(t *testing.T) {
 		}
 	}
 	t.Fatal("snapshots differ")
+}
+
+// TestXLogGPIsObserved: xloggp attaches the experiment's registry to every
+// machine it builds, as every other experiment does.
+func TestXLogGPIsObserved(t *testing.T) {
+	e, err := Get("xloggp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	if _, err := e.Run(Options{Quick: true, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("sim.events_dispatched").Value(); n == 0 {
+		t.Fatal("sim.events_dispatched = 0 with a registry attached")
+	}
+}
+
+// TestTimelineLabelsAreUnique: every machine an experiment builds has its
+// own timeline label, so a reader can tell its track from the others,
+// including where a point builds several machines (xfault, xloggp). fig5
+// runs under a 1 ns timeout: each of its machines is still built, and so
+// labelled, but records no events (its full quick trace is ~190 MB).
+func TestTimelineLabelsAreUnique(t *testing.T) {
+	cases := []struct {
+		id      string
+		timeout time.Duration
+	}{{"fig5", time.Nanosecond}, {"xfault", 0}, {"xloggp", 0}, {"xrget", 0}}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			e, err := Get(c.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.New()
+			reg.EnableTracing()
+			if _, err := e.Run(Options{Quick: true, Timeout: c.timeout, Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := metrics.WriteChromeTrace(&buf, metrics.TraceSource{Reg: reg}); err != nil {
+				t.Fatal(err)
+			}
+			var trace struct {
+				TraceEvents []struct {
+					Name string            `json:"name"`
+					Args map[string]string `json:"args"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+				t.Fatal(err)
+			}
+			tracks := map[string]int{}
+			for _, ev := range trace.TraceEvents {
+				if ev.Name == "process_name" {
+					tracks[ev.Args["name"]]++
+				}
+			}
+			for label, n := range tracks {
+				if n > 1 {
+					t.Errorf("label %q names %d tracks", label, n)
+				}
+			}
+			if len(tracks) < 2 {
+				t.Fatalf("%d tracks, want one per machine", len(tracks))
+			}
+		})
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/microbench"
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/report"
@@ -35,31 +34,33 @@ type Options struct {
 	// runs in seconds (used by `go test -bench` and smoke runs). Full
 	// fidelity is the default.
 	Quick bool
-	// Jobs caps how many simulations a sweep runs concurrently; <= 0
-	// means runtime.GOMAXPROCS(0). Every simulation owns a private
+	// Jobs caps how many simulations an experiment runs concurrently;
+	// <= 0 means runtime.GOMAXPROCS(0). Every simulation owns a private
 	// event engine and results are assembled in submission order, so the
 	// output is byte-identical for any value of Jobs.
 	Jobs int
-	// Timeout bounds each individual simulation, in a sweep or not (see
-	// simulate); 0 means unbounded. A simulation stops at its deadline
-	// (its engine polls its context), and the point surfaces as a
-	// structured error naming it and renders as "failed" in the tables.
+	// Timeout bounds each simulation point (see runPoints); 0 means
+	// unbounded. A point stops at its deadline (its engines poll its
+	// context), fails with a structured error naming it, and renders as
+	// "failed" in the tables.
 	Timeout time.Duration
-	// Progress, when non-nil, receives sweep progress lines (done/total,
+	// Progress, when non-nil, receives progress lines (done/total,
 	// elapsed, ETA). Point it at stderr so tables stay clean.
 	Progress io.Writer
 	// Metrics, when non-nil, is attached to every machine the experiment
-	// builds: counters and histograms accumulate into it across all sweep
+	// builds: counters and histograms accumulate into it across all
 	// points (merges commute, so the snapshot is independent of Jobs), and
-	// if tracing is enabled each machine contributes a labelled timeline
-	// track. Nil disables all recording; results are identical either way.
+	// if tracing is enabled each machine contributes a timeline track
+	// labelled with its point's ID. Nil disables all recording; results
+	// are identical either way.
 	Metrics *metrics.Registry
 	// Faults, when non-empty, installs the same fault plan on every
 	// machine the experiment builds (internal/fault spec language or
-	// "storm:<seed>"). Faulty runs are exactly as deterministic as clean
-	// ones: same spec + seed => byte-identical output at any Jobs.
+	// "storm:<seed>"); xfault, which builds its own plans, ignores it.
+	// Faulty runs are exactly as deterministic as clean ones: same spec +
+	// seed => byte-identical output at any Jobs.
 	Faults string
-	// Ctx, when non-nil, is the base context every sweep runs under:
+	// Ctx, when non-nil, is the base context every point runs under:
 	// cancelling it drains the worker pools (in-flight points stop at
 	// their engines' next poll, queued points are skipped). Nil means
 	// context.Background().
@@ -68,12 +69,7 @@ type Options struct {
 	Ctx context.Context
 }
 
-// pool builds the parallel runner every sweep in this package executes on.
-func (o Options) pool(name string) *runner.Pool {
-	return &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress, Name: name}
-}
-
-// ctx returns the base context sweeps run under.
+// ctx returns the base context points run under.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
 		return o.Ctx
@@ -81,41 +77,38 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// simulate runs one simulation that an experiment makes outside a sweep
-// pool, under the experiment's context bounded by Timeout, as a pool
-// bounds each of its jobs. A simulation its deadline stopped is recorded
-// on res as a failed point named point, and simulate reports ok false
-// with a nil error, so the caller renders the point's cells as "failed",
-// as a sweep does. Any other error is returned.
-func simulate[T any](o Options, res *Result, point string, run func(ctx context.Context) (T, error)) (v T, ok bool, err error) {
-	ctx := o.ctx()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
-	v, err = run(ctx)
-	if err != nil && o.ctx().Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		attachFailures(res, []runner.Failure{{Job: point, Cause: err.Error(), Err: err}})
-		return v, false, nil
-	}
-	return v, err == nil, err
+// A point is one simulation an experiment makes. Its ID names it in
+// failures, progress and the timeline; run builds and runs its machines
+// from base, filling in Network, Ranks, PPN, Radix and any Tune* hook.
+type point[T any] struct {
+	id  string
+	run func(base platform.Options) (T, error)
 }
 
-// simFloat is simulate for a simulation measuring one number: a failed
-// point reads NaN, which renders as "failed".
-func simFloat(o Options, res *Result, point string, run func(ctx context.Context) (float64, error)) (float64, error) {
-	v, ok, err := simulate(o, res, point, run)
-	if !ok {
-		v = math.NaN()
+// runPoints is the one place an experiment's simulations run. Each point
+// is one job on the experiment's pool, bounded by Timeout, and gets a base
+// carrying the experiment's environment: Metrics, Faults as FaultSpec, the
+// job's context as Ctx, and the point's ID as Label. Values come back in
+// point order, so the output is independent of Jobs. A point that fails
+// does not abort the experiment: it is recorded on res, its ok is false and
+// its value the zero T, which the caller renders as "failed".
+func runPoints[T any](o Options, res *Result, points []point[T]) (vals []T, ok []bool) {
+	jobs := make([]runner.Job, len(points))
+	for i, p := range points {
+		jobs[i] = runner.Job{ID: p.id, Run: func(ctx context.Context) (interface{}, error) {
+			return p.run(platform.Options{Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx, Label: p.id})
+		}}
 	}
-	return v, err
-}
-
-// env packages the per-machine environment for microbench calls made by
-// the sweep job whose context is ctx.
-func (o Options) env(ctx context.Context) microbench.Env {
-	return microbench.Env{Metrics: o.Metrics, Faults: o.Faults, Ctx: ctx}
+	pool := &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress, Name: res.ID}
+	results := pool.Run(o.ctx(), jobs)
+	vals, ok = make([]T, len(points)), make([]bool, len(points))
+	for i, r := range results {
+		if ok[i] = r.Err == nil; ok[i] {
+			vals[i] = r.Value.(T)
+		}
+	}
+	attachFailures(res, runner.Failures(results))
+	return vals, ok
 }
 
 // Result is an experiment's output.
@@ -124,7 +117,7 @@ type Result struct {
 	Title  string
 	Tables []*report.Table
 	Notes  []string
-	// Failures lists sweep points that failed. The series still
+	// Failures lists the points that failed. The experiment still
 	// completes — affected table cells, and cells derived from them, read
 	// "failed" — and the artifact records the provenance.
 	Failures []runner.Failure
@@ -203,6 +196,27 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, sorted)
 }
 
+// runFloats is runPoints for points that measure one number: a failed
+// point reads NaN, which renders as "failed".
+func runFloats(o Options, res *Result, points []point[float64]) []float64 {
+	vals, ok := runPoints(o, res, points)
+	for i := range vals {
+		if !ok[i] {
+			vals[i] = math.NaN()
+		}
+	}
+	return vals
+}
+
+// nanAt returns vals[i], or NaN when vals is nil, the value of a failed
+// point that measures a slice.
+func nanAt(vals []float64, i int) float64 {
+	if vals == nil {
+		return math.NaN()
+	}
+	return vals[i]
+}
+
 // seriesKey names one point of runSeries' grid.
 type seriesKey struct {
 	net   platform.Network
@@ -212,50 +226,38 @@ type seriesKey struct {
 
 // runSeries runs an application across networks, node counts, and PPNs,
 // returning elapsed seconds per point; a failed point's value is NaN.
-func runSeries(o Options, nets []platform.Network, nodeCounts []int, ppns []int,
-	app func(r *mpi.Rank)) (map[seriesKey]float64, []runner.Failure, error) {
+// name, when not empty, prefixes each point's ID.
+func runSeries(o Options, res *Result, name string, nets []platform.Network, nodeCounts []int, ppns []int,
+	app func(r *mpi.Rank)) map[seriesKey]float64 {
 	var keys []seriesKey
+	var points []point[float64]
 	for _, net := range nets {
 		for _, ppn := range ppns {
 			for _, nodes := range nodeCounts {
-				keys = append(keys, seriesKey{net, ppn, nodes})
+				k := seriesKey{net, ppn, nodes}
+				keys = append(keys, k)
+				id := strings.TrimSpace(fmt.Sprintf("%s %s ppn=%d nodes=%d", name, net.Short(), ppn, nodes))
+				points = append(points, point[float64]{id, func(base platform.Options) (float64, error) {
+					base.Network, base.Ranks, base.PPN = k.net, k.nodes*k.ppn, k.ppn
+					m, err := platform.New(base)
+					if err != nil {
+						return 0, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
+					}
+					run, err := m.Run(app)
+					if err != nil {
+						return 0, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
+					}
+					return run.Elapsed.Seconds(), nil
+				}})
 			}
 		}
 	}
-	// Every point builds its own machine (private event engine, private
-	// RNG streams), so the grid is embarrassingly parallel; results are
-	// assembled in key order, keeping output independent of o.Jobs. A
-	// point that fails does not abort the series: its value is NaN, which
-	// renders as "failed", and the failure is recorded with its provenance.
-	jobs := make([]runner.Job, len(keys))
-	for i, k := range keys {
-		k := k
-		id := fmt.Sprintf("%s ppn=%d nodes=%d", k.net.Short(), k.ppn, k.nodes)
-		jobs[i] = runner.Job{ID: id,
-			Labels: map[string]string{"net": k.net.Short(),
-				"ppn": fmt.Sprint(k.ppn), "nodes": fmt.Sprint(k.nodes)},
-			Run: func(ctx context.Context) (interface{}, error) {
-				m, err := platform.New(platform.Options{Network: k.net, Ranks: k.nodes * k.ppn, PPN: k.ppn,
-					Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx, Label: id})
-				if err != nil {
-					return nil, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
-				}
-				res, err := m.Run(app)
-				if err != nil {
-					return nil, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
-				}
-				return res.Elapsed.Seconds(), nil
-			}}
-	}
-	results := o.pool("series").Run(o.ctx(), jobs)
+	vals := runFloats(o, res, points)
 	out := make(map[seriesKey]float64, len(keys))
 	for i, k := range keys {
-		out[k] = math.NaN()
-		if results[i].Err == nil {
-			out[k] = results[i].Value.(float64)
-		}
+		out[k] = vals[i]
 	}
-	return out, runner.Failures(results), nil
+	return out
 }
 
 // ofElapsed applies f to a runSeries value converted back to simulated
@@ -267,20 +269,7 @@ func ofElapsed(s float64, f func(units.Duration) float64) float64 {
 	return f(units.FromSeconds(s))
 }
 
-// cellsOf returns the cells a job rendered, or n cells reading
-// report.Failed when the job failed.
-func cellsOf(r runner.Result, n int) []string {
-	if r.Err == nil {
-		return r.Value.([]string)
-	}
-	cells := make([]string, n)
-	for i := range cells {
-		cells[i] = report.Failed
-	}
-	return cells
-}
-
-// attachFailures folds sweep failures into an experiment result: the
+// attachFailures folds point failures into an experiment result: the
 // Failures field rides into the JSON artifact, and each failure also
 // becomes a note so text output carries the same provenance.
 func attachFailures(res *Result, fails []runner.Failure) {
@@ -325,8 +314,12 @@ func newKV(title string) *report.Table {
 }
 
 // atof parses a table cell back to float (cells are produced by AddRow's
-// formatter, so this never sees garbage in practice).
+// formatter, so this never sees garbage in practice); a failed cell reads
+// NaN, so a value derived from it is failed too.
 func atof(s string) float64 {
+	if s == report.Failed {
+		return math.NaN()
+	}
 	var v float64
 	fmt.Sscanf(s, "%g", &v)
 	return v

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/mpi"
 	"repro/internal/platform"
-	"repro/internal/runner"
+	"repro/internal/report"
 	"repro/internal/units"
 )
 
@@ -34,7 +33,7 @@ func init() {
 // around the dead spine almost for free, while InfiniBand (static
 // destination routes through that spine) stalls until its backoff ladder
 // outlasts the outage. This experiment builds its own fault specs and
-// ignores Options.Faults.
+// ignores Options.Faults: each point sets its base's FaultSpec.
 func runXFault(o Options) (*Result, error) {
 	const size = 4 * units.KiB
 	ppIters, stIters := 200, 25
@@ -48,55 +47,44 @@ func runXFault(o Options) (*Result, error) {
 
 	// --- Sweep 1: chunk loss on rank 0's injection link. -----------------
 	lossPs := []float64{0, 0.001, 0.01, 0.05}
-	type lossCell struct {
-		net platform.Network
-		p   float64
-	}
-	var lossCells []lossCell
+	var lossPoints []point[[]string]
 	for _, p := range lossPs {
 		for _, net := range platform.Networks {
-			lossCells = append(lossCells, lossCell{net, p})
+			lossPoints = append(lossPoints, point[[]string]{fmt.Sprintf("loss %s p=%g", net.Short(), p),
+				func(base platform.Options) ([]string, error) {
+					base.Network, base.FaultSpec = net, ""
+					if p > 0 {
+						base.FaultSpec = fmt.Sprintf("loss:inj(0):p=%g", p)
+					}
+					// Ping-pong latency.
+					span, m, err := faultPingPong(base, 0, 1, size, ppIters)
+					if err != nil {
+						return nil, err
+					}
+					lat := span / units.Duration(2*ppIters)
+					retried, retrans := recoveryCounts(m)
+					// Streaming bandwidth (same machine shape, fresh machine).
+					bw, m, err := faultStreaming(base, size, stIters)
+					if err != nil {
+						return nil, err
+					}
+					hw, rt := recoveryCounts(m)
+					return []string{fmt.Sprintf("%.2f", lat.Microseconds()), fmt.Sprintf("%.0f", bw),
+						fmt.Sprint(retried + hw), fmt.Sprint(retrans + rt)}, nil
+				}})
 		}
 	}
-	lossJobs := make([]runner.Job, len(lossCells))
-	for i, c := range lossCells {
-		c := c
-		id := fmt.Sprintf("loss %s p=%g", c.net.Short(), c.p)
-		lossJobs[i] = runner.Job{ID: id,
-			Labels: map[string]string{"net": c.net.Short(), "p": fmt.Sprint(c.p)},
-			Run: func(ctx context.Context) (interface{}, error) {
-				spec := ""
-				if c.p > 0 {
-					spec = fmt.Sprintf("loss:inj(0):p=%g", c.p)
-				}
-				// Ping-pong latency.
-				span, m, err := faultPingPong(ctx, o, c.net, spec, 0, 1, size, ppIters)
-				if err != nil {
-					return nil, err
-				}
-				lat := span / units.Duration(2*ppIters)
-				retried, retrans := recoveryCounts(m)
-				// Streaming bandwidth (same machine shape, fresh machine).
-				bw, m, err := faultStreaming(ctx, o, c.net, spec, size, stIters)
-				if err != nil {
-					return nil, err
-				}
-				hw, rt := recoveryCounts(m)
-				return []string{fmt.Sprintf("%.2f", lat.Microseconds()), fmt.Sprintf("%.0f", bw),
-					fmt.Sprint(retried + hw), fmt.Sprint(retrans + rt)}, nil
-			}}
-	}
-	lossRes := o.pool("xfault-loss").Run(o.ctx(), lossJobs)
-	attachFailures(r, runner.Failures(lossRes))
+	loss, _ := runPoints(o, r, lossPoints)
 
 	t1 := newTable("Injection-link chunk loss (ping-pong + streaming, 4 KiB)",
 		"loss p", "Elan4 lat us", "IB lat us", "Elan4 stream MB/s", "IB stream MB/s",
 		"Elan4 hw retries", "IB retransmits")
 	for pi, p := range lossPs {
-		// Cells were laid out p-major over Networks = [Elan, IB]; each job
+		// Points were laid out p-major over Networks = [Elan, IB]; each
 		// renders latency, bandwidth, hardware retries and retransmits.
-		el, ib := cellsOf(lossRes[pi*2], 4), cellsOf(lossRes[pi*2+1], 4)
-		t1.AddRow(fmt.Sprintf("%g", p), el[0], ib[0], el[1], ib[1], el[2], ib[3])
+		el, ib := pi*2, pi*2+1
+		t1.AddRow(fmt.Sprintf("%g", p), cellAt(loss, el, 0), cellAt(loss, ib, 0),
+			cellAt(loss, el, 1), cellAt(loss, ib, 1), cellAt(loss, el, 2), cellAt(loss, ib, 3))
 	}
 	r.Tables = append(r.Tables, t1)
 
@@ -111,41 +99,30 @@ func runXFault(o Options) (*Result, error) {
 		{"1ms", "down:spine(0):at=20us:for=1ms"},
 		{"5ms", "down:spine(0):at=20us:for=5ms"},
 	}
-	type spineCell struct {
-		net platform.Network
-		wi  int
-	}
-	var spineCells []spineCell
-	for wi := range windows {
+	var spinePoints []point[[]string]
+	for _, w := range windows {
 		for _, net := range platform.Networks {
-			spineCells = append(spineCells, spineCell{net, wi})
+			spinePoints = append(spinePoints, point[[]string]{fmt.Sprintf("spine %s %s", net.Short(), w.label),
+				func(base platform.Options) ([]string, error) {
+					base.Network, base.FaultSpec = net, w.spec
+					span, m, err := faultPingPong(base, 0, 6, size, spIters)
+					if err != nil {
+						return nil, err
+					}
+					_, retrans := recoveryCounts(m)
+					return []string{fmt.Sprintf("%.3f", span.Seconds()*1e3),
+						fmt.Sprint(m.Fab.FaultStats().ChunksRerouted), fmt.Sprint(retrans)}, nil
+				}})
 		}
 	}
-	spineJobs := make([]runner.Job, len(spineCells))
-	for i, c := range spineCells {
-		c := c
-		id := fmt.Sprintf("spine %s %s", c.net.Short(), windows[c.wi].label)
-		spineJobs[i] = runner.Job{ID: id,
-			Labels: map[string]string{"net": c.net.Short(), "outage": windows[c.wi].label},
-			Run: func(ctx context.Context) (interface{}, error) {
-				span, m, err := faultPingPong(ctx, o, c.net, windows[c.wi].spec, 0, 6, size, spIters)
-				if err != nil {
-					return nil, err
-				}
-				_, retrans := recoveryCounts(m)
-				return []string{fmt.Sprintf("%.3f", span.Seconds()*1e3),
-					fmt.Sprint(m.Fab.FaultStats().ChunksRerouted), fmt.Sprint(retrans)}, nil
-			}}
-	}
-	spineRes := o.pool("xfault-spine").Run(o.ctx(), spineJobs)
-	attachFailures(r, runner.Failures(spineRes))
+	spine, _ := runPoints(o, r, spinePoints)
 
 	t2 := newTable("Spine-0 outage, radix-4 fabric (ping-pong 0<->6, 4 KiB)",
 		"outage", "Elan4 total ms", "IB total ms", "Elan4 rerouted chunks", "IB retransmits")
 	for wi, w := range windows {
-		// Each job renders total time, rerouted chunks and retransmits.
-		el, ib := cellsOf(spineRes[wi*2], 3), cellsOf(spineRes[wi*2+1], 3)
-		t2.AddRow(w.label, el[0], ib[0], el[1], ib[2])
+		// Each point renders total time, rerouted chunks and retransmits.
+		el, ib := wi*2, wi*2+1
+		t2.AddRow(w.label, cellAt(spine, el, 0), cellAt(spine, ib, 0), cellAt(spine, el, 1), cellAt(spine, ib, 2))
 	}
 	r.Tables = append(r.Tables, t2)
 	r.Notes = append(r.Notes,
@@ -153,19 +130,19 @@ func runXFault(o Options) (*Result, error) {
 	return r, nil
 }
 
-// faultPingPong runs a ping-pong between ranks a and b under the given
-// fault spec and returns the measured span (2*iters one-way trips) plus the
-// machine for counter inspection. Ranks other than a and b exit at once.
-func faultPingPong(ctx context.Context, o Options, net platform.Network, spec string, a, b int,
+// faultPingPong runs a ping-pong between ranks a and b on a machine built
+// from base (network and fault spec set) and returns the measured span
+// (2*iters one-way trips) plus the machine for counter inspection. Ranks
+// other than a and b exit at once.
+func faultPingPong(base platform.Options, a, b int,
 	size units.Bytes, iters int) (units.Duration, *platform.Machine, error) {
-	opts := platform.Options{Network: net, Ranks: 2, PPN: 1,
-		Metrics: o.Metrics, FaultSpec: spec, Ctx: ctx,
-		Label: fmt.Sprintf("xfault pp %s", net.Short())}
+	base.Ranks, base.PPN = 2, 1
+	base.Label += " pingpong"
 	if b >= 2 {
 		// The spine sweep needs a multi-leaf fabric: 8 nodes, radix 4.
-		opts.Ranks, opts.Radix = 8, 4
+		base.Ranks, base.Radix = 8, 4
 	}
-	m, err := platform.New(opts)
+	m, err := platform.New(base)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -192,14 +169,14 @@ func faultPingPong(ctx context.Context, o Options, net platform.Network, spec st
 	return span, m, nil
 }
 
-// faultStreaming streams windowed non-blocking sends 0->1 under the given
-// fault spec and returns sustained bandwidth in MB/s plus the machine.
-func faultStreaming(ctx context.Context, o Options, net platform.Network, spec string,
-	size units.Bytes, iters int) (float64, *platform.Machine, error) {
+// faultStreaming streams windowed non-blocking sends 0->1 on a machine
+// built from base (network and fault spec set) and returns sustained
+// bandwidth in MB/s plus the machine.
+func faultStreaming(base platform.Options, size units.Bytes, iters int) (float64, *platform.Machine, error) {
 	const window = 8
-	m, err := platform.New(platform.Options{Network: net, Ranks: 2, PPN: 1,
-		Metrics: o.Metrics, FaultSpec: spec, Ctx: ctx,
-		Label: fmt.Sprintf("xfault stream %s", net.Short())})
+	base.Ranks, base.PPN = 2, 1
+	base.Label += " streaming"
+	m, err := platform.New(base)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -231,6 +208,14 @@ func faultStreaming(ctx context.Context, o Options, net platform.Network, spec s
 	}
 	bytes := units.Bytes(window*iters) * size
 	return units.RateOver(bytes, span).MBpsValue(), m, nil
+}
+
+// cellAt returns cell j of point i, or report.Failed for a failed point.
+func cellAt(cells [][]string, i, j int) string {
+	if cells[i] == nil {
+		return report.Failed
+	}
+	return cells[i][j]
 }
 
 // recoveryCounts reads the machine's recovery totals: hardware link-level

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/microbench"
 	"repro/internal/platform"
-	"repro/internal/runner"
 	"repro/internal/units"
 )
 
@@ -51,23 +49,36 @@ func fig1Iters(quick bool) int {
 	return 20
 }
 
+// pingPongUs is a point that measures the ping-pong one-way latency on net,
+// in microseconds, at each of sizes.
+func pingPongUs(id string, net platform.Network, sizes []units.Bytes, iters int) point[[]float64] {
+	return point[[]float64]{id, func(base platform.Options) ([]float64, error) {
+		base.Network = net
+		pts, err := microbench.PingPong(base, sizes, iters)
+		if err != nil {
+			return nil, err
+		}
+		lat := make([]float64, len(pts))
+		for i, p := range pts {
+			lat[i] = p.Latency.Microseconds()
+		}
+		return lat, nil
+	}}
+}
+
 func runFig1a(o Options) (*Result, error) {
 	sizes := fig1Sizes(o.Quick)
 	iters := fig1Iters(o.Quick)
-	pp, err := runner.Map(o.ctx(), o.pool("fig1a"), platform.Networks,
-		func(_ int, net platform.Network) string { return "pingpong " + net.Short() },
-		func(ctx context.Context, net platform.Network) ([]microbench.PingPongPoint, error) {
-			return microbench.PingPong(net, sizes, iters, o.env(ctx))
-		})
-	if err != nil {
-		return nil, err
-	}
-	el, ib := pp[0], pp[1] // platform.Networks order: Elan-4 first
 	r := &Result{ID: "fig1a", Title: "Ping-pong latency vs message size (log-x)"}
+	var points []point[[]float64]
+	for _, net := range platform.Networks {
+		points = append(points, pingPongUs("pingpong "+net.Short(), net, sizes, iters))
+	}
+	lat, _ := runPoints(o, r, points)
+	el, ib := lat[0], lat[1] // platform.Networks order: Elan-4 first
 	t := newTable("Figure 1(a)", "size", "Elan4 us", "IB us", "IB/Elan")
 	for i := range sizes {
-		e := el[i].Latency.Microseconds()
-		b := ib[i].Latency.Microseconds()
+		e, b := nanAt(el, i), nanAt(ib, i)
 		t.AddRow(fmtBytes(sizes[i]), e, b, b/e)
 	}
 	r.Tables = append(r.Tables, t)
@@ -86,36 +97,42 @@ func runFig1b(o Options) (*Result, error) {
 	if len(ssizes) > 0 && ssizes[0] == 0 {
 		ssizes = ssizes[1:]
 	}
-	// The four micro-benchmark curves are independent two-rank sims; run
-	// them as one parallel batch and pull typed values back by index.
-	jobs := []runner.Job{
-		{ID: "pingpong Elan4", Run: func(ctx context.Context) (interface{}, error) {
-			return microbench.PingPong(platform.QuadricsElan4, sizes, iters, o.env(ctx))
-		}},
-		{ID: "pingpong IB", Run: func(ctx context.Context) (interface{}, error) {
-			return microbench.PingPong(platform.InfiniBand4X, sizes, iters, o.env(ctx))
-		}},
-		{ID: "streaming Elan4", Run: func(ctx context.Context) (interface{}, error) {
-			return microbench.Streaming(platform.QuadricsElan4, ssizes, window, witers, o.env(ctx))
-		}},
-		{ID: "streaming IB", Run: func(ctx context.Context) (interface{}, error) {
-			return microbench.Streaming(platform.InfiniBand4X, ssizes, window, witers, o.env(ctx))
-		}},
-	}
-	rs := o.pool("fig1b").Run(o.ctx(), jobs)
-	if err := runner.FirstError(rs); err != nil {
-		return nil, err
-	}
-	elPP := rs[0].Value.([]microbench.PingPongPoint)
-	ibPP := rs[1].Value.([]microbench.PingPongPoint)
-	elST := rs[2].Value.([]microbench.StreamingPoint)
-	ibST := rs[3].Value.([]microbench.StreamingPoint)
 	r := &Result{ID: "fig1b", Title: "Bandwidth vs message size: ping-pong and streaming methods"}
+	// Four independent two-rank curves, each as MB/s at ssizes:
+	// ping-pong on both networks, then streaming on both.
+	var points []point[[]float64]
+	for _, net := range platform.Networks {
+		points = append(points, point[[]float64]{"pingpong " + net.Short(), func(base platform.Options) ([]float64, error) {
+			base.Network = net
+			pts, err := microbench.PingPong(base, sizes, iters)
+			if err != nil {
+				return nil, err
+			}
+			bw := make([]float64, len(ssizes))
+			for i, p := range pts[len(sizes)-len(ssizes):] {
+				bw[i] = p.Bandwidth.MBpsValue()
+			}
+			return bw, nil
+		}})
+	}
+	for _, net := range platform.Networks {
+		points = append(points, point[[]float64]{"streaming " + net.Short(), func(base platform.Options) ([]float64, error) {
+			base.Network = net
+			pts, err := microbench.Streaming(base, ssizes, window, witers)
+			if err != nil {
+				return nil, err
+			}
+			bw := make([]float64, len(pts))
+			for i, p := range pts {
+				bw[i] = p.Bandwidth.MBpsValue()
+			}
+			return bw, nil
+		}})
+	}
+	bw, _ := runPoints(o, r, points)
 	t := newTable("Figure 1(b)", "size", "Elan4 pp MB/s", "IB pp MB/s", "Elan4 str MB/s", "IB str MB/s")
 	for i, size := range ssizes {
-		t.AddRow(fmtBytes(size),
-			elPP[i+1].Bandwidth.MBpsValue(), ibPP[i+1].Bandwidth.MBpsValue(),
-			elST[i].Bandwidth.MBpsValue(), ibST[i].Bandwidth.MBpsValue())
+		t.AddRow(fmtBytes(size), nanAt(bw[0], i), nanAt(bw[1], i), nanAt(bw[2], i), nanAt(bw[3], i))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -130,6 +147,7 @@ func runFig1c(o Options) (*Result, error) {
 	}
 	src := fb.Tables[0]
 	r := &Result{ID: "fig1c", Title: "Elan-4 to InfiniBand bandwidth ratio vs message size"}
+	attachFailures(r, fb.Failures)
 	t := newTable("Figure 1(c)", "size", "ping-pong ratio", "streaming ratio")
 	for _, row := range src.Rows {
 		ppE, ppI := atof(row[1]), atof(row[2])
@@ -150,27 +168,23 @@ func runFig1d(o Options) (*Result, error) {
 	}
 	r := &Result{ID: "fig1d", Title: "b_eff normalized per process vs job size (1 PPN)"}
 	t := newTable("Figure 1(d)", "procs", "Elan4 b_eff/proc MB/s", "IB b_eff/proc MB/s")
-	type beffCfg struct {
-		procs int
-		net   platform.Network
-	}
-	var cfgs []beffCfg
+	var points []point[float64]
 	for _, p := range counts {
 		for _, net := range platform.Networks {
-			cfgs = append(cfgs, beffCfg{p, net})
+			points = append(points, point[float64]{fmt.Sprintf("b_eff %s procs=%d", net.Short(), p),
+				func(base platform.Options) (float64, error) {
+					base.Network = net
+					res, err := microbench.BEff(base, p, iters, CanonicalSeed)
+					if err != nil {
+						return 0, err
+					}
+					return res.PerProcess.MBpsValue(), nil
+				}})
 		}
 	}
-	vals, err := runner.Map(o.ctx(), o.pool("fig1d"), cfgs,
-		func(_ int, c beffCfg) string { return fmt.Sprintf("b_eff %s procs=%d", c.net.Short(), c.procs) },
-		func(ctx context.Context, c beffCfg) (*microbench.BEffResult, error) {
-			return microbench.BEff(c.net, c.procs, iters, CanonicalSeed, o.env(ctx))
-		})
-	if err != nil {
-		return nil, err
-	}
+	vals := runFloats(o, r, points)
 	for i, p := range counts {
-		el, ib := vals[2*i], vals[2*i+1]
-		t.AddRow(p, el.PerProcess.MBpsValue(), ib.PerProcess.MBpsValue())
+		t.AddRow(p, vals[2*i], vals[2*i+1])
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -36,14 +35,13 @@ func runXRoute(o Options) (*Result, error) {
 	}
 
 	r := &Result{ID: "xroute", Title: "Permutation traffic across the spine: aggregate MB/s"}
-	measure := func(point string, net platform.Network, forceAdaptive bool, nodes int) (float64, error) {
-		return simFloat(o, r, fmt.Sprintf("%s nodes=%d", point, nodes), func(ctx context.Context) (float64, error) {
-			opts := platform.Options{Network: net, Ranks: nodes, PPN: 1,
-				Metrics: o.Metrics, FaultSpec: o.Faults, Ctx: ctx}
+	measure := func(config string, net platform.Network, forceAdaptive bool, nodes int) point[float64] {
+		return point[float64]{fmt.Sprintf("%s nodes=%d", config, nodes), func(base platform.Options) (float64, error) {
+			base.Network, base.Ranks, base.PPN = net, nodes, 1
 			if forceAdaptive {
-				opts.TuneFabric = func(p *fabric.Params) { p.Adaptive = true }
+				base.TuneFabric = func(p *fabric.Params) { p.Adaptive = true }
 			}
-			m, err := platform.New(opts)
+			m, err := platform.New(base)
 			if err != nil {
 				return 0, err
 			}
@@ -72,24 +70,20 @@ func runXRoute(o Options) (*Result, error) {
 			}
 			bytes := float64(nodes*iters*window) * float64(size)
 			return bytes / res.Elapsed.Seconds() / 1e6, nil // aggregate MB/s
-		})
+		}}
 	}
+	var points []point[float64]
+	for _, n := range nodeCounts {
+		points = append(points,
+			measure("Elan4", platform.QuadricsElan4, false, n),
+			measure("IB static", platform.InfiniBand4X, false, n),
+			measure("IB adaptive", platform.InfiniBand4X, true, n))
+	}
+	vals := runFloats(o, r, points)
 
 	t := newTable("Extension X-8", "nodes", "Elan4 (adaptive)", "IB (static routes)", "IB + adaptive (counterfactual)")
-	for _, n := range nodeCounts {
-		el, err := measure("Elan4", platform.QuadricsElan4, false, n)
-		if err != nil {
-			return nil, err
-		}
-		ibStatic, err := measure("IB static", platform.InfiniBand4X, false, n)
-		if err != nil {
-			return nil, err
-		}
-		ibAdaptive, err := measure("IB adaptive", platform.InfiniBand4X, true, n)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(n, el, ibStatic, ibAdaptive)
+	for i, n := range nodeCounts {
+		t.AddRow(n, vals[3*i], vals[3*i+1], vals[3*i+2])
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -100,22 +94,20 @@ func runXRoute(o Options) (*Result, error) {
 	// routing collides, measured at the fabric layer so nothing else binds.
 	t2 := newTable("Same question on a narrow radix-4 fabric with aligned flows (fabric-level)",
 		"routing", "makespan (ms)", "aggregate MB/s")
-	for _, adaptive := range []bool{false, true} {
-		label := "static destination routes"
-		if adaptive {
-			label = "per-packet adaptive"
-		}
-		span, ok, err := simulate(o, r, "narrow "+label, func(ctx context.Context) ([2]float64, error) {
-			makespan, agg, err := narrowFabricPermutation(ctx, adaptive, o)
+	routings := []string{"static destination routes", "per-packet adaptive"}
+	var narrow []point[[2]float64]
+	for i, label := range routings {
+		narrow = append(narrow, point[[2]float64]{"narrow " + label, func(base platform.Options) ([2]float64, error) {
+			makespan, agg, err := narrowFabricPermutation(base, i == 1, o.Quick)
 			return [2]float64{makespan.Seconds() * 1e3, agg}, err
-		})
-		if err != nil {
-			return nil, err
+		}})
+	}
+	spans, ok := runPoints(o, r, narrow)
+	for i, label := range routings {
+		if !ok[i] {
+			spans[i] = [2]float64{math.NaN(), math.NaN()}
 		}
-		if !ok {
-			span = [2]float64{math.NaN(), math.NaN()}
-		}
-		t2.AddRow(label, span[0], span[1])
+		t2.AddRow(label, spans[i][0], spans[i][1])
 	}
 	r.Tables = append(r.Tables, t2)
 	r.Notes = append(r.Notes,
@@ -130,15 +122,16 @@ func runXRoute(o Options) (*Result, error) {
 // uplink 0 while ejection links stay disjoint — the clean case where
 // per-packet adaptivity doubles throughput. (With full-radix chassis the
 // collision cannot be provoked at line rate, which is the first table's
-// point.)
-func narrowFabricPermutation(ctx context.Context, adaptive bool, o Options) (units.Duration, float64, error) {
+// point.) The run is fabric-level: of base it takes only Ctx, so it
+// records no metrics and takes no fault plan.
+func narrowFabricPermutation(base platform.Options, adaptive, quick bool) (units.Duration, float64, error) {
 	msgs := 12
 	size := units.Bytes(256 * units.KiB)
-	if o.Quick {
+	if quick {
 		msgs = 3
 	}
 	eng := sim.NewEngine()
-	eng.SetContext(ctx)
+	eng.SetContext(base.Ctx)
 	fab, err := fabric.New(eng, 8, 4, fabric.Params{
 		LinkBandwidth:  1000 * units.MBps,
 		WireLatency:    50 * units.Nanosecond,

@@ -35,13 +35,9 @@ func lammpsSteps(quick bool) int {
 // the paper's two panels: execution time (per step) and scaled efficiency.
 func runLammps(id, title string, params lammps.Params, o Options) (*Result, error) {
 	nodes := lammpsNodes(o.Quick)
-	times, fails, err := runSeries(o, platform.Networks, nodes, []int{1, 2},
-		func(r *mpi.Rank) { lammps.Run(r, params) })
-	if err != nil {
-		return nil, err
-	}
 	r := &Result{ID: id, Title: title}
-	attachFailures(r, fails)
+	times := runSeries(o, r, "", platform.Networks, nodes, []int{1, 2},
+		func(r *mpi.Rank) { lammps.Run(r, params) })
 	tt := newTable(title+" — time (s)", append([]string{"nodes"}, seriesHeaders()...)...)
 	te := newTable(title+" — scaled efficiency (%)", append([]string{"nodes"}, seriesHeaders()...)...)
 	eff := report.Efficiency{Scaled: true}
@@ -103,18 +99,15 @@ func runFig3(o Options) (*Result, error) {
 
 // membraneFits fits the Figure 8 trend for each series from the measured
 // range (4..32 nodes, skipping the flat small-node region like the paper's
-// 'trends as they did for the first 32 nodes').
-func membraneFits(o Options) (map[string]*extrapolate.Fit, []int, error) {
+// 'trends as they did for the first 32 nodes'). Its points run for res.
+func membraneFits(o Options, res *Result) (map[string]*extrapolate.Fit, []int, error) {
 	nodes := lammpsNodes(o.Quick)
 	params := lammps.Membrane(lammpsSteps(o.Quick))
-	times, fails, err := runSeries(o, platform.Networks, nodes, []int{1, 2},
+	times := runSeries(o, res, "", platform.Networks, nodes, []int{1, 2},
 		func(r *mpi.Rank) { lammps.Run(r, params) })
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(fails) > 0 {
+	if len(res.Failures) > 0 {
 		// A trend fit cannot tolerate missing points the way a table can.
-		f := fails[0]
+		f := res.Failures[0]
 		return nil, nil, fmt.Errorf("experiments: point %q failed: %s", f.Job, f.Cause)
 	}
 	fits := map[string]*extrapolate.Fit{}
@@ -137,13 +130,13 @@ func membraneFits(o Options) (map[string]*extrapolate.Fit, []int, error) {
 }
 
 func runFig8(o Options) (*Result, error) {
-	fits, nodes, err := membraneFits(o)
+	r := &Result{ID: "fig8", Title: "Membrane trends extrapolated (geometric per-doubling fit)"}
+	fits, nodes, err := membraneFits(o, r)
 	if err != nil {
 		return nil, err
 	}
 	refProcs := nodes[0]
 	procs := []int{32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
-	r := &Result{ID: "fig8", Title: "Membrane trends extrapolated (geometric per-doubling fit)"}
 	tt := newTable("Figure 8 — projected time (s)", append([]string{"procs"}, seriesHeaders()...)...)
 	te := newTable("Figure 8 — projected scaled efficiency (%)", append([]string{"procs"}, seriesHeaders()...)...)
 	for _, p := range procs {
@@ -173,7 +166,8 @@ func runFig8(o Options) (*Result, error) {
 // at sizes the authors could only extrapolate to, and compare against the
 // Figure 8 fit.
 func runXScale(o Options) (*Result, error) {
-	fits, small, err := membraneFits(o)
+	r := &Result{ID: "xscale", Title: "Direct simulation at scale vs the small-system trend fit (1 PPN)"}
+	fits, small, err := membraneFits(o, r)
 	if err != nil {
 		return nil, err
 	}
@@ -182,13 +176,8 @@ func runXScale(o Options) (*Result, error) {
 		big = []int{8, 16}
 	}
 	params := lammps.Membrane(lammpsSteps(o.Quick))
-	times, fails, err := runSeries(o, platform.Networks, big, []int{1},
+	times := runSeries(o, r, "", platform.Networks, big, []int{1},
 		func(r *mpi.Rank) { lammps.Run(r, params) })
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{ID: "xscale", Title: "Direct simulation at scale vs the small-system trend fit (1 PPN)"}
-	attachFailures(r, fails)
 	t := newTable("Extension X-1", "nodes", "Elan4 sim (s)", "Elan4 fit (s)", "IB sim (s)", "IB fit (s)")
 	for _, n := range big {
 		t.AddRow(n,

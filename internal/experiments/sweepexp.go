@@ -33,13 +33,9 @@ func runFig4(o Options) (*Result, error) {
 		n = 60
 	}
 	params := sweepParams(n, o.Quick)
-	times, fails, err := runSeries(o, platform.Networks, procs, []int{1},
-		func(r *mpi.Rank) { sweep3d.Run(r, params) })
-	if err != nil {
-		return nil, err
-	}
 	r := &Result{ID: "fig4", Title: fmt.Sprintf("Sweep3D %d^3 fixed problem, 1 PPN", n)}
-	attachFailures(r, fails)
+	times := runSeries(o, r, "", platform.Networks, procs, []int{1},
+		func(r *mpi.Rank) { sweep3d.Run(r, params) })
 	tg := newTable("Figure 4(a) — grind time (ns/cell-angle)", "procs", "Elan4", "IB")
 	te := newTable("Figure 4(b) — scaling efficiency (%)", "procs", "Elan4", "IB")
 	eff := report.Efficiency{Scaled: false}
@@ -79,12 +75,8 @@ func runFig5(o Options) (*Result, error) {
 	cols := make([][]float64, len(inputs))
 	for ii, n := range inputs {
 		params := sweepParams(n, o.Quick)
-		times, fails, err := runSeries(o, []platform.Network{platform.InfiniBand4X}, procs, []int{1},
+		times := runSeries(o, r, fmt.Sprintf("%d^3", n), []platform.Network{platform.InfiniBand4X}, procs, []int{1},
 			func(r *mpi.Rank) { sweep3d.Run(r, params) })
-		if err != nil {
-			return nil, err
-		}
-		attachFailures(r, fails)
 		series := make([]float64, len(procs))
 		for i, p := range procs {
 			series[i] = times[seriesKey{platform.InfiniBand4X, 1, p}]

@@ -25,11 +25,10 @@ func TestTimedOutSweepLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	params := sweep3d.Default(192)
 	o := Options{Jobs: 2, Timeout: 20 * time.Millisecond}
-	times, fails, err := runSeries(o, platform.Networks, []int{16}, []int{1},
+	res := &Result{ID: "sweep"}
+	times := runSeries(o, res, "", platform.Networks, []int{16}, []int{1},
 		func(r *mpi.Rank) { sweep3d.Run(r, params) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	fails := res.Failures
 	if len(fails) != len(platform.Networks) {
 		t.Fatalf("%d failures, want every point to time out: %+v", len(fails), fails)
 	}
@@ -52,38 +51,60 @@ func TestTimedOutSweepLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestFailedPointsRenderFailed: a quick fig4 whose every simulation times
-// out renders each failed point, and each efficiency normalised against
-// one, as "failed" — never as 0 or any other number — and records every
-// failure.
+// TestFailedPointsRenderFailed: an experiment whose every simulation times
+// out still returns its tables. It records every point's failure and
+// renders each cell a simulation measures, and each value derived from one
+// (an efficiency, a ratio), as "failed" — never as 0 or any other number.
 func TestFailedPointsRenderFailed(t *testing.T) {
-	e, err := Get("fig4")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		id     string
+		points int
+	}{
+		{"fig4", 6},
+		{"fig1a", 2},
+		{"fig1b", 4},
+		{"fig1c", 4}, // fig1b's points, whose failed cells make failed ratios
+		{"fig1d", 4},
+		{"xreg", 4},
+		{"xoverlap", 6},
+		{"xfault", 18},
+		{"xroute", 5},
+		{"xattrib", 3},
+		{"xnoise", 4},
+		{"xloggp", 4},
 	}
-	res, err := e.Run(Options{Quick: true, Timeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != 6 {
-		t.Fatalf("%d failures, want all 6 points", len(res.Failures))
-	}
-	for _, tb := range res.Tables {
-		for _, row := range tb.Rows {
-			for _, cell := range row[1:] {
-				if cell != report.Failed {
-					t.Errorf("%s: row %v has cell %q, want %q", tb.Title, row, cell, report.Failed)
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			e, err := Get(c.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(Options{Quick: true, Timeout: time.Nanosecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Failures) != c.points {
+				t.Fatalf("%d failures, want all %d points", len(res.Failures), c.points)
+			}
+			// Every column but the first (the sweep coordinate) is measured.
+			for _, tb := range res.Tables {
+				for _, row := range tb.Rows {
+					for _, cell := range row[1:] {
+						if cell != report.Failed {
+							t.Errorf("%s: row %v has cell %q, want %q", tb.Title, row, cell, report.Failed)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestTimeoutBoundsSimulationsOutsidePools: the experiments that build
-// machines outside a sweep pool bound each simulation by -timeout too. A
-// quick xrget at 1 ns fails every simulation with an error wrapping
-// sim.ErrCanceled and context.DeadlineExceeded, records each as a failed
-// point, and renders every measured cell "failed".
+// TestTimeoutBoundsSimulationsOutsidePools: the timeout bounds the
+// simulations of experiments that once ran them outside a pool, such as
+// xrget. A quick xrget at 1 ns fails every simulation with an error
+// wrapping sim.ErrCanceled and context.DeadlineExceeded, records each as a
+// failed point, and renders every measured cell "failed".
 func TestTimeoutBoundsSimulationsOutsidePools(t *testing.T) {
 	e, err := Get("xrget")
 	if err != nil {

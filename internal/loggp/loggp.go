@@ -11,8 +11,8 @@
 package loggp
 
 import (
-	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/microbench"
 	"repro/internal/mpi"
@@ -53,22 +53,29 @@ func (p *Params) PredictLatency(size units.Bytes) units.Duration {
 }
 
 // Measure extracts the parameters by running the standard micro-benchmarks
-// on a two-node instance of the network. Once ctx is done, the running
-// simulation stops and Measure returns an error wrapping sim.ErrCanceled.
-func Measure(ctx context.Context, network platform.Network) (*Params, error) {
-	out := &Params{Network: network}
-	env := microbench.Env{Ctx: ctx}
+// on two-node instances of base's network, each built from base: its
+// environment (Metrics, FaultSpec, Ctx) reaches every machine, and each
+// machine's timeline label is base.Label plus the benchmark's name. Once
+// base.Ctx is done, the running simulation stops and Measure returns an
+// error wrapping sim.ErrCanceled.
+func Measure(base platform.Options) (*Params, error) {
+	out := &Params{Network: base.Network}
+	named := func(bench string) platform.Options {
+		o := base
+		o.Label = strings.TrimSpace(base.Label + " " + bench)
+		return o
+	}
 
 	// o: the time an Isend occupies the host before returning, averaged
 	// over a small burst (kept under the eager credit ring).
-	o, err := measureOverhead(ctx, network)
+	o, err := measureOverhead(named("overhead"))
 	if err != nil {
 		return nil, err
 	}
 	out.O = o
 
 	// Round trip: 0-byte ping-pong gives L + 2o per direction.
-	pp, err := microbench.PingPong(network, []units.Bytes{0}, 30, env)
+	pp, err := microbench.PingPong(named("pingpong"), []units.Bytes{0}, 30)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +85,7 @@ func Measure(ctx context.Context, network platform.Network) (*Params, error) {
 	}
 
 	// g: streaming 1-byte messages; G: streaming 1 MiB messages.
-	st, err := microbench.Streaming(network, []units.Bytes{1, 1 * units.MiB}, 16, 10, env)
+	st, err := microbench.Streaming(named("streaming"), []units.Bytes{1, 1 * units.MiB}, 16, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +95,9 @@ func Measure(ctx context.Context, network platform.Network) (*Params, error) {
 }
 
 // measureOverhead times a burst of nonblocking sends at the sender.
-func measureOverhead(ctx context.Context, network platform.Network) (units.Duration, error) {
-	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1, Ctx: ctx})
+func measureOverhead(opts platform.Options) (units.Duration, error) {
+	opts.Ranks, opts.PPN = 2, 1
+	m, err := platform.New(opts)
 	if err != nil {
 		return 0, err
 	}

@@ -15,7 +15,7 @@ import (
 func TestMeasureBothNetworks(t *testing.T) {
 	params := map[platform.Network]*Params{}
 	for _, net := range platform.Networks {
-		p, err := Measure(context.Background(), net)
+		p, err := Measure(platform.Options{Network: net})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,12 +49,12 @@ func TestPredictionTracksSimulation(t *testing.T) {
 	// LogGP is a crude model; predictions should land within 2x of
 	// simulated ping-pong for latency-dominated sizes.
 	for _, net := range platform.Networks {
-		p, err := Measure(context.Background(), net)
+		p, err := Measure(platform.Options{Network: net})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sizes := []units.Bytes{0, 256, 4 * units.KiB}
-		pp, err := microbench.PingPong(net, sizes, 10)
+		pp, err := microbench.PingPong(platform.Options{Network: net}, sizes, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestMeasureCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, net := range platform.Networks {
-		p, err := Measure(ctx, net)
+		p, err := Measure(platform.Options{Network: net, Ctx: ctx})
 		if !errors.Is(err, sim.ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want sim.ErrCanceled wrapping context.Canceled", net, err)
 		}

@@ -13,7 +13,7 @@ import (
 
 func pingAt(t *testing.T, network platform.Network, size units.Bytes) PingPongPoint {
 	t.Helper()
-	pts, err := PingPong(network, []units.Bytes{size}, 20)
+	pts, err := PingPong(platform.Options{Network: network}, []units.Bytes{size}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestAnchor4MBRegistrationThrash(t *testing.T) {
 // five advantage using the streaming benchmark" at small sizes.
 func TestAnchorStreamingSmallMessageRatio(t *testing.T) {
 	sizes := []units.Bytes{64, 256}
-	el, err := Streaming(platform.QuadricsElan4, sizes, 16, 12)
+	el, err := Streaming(platform.Options{Network: platform.QuadricsElan4}, sizes, 16, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib, err := Streaming(platform.InfiniBand4X, sizes, 16, 12)
+	ib, err := Streaming(platform.Options{Network: platform.InfiniBand4X}, sizes, 16, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAnchorStreamingSmallMessageRatio(t *testing.T) {
 func TestStreamingBeatsPingPong(t *testing.T) {
 	for _, network := range platform.Networks {
 		pp := pingAt(t, network, 4*units.KiB).Bandwidth
-		st, err := Streaming(network, []units.Bytes{4 * units.KiB}, 16, 12)
+		st, err := Streaming(platform.Options{Network: network}, []units.Bytes{4 * units.KiB}, 16, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestStreamingBeatsPingPong(t *testing.T) {
 // IB than for Elan (Figure 1(d)).
 func TestAnchorBEffScaling(t *testing.T) {
 	perProc := func(network platform.Network, ranks int) float64 {
-		r, err := BEff(network, ranks, 3, 42)
+		r, err := BEff(platform.Options{Network: network}, ranks, 3, 42)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,39 +1,20 @@
 // Package microbench implements the paper's three micro-benchmarks
 // (Section 2.1): Pallas-style ping-pong, non-blocking streaming, and the
-// Effective Bandwidth (b_eff) benchmark.
+// Effective Bandwidth (b_eff) benchmark. Each builds its machine from a
+// base platform.Options: the caller sets Network and, optionally, the
+// machine's environment (Metrics, Label, FaultSpec, Ctx); the benchmark
+// sets the rank layout.
 package microbench
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/units"
 )
-
-// Env is the optional trailing environment each benchmark accepts: an
-// observability registry (nil disables recording), a fault spec
-// installed on the machine's fabric (empty leaves fault injection off; see
-// internal/fault for the language) and a context that cancels the run
-// (nil never cancels; see platform.Options.Ctx). The zero value — what
-// callers passing nothing get — is the default clean environment.
-type Env struct {
-	Metrics *metrics.Registry
-	Faults  string
-	Ctx     context.Context
-}
-
-// envOf unwraps the optional trailing environment.
-func envOf(env []Env) Env {
-	if len(env) > 0 {
-		return env[0]
-	}
-	return Env{}
-}
 
 // PingPongPoint is one row of Figure 1(a)/(b): the average one-way latency
 // and the implied bandwidth at one message size.
@@ -53,14 +34,12 @@ func DefaultSizes() []units.Bytes {
 	return sizes
 }
 
-// PingPong runs the Pallas-PingPong pattern between two ranks on the given
+// PingPong runs the Pallas-PingPong pattern between two ranks on base's
 // network: rank 0 sends, rank 1 returns the same message; latency is half
-// the round trip, averaged over iters exchanges after warmup. An optional
-// metrics registry records counters and (if tracing) a timeline.
-func PingPong(network platform.Network, sizes []units.Bytes, iters int, env ...Env) ([]PingPongPoint, error) {
-	e := envOf(env)
-	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Ctx: e.Ctx, Label: "pingpong " + network.Short()})
+// the round trip, averaged over iters exchanges after warmup.
+func PingPong(base platform.Options, sizes []units.Bytes, iters int) ([]PingPongPoint, error) {
+	base.Ranks, base.PPN = 2, 1
+	m, err := platform.New(base)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +85,13 @@ type StreamingPoint struct {
 	Bandwidth units.Rate
 }
 
-// Streaming runs the non-blocking streaming pattern: the receiver pre-posts
+// Streaming runs the non-blocking streaming pattern on base's network: the receiver pre-posts
 // `window` receives; the sender fires `window` back-to-back nonblocking
 // sends; both wait; repeat for iters windows. This quantifies the ability
 // to fill the message-passing pipeline (Section 2.1).
-func Streaming(network platform.Network, sizes []units.Bytes, window, iters int, env ...Env) ([]StreamingPoint, error) {
-	e := envOf(env)
-	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Ctx: e.Ctx, Label: "streaming " + network.Short()})
+func Streaming(base platform.Options, sizes []units.Bytes, window, iters int) ([]StreamingPoint, error) {
+	base.Ranks, base.PPN = 2, 1
+	m, err := platform.New(base)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +151,7 @@ func BEffSizes() []units.Bytes {
 }
 
 // BEff measures effective bandwidth for a job of the given size at 1
-// process per node, following the b_eff method: several communication
+// process per node on base's network, following the b_eff method: several communication
 // patterns (rings and random pairings), the geometric size ladder, and a
 // logarithmic average over sizes of the pattern-average aggregate
 // bandwidth.
@@ -182,13 +160,12 @@ func BEffSizes() []units.Bytes {
 // line-for-line port: patterns are one nearest-neighbour ring, one
 // stride-ring, and three seeded random permutations; each is measured with
 // Sendrecv loops.
-func BEff(network platform.Network, ranks, itersPerSize int, seed uint64, env ...Env) (*BEffResult, error) {
+func BEff(base platform.Options, ranks, itersPerSize int, seed uint64) (*BEffResult, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("microbench: b_eff needs at least 2 ranks")
 	}
-	e := envOf(env)
-	m, err := platform.New(platform.Options{Network: network, Ranks: ranks, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Ctx: e.Ctx, Label: fmt.Sprintf("beff%d %s", ranks, network.Short())})
+	base.Ranks, base.PPN = ranks, 1
+	m, err := platform.New(base)
 	if err != nil {
 		return nil, err
 	}

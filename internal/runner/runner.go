@@ -103,10 +103,13 @@ func (e *PanicError) Error() string {
 	return b.String()
 }
 
-// TimeoutError reports a job that its timeout stopped.
+// TimeoutError reports a job that its timeout stopped. Err is the error
+// the job returned, which Unwrap exposes (a simulation's wraps
+// sim.ErrCanceled).
 type TimeoutError struct {
 	JobID string
 	Limit time.Duration
+	Err   error
 }
 
 // Error implements error.
@@ -116,6 +119,9 @@ func (e *TimeoutError) Error() string {
 
 // Is lets errors.Is(err, context.DeadlineExceeded) match.
 func (e *TimeoutError) Is(target error) bool { return target == context.DeadlineExceeded }
+
+// Unwrap returns the job's own error.
+func (e *TimeoutError) Unwrap() error { return e.Err }
 
 // Pool runs jobs on a bounded set of workers.
 //
@@ -144,8 +150,7 @@ type Pool struct {
 
 // Run executes all jobs and returns their results in submission order.
 // It never returns an early error: per-job failures (including panics and
-// timeouts) land in the corresponding Result.Err. Use FirstError to
-// collapse the slice into a single error.
+// timeouts) land in the corresponding Result.Err; Failures collects them.
 func (p *Pool) Run(ctx context.Context, jobs []Job) []Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -221,52 +226,10 @@ func (p *Pool) runJob(ctx context.Context, job Job) (r Result) {
 			r.Err = &PanicError{JobID: job.ID, Labels: job.Labels, Value: v, Stack: string(debug.Stack())}
 		}
 		if p.Timeout > 0 && errors.Is(r.Err, context.DeadlineExceeded) && ctx.Err() == nil {
-			r.Err = &TimeoutError{JobID: job.ID, Limit: p.Timeout}
+			r.Err = &TimeoutError{JobID: job.ID, Limit: p.Timeout, Err: r.Err}
 		}
 		r.ID, r.Labels, r.Wall = job.ID, job.Labels, time.Since(start) //simlint:allow wallclock,timetaint — Wall is diagnostic
 	}()
 	r.Value, r.Err = job.Run(jctx)
 	return r
-}
-
-// FirstError returns the first failure in submission order (deterministic
-// regardless of worker count), or nil if every job succeeded.
-func FirstError(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
-}
-
-// Map runs fn over items on pool p and returns the outputs in item order,
-// or the first error in submission order. label (optional) names each job
-// for panic/timeout attribution.
-func Map[T, R any](ctx context.Context, p *Pool, items []T,
-	label func(i int, item T) string,
-	fn func(ctx context.Context, item T) (R, error)) ([]R, error) {
-	jobs := make([]Job, len(items))
-	for i, item := range items {
-		i, item := i, item
-		id := fmt.Sprintf("job-%d", i)
-		var labels map[string]string
-		if label != nil {
-			id = label(i, item)
-			labels = map[string]string{"job": id}
-		}
-		jobs[i] = Job{ID: id, Labels: labels,
-			Run: func(ctx context.Context) (interface{}, error) { return fn(ctx, item) }}
-	}
-	results := p.Run(ctx, jobs)
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
-	out := make([]R, len(results))
-	for i, r := range results {
-		if r.Value != nil {
-			out[i] = r.Value.(R)
-		}
-	}
-	return out, nil
 }

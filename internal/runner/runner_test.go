@@ -26,8 +26,8 @@ func TestSubmissionOrder(t *testing.T) {
 	}
 	p := &Pool{Workers: 8}
 	results := p.Run(context.Background(), jobs)
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
+	if fails := Failures(results); len(fails) > 0 {
+		t.Fatal(fails)
 	}
 	for i, r := range results {
 		if r.Value.(int) != i {
@@ -86,8 +86,8 @@ func TestPanicIsolation(t *testing.T) {
 			t.Fatalf("job %d value = %v", i, r.Value)
 		}
 	}
-	if FirstError(results) == nil {
-		t.Fatal("FirstError should surface the panic")
+	if len(Failures(results)) == 0 {
+		t.Fatal("Failures should list the panic")
 	}
 }
 
@@ -167,6 +167,9 @@ func TestTimeout(t *testing.T) {
 	if !errors.Is(results[1].Err, context.DeadlineExceeded) {
 		t.Error("TimeoutError should match context.DeadlineExceeded")
 	}
+	if te.Err == nil || errors.Unwrap(results[1].Err) != te.Err {
+		t.Errorf("TimeoutError does not unwrap to the job's error %v", te.Err)
+	}
 }
 
 // TestCanceledJobIsNotATimeout: a job stopped because the caller canceled
@@ -197,8 +200,8 @@ func TestJobContextDeadline(t *testing.T) {
 			return "ok", nil
 		}}}
 	results := (&Pool{Workers: 1, Timeout: 10 * time.Millisecond}).Run(context.Background(), jobs)
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
+	if fails := Failures(results); len(fails) > 0 {
+		t.Fatal(fails)
 	}
 }
 
@@ -259,42 +262,14 @@ func (w lockedWriter) Write(p []byte) (int, error) {
 	return w.b.Write(p)
 }
 
-// TestMap: the generic helper preserves item order and propagates the
-// first error in submission order.
-func TestMap(t *testing.T) {
-	items := []int{5, 3, 8, 1}
-	out, err := Map(context.Background(), &Pool{Workers: 4}, items,
-		func(_ int, v int) string { return fmt.Sprintf("sq-%d", v) },
-		func(_ context.Context, v int) (int, error) { return v * v, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range items {
-		if out[i] != v*v {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], v*v)
-		}
-	}
-
-	_, err = Map(context.Background(), &Pool{Workers: 4}, items, nil,
-		func(_ context.Context, v int) (int, error) {
-			if v == 3 {
-				return 0, fmt.Errorf("boom at %d", v)
-			}
-			return v, nil
-		})
-	if err == nil || !strings.Contains(err.Error(), "boom at 3") {
-		t.Fatalf("Map error = %v", err)
-	}
-}
-
 // TestZeroJobs: an empty sweep is a no-op.
 func TestZeroJobs(t *testing.T) {
 	results := (&Pool{}).Run(context.Background(), nil)
 	if len(results) != 0 {
 		t.Fatal("expected no results")
 	}
-	if FirstError(results) != nil {
-		t.Fatal("no error expected")
+	if len(Failures(results)) != 0 {
+		t.Fatal("no failure expected")
 	}
 }
 
@@ -306,8 +281,8 @@ func TestDefaultWorkers(t *testing.T) {
 		jobs[i] = Job{ID: fmt.Sprint(i), Run: func(context.Context) (interface{}, error) { return i, nil }}
 	}
 	results := (&Pool{}).Run(context.Background(), jobs)
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
+	if fails := Failures(results); len(fails) > 0 {
+		t.Fatal(fails)
 	}
 	for i, r := range results {
 		if r.Value.(int) != i {

@@ -317,6 +317,24 @@ var ErrEventLimit = errors.New("sim: event limit exceeded")
 // context.Canceled or context.DeadlineExceeded as well.
 var ErrCanceled = errors.New("sim: canceled")
 
+// PanicError is a panic raised by an event callback or a process body,
+// recorded as the run's error. Its message names where and when the panic
+// happened and the panic's value, and so is the same in every invocation;
+// the goroutine stack, whose numbers and addresses are not, stays out of
+// it, in Stack.
+type PanicError struct {
+	// In is "event" or `process "<name>"`.
+	In    string
+	At    Time
+	Value any
+	Stack string
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: panic in %s at t=%v: %v\n(goroutine stack in sim.PanicError.Stack)", e.In, e.At, e.Value)
+}
+
 // Stop requests that the run loop return after the current event. It may be
 // called from event or process context, or before a run: a Stop issued
 // while the engine is idle makes the next Run/RunUntil return immediately
@@ -411,7 +429,7 @@ const keyMul = 1099511628211
 // eventPanic records a panic raised by an event callback as the run's
 // error, naming the event's time.
 func (e *Engine) eventPanic(r any) {
-	e.err = fmt.Errorf("sim: panic in event at t=%v: %v\n%s", e.now, r, debug.Stack())
+	e.err = &PanicError{In: "event", At: e.now, Value: r, Stack: string(debug.Stack())}
 }
 
 // advanceTo moves the clock forward to deadline on a clean RunUntil return.

@@ -323,6 +323,39 @@ func TestEventPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestPanicErrorIsDeterministic: a panicking run made twice gives the
+// same error text, in an event callback and in a process body alike. The
+// stack, which differs between the two, rides on the *PanicError.
+func TestPanicErrorIsDeterministic(t *testing.T) {
+	runs := map[string]func(e *Engine){
+		"event": func(e *Engine) {
+			e.At(units.Time(units.Microsecond), func() { panic("kaboom") })
+		},
+		"process": func(e *Engine) {
+			e.Spawn("bad", func(p *Proc) {
+				p.Sleep(units.Microsecond)
+				panic("boom")
+			})
+		},
+	}
+	for name, setup := range runs {
+		var msgs [2]string
+		for i := range msgs {
+			e := NewEngine()
+			setup(e)
+			err := e.Run()
+			var pe *PanicError
+			if !errors.As(err, &pe) || !strings.Contains(pe.Stack, "goroutine") {
+				t.Fatalf("%s: err = %v, want a *PanicError carrying the stack", name, err)
+			}
+			msgs[i] = err.Error()
+		}
+		if msgs[0] != msgs[1] {
+			t.Errorf("%s: error text differs between two runs:\n%s\n---\n%s", name, msgs[0], msgs[1])
+		}
+	}
+}
+
 func TestEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(100)

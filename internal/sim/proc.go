@@ -74,8 +74,8 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 					e.host, e.handoff = nil, nil
 					e.eventPanic(r)
 				case !isKill && e.err == nil:
-					e.err = fmt.Errorf("sim: panic in process %q at t=%v: %v\n%s",
-						p.name, e.now, r, debug.Stack())
+					e.err = &PanicError{In: fmt.Sprintf("process %q", p.name), At: e.now,
+						Value: r, Stack: string(debug.Stack())}
 				}
 			}
 			p.done = true

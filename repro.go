@@ -146,18 +146,18 @@ type (
 // PingPong measures average one-way latency between two nodes for each
 // message size (the Pallas PingPong method).
 func PingPong(network Network, sizes []Bytes, iters int) ([]PingPongPoint, error) {
-	return microbench.PingPong(network, sizes, iters)
+	return microbench.PingPong(platform.Options{Network: network}, sizes, iters)
 }
 
 // Streaming measures sustained unidirectional bandwidth with `window`
 // messages in flight.
 func Streaming(network Network, sizes []Bytes, window, iters int) ([]StreamingPoint, error) {
-	return microbench.Streaming(network, sizes, window, iters)
+	return microbench.Streaming(platform.Options{Network: network}, sizes, window, iters)
 }
 
 // BEff measures the effective bandwidth of a job of the given size.
 func BEff(network Network, ranks, itersPerSize int, seed uint64) (*BEffResult, error) {
-	return microbench.BEff(network, ranks, itersPerSize, seed)
+	return microbench.BEff(platform.Options{Network: network}, ranks, itersPerSize, seed)
 }
 
 // DefaultSizes returns the paper's message-size sweep (0 B to 4 MB).
