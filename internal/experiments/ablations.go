@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/ib"
 	"repro/internal/loggp"
 	"repro/internal/mpi"
 	"repro/internal/mpi/mvib"
 	"repro/internal/platform"
-	"repro/internal/report"
 	"repro/internal/units"
 )
 
@@ -69,8 +67,8 @@ func runXReg(o Options) (*Result, error) {
 	// machine across the size loop — registration-cache state carrying
 	// over between transfers is the effect under study — so the sizes stay
 	// serial within a column while the four columns run in parallel.
-	column := func(label string, net platform.Network, tuneIB func(*ib.Params, *mvib.Params)) point[[]float64] {
-		return point[[]float64]{label, func(base platform.Options) ([]float64, error) {
+	column := func(label string, net platform.Network, tuneIB func(*ib.Params, *mvib.Params)) point {
+		return point{label, func(base platform.Options) ([]float64, error) {
 			base.Network, base.Ranks, base.PPN, base.TuneIB = net, 2, 1, tuneIB
 			m, err := platform.New(base)
 			if err != nil {
@@ -87,7 +85,7 @@ func runXReg(o Options) (*Result, error) {
 			return out, nil
 		}}
 	}
-	var points []point[[]float64]
+	var points []point
 	for _, c := range caps {
 		points = append(points, column(capLabel(c), platform.InfiniBand4X, func(hp *ib.Params, _ *mvib.Params) {
 			if c == 0 {
@@ -98,13 +96,13 @@ func runXReg(o Options) (*Result, error) {
 		}))
 	}
 	points = append(points, column("Elan4", platform.QuadricsElan4, nil))
-	cols, _ := runPoints(o, r, points)
+	cols := runPoints(o, r, points)
 	for i, size := range sizes {
 		row := []interface{}{fmtBytes(size)}
-		for _, col := range cols {
-			row = append(row, nanAt(col, i))
+		for _, c := range caps {
+			row = append(row, cols.at(capLabel(c), i))
 		}
-		t.AddRow(row...)
+		t.AddRow(append(row, cols.at("Elan4", i))...)
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -124,15 +122,18 @@ func runXOverlap(o Options) (*Result, error) {
 	sizes := []units.Bytes{64 * units.KiB, 512 * units.KiB, 2 * units.MiB}
 	r := &Result{ID: "xoverlap", Title: "Overlap capability: (post, compute, wait) total time / compute time"}
 	t := newTable("Extension X-3", "size", "Elan4 ratio", "IB ratio")
-	var points []point[float64]
+	id := func(net platform.Network, size units.Bytes) string {
+		return fmt.Sprintf("overlap %s %v", net.Short(), size)
+	}
+	var points []point
 	for _, size := range sizes {
 		for _, net := range platform.Networks {
-			points = append(points, point[float64]{fmt.Sprintf("overlap %s %v", net.Short(), size),
-				func(base platform.Options) (float64, error) {
+			points = append(points, point{id(net, size),
+				func(base platform.Options) ([]float64, error) {
 					base.Network, base.Ranks, base.PPN = net, 2, 1
 					m, err := platform.New(base)
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
 					var total units.Duration
 					_, err = m.Run(func(rk *mpi.Rank) {
@@ -148,15 +149,15 @@ func runXOverlap(o Options) (*Result, error) {
 						}
 					})
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
-					return float64(total) / float64(compute), nil
+					return []float64{float64(total) / float64(compute)}, nil
 				}})
 		}
 	}
-	ratios := runFloats(o, r, points)
-	for i, size := range sizes {
-		t.AddRow(fmtBytes(size), ratios[2*i], ratios[2*i+1])
+	ratios := runPoints(o, r, points)
+	for _, size := range sizes {
+		t.AddRow(fmtBytes(size), ratios.at(id(platform.QuadricsElan4, size), 0), ratios.at(id(platform.InfiniBand4X, size), 0))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -179,40 +180,43 @@ func runXLogGP(o Options) (*Result, error) {
 	if o.Quick {
 		iters = 3
 	}
-	var fits []point[*loggp.Params]
-	var pingPongs []point[[]float64]
+	// A fit point measures L, o and g in picoseconds, G in ns/byte, and
+	// the fit's predicted one-way latency in us at each of sizes.
+	fitID := func(net platform.Network) string { return "fit " + net.Short() }
+	simID := func(net platform.Network) string { return "ping-pong " + net.Short() }
+	var points []point
 	for _, net := range platform.Networks {
-		fits = append(fits, point[*loggp.Params]{"fit " + net.Short(), func(base platform.Options) (*loggp.Params, error) {
+		points = append(points, point{fitID(net), func(base platform.Options) ([]float64, error) {
 			base.Network = net
-			return loggp.Measure(base)
+			p, err := loggp.Measure(base)
+			if err != nil {
+				return nil, err
+			}
+			fit := []float64{float64(p.L), float64(p.O), float64(p.Gap), p.G.Nanoseconds()}
+			for _, size := range sizes {
+				fit = append(fit, p.PredictLatency(size).Microseconds())
+			}
+			return fit, nil
 		}})
-		pingPongs = append(pingPongs, pingPongUs("ping-pong "+net.Short(), net, sizes, iters))
 	}
-	fitted, _ := runPoints(o, r, fits) // nil for a network whose fit failed
-	simulated, _ := runPoints(o, r, pingPongs)
-	for i, p := range fitted {
-		net := platform.Networks[i]
-		if p == nil {
-			t.AddRow(net.Short(), report.Failed, report.Failed, report.Failed, math.NaN(), math.NaN())
-			continue
-		}
-		t.AddRow(net.Short(), fmt.Sprint(p.L), fmt.Sprint(p.O), fmt.Sprint(p.Gap),
-			p.G.Nanoseconds(), 1e3/p.G.Nanoseconds())
+	for _, net := range platform.Networks {
+		points = append(points, pingPongUs(simID(net), net, sizes, iters))
+	}
+	vals := runPoints(o, r, points)
+	duration := func(ps float64) string { return units.Duration(ps).String() }
+	for _, net := range platform.Networks {
+		at := func(i int) float64 { return vals.at(fitID(net), i) }
+		t.AddRow(net.Short(), fmtCell(at(0), duration), fmtCell(at(1), duration), fmtCell(at(2), duration),
+			at(3), 1e3/at(3))
 	}
 	r.Tables = append(r.Tables, t)
 
 	v := newTable("LogGP prediction vs simulation (one-way us)", "size", "Elan4 pred", "Elan4 sim", "IB pred", "IB sim")
-	// predicted one-way latency, NaN for a failed fit.
-	predicted := func(p *loggp.Params, size units.Bytes) float64 {
-		if p == nil {
-			return math.NaN()
-		}
-		return p.PredictLatency(size).Microseconds()
-	}
+	el, ib := platform.QuadricsElan4, platform.InfiniBand4X
 	for i, size := range sizes {
 		v.AddRow(fmtBytes(size),
-			predicted(fitted[0], size), nanAt(simulated[0], i),
-			predicted(fitted[1], size), nanAt(simulated[1], i))
+			vals.at(fitID(el), 4+i), vals.at(simID(el), i),
+			vals.at(fitID(ib), 4+i), vals.at(simID(ib), i))
 	}
 	r.Tables = append(r.Tables, v)
 	r.Notes = append(r.Notes,

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/mvib"
 	"repro/internal/platform"
-	"repro/internal/report"
 	"repro/internal/units"
 )
 
@@ -46,22 +45,22 @@ func runXAttrib(o Options) (*Result, error) {
 
 	// Each configuration sets the network and the Tune* hooks it changes.
 	config := func(id string, net platform.Network, tuneFabric func(*fabric.Params),
-		tuneIB func(*ib.Params, *mvib.Params)) point[float64] {
-		return point[float64]{id, func(base platform.Options) (float64, error) {
+		tuneIB func(*ib.Params, *mvib.Params)) point {
+		return point{id, func(base platform.Options) ([]float64, error) {
 			base.Network, base.Ranks, base.PPN = net, nodes*ppn, ppn
 			base.TuneFabric, base.TuneIB = tuneFabric, tuneIB
 			m, err := platform.New(base)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			res, err := m.Run(app)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return res.Elapsed.Seconds(), nil
+			return []float64{res.Elapsed.Seconds()}, nil
 		}}
 	}
-	vals := runFloats(o, r, []point[float64]{
+	vals := runPoints(o, r, []point{
 		config("stock IB", platform.InfiniBand4X, nil, nil),
 		config("upgraded IB", platform.InfiniBand4X,
 			func(p *fabric.Params) {
@@ -80,11 +79,11 @@ func runXAttrib(o Options) (*Result, error) {
 			}),
 		config("Elan4", platform.QuadricsElan4, nil, nil),
 	})
-	stock, upgraded, elan := vals[0], vals[1], vals[2]
+	stock, upgraded, elan := vals.at("stock IB", 0), vals.at("upgraded IB", 0), vals.at("Elan4", 0)
 
 	t := newTable("Extension X-5", "configuration", "time (s)", "vs Elan-4")
 	addRow := func(label string, v float64) {
-		t.AddRow(label, fmtSeconds(v), fmtPercent(v/elan-1))
+		t.AddRow(label, fmtCell(v, fmtSeconds), fmtCell(v/elan-1, fmtPercent))
 	}
 	addRow("stock 4X InfiniBand (MVAPICH architecture)", stock)
 	addRow("IB with Elan-class wires/NIC speed, same architecture", upgraded)
@@ -98,14 +97,8 @@ func runXAttrib(o Options) (*Result, error) {
 	return r, nil
 }
 
-// fmtPercent renders a relative change as a signed percentage, and a
-// failed one (NaN) as report.Failed.
-func fmtPercent(x float64) string {
-	if math.IsNaN(x) {
-		return report.Failed
-	}
-	return fmt.Sprintf("%+.1f%%", x*100)
-}
+// fmtPercent renders a relative change as a signed percentage.
+func fmtPercent(x float64) string { return fmt.Sprintf("%+.1f%%", x*100) }
 
 // runXEager reproduces the Section 4.1 trade-off: raising MVAPICH's eager
 // threshold moves the latency step but inflates the per-peer buffer memory
@@ -129,9 +122,10 @@ func runXEager(o Options) (*Result, error) {
 	headers = append(headers, fmt.Sprintf("eager MiB/rank @%d ranks", jobRanks))
 	t := newTable("Extension X-6", headers...)
 
-	var points []point[[]float64]
+	id := func(th units.Bytes) string { return "threshold " + fmtBytes(th) }
+	var points []point
 	for _, th := range thresholds {
-		points = append(points, point[[]float64]{"threshold " + fmtBytes(th), func(base platform.Options) ([]float64, error) {
+		points = append(points, point{id(th), func(base platform.Options) ([]float64, error) {
 			base.Network, base.Ranks, base.PPN = platform.InfiniBand4X, 2, 1
 			base.TuneIB = func(_ *ib.Params, tp *mvib.Params) {
 				tp.RDMAEagerMax = th
@@ -154,11 +148,11 @@ func runXEager(o Options) (*Result, error) {
 			return lats, nil
 		}})
 	}
-	lats, _ := runPoints(o, r, points)
-	for ti, th := range thresholds {
+	lats := runPoints(o, r, points)
+	for _, th := range thresholds {
 		row := []interface{}{fmtBytes(th)}
 		for i := range probeSizes {
-			row = append(row, nanAt(lats[ti], i))
+			row = append(row, lats.at(id(th), i))
 		}
 		// Memory: slots * (threshold+header) * 2 directions * (P-1) peers.
 		tp := mvib.DefaultParams()
@@ -199,11 +193,12 @@ func runXNoise(o Options) (*Result, error) {
 		}
 	}
 	r := &Result{ID: "xnoise", Title: "2% per-node OS noise under a compute+allreduce loop (Elan-4, 1 PPN)"}
-	var points []point[float64]
+	id := func(nodes int, noisy bool) string { return fmt.Sprintf("nodes=%d noisy=%t", nodes, noisy) }
+	var points []point
 	for _, nodes := range nodeCounts {
 		for _, noisy := range []bool{false, true} {
-			points = append(points, point[float64]{fmt.Sprintf("nodes=%d noisy=%t", nodes, noisy),
-				func(base platform.Options) (float64, error) {
+			points = append(points, point{id(nodes, noisy),
+				func(base platform.Options) ([]float64, error) {
 					base.Network, base.Ranks, base.PPN = platform.QuadricsElan4, nodes, 1
 					base.TuneMPI = func(cfg *mpi.Config) {
 						if noisy {
@@ -214,21 +209,21 @@ func runXNoise(o Options) (*Result, error) {
 					}
 					m, err := platform.New(base)
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
 					res, err := m.Run(app)
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
-					return res.Elapsed.Seconds(), nil
+					return []float64{res.Elapsed.Seconds()}, nil
 				}})
 		}
 	}
-	vals := runFloats(o, r, points)
+	vals := runPoints(o, r, points)
 	t := newTable("Extension X-7", "nodes", "quiet (s)", "noisy (s)", "slowdown %")
-	for i, n := range nodeCounts {
-		quiet, noisy := vals[2*i], vals[2*i+1]
-		t.AddRow(n, fmtSeconds(quiet), fmtSeconds(noisy), (noisy/quiet-1)*100)
+	for _, n := range nodeCounts {
+		quiet, noisy := vals.at(id(n, false), 0), vals.at(id(n, true), 0)
+		t.AddRow(n, fmtCell(quiet, fmtSeconds), fmtCell(noisy, fmtSeconds), (noisy/quiet-1)*100)
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -257,12 +252,13 @@ func runXRGet(o Options) (*Result, error) {
 	// in Recv the whole time. Push rendezvous cannot move the payload until
 	// the SENDER re-enters MPI (ratio >= 1); pull moves it as soon as the
 	// receiver matches the RTS (ratio << 1), like Elan's NIC does.
-	measure := func(config string, net platform.Network, tuneIB func(*ib.Params, *mvib.Params), size units.Bytes) point[float64] {
-		return point[float64]{config + " " + fmtBytes(size), func(base platform.Options) (float64, error) {
+	id := func(config string, size units.Bytes) string { return config + " " + fmtBytes(size) }
+	measure := func(config string, net platform.Network, tuneIB func(*ib.Params, *mvib.Params), size units.Bytes) point {
+		return point{id(config, size), func(base platform.Options) ([]float64, error) {
 			base.Network, base.Ranks, base.PPN, base.TuneIB = net, 2, 1, tuneIB
 			m, err := platform.New(base)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			var recvDone units.Duration
 			_, err = m.Run(func(rk *mpi.Rank) {
@@ -276,22 +272,22 @@ func runXRGet(o Options) (*Result, error) {
 				}
 			})
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return float64(recvDone) / float64(compute), nil
+			return []float64{float64(recvDone) / float64(compute)}, nil
 		}}
 	}
 	pull := func(_ *ib.Params, tp *mvib.Params) { tp.ReadRendezvous = true }
-	var points []point[float64]
+	var points []point
 	for _, size := range sizes {
 		points = append(points,
 			measure("IB push", platform.InfiniBand4X, nil, size),
 			measure("IB pull", platform.InfiniBand4X, pull, size),
 			measure("Elan4", platform.QuadricsElan4, nil, size))
 	}
-	vals := runFloats(o, r, points)
-	for i, size := range sizes {
-		t.AddRow(fmtBytes(size), vals[3*i], vals[3*i+1], vals[3*i+2])
+	vals := runPoints(o, r, points)
+	for _, size := range sizes {
+		t.AddRow(fmtBytes(size), vals.at(id("IB push", size), 0), vals.at(id("IB pull", size), 0), vals.at(id("Elan4", size), 0))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,

@@ -43,8 +43,9 @@ func runFig6(o Options) (*Result, error) {
 		erow := []interface{}{n * 1}
 		for _, net := range platform.Networks {
 			for _, ppn := range []int{1, 2} {
-				mrow = append(mrow, ofElapsed(times[seriesKey{net, ppn, n}],
-					func(d units.Duration) float64 { return params.MOpsPerProcess(d, n*ppn) }))
+				// MOps/s is inversely proportional to time, so a failed
+				// (NaN) time gives a failed rate.
+				mrow = append(mrow, params.MOpsPerProcess(units.Second, n*ppn)/times[seriesKey{net, ppn, n}])
 				erow = append(erow, effSeries[seriesLabel(net, ppn)][i])
 			}
 		}

@@ -78,21 +78,39 @@ func (o Options) ctx() context.Context {
 }
 
 // A point is one simulation an experiment makes. Its ID names it in
-// failures, progress and the timeline; run builds and runs its machines
-// from base, filling in Network, Ranks, PPN, Radix and any Tune* hook.
-type point[T any] struct {
+// failures, progress and the timeline, and keys its values; run builds and
+// runs its machines from base, filling in Network, Ranks, PPN, Radix and any
+// Tune* hook, and returns the numbers it measured.
+type point struct {
 	id  string
-	run func(base platform.Options) (T, error)
+	run func(base platform.Options) ([]float64, error)
+}
+
+// values holds what each point measured, by point ID. A failed point
+// measured nothing, so each of its values reads NaN, and arithmetic carries
+// the NaN into every value derived from it (a ratio, an efficiency), which
+// renders as report.Failed.
+type values map[string][]float64
+
+// at returns value i of point id: NaN if the point failed.
+func (v values) at(id string, i int) float64 {
+	vals, ok := v[id]
+	if !ok {
+		panic(fmt.Sprintf("experiments: no point %q", id))
+	}
+	if vals == nil {
+		return math.NaN()
+	}
+	return vals[i]
 }
 
 // runPoints is the one place an experiment's simulations run. Each point
 // is one job on the experiment's pool, bounded by Timeout, and gets a base
 // carrying the experiment's environment: Metrics, Faults as FaultSpec, the
-// job's context as Ctx, and the point's ID as Label. Values come back in
-// point order, so the output is independent of Jobs. A point that fails
-// does not abort the experiment: it is recorded on res, its ok is false and
-// its value the zero T, which the caller renders as "failed".
-func runPoints[T any](o Options, res *Result, points []point[T]) (vals []T, ok []bool) {
+// job's context as Ctx, and the point's ID as Label. The output does not
+// depend on Jobs. A point that fails does not abort the experiment: it is
+// recorded on res, and its values read NaN.
+func runPoints(o Options, res *Result, points []point) values {
 	jobs := make([]runner.Job, len(points))
 	for i, p := range points {
 		jobs[i] = runner.Job{ID: p.id, Run: func(ctx context.Context) (interface{}, error) {
@@ -101,14 +119,19 @@ func runPoints[T any](o Options, res *Result, points []point[T]) (vals []T, ok [
 	}
 	pool := &runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, Progress: o.Progress, Name: res.ID}
 	results := pool.Run(o.ctx(), jobs)
-	vals, ok = make([]T, len(points)), make([]bool, len(points))
+	vals := make(values, len(points))
 	for i, r := range results {
-		if ok[i] = r.Err == nil; ok[i] {
-			vals[i] = r.Value.(T)
+		id := points[i].id
+		if _, dup := vals[id]; dup {
+			panic(fmt.Sprintf("experiments: two points %q", id))
+		}
+		vals[id] = nil
+		if r.Err == nil {
+			vals[id] = r.Value.([]float64)
 		}
 	}
 	attachFailures(res, runner.Failures(results))
-	return vals, ok
+	return vals
 }
 
 // Result is an experiment's output.
@@ -196,27 +219,6 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, sorted)
 }
 
-// runFloats is runPoints for points that measure one number: a failed
-// point reads NaN, which renders as "failed".
-func runFloats(o Options, res *Result, points []point[float64]) []float64 {
-	vals, ok := runPoints(o, res, points)
-	for i := range vals {
-		if !ok[i] {
-			vals[i] = math.NaN()
-		}
-	}
-	return vals
-}
-
-// nanAt returns vals[i], or NaN when vals is nil, the value of a failed
-// point that measures a slice.
-func nanAt(vals []float64, i int) float64 {
-	if vals == nil {
-		return math.NaN()
-	}
-	return vals[i]
-}
-
 // seriesKey names one point of runSeries' grid.
 type seriesKey struct {
 	net   platform.Network
@@ -229,44 +231,34 @@ type seriesKey struct {
 // name, when not empty, prefixes each point's ID.
 func runSeries(o Options, res *Result, name string, nets []platform.Network, nodeCounts []int, ppns []int,
 	app func(r *mpi.Rank)) map[seriesKey]float64 {
-	var keys []seriesKey
-	var points []point[float64]
+	ids := map[seriesKey]string{}
+	var points []point
 	for _, net := range nets {
 		for _, ppn := range ppns {
 			for _, nodes := range nodeCounts {
 				k := seriesKey{net, ppn, nodes}
-				keys = append(keys, k)
-				id := strings.TrimSpace(fmt.Sprintf("%s %s ppn=%d nodes=%d", name, net.Short(), ppn, nodes))
-				points = append(points, point[float64]{id, func(base platform.Options) (float64, error) {
+				ids[k] = strings.TrimSpace(fmt.Sprintf("%s %s ppn=%d nodes=%d", name, net.Short(), ppn, nodes))
+				points = append(points, point{ids[k], func(base platform.Options) ([]float64, error) {
 					base.Network, base.Ranks, base.PPN = k.net, k.nodes*k.ppn, k.ppn
 					m, err := platform.New(base)
 					if err != nil {
-						return 0, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
+						return nil, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
 					}
 					run, err := m.Run(app)
 					if err != nil {
-						return 0, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
+						return nil, fmt.Errorf("%v nodes=%d ppn=%d: %w", k.net, k.nodes, k.ppn, err)
 					}
-					return run.Elapsed.Seconds(), nil
+					return []float64{run.Elapsed.Seconds()}, nil
 				}})
 			}
 		}
 	}
-	vals := runFloats(o, res, points)
-	out := make(map[seriesKey]float64, len(keys))
-	for i, k := range keys {
-		out[k] = vals[i]
+	vals := runPoints(o, res, points)
+	out := make(map[seriesKey]float64, len(ids))
+	for k, id := range ids {
+		out[k] = vals.at(id, 0)
 	}
 	return out
-}
-
-// ofElapsed applies f to a runSeries value converted back to simulated
-// time; a failed point (NaN) stays failed.
-func ofElapsed(s float64, f func(units.Duration) float64) float64 {
-	if math.IsNaN(s) {
-		return s
-	}
-	return f(units.FromSeconds(s))
 }
 
 // attachFailures folds point failures into an experiment result: the
@@ -285,12 +277,19 @@ func seriesLabel(net platform.Network, ppn int) string {
 	return fmt.Sprintf("%s %dPPN", net.Short(), ppn)
 }
 
-// fmtSeconds renders a time in seconds with sensible precision, and a
-// failed point (NaN) as report.Failed.
+// fmtCell renders v with format, and a NaN v (a failed point's value, or
+// one derived from it) as report.Failed: AddRow's rule for a float64 cell,
+// for a cell that needs its own format.
+func fmtCell(v float64, format func(float64) string) string {
+	if math.IsNaN(v) {
+		return report.Failed
+	}
+	return format(v)
+}
+
+// fmtSeconds renders a time in seconds with sensible precision.
 func fmtSeconds(s float64) string {
 	switch {
-	case math.IsNaN(s):
-		return report.Failed
 	case s >= 100:
 		return fmt.Sprintf("%.0f", s)
 	case s >= 1:
@@ -311,23 +310,4 @@ func newTable(title string, headers ...string) *report.Table {
 // newKV builds a two-column property table.
 func newKV(title string) *report.Table {
 	return report.NewTable(title, "property", "value")
-}
-
-// atof parses a table cell back to float (cells are produced by AddRow's
-// formatter, so this never sees garbage in practice); a failed cell reads
-// NaN, so a value derived from it is failed too.
-func atof(s string) float64 {
-	if s == report.Failed {
-		return math.NaN()
-	}
-	var v float64
-	fmt.Sscanf(s, "%g", &v)
-	return v
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

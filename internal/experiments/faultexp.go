@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mpi"
 	"repro/internal/platform"
-	"repro/internal/report"
 	"repro/internal/units"
 )
 
@@ -45,13 +45,21 @@ func runXFault(o Options) (*Result, error) {
 
 	r := &Result{ID: "xfault", Title: "Degraded fabric: recovery architecture under injected faults"}
 
+	// fixed(prec) renders a value with prec decimals; the counters are
+	// whole numbers.
+	fixed := func(prec int) func(float64) string {
+		return func(v float64) string { return strconv.FormatFloat(v, 'f', prec, 64) }
+	}
+	el, ib := platform.QuadricsElan4, platform.InfiniBand4X
+
 	// --- Sweep 1: chunk loss on rank 0's injection link. -----------------
 	lossPs := []float64{0, 0.001, 0.01, 0.05}
-	var lossPoints []point[[]string]
+	lossID := func(net platform.Network, p float64) string { return fmt.Sprintf("loss %s p=%g", net.Short(), p) }
+	var lossPoints []point
 	for _, p := range lossPs {
 		for _, net := range platform.Networks {
-			lossPoints = append(lossPoints, point[[]string]{fmt.Sprintf("loss %s p=%g", net.Short(), p),
-				func(base platform.Options) ([]string, error) {
+			lossPoints = append(lossPoints, point{lossID(net, p),
+				func(base platform.Options) ([]float64, error) {
 					base.Network, base.FaultSpec = net, ""
 					if p > 0 {
 						base.FaultSpec = fmt.Sprintf("loss:inj(0):p=%g", p)
@@ -69,22 +77,22 @@ func runXFault(o Options) (*Result, error) {
 						return nil, err
 					}
 					hw, rt := recoveryCounts(m)
-					return []string{fmt.Sprintf("%.2f", lat.Microseconds()), fmt.Sprintf("%.0f", bw),
-						fmt.Sprint(retried + hw), fmt.Sprint(retrans + rt)}, nil
+					return []float64{lat.Microseconds(), bw, float64(retried + hw), float64(retrans + rt)}, nil
 				}})
 		}
 	}
-	loss, _ := runPoints(o, r, lossPoints)
+	loss := runPoints(o, r, lossPoints)
 
 	t1 := newTable("Injection-link chunk loss (ping-pong + streaming, 4 KiB)",
 		"loss p", "Elan4 lat us", "IB lat us", "Elan4 stream MB/s", "IB stream MB/s",
 		"Elan4 hw retries", "IB retransmits")
-	for pi, p := range lossPs {
-		// Points were laid out p-major over Networks = [Elan, IB]; each
-		// renders latency, bandwidth, hardware retries and retransmits.
-		el, ib := pi*2, pi*2+1
-		t1.AddRow(fmt.Sprintf("%g", p), cellAt(loss, el, 0), cellAt(loss, ib, 0),
-			cellAt(loss, el, 1), cellAt(loss, ib, 1), cellAt(loss, el, 2), cellAt(loss, ib, 3))
+	for _, p := range lossPs {
+		// Each point measures latency, bandwidth, hardware retries and
+		// retransmits.
+		e, b := lossID(el, p), lossID(ib, p)
+		t1.AddRow(fmt.Sprintf("%g", p), fmtCell(loss.at(e, 0), fixed(2)), fmtCell(loss.at(b, 0), fixed(2)),
+			fmtCell(loss.at(e, 1), fixed(0)), fmtCell(loss.at(b, 1), fixed(0)),
+			fmtCell(loss.at(e, 2), fixed(0)), fmtCell(loss.at(b, 3), fixed(0)))
 	}
 	r.Tables = append(r.Tables, t1)
 
@@ -99,30 +107,33 @@ func runXFault(o Options) (*Result, error) {
 		{"1ms", "down:spine(0):at=20us:for=1ms"},
 		{"5ms", "down:spine(0):at=20us:for=5ms"},
 	}
-	var spinePoints []point[[]string]
+	spineID := func(net platform.Network, window string) string {
+		return fmt.Sprintf("spine %s %s", net.Short(), window)
+	}
+	var spinePoints []point
 	for _, w := range windows {
 		for _, net := range platform.Networks {
-			spinePoints = append(spinePoints, point[[]string]{fmt.Sprintf("spine %s %s", net.Short(), w.label),
-				func(base platform.Options) ([]string, error) {
+			spinePoints = append(spinePoints, point{spineID(net, w.label),
+				func(base platform.Options) ([]float64, error) {
 					base.Network, base.FaultSpec = net, w.spec
 					span, m, err := faultPingPong(base, 0, 6, size, spIters)
 					if err != nil {
 						return nil, err
 					}
 					_, retrans := recoveryCounts(m)
-					return []string{fmt.Sprintf("%.3f", span.Seconds()*1e3),
-						fmt.Sprint(m.Fab.FaultStats().ChunksRerouted), fmt.Sprint(retrans)}, nil
+					return []float64{span.Seconds() * 1e3, float64(m.Fab.FaultStats().ChunksRerouted), float64(retrans)}, nil
 				}})
 		}
 	}
-	spine, _ := runPoints(o, r, spinePoints)
+	spine := runPoints(o, r, spinePoints)
 
 	t2 := newTable("Spine-0 outage, radix-4 fabric (ping-pong 0<->6, 4 KiB)",
 		"outage", "Elan4 total ms", "IB total ms", "Elan4 rerouted chunks", "IB retransmits")
-	for wi, w := range windows {
-		// Each point renders total time, rerouted chunks and retransmits.
-		el, ib := wi*2, wi*2+1
-		t2.AddRow(w.label, cellAt(spine, el, 0), cellAt(spine, ib, 0), cellAt(spine, el, 1), cellAt(spine, ib, 2))
+	for _, w := range windows {
+		// Each point measures total time, rerouted chunks and retransmits.
+		e, b := spineID(el, w.label), spineID(ib, w.label)
+		t2.AddRow(w.label, fmtCell(spine.at(e, 0), fixed(3)), fmtCell(spine.at(b, 0), fixed(3)),
+			fmtCell(spine.at(e, 1), fixed(0)), fmtCell(spine.at(b, 2), fixed(0)))
 	}
 	r.Tables = append(r.Tables, t2)
 	r.Notes = append(r.Notes,
@@ -208,14 +219,6 @@ func faultStreaming(base platform.Options, size units.Bytes, iters int) (float64
 	}
 	bytes := units.Bytes(window*iters) * size
 	return units.RateOver(bytes, span).MBpsValue(), m, nil
-}
-
-// cellAt returns cell j of point i, or report.Failed for a failed point.
-func cellAt(cells [][]string, i, j int) string {
-	if cells[i] == nil {
-		return report.Failed
-	}
-	return cells[i][j]
 }
 
 // recoveryCounts reads the machine's recovery totals: hardware link-level

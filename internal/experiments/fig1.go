@@ -51,8 +51,8 @@ func fig1Iters(quick bool) int {
 
 // pingPongUs is a point that measures the ping-pong one-way latency on net,
 // in microseconds, at each of sizes.
-func pingPongUs(id string, net platform.Network, sizes []units.Bytes, iters int) point[[]float64] {
-	return point[[]float64]{id, func(base platform.Options) ([]float64, error) {
+func pingPongUs(id string, net platform.Network, sizes []units.Bytes, iters int) point {
+	return point{id, func(base platform.Options) ([]float64, error) {
 		base.Network = net
 		pts, err := microbench.PingPong(base, sizes, iters)
 		if err != nil {
@@ -70,22 +70,25 @@ func runFig1a(o Options) (*Result, error) {
 	sizes := fig1Sizes(o.Quick)
 	iters := fig1Iters(o.Quick)
 	r := &Result{ID: "fig1a", Title: "Ping-pong latency vs message size (log-x)"}
-	var points []point[[]float64]
+	var points []point
 	for _, net := range platform.Networks {
-		points = append(points, pingPongUs("pingpong "+net.Short(), net, sizes, iters))
+		points = append(points, pingPongUs(curveID("pingpong", net), net, sizes, iters))
 	}
-	lat, _ := runPoints(o, r, points)
-	el, ib := lat[0], lat[1] // platform.Networks order: Elan-4 first
+	lat := runPoints(o, r, points)
+	el, ib := curveID("pingpong", platform.QuadricsElan4), curveID("pingpong", platform.InfiniBand4X)
 	t := newTable("Figure 1(a)", "size", "Elan4 us", "IB us", "IB/Elan")
 	for i := range sizes {
-		e, b := nanAt(el, i), nanAt(ib, i)
+		e, b := lat.at(el, i), lat.at(ib, i)
 		t.AddRow(fmtBytes(sizes[i]), e, b, b/e)
 	}
 	r.Tables = append(r.Tables, t)
 	return r, nil
 }
 
-func runFig1b(o Options) (*Result, error) {
+// fig1Bandwidth runs Figure 1(b)'s four two-rank curves for r: ping-pong
+// and streaming on each network. It returns the sizes the curves share and
+// each curve's MB/s at those sizes, keyed by its curveID.
+func fig1Bandwidth(o Options, r *Result) ([]units.Bytes, values) {
 	sizes := fig1Sizes(o.Quick)
 	iters := fig1Iters(o.Quick)
 	window, witers := 16, 8
@@ -97,12 +100,9 @@ func runFig1b(o Options) (*Result, error) {
 	if len(ssizes) > 0 && ssizes[0] == 0 {
 		ssizes = ssizes[1:]
 	}
-	r := &Result{ID: "fig1b", Title: "Bandwidth vs message size: ping-pong and streaming methods"}
-	// Four independent two-rank curves, each as MB/s at ssizes:
-	// ping-pong on both networks, then streaming on both.
-	var points []point[[]float64]
+	var points []point
 	for _, net := range platform.Networks {
-		points = append(points, point[[]float64]{"pingpong " + net.Short(), func(base platform.Options) ([]float64, error) {
+		points = append(points, point{curveID("pingpong", net), func(base platform.Options) ([]float64, error) {
 			base.Network = net
 			pts, err := microbench.PingPong(base, sizes, iters)
 			if err != nil {
@@ -116,7 +116,7 @@ func runFig1b(o Options) (*Result, error) {
 		}})
 	}
 	for _, net := range platform.Networks {
-		points = append(points, point[[]float64]{"streaming " + net.Short(), func(base platform.Options) ([]float64, error) {
+		points = append(points, point{curveID("streaming", net), func(base platform.Options) ([]float64, error) {
 			base.Network = net
 			pts, err := microbench.Streaming(base, ssizes, window, witers)
 			if err != nil {
@@ -129,10 +129,21 @@ func runFig1b(o Options) (*Result, error) {
 			return bw, nil
 		}})
 	}
-	bw, _ := runPoints(o, r, points)
+	return ssizes, runPoints(o, r, points)
+}
+
+// curveID names the point that measures a two-rank curve of method
+// ("pingpong" or "streaming") on net.
+func curveID(method string, net platform.Network) string { return method + " " + net.Short() }
+
+func runFig1b(o Options) (*Result, error) {
+	r := &Result{ID: "fig1b", Title: "Bandwidth vs message size: ping-pong and streaming methods"}
+	sizes, bw := fig1Bandwidth(o, r)
+	el, ib := platform.QuadricsElan4, platform.InfiniBand4X
 	t := newTable("Figure 1(b)", "size", "Elan4 pp MB/s", "IB pp MB/s", "Elan4 str MB/s", "IB str MB/s")
-	for i, size := range ssizes {
-		t.AddRow(fmtBytes(size), nanAt(bw[0], i), nanAt(bw[1], i), nanAt(bw[2], i), nanAt(bw[3], i))
+	for i, size := range sizes {
+		t.AddRow(fmtBytes(size), bw.at(curveID("pingpong", el), i), bw.at(curveID("pingpong", ib), i),
+			bw.at(curveID("streaming", el), i), bw.at(curveID("streaming", ib), i))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -140,19 +151,16 @@ func runFig1b(o Options) (*Result, error) {
 	return r, nil
 }
 
+// runFig1c divides fig1b's measured bandwidths; it re-runs fig1b's points.
 func runFig1c(o Options) (*Result, error) {
-	fb, err := runFig1b(o)
-	if err != nil {
-		return nil, err
-	}
-	src := fb.Tables[0]
 	r := &Result{ID: "fig1c", Title: "Elan-4 to InfiniBand bandwidth ratio vs message size"}
-	attachFailures(r, fb.Failures)
+	sizes, bw := fig1Bandwidth(o, r)
+	ratio := func(method string, i int) float64 {
+		return bw.at(curveID(method, platform.QuadricsElan4), i) / bw.at(curveID(method, platform.InfiniBand4X), i)
+	}
 	t := newTable("Figure 1(c)", "size", "ping-pong ratio", "streaming ratio")
-	for _, row := range src.Rows {
-		ppE, ppI := atof(row[1]), atof(row[2])
-		stE, stI := atof(row[3]), atof(row[4])
-		t.AddRow(row[0], safeDiv(ppE, ppI), safeDiv(stE, stI))
+	for i, size := range sizes {
+		t.AddRow(fmtBytes(size), ratio("pingpong", i), ratio("streaming", i))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes, "paper anchor: streaming ratio exceeds 5x at small sizes")
@@ -168,23 +176,25 @@ func runFig1d(o Options) (*Result, error) {
 	}
 	r := &Result{ID: "fig1d", Title: "b_eff normalized per process vs job size (1 PPN)"}
 	t := newTable("Figure 1(d)", "procs", "Elan4 b_eff/proc MB/s", "IB b_eff/proc MB/s")
-	var points []point[float64]
+	id := func(net platform.Network, procs int) string {
+		return fmt.Sprintf("b_eff %s procs=%d", net.Short(), procs)
+	}
+	var points []point
 	for _, p := range counts {
 		for _, net := range platform.Networks {
-			points = append(points, point[float64]{fmt.Sprintf("b_eff %s procs=%d", net.Short(), p),
-				func(base platform.Options) (float64, error) {
-					base.Network = net
-					res, err := microbench.BEff(base, p, iters, CanonicalSeed)
-					if err != nil {
-						return 0, err
-					}
-					return res.PerProcess.MBpsValue(), nil
-				}})
+			points = append(points, point{id(net, p), func(base platform.Options) ([]float64, error) {
+				base.Network = net
+				res, err := microbench.BEff(base, p, iters, CanonicalSeed)
+				if err != nil {
+					return nil, err
+				}
+				return []float64{res.PerProcess.MBpsValue()}, nil
+			}})
 		}
 	}
-	vals := runFloats(o, r, points)
-	for i, p := range counts {
-		t.AddRow(p, vals[2*i], vals[2*i+1])
+	vals := runPoints(o, r, points)
+	for _, p := range counts {
+		t.AddRow(p, vals.at(id(platform.QuadricsElan4, p), 0), vals.at(id(platform.InfiniBand4X, p), 0))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fabric"
 	"repro/internal/mpi"
@@ -35,15 +34,16 @@ func runXRoute(o Options) (*Result, error) {
 	}
 
 	r := &Result{ID: "xroute", Title: "Permutation traffic across the spine: aggregate MB/s"}
-	measure := func(config string, net platform.Network, forceAdaptive bool, nodes int) point[float64] {
-		return point[float64]{fmt.Sprintf("%s nodes=%d", config, nodes), func(base platform.Options) (float64, error) {
+	id := func(config string, nodes int) string { return fmt.Sprintf("%s nodes=%d", config, nodes) }
+	measure := func(config string, net platform.Network, forceAdaptive bool, nodes int) point {
+		return point{id(config, nodes), func(base platform.Options) ([]float64, error) {
 			base.Network, base.Ranks, base.PPN = net, nodes, 1
 			if forceAdaptive {
 				base.TuneFabric = func(p *fabric.Params) { p.Adaptive = true }
 			}
 			m, err := platform.New(base)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			// Fixed random permutation, same for every configuration. Each
 			// rank streams a window of messages so flows run at line rate —
@@ -66,24 +66,23 @@ func runXRoute(o Options) (*Result, error) {
 				r.Barrier()
 			})
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			bytes := float64(nodes*iters*window) * float64(size)
-			return bytes / res.Elapsed.Seconds() / 1e6, nil // aggregate MB/s
+			return []float64{bytes / res.Elapsed.Seconds() / 1e6}, nil // aggregate MB/s
 		}}
 	}
-	var points []point[float64]
+	var points []point
 	for _, n := range nodeCounts {
 		points = append(points,
 			measure("Elan4", platform.QuadricsElan4, false, n),
 			measure("IB static", platform.InfiniBand4X, false, n),
 			measure("IB adaptive", platform.InfiniBand4X, true, n))
 	}
-	vals := runFloats(o, r, points)
-
+	vals := runPoints(o, r, points)
 	t := newTable("Extension X-8", "nodes", "Elan4 (adaptive)", "IB (static routes)", "IB + adaptive (counterfactual)")
-	for i, n := range nodeCounts {
-		t.AddRow(n, vals[3*i], vals[3*i+1], vals[3*i+2])
+	for _, n := range nodeCounts {
+		t.AddRow(n, vals.at(id("Elan4", n), 0), vals.at(id("IB static", n), 0), vals.at(id("IB adaptive", n), 0))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -95,19 +94,16 @@ func runXRoute(o Options) (*Result, error) {
 	t2 := newTable("Same question on a narrow radix-4 fabric with aligned flows (fabric-level)",
 		"routing", "makespan (ms)", "aggregate MB/s")
 	routings := []string{"static destination routes", "per-packet adaptive"}
-	var narrow []point[[2]float64]
+	var narrow []point
 	for i, label := range routings {
-		narrow = append(narrow, point[[2]float64]{"narrow " + label, func(base platform.Options) ([2]float64, error) {
+		narrow = append(narrow, point{"narrow " + label, func(base platform.Options) ([]float64, error) {
 			makespan, agg, err := narrowFabricPermutation(base, i == 1, o.Quick)
-			return [2]float64{makespan.Seconds() * 1e3, agg}, err
+			return []float64{makespan.Seconds() * 1e3, agg}, err
 		}})
 	}
-	spans, ok := runPoints(o, r, narrow)
-	for i, label := range routings {
-		if !ok[i] {
-			spans[i] = [2]float64{math.NaN(), math.NaN()}
-		}
-		t2.AddRow(label, spans[i][0], spans[i][1])
+	spans := runPoints(o, r, narrow)
+	for _, label := range routings {
+		t2.AddRow(label, spans.at("narrow "+label, 0), spans.at("narrow "+label, 1))
 	}
 	r.Tables = append(r.Tables, t2)
 	r.Notes = append(r.Notes,

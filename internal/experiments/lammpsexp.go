@@ -56,7 +56,7 @@ func runLammps(id, title string, params lammps.Params, o Options) (*Result, erro
 		erow := []interface{}{n}
 		for _, net := range platform.Networks {
 			for _, ppn := range []int{1, 2} {
-				trow = append(trow, fmtSeconds(times[seriesKey{net, ppn, n}]))
+				trow = append(trow, fmtCell(times[seriesKey{net, ppn, n}], fmtSeconds))
 				erow = append(erow, effSeries[seriesLabel(net, ppn)][i])
 			}
 		}
@@ -181,9 +181,9 @@ func runXScale(o Options) (*Result, error) {
 	t := newTable("Extension X-1", "nodes", "Elan4 sim (s)", "Elan4 fit (s)", "IB sim (s)", "IB fit (s)")
 	for _, n := range big {
 		t.AddRow(n,
-			fmtSeconds(times[seriesKey{platform.QuadricsElan4, 1, n}]),
+			fmtCell(times[seriesKey{platform.QuadricsElan4, 1, n}], fmtSeconds),
 			fmtSeconds(fits[seriesLabel(platform.QuadricsElan4, 1)].TimeAt(n)),
-			fmtSeconds(times[seriesKey{platform.InfiniBand4X, 1, n}]),
+			fmtCell(times[seriesKey{platform.InfiniBand4X, 1, n}], fmtSeconds),
 			fmtSeconds(fits[seriesLabel(platform.InfiniBand4X, 1)].TimeAt(n)))
 	}
 	r.Tables = append(r.Tables, t)

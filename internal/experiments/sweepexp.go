@@ -48,8 +48,10 @@ func runFig4(o Options) (*Result, error) {
 	elEff := eff.Compute(procs, elTimes)
 	ibEff := eff.Compute(procs, ibTimes)
 	for i, p := range procs {
-		grind := func(d units.Duration) float64 { return params.GrindTime(d, p) }
-		tg.AddRow(p, ofElapsed(elTimes[i], grind), ofElapsed(ibTimes[i], grind))
+		// Grind time is proportional to time, so a failed (NaN) time gives
+		// a failed grind time.
+		perSecond := params.GrindTime(units.Second, p)
+		tg.AddRow(p, elTimes[i]*perSecond, ibTimes[i]*perSecond)
 		te.AddRow(p, elEff[i], ibEff[i])
 	}
 	r.Tables = append(r.Tables, tg, te)

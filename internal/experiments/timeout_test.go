@@ -72,6 +72,10 @@ func TestFailedPointsRenderFailed(t *testing.T) {
 		{"xattrib", 3},
 		{"xnoise", 4},
 		{"xloggp", 4},
+		{"fig2", 12},
+		{"fig3", 12},
+		{"fig5", 6},
+		{"fig6", 12},
 	}
 	for _, c := range cases {
 		t.Run(c.id, func(t *testing.T) {
