@@ -17,7 +17,7 @@
 //	repro -exp fig2 -tracefile t.json   # chrome://tracing timeline of every machine
 //	repro -exp all -faults storm:2026   # seeded random fault storm on every fabric
 //	repro -exp fig4 -faults 'loss:all:p=0.001'   # explicit fault plan
-//	repro -exp all -quick -faults storm:2026 -chaos-strict # fault-kills tolerated, real bugs still exit 1
+//	repro -exp all -quick -faults storm:2026  # the plan's own kills tolerated, other failures exit 1
 //	repro -campaign 64                  # behavioral-contract campaign over 64 generated scenarios
 //	repro -campaign 64 -campaign-seed 7 -campaign-corpus corpus  # write shrunk reproducers
 //
@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/ib"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -72,8 +73,7 @@ func run() int {
 		progress = flag.Bool("progress", false, "report per-sweep progress on stderr (done/total, ETA)")
 		metOut   = flag.String("metrics", "", "write a per-experiment JSON snapshot of simulation counters/gauges/histograms to this file")
 		traceOut = flag.String("tracefile", "", "write a merged chrome://tracing (trace_event JSON) timeline of every simulated machine to this file")
-		faults   = flag.String("faults", "", "fault plan installed on every simulated fabric: a spec like 'loss:all:p=0.001;down:spine(0):at=10us:for=200us', or 'storm:<seed>' for a randomized storm (deterministic: same spec => byte-identical output at any -jobs)")
-		strict   = flag.Bool("chaos-strict", false, "with -faults: tolerate experiments and sweep points deterministically killed by the fault plan (IB retry-budget exhaustion) but still exit nonzero on any other failure (panic, timeout, bug)")
+		faults   = flag.String("faults", "", "fault plan installed on every simulated fabric: a spec like 'loss:all:p=0.001;down:spine(0):at=10us:for=200us', or 'storm:<seed>' for a randomized storm (deterministic: same spec => byte-identical output at any -jobs); a run the plan kills (IB retry-budget exhaustion) is tolerated, not a failure")
 
 		campaignN      = flag.Int("campaign", 0, "run a behavioral-contract campaign over N generated scenarios instead of experiments (see internal/campaign); violations are auto-shrunk and reported")
 		campaignSeed   = flag.Uint64("campaign-seed", campaign.DefaultSeed, "scenario-generation seed for -campaign (same seed => identical scenarios, digest, and findings at any -jobs)")
@@ -204,15 +204,15 @@ func run() int {
 	// Per-experiment wall-time summary; failures listed explicitly so an
 	// error in a late experiment cannot scroll past unnoticed. A failed
 	// sweep point fails the run too, though its experiment's tables (where
-	// the point reads "failed") and artifacts are kept. Under -chaos-strict
-	// a death by the installed fault plan (an IB QP entering the error
-	// state after retry exhaustion — a modeled, deterministic outcome), of
-	// an experiment or of a point, is tolerated, so the exit code stays
-	// meaningful for every OTHER kind of failure instead of being masked
-	// wholesale. An experiment cut short by the interrupt has only partial
-	// tables: it is listed as interrupted and writes no artifacts.
-	killedByPlan := func(cause string) bool {
-		return *strict && *faults != "" && strings.Contains(cause, "retry budget exhausted")
+	// the point reads "failed") and artifacts are kept. Under -faults a
+	// death by the installed plan (an IB QP entering the error state after
+	// retry exhaustion — a modeled, deterministic outcome), of an
+	// experiment or of a point, is tolerated, so the exit code stays
+	// meaningful for every OTHER kind of failure. An experiment cut short
+	// by the interrupt has only partial tables: it is listed as
+	// interrupted and writes no artifacts.
+	killedByPlan := func(err error) bool {
+		return *faults != "" && errors.Is(err, ib.ErrRetryExhausted)
 	}
 	failed, tolerated := 0, 0
 	fmt.Fprintf(os.Stderr, "repro: %d experiment(s), jobs=%d, wall %v\n",
@@ -224,7 +224,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "  %-8s interrupted\n", e.ID)
 				continue
 			}
-			if killedByPlan(r.Err.Error()) {
+			if killedByPlan(r.Err) {
 				tolerated++
 				fmt.Fprintf(os.Stderr, "  %-8s killed by fault plan in %8v (tolerated): %v\n",
 					e.ID, r.Wall.Round(time.Millisecond), r.Err)
@@ -237,7 +237,7 @@ func run() int {
 		oc := r.Value.(*outcome)
 		status := "ok"
 		if fails := oc.res.Failures; len(fails) > 0 {
-			if slices.ContainsFunc(fails, func(f runner.Failure) bool { return !killedByPlan(f.Cause) }) {
+			if slices.ContainsFunc(fails, func(f runner.Failure) bool { return !killedByPlan(f.Err) }) {
 				failed++
 				status = fmt.Sprintf("FAILED: %d point(s) failed", len(fails))
 			} else {
@@ -266,7 +266,7 @@ func run() int {
 		}
 	}
 	if tolerated > 0 {
-		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments lost runs to the fault plan (tolerated under -chaos-strict)\n",
+		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments lost runs to the fault plan (tolerated)\n",
 			tolerated, len(todo))
 	}
 	if failed > 0 {
@@ -321,42 +321,7 @@ func runCampaign(count int, seed uint64, jobs int, corpusDir string) int {
 			fmt.Printf("    nearest full sweep: repro %s\n", hint)
 		}
 	}
-	if corpusDir != "" {
-		if err := writeCampaignReport(corpusDir, rep, jobs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
 	return 1
-}
-
-// writeCampaignReport stores the violation summary as a checksummed
-// runner artifact (corpusDir/campaign.json) carrying the shrink lineage
-// of every reproducer — the machine-readable companion to the bc-*.json
-// corpus entries, in the same self-verifying format as experiment
-// artifacts.
-func writeCampaignReport(dir string, rep *campaign.Report, jobs int) error {
-	table := runner.Table{
-		Title:   "Behavioral-contract violations",
-		Headers: []string{"contract", "name", "scenario", "detail"},
-	}
-	var lineage []string
-	for i := range rep.Violations {
-		v := &rep.Violations[i]
-		table.Rows = append(table.Rows, []string{v.Contract, v.Name, v.Scenario.Canonical(), v.Detail})
-		for _, step := range v.Lineage {
-			lineage = append(lineage, v.FileName()+": "+step)
-		}
-	}
-	a := &runner.Artifact{
-		Experiment: "campaign",
-		Title:      fmt.Sprintf("Campaign seed %d: %d violation(s) over %d scenarios", rep.Seed, len(rep.Violations), rep.Scenarios),
-		Meta:       runner.Meta{Seed: rep.Seed, Jobs: jobs, CreatedAt: time.Now().UTC().Format(time.RFC3339)},
-		Notes:      []string{"report digest " + rep.Digest},
-		Lineage:    lineage,
-	}
-	a.Tables = []runner.Table{table}
-	_, err := a.Write(dir)
-	return err
 }
 
 // writeMetrics stores one counters/gauges/histograms snapshot per

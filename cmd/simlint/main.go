@@ -4,26 +4,17 @@
 //
 // Usage:
 //
-//	simlint [-C dir] [-run name[,name...]] [-list] [-stats]
-//	        [-format text|json|sarif] [-baseline file] [-write-baseline file]
+//	simlint [-C dir] [-run name[,name...]] [-list]
 //
 // With no flags it locates the enclosing module root (walking up from
 // the working directory to go.mod) and runs every analyzer under the
-// repository policy. Text diagnostics print as file:line:col: analyzer:
-// message, sorted by position, paths relative to the module root.
-//
-// -format json and -format sarif emit machine-readable findings on
-// stdout, including findings suppressed by //simlint:allow annotations
-// (with their allow-state); the text format and the exit code consider
-// only active findings. -baseline filters active findings through a
-// ratchet file written by -write-baseline: known findings stop gating,
-// new ones still fail, and baseline entries that no longer occur are
-// reported so the ratchet can be tightened. -stats prints per-rule
-// finding counts on stderr.
+// repository policy. Active findings print on stdout as file:line:col:
+// analyzer: message, sorted by position, paths relative to the module
+// root; the per-rule tally, including findings suppressed by
+// //simlint:allow annotations, prints on stderr.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,10 +29,6 @@ func main() {
 	chdir := flag.String("C", "", "module root to lint (default: found via go.mod from cwd)")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := flag.String("baseline", "", "ratchet file of accepted findings; only new findings gate")
-	writeBaseline := flag.String("write-baseline", "", "snapshot current active findings to a ratchet file and exit")
-	stats := flag.Bool("stats", false, "print per-rule finding counts on stderr")
 	flag.Parse()
 
 	if *list {
@@ -49,11 +36,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fatal(fmt.Errorf("simlint: unknown format %q (want text, json, or sarif)", *format))
 	}
 
 	root := *chdir
@@ -75,118 +57,31 @@ func main() {
 		}
 	}
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(lint.Active(diags))
-		data, err := b.Marshal()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*writeBaseline, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote %d accepted finding(s) to %s\n", len(lint.Active(diags)), *writeBaseline)
-		return
+	active := lint.Active(diags)
+	for _, d := range active {
+		fmt.Println(d)
 	}
-
-	// The baseline filters the gating set; suppressed findings never
-	// consume ratchet budget, and baselined indices feed the SARIF
-	// suppression records.
-	gating := lint.Active(diags)
-	covered := map[int]bool{}
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		b, err := lint.ParseBaseline(data)
-		if err != nil {
-			fatal(err)
-		}
-		var stale []lint.BaselineEntry
-		gating, covered, stale = b.Filter(diags)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "simlint: baseline entry no longer occurs (remove it): %s %s: %s (count %d)\n",
-				e.Rule, e.File, e.Message, e.Count)
-		}
-	}
-
-	switch *format {
-	case "text":
-		for _, d := range gating {
-			fmt.Println(d)
-		}
-	case "json":
-		out, err := marshalJSON(diags, covered)
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(out)
-	case "sarif":
-		out, err := lint.SARIF(diags, covered)
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(out)
-		fmt.Println()
-	}
-
-	if *stats {
-		printStats(diags, covered)
-	}
-	if len(gating) > 0 {
-		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(gating))
+	printStats(diags)
+	if len(active) > 0 {
+		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(active))
 		os.Exit(1)
 	}
 }
 
-// marshalJSON renders the plain-JSON finding list: every finding with
-// its position and allow-state.
-func marshalJSON(diags []lint.Diagnostic, baselined map[int]bool) ([]byte, error) {
-	type finding struct {
-		Rule       string `json:"rule"`
-		File       string `json:"file"`
-		Line       int    `json:"line"`
-		Column     int    `json:"column"`
-		Message    string `json:"message"`
-		Suppressed bool   `json:"suppressed,omitempty"`
-		Baselined  bool   `json:"baselined,omitempty"`
-	}
-	out := make([]finding, 0, len(diags))
-	for i, d := range diags {
-		out = append(out, finding{
-			Rule:       d.Analyzer,
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Column:     d.Pos.Column,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-			Baselined:  baselined[i],
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // printStats prints per-rule counts on stderr: active findings first,
-// then the suppressed/baselined tallies that explain a quiet run.
-func printStats(diags []lint.Diagnostic, baselined map[int]bool) {
-	type tally struct{ active, suppressed, base int }
+// then the allowed tally that explains a quiet run.
+func printStats(diags []lint.Diagnostic) {
+	type tally struct{ active, suppressed int }
 	byRule := map[string]*tally{}
-	for i, d := range diags {
+	for _, d := range diags {
 		tl := byRule[d.Analyzer]
 		if tl == nil {
 			tl = &tally{}
 			byRule[d.Analyzer] = tl
 		}
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			tl.suppressed++
-		case baselined[i]:
-			tl.base++
-		default:
+		} else {
 			tl.active++
 		}
 	}
@@ -200,9 +95,6 @@ func printStats(diags []lint.Diagnostic, baselined map[int]bool) {
 		line := fmt.Sprintf("simlint: %-14s %3d active", r, tl.active)
 		if tl.suppressed > 0 {
 			line += fmt.Sprintf(", %d allowed", tl.suppressed)
-		}
-		if tl.base > 0 {
-			line += fmt.Sprintf(", %d baselined", tl.base)
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}

@@ -93,9 +93,8 @@ func WriteReproducer(dir string, r *Reproducer) (string, error) {
 
 // LoadCorpus reads every bc-*.json reproducer in dir (sorted by name, so
 // iteration order is stable), verifying each checksum. Only contract-named
-// files are reproducers — the campaign's summary artifact (campaign.json)
-// and any future sidecars are not corpus entries. A missing dir is an
-// empty corpus, not an error.
+// files are reproducers; any other file in dir is not a corpus entry. A
+// missing dir is an empty corpus, not an error.
 func LoadCorpus(dir string) ([]Reproducer, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "bc-*.json"))
 	if err != nil {

@@ -11,6 +11,7 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -50,7 +51,7 @@ type runOut struct {
 // — the one modeled, acceptable way a faulty run ends early (paper §3:
 // the QP enters the error state).
 func faultKilled(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "retry budget exhausted")
+	return errors.Is(err, ib.ErrRetryExhausted)
 }
 
 // buildOpts translates a scenario into platform options.

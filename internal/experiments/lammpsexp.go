@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/apps/lammps"
 	"repro/internal/extrapolate"
@@ -100,16 +102,13 @@ func runFig3(o Options) (*Result, error) {
 // membraneFits fits the Figure 8 trend for each series from the measured
 // range (4..32 nodes, skipping the flat small-node region like the paper's
 // 'trends as they did for the first 32 nodes'). Its points run for res.
+// A series with a failed point has no trend: every parameter of its fit is
+// NaN, so every projection from it reads NaN and renders report.Failed.
 func membraneFits(o Options, res *Result) (map[string]*extrapolate.Fit, []int, error) {
 	nodes := lammpsNodes(o.Quick)
 	params := lammps.Membrane(lammpsSteps(o.Quick))
 	times := runSeries(o, res, "", platform.Networks, nodes, []int{1, 2},
 		func(r *mpi.Rank) { lammps.Run(r, params) })
-	if len(res.Failures) > 0 {
-		// A trend fit cannot tolerate missing points the way a table can.
-		f := res.Failures[0]
-		return nil, nil, fmt.Errorf("experiments: point %q failed: %s", f.Job, f.Cause)
-	}
 	fits := map[string]*extrapolate.Fit{}
 	for _, net := range platform.Networks {
 		for _, ppn := range []int{1, 2} {
@@ -118,6 +117,11 @@ func membraneFits(o Options, res *Result) (map[string]*extrapolate.Fit, []int, e
 			for i, n := range nodes {
 				procs[i] = n * ppn
 				series[i] = times[seriesKey{net, ppn, n}]
+			}
+			if slices.ContainsFunc(series, math.IsNaN) {
+				nan := math.NaN()
+				fits[seriesLabel(net, ppn)] = &extrapolate.Fit{InterceptLn: nan, Slope: nan, R2: nan}
+				continue
 			}
 			fit, err := extrapolate.FitLogTime(procs, series)
 			if err != nil {
@@ -144,7 +148,7 @@ func runFig8(o Options) (*Result, error) {
 		erow := []interface{}{p}
 		for _, h := range seriesHeaders() {
 			fit := fits[h]
-			trow = append(trow, fmtSeconds(fit.TimeAt(p)))
+			trow = append(trow, fmtCell(fit.TimeAt(p), fmtSeconds))
 			erow = append(erow, fit.EfficiencyAt(refProcs, p))
 		}
 		tt.AddRow(trow...)
@@ -152,13 +156,19 @@ func runFig8(o Options) (*Result, error) {
 	}
 	r.Tables = append(r.Tables, tt, te)
 	for _, h := range seriesHeaders() {
+		if math.IsNaN(fits[h].Slope) {
+			r.Notes = append(r.Notes, fmt.Sprintf("%s: trend fit %s", h, report.Failed))
+			continue
+		}
 		r.Notes = append(r.Notes, fmt.Sprintf("%s: x%.4f time per process doubling (R2=%.3f)",
 			h, fits[h].PerDoublingFactor(), fits[h].R2))
 	}
+	pct := func(v float64) string { return fmt.Sprintf("%.0f%%", v) }
 	elan := fits[seriesLabel(platform.QuadricsElan4, 1)].EfficiencyAt(refProcs, 1024)
 	ib := fits[seriesLabel(platform.InfiniBand4X, 1)].EfficiencyAt(refProcs, 1024)
 	r.Notes = append(r.Notes, fmt.Sprintf(
-		"paper anchor: ~40%% efficiency difference at 1024 nodes; projected Elan %.0f%% vs IB %.0f%%", elan, ib))
+		"paper anchor: ~40%% efficiency difference at 1024 nodes; projected Elan %s vs IB %s",
+		fmtCell(elan, pct), fmtCell(ib, pct)))
 	return r, nil
 }
 
@@ -182,9 +192,9 @@ func runXScale(o Options) (*Result, error) {
 	for _, n := range big {
 		t.AddRow(n,
 			fmtCell(times[seriesKey{platform.QuadricsElan4, 1, n}], fmtSeconds),
-			fmtSeconds(fits[seriesLabel(platform.QuadricsElan4, 1)].TimeAt(n)),
+			fmtCell(fits[seriesLabel(platform.QuadricsElan4, 1)].TimeAt(n), fmtSeconds),
 			fmtCell(times[seriesKey{platform.InfiniBand4X, 1, n}], fmtSeconds),
-			fmtSeconds(fits[seriesLabel(platform.InfiniBand4X, 1)].TimeAt(n)))
+			fmtCell(fits[seriesLabel(platform.InfiniBand4X, 1)].TimeAt(n), fmtSeconds))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes, fmt.Sprintf(

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/apps/sweep3d"
+	"repro/internal/ib"
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/report"
@@ -76,6 +77,8 @@ func TestFailedPointsRenderFailed(t *testing.T) {
 		{"fig3", 12},
 		{"fig5", 6},
 		{"fig6", 12},
+		{"fig8", 12},
+		{"xscale", 16}, // fig8's 12 points and the 4 it checks the fit against
 	}
 	for _, c := range cases {
 		t.Run(c.id, func(t *testing.T) {
@@ -101,6 +104,49 @@ func TestFailedPointsRenderFailed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTrendFitSkipsOnlyFailedSeries: fig8 fits each series of the
+// membrane grid on its own. Under heavy loss the IB points die by retry
+// exhaustion and Elan's link-level retry carries its points through, so
+// the IB columns and notes read failed, never NaN, and the Elan series is
+// still fitted and projected.
+func TestTrendFitSkipsOnlyFailedSeries(t *testing.T) {
+	e, err := Get("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(Options{Quick: true, Faults: "loss:all:p=0.3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) == 0 {
+		t.Fatal("no point failed: the plan no longer kills the IB series")
+	}
+	for _, f := range res.Failures {
+		if !strings.HasPrefix(f.Job, "IB ") || !errors.Is(f.Err, ib.ErrRetryExhausted) {
+			t.Fatalf("point %q failed with %v, want only IB points killed by retry exhaustion", f.Job, f.Err)
+		}
+	}
+	for _, tb := range res.Tables {
+		for _, row := range tb.Rows {
+			for i, cell := range row[1:] {
+				failed := cell == report.Failed
+				if isIB := strings.HasPrefix(tb.Headers[i+1], "IB "); failed != isIB {
+					t.Errorf("%s: row %v: column %q reads %q", tb.Title, row, tb.Headers[i+1], cell)
+				}
+			}
+		}
+	}
+	notes := strings.Join(res.Notes, "\n")
+	if strings.Contains(notes, "NaN") {
+		t.Errorf("a note reads NaN:\n%s", notes)
+	}
+	for _, want := range []string{"IB 1PPN: trend fit failed", "IB 2PPN: trend fit failed", "vs IB failed", "Elan4 1PPN: x1."} {
+		if !strings.Contains(notes, want) {
+			t.Errorf("notes lack %q:\n%s", want, notes)
+		}
 	}
 }
 

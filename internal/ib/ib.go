@@ -22,6 +22,7 @@
 package ib
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -29,6 +30,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/units"
 )
+
+// ErrRetryExhausted is wrapped by the error a run ends with when a queue
+// pair enters the error state because a transfer's retransmission budget
+// ran out: the one way a fault plan kills an IB run by design.
+var ErrRetryExhausted = errors.New("retry budget exhausted")
 
 // Params defines HCA timing and capacity parameters.
 type Params struct {
@@ -372,8 +378,8 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 			if n >= h.params.MaxRetries {
 				h.QPErrors++
 				h.eng.Fail(fmt.Errorf(
-					"ib: QP error on node %d (%s to peer %d): retry budget exhausted after %d retransmissions",
-					h.node, kind, peer, n))
+					"ib: QP error on node %d (%s to peer %d): %w after %d retransmissions",
+					h.node, kind, peer, ErrRetryExhausted, n))
 				return
 			}
 			h.Retransmits++

@@ -78,10 +78,8 @@
 // `make lint` (or `go run ./cmd/simlint`) loads the module without the
 // go command — module packages are parsed and type-checked from source,
 // stdlib dependencies through go/importer's source importer — and exits
-// nonzero listing any active findings. Suppressed findings are retained
-// with their allow-state for the machine-readable formats
-// (`-format sarif|json`); `-baseline`/`-write-baseline` maintain a
-// count-ratcheted acceptance file; `-stats` prints per-rule tallies on
-// stderr. The suite also runs inside `make check` and is asserted clean
-// over the real tree by TestRepoTreeIsClean.
+// nonzero listing any active findings on stdout. Every run also prints
+// the per-rule tally on stderr: active findings and those suppressed by
+// an allow annotation. The suite also runs inside `make check` and is
+// asserted clean over the real tree by TestRepoTreeIsClean.
 package lint

@@ -49,9 +49,9 @@ func funcDecls(files []*ast.File) []*ast.FuncDecl {
 }
 
 // Reportf records a diagnostic at pos. A finding covered by an
-// //simlint:allow annotation is recorded with Suppressed set (so
-// machine-readable output can carry the allow-state) rather than
-// dropped; Active filters it from human output and exit codes.
+// //simlint:allow annotation is recorded with Suppressed set (so the
+// tally can count it) rather than dropped; Active filters it from the
+// printed findings and the exit status.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	position := p.Fset.Position(pos)
 	suppressed := p.allow.allowed(position.Filename, position.Line, p.Analyzer.Name)
@@ -70,7 +70,8 @@ type Diagnostic struct {
 	Message  string
 	// Suppressed marks a finding covered by an //simlint:allow
 	// annotation. Suppressed findings are excluded from Active output
-	// but carried in SARIF/JSON with their allow-state.
+	// but still counted in simlint's per-rule tally and read by
+	// staleallow.
 	Suppressed bool
 }
 

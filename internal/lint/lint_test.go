@@ -150,9 +150,9 @@ func TestGolden(t *testing.T) {
 
 func TestAllowGrammar(t *testing.T) { runTestdata(t, WallclockAnalyzer, "allowgrammar") }
 
-// TestSuppressedRetained pins the v2 reporting contract: an allowed
-// finding is carried with Suppressed set rather than dropped, so
-// machine-readable output can state the allow-state.
+// TestSuppressedRetained pins the reporting contract: an allowed finding
+// is carried with Suppressed set rather than dropped, so simlint's tally
+// can count it.
 func TestSuppressedRetained(t *testing.T) {
 	pkg := loadTestdata(t, "allowgrammar")
 	diags := Run([]*Package{pkg}, []*Analyzer{WallclockAnalyzer}, testConfig("allowgrammar"), nil)
@@ -219,7 +219,7 @@ func TestMathRandSanctionedPackage(t *testing.T) {
 
 // TestRepoTreeIsClean is the meta-test: the full suite, under the real
 // repository policy, finds nothing active in the real tree (suppressed
-// findings are carried for machine-readable output but do not gate).
+// findings are carried for the tally but do not gate).
 // Any invariant violation — or stale allow annotation — introduced
 // anywhere in the module fails this test.
 func TestRepoTreeIsClean(t *testing.T) {

@@ -110,7 +110,8 @@ func DefaultConfig(ranks, ppn int) Config {
 	}
 }
 
-// Status describes a completed receive.
+// Status describes a completed request. Src names its peer: the sender
+// of a receive, the destination of a send.
 type Status struct {
 	Src     int
 	Tag     int
@@ -154,9 +155,9 @@ func (q *Request) Done() *sim.Signal { return &q.done }
 // Completed reports whether the request has finished.
 func (q *Request) Completed() bool { return q.done.Fired() }
 
-// Complete marks a receive finished with the given envelope (transport
-// use). For sends, call with the sent envelope. A traced request records
-// its span here.
+// Complete marks a request finished with the given status (transport
+// use). src is the request's peer: the sender for a receive, the
+// destination for a send. A traced request records its span here.
 func (q *Request) Complete(src, tag int, size units.Bytes, payload interface{}) {
 	span, _ := q.status.Payload.(*reqSpan)
 	q.status = Status{Src: src, Tag: tag, Size: size, Payload: payload}

@@ -308,7 +308,7 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 		}
 		hca.RDMAWriteThen(r.Proc(), t.w.NodeOf(dst), size+t.params.HeaderBytes, msg, nil)
 		// Buffer is reusable as soon as it has been staged.
-		req.Complete(r.ID(), tag, size, payload)
+		req.Complete(dst, tag, size, payload)
 		return req
 	}
 
@@ -352,7 +352,7 @@ func (t *Transport) release(msg *wireMsg) {
 // release point.
 func (ss *sendState) done() {
 	ss.live.Check(ss)
-	ss.req.Complete(ss.rank.ID(), ss.env.Tag, ss.size, ss.payload)
+	ss.req.Complete(ss.dst, ss.env.Tag, ss.size, ss.payload)
 	ss.req, ss.rank, ss.payload = nil, nil, nil
 	ss.t.freeSends.Put(ss, &ss.live)
 }

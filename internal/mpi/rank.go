@@ -377,7 +377,7 @@ func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{})
 	msg := &shmMsg{env: match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}, size: size, payload: payload}
 	peer := r.world.ranks[dst]
 	r.eng.After(r.world.cfg.ShmLatency, func() { peer.shmDeliver(msg) })
-	req.Complete(r.id, tag, size, payload)
+	req.Complete(dst, tag, size, payload)
 	return req
 }
 

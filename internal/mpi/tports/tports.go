@@ -32,7 +32,7 @@ type Transport struct {
 
 // op is one send or receive in flight: the request it completes and the
 // status it completes it with. A receive's status is the NIC's receive
-// record, filled in at completion. An op is pooled on the transport; its
+// record, filled in at completion; a send's names its destination. An op is pooled on the transport; its
 // continuation, doneFn, is bound once and is its one release point.
 type op struct {
 	t      *Transport
@@ -90,7 +90,7 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 	req := r.NewRequest(t.sendNames.Name(r.ID(), dst), false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 	o := t.newOp(req)
-	o.rx.Src, o.rx.Tag, o.rx.Size, o.rx.Payload = r.ID(), tag, size, payload
+	o.rx.Src, o.rx.Tag, o.rx.Size, o.rx.Payload = dst, tag, size, payload
 	nic := t.net.NIC(r.NodeID())
 	nic.TxPostThen(r.Proc(), r.ID(), dst, env, size, payload, o.doneFn)
 	return req

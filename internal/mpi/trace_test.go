@@ -9,44 +9,73 @@ import (
 	"repro/internal/units"
 )
 
+// TestTraceRecordsLifecycle: a traced send and receive record every
+// event kind in time order, and each completion names its peer: the
+// source for a receive, the destination for a send. The send paths are
+// Elan's NIC, IB eager and rendezvous, and the shared-memory channel.
 func TestTraceRecordsLifecycle(t *testing.T) {
-	m := build(t, platform.QuadricsElan4, 2, 1)
-	m.World.EnableTrace(1000)
-	_, err := m.Run(func(r *mpi.Rank) {
-		if r.ID() == 0 {
-			r.Compute(10*units.Microsecond, 0)
-			r.Send(1, 42, 4*units.KiB)
-		} else {
-			r.Recv(0, 42)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		net  platform.Network
+		ppn  int
+		size units.Bytes
+	}{
+		{"elan", platform.QuadricsElan4, 1, 4 * units.KiB},
+		{"ib-eager", platform.InfiniBand4X, 1, 4 * units.KiB},
+		{"ib-rndv", platform.InfiniBand4X, 1, 256 * units.KiB},
+		{"shm", platform.InfiniBand4X, 2, 4 * units.KiB},
 	}
-	events, total := m.World.Trace()
-	if total == 0 || len(events) == 0 {
-		t.Fatal("no trace events")
-	}
-	kinds := map[mpi.EventKind]int{}
-	var prev units.Time
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.At < prev {
-			t.Fatal("trace not time-ordered")
-		}
-		prev = e.At
-	}
-	for _, want := range []mpi.EventKind{
-		mpi.EvSendPost, mpi.EvRecvPost, mpi.EvSendDone, mpi.EvRecvDone,
-		mpi.EvComputeBegin, mpi.EvComputeEnd,
-	} {
-		if kinds[want] == 0 {
-			t.Errorf("missing %v events", want)
-		}
-	}
-	text := mpi.FormatTrace(events)
-	if !strings.Contains(text, "send-post") || !strings.Contains(text, "tag=42") {
-		t.Fatalf("formatting broken:\n%s", text)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := build(t, c.net, 2, c.ppn)
+			m.World.EnableTrace(1000)
+			_, err := m.Run(func(r *mpi.Rank) {
+				if r.ID() == 0 {
+					r.Compute(10*units.Microsecond, 0)
+					r.Send(1, 42, c.size)
+				} else {
+					r.Recv(0, 42)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, total := m.World.Trace()
+			if total == 0 || len(events) == 0 {
+				t.Fatal("no trace events")
+			}
+			kinds := map[mpi.EventKind]int{}
+			var prev units.Time
+			for _, e := range events {
+				kinds[e.Kind]++
+				if e.At < prev {
+					t.Fatal("trace not time-ordered")
+				}
+				prev = e.At
+				switch e.Kind {
+				case mpi.EvSendDone:
+					if e.Rank != 0 || e.Peer != 1 {
+						t.Errorf("send-done on rank %d names peer %d, want rank 0 naming its destination 1", e.Rank, e.Peer)
+					}
+				case mpi.EvRecvDone:
+					if e.Rank != 1 || e.Peer != 0 {
+						t.Errorf("recv-done on rank %d names peer %d, want rank 1 naming its source 0", e.Rank, e.Peer)
+					}
+				}
+			}
+			for _, want := range []mpi.EventKind{
+				mpi.EvSendPost, mpi.EvRecvPost, mpi.EvSendDone, mpi.EvRecvDone,
+				mpi.EvComputeBegin, mpi.EvComputeEnd,
+			} {
+				if kinds[want] == 0 {
+					t.Errorf("missing %v events", want)
+				}
+			}
+			text := mpi.FormatTrace(events)
+			if !strings.Contains(text, "send-post") || !strings.Contains(text, "tag=42") {
+				t.Fatalf("formatting broken:\n%s", text)
+			}
+		})
 	}
 }
 

@@ -67,14 +67,8 @@ type Artifact struct {
 	Tables     []Table   `json:"tables"`
 	Notes      []string  `json:"notes,omitempty"`
 	Failures   []Failure `json:"failures,omitempty"`
-	// Lineage records the provenance chain of a derived artifact — e.g.
-	// the accepted shrink steps that minimized a campaign violation down
-	// to the reproducer this artifact reports. Empty for ordinary
-	// experiment artifacts, and omitted from their JSON, so pre-existing
-	// artifacts keep their bytes and checksums.
-	Lineage []string `json:"lineage,omitempty"`
 	// Checksum is the SHA-256 (hex) of the result payload — experiment,
-	// title, tables, notes, failures, lineage; not Meta, which records run
+	// title, tables, notes, failures; not Meta, which records run
 	// circumstances rather than results. Write computes it; ReadArtifact
 	// verifies it, so artifact corruption or hand-editing is detected.
 	// Artifacts written before checksums existed (empty field) still load.
@@ -89,8 +83,7 @@ func (a *Artifact) checksum() (string, error) {
 		Tables     []Table   `json:"tables"`
 		Notes      []string  `json:"notes,omitempty"`
 		Failures   []Failure `json:"failures,omitempty"`
-		Lineage    []string  `json:"lineage,omitempty"`
-	}{a.Experiment, a.Title, a.Tables, a.Notes, a.Failures, a.Lineage}
+	}{a.Experiment, a.Title, a.Tables, a.Notes, a.Failures}
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return "", err

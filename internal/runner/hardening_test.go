@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/ib"
 )
 
 // TestMixedStormAttemptsAndFailures runs one pool over a storm of mixed
@@ -45,7 +47,7 @@ func TestMixedStormAttemptsAndFailures(t *testing.T) {
 			ID:     "deterministic-error",
 			Labels: map[string]string{"mode": "simerr"},
 			Run: func(context.Context) (interface{}, error) {
-				return nil, errors.New("ib: QP error: retry budget exhausted after 7 retransmissions")
+				return nil, fmt.Errorf("ib: QP error: %w after 7 retransmissions", ib.ErrRetryExhausted)
 			},
 		},
 	}
@@ -93,5 +95,13 @@ func TestMixedStormAttemptsAndFailures(t *testing.T) {
 	}
 	if !strings.Contains(fails[1].Cause, "5ms") {
 		t.Fatalf("timeout cause %q does not name the limit", fails[1].Cause)
+	}
+	// A failure keeps its error, so a fault plan's kill is recognised by
+	// its sentinel, not by its text.
+	if !errors.Is(fails[2].Err, ib.ErrRetryExhausted) {
+		t.Fatalf("deterministic-error: Err %v does not wrap ib.ErrRetryExhausted", fails[2].Err)
+	}
+	if errors.Is(fails[0].Err, ib.ErrRetryExhausted) || errors.Is(fails[1].Err, ib.ErrRetryExhausted) {
+		t.Fatal("a panic or timeout reads as a fault-plan kill")
 	}
 }

@@ -44,7 +44,8 @@ type (
 	Rank = mpi.Rank
 	// Request is a nonblocking operation handle.
 	Request = mpi.Request
-	// Status describes a completed receive.
+	// Status describes a completed request; Src is its peer (the
+	// destination, for a send).
 	Status = mpi.Status
 	// Result summarizes a completed run.
 	Result = mpi.Result
