@@ -76,11 +76,9 @@ type Node struct {
 	id     int
 	params Params
 
-	active      int // slots currently inside Compute
-	epoch       uint64
-	changed     *sim.Signal // replaced at every membership change it would announce
-	changedName string      // changed's name, rendered once
-	freeTimers  sim.FreeList[computeTimer]
+	active     int        // slots currently inside Compute
+	changed    sim.Wakeup // fired at every change in the set of computing slots
+	freeTimers sim.FreeList[computeTimer]
 
 	debt      []units.Duration // per-slot overhead owed to the next Compute
 	busyTotal []units.Duration // per-slot accumulated compute time
@@ -93,14 +91,13 @@ func NewNode(eng *sim.Engine, id int, params Params) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		eng:         eng,
-		id:          id,
-		params:      params,
-		changedName: "node" + strconv.Itoa(id) + " membership",
-		debt:        make([]units.Duration, params.CPUs),
-		busyTotal:   make([]units.Duration, params.CPUs),
+		eng:       eng,
+		id:        id,
+		params:    params,
+		debt:      make([]units.Duration, params.CPUs),
+		busyTotal: make([]units.Duration, params.CPUs),
 	}
-	n.changed = eng.NewSignal(n.changedName)
+	eng.InitWakeup(&n.changed, "node"+strconv.Itoa(id)+" membership")
 	if params.NoiseFraction > 0 {
 		n.noise = make([]*rng.Source, params.CPUs)
 		for s := range n.noise {
@@ -143,25 +140,12 @@ func (n *Node) slowdown(intensity float64) float64 {
 	return 1 + n.params.MemContention*intensity*float64(others)
 }
 
-// membershipChanged announces a change in the set of computing slots. A
-// signal nobody waits on or listens to would wake and schedule nothing if
-// fired, so it stays current instead of being replaced.
-func (n *Node) membershipChanged() {
-	n.epoch++
-	if !n.changed.HasListeners() {
-		return
-	}
-	old := n.changed
-	n.changed = n.eng.NewSignal(n.changedName)
-	old.Fire()
-}
-
 // computeTimer ends one Compute segment. Timers are pooled per node: one is
 // free again once its event has been dispatched, since only that event and
 // the segment it times refer to it. Another slot can take it before the
 // process it woke has resumed, but a slot starts a segment at that instant
-// only after a membership change, which fires the changed signal the
-// woken process also waits on; so that process still leaves its wait.
+// only after a membership change, which moves the changed count past the
+// one the woken process waits with; so that process still leaves its wait.
 type computeTimer struct {
 	node   *Node
 	live   sim.Live
@@ -239,10 +223,10 @@ func (n *Node) Compute(p *sim.Proc, slot int, work units.Duration, intensity flo
 	work += n.noiseSteal(slot, work)
 	start := n.eng.Now()
 	n.active++
-	n.membershipChanged()
+	n.changed.Fire()
 	defer func() {
 		n.active--
-		n.membershipChanged()
+		n.changed.Fire()
 		n.busyTotal[slot] += n.eng.Now().Sub(start)
 	}()
 
@@ -252,14 +236,12 @@ func (n *Node) Compute(p *sim.Proc, slot int, work units.Duration, intensity flo
 		span := remaining.Scale(slow)
 		segStart := n.eng.Now()
 		deadline := segStart.Add(span)
-		epoch0 := n.epoch
 
-		// One timer per segment; stale wakes (from earlier segments'
-		// timers) just re-park inside the loop without allocating.
-		timer := n.startTimer(deadline)
-		for n.eng.Now() < deadline && n.epoch == epoch0 {
-			p.WaitAny(timer, n.changed)
-		}
+		// The segment ends at its timer or at the next membership change.
+		// Stale wakes (from earlier segments' timers) re-park inside the
+		// wait without allocating.
+		seen := n.changed.Count()
+		p.WaitWakeup(&n.changed, seen, n.startTimer(deadline))
 
 		elapsed := n.eng.Now().Sub(segStart)
 		done := elapsed.Scale(1 / slow)

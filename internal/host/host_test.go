@@ -3,6 +3,7 @@ package host
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/sim"
@@ -313,18 +314,21 @@ func TestTimerReusedAtItsDeadline(t *testing.T) {
 }
 
 // computeMallocs reports the heap objects allocated by calls back-to-back
-// Compute calls of one process on a fresh node: the least of three runs,
-// since the runtime's own background allocations only ever add to it.
-func computeMallocs(t *testing.T, calls int) uint64 {
+// Compute calls on each of slots processes, one per slot, on a fresh node:
+// the least of three runs, since the runtime's own background allocations
+// only ever add to it.
+func computeMallocs(t *testing.T, slots, calls int) uint64 {
 	least := ^uint64(0)
 	for run := 0; run < 3; run++ {
 		eng := sim.NewEngine()
 		n := mustNode(t, eng, params2())
-		eng.Spawn("r0", func(p *sim.Proc) {
-			for i := 0; i < calls; i++ {
-				n.Compute(p, 0, units.Microsecond, 0.5)
-			}
-		})
+		for slot := 0; slot < slots; slot++ {
+			eng.Spawn("r"+strconv.Itoa(slot), func(p *sim.Proc) {
+				for i := 0; i < calls; i++ {
+					n.Compute(p, slot, units.Duration(slot+1)*units.Microsecond, 0.5)
+				}
+			})
+		}
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
@@ -337,14 +341,61 @@ func computeMallocs(t *testing.T, calls int) uint64 {
 	return least
 }
 
-// TestComputeAllocs pins a steady-state Compute call at one allocation:
-// the membership signal that replaces the one its own process waited on.
-// The timer comes from the node's pool, and the start-of-phase membership
-// change keeps a signal nobody listens to.
-func TestComputeAllocs(t *testing.T) {
-	perCall := float64(computeMallocs(t, 3000)-computeMallocs(t, 1000)) / 2000
-	if perCall > 1 {
-		t.Fatalf("%.4f allocations per Compute call, want at most 1", perCall)
+// pinComputeAllocs checks the steady-state heap objects per Compute call
+// with slots processes computing at once: the difference between a 1,000-
+// and a 3,000-call run, per extra call.
+func pinComputeAllocs(t *testing.T, slots int) {
+	perCall := float64(computeMallocs(t, slots, 3000)-computeMallocs(t, slots, 1000)) / float64(2000*slots)
+	if perCall > 0.01 {
+		t.Fatalf("%.4f allocations per Compute call, want 0", perCall)
 	}
-	t.Logf("%.2f allocations per Compute call", perCall)
+	t.Logf("%.4f allocations per Compute call", perCall)
+}
+
+// TestComputeAllocs pins a steady-state Compute call of a lone process at
+// 0 allocations: the timer comes from the node's pool, and the membership
+// changes fire the node's reusable wake-up, which nobody waits on here.
+func TestComputeAllocs(t *testing.T) {
+	pinComputeAllocs(t, 1)
+}
+
+// TestConcurrentComputeAllocs pins Compute at 0 allocations while both
+// slots compute at once, phases of different lengths, so every
+// membership change wakes the other slot's process and ends its segment.
+func TestConcurrentComputeAllocs(t *testing.T) {
+	pinComputeAllocs(t, 2)
+}
+
+// BenchmarkMembershipChange times membership changes with one waiter:
+// slot 0 runs back-to-back 10 us phases, and slot 1 back-to-back 1 us
+// phases, so each change wakes the other slot's process, which starts a
+// new segment. One op is one simulated microsecond: slot 1's two changes
+// and the wakes and segments they cause, plus a tenth of slot 0's. The
+// warm-up fills the node's timer pool, so a change that allocates shows
+// in allocs/op.
+func BenchmarkMembershipChange(b *testing.B) {
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
+	n, err := NewNode(eng, 0, params2())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Spawn("waiter", func(p *sim.Proc) {
+		for {
+			n.Compute(p, 0, 10*units.Microsecond, 1.0)
+		}
+	})
+	eng.Spawn("changer", func(p *sim.Proc) {
+		for {
+			n.Compute(p, 1, units.Microsecond, 0)
+		}
+	})
+	if err := eng.RunUntil(units.Time(units.Millisecond)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := eng.RunUntil(eng.Now().Add(units.Duration(b.N) * units.Microsecond)); err != nil {
+		b.Fatal(err)
+	}
 }

@@ -289,12 +289,12 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 		st.EagerSends++
 		// Flow control: block (making progress) until a slot is free.
 		for st.credits[dst] == 0 {
-			sig := r.Incoming()
+			seen := r.Incoming()
 			t.Progress(r)
 			if st.credits[dst] > 0 {
 				break
 			}
-			r.Proc().Wait(sig)
+			r.WaitIncoming(seen)
 		}
 		st.credits[dst]--
 		msg := t.newMsg(wireMsg{kind: kindEager, env: env, dstRank: dst, seq: st.sendSeq[dst],

@@ -21,11 +21,11 @@ type Rank struct {
 	proc  *sim.Proc
 
 	// incoming is kicked whenever the transport or the shm channel lands
-	// something this rank might care about. It is replaced on every kick;
-	// waiters capture it before progressing and re-check conditions after
-	// waking (level-triggered).
-	incoming     *sim.Signal
-	incomingName string // incoming's name, rendered once
+	// something this rank might care about. Waiters capture its count
+	// before progressing and wait with it, so a kick that lands while they
+	// progress is not lost; they re-check conditions after waking
+	// (level-triggered).
+	incoming sim.Wakeup
 
 	shm       shmState
 	commWorld *Comm
@@ -67,9 +67,14 @@ func (r *Rank) NodeID() int { return r.world.NodeOf(r.id) }
 // Now reports the current simulated time (MPI_Wtime).
 func (r *Rank) Now() units.Time { return r.eng.Now() }
 
-// Incoming returns the current wake-up signal (transport use): capture it,
-// check your condition, then wait on it if the condition is not met.
-func (r *Rank) Incoming() *sim.Signal { return r.incoming }
+// Incoming reports how many times the rank has been kicked (transport
+// use): read it, check your condition, then pass what you read to
+// WaitIncoming if the condition is not met.
+func (r *Rank) Incoming() uint64 { return r.incoming.Count() }
+
+// WaitIncoming blocks the rank until it is kicked after Incoming read seen
+// (transport use). It returns at once if that has already happened.
+func (r *Rank) WaitIncoming(seen uint64) { r.proc.WaitWakeup(&r.incoming, seen) }
 
 // NewRequest returns a fresh request of this rank, named for deadlock
 // reports (transport use).
@@ -105,11 +110,7 @@ func (r *Rank) release(q *Request) {
 
 // Kick wakes the rank from a blocking MPI call to re-examine protocol
 // state. Safe from any simulation context.
-func (r *Rank) Kick() {
-	old := r.incoming
-	r.incoming = r.eng.NewSignal(r.incomingName)
-	old.Fire()
-}
+func (r *Rank) Kick() { r.incoming.Fire() }
 
 // launch spawns the rank's process, running app and recording the rank's
 // completion time.
@@ -263,12 +264,12 @@ func (r *Rank) Wait(req *Request) Status {
 	r.proc.Sleep(r.world.cfg.CallOverhead)
 	start := r.eng.Now()
 	for !req.Completed() {
-		sig := r.incoming
+		seen := r.incoming.Count()
 		r.progress()
 		if req.Completed() {
 			break
 		}
-		r.proc.WaitAny(&req.done, sig)
+		r.proc.WaitWakeup(&r.incoming, seen, &req.done)
 	}
 	r.prof.mpiWait += r.eng.Now().Sub(start)
 	if r.world.trace != nil {
@@ -307,19 +308,18 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 	start := r.eng.Now()
 	defer func() { r.prof.mpiWait += r.eng.Now().Sub(start) }()
 	for {
-		sig := r.incoming
+		seen := r.incoming.Count()
 		r.progress()
 		for i, q := range reqs {
 			if q.Completed() {
 				return i
 			}
 		}
-		sigs := make([]*sim.Signal, 0, len(reqs)+1)
-		for _, q := range reqs {
-			sigs = append(sigs, &q.done)
+		sigs := make([]*sim.Signal, len(reqs))
+		for i, q := range reqs {
+			sigs[i] = &q.done
 		}
-		sigs = append(sigs, sig)
-		r.proc.WaitAny(sigs...)
+		r.proc.WaitWakeup(&r.incoming, seen, sigs...)
 	}
 }
 
@@ -362,10 +362,16 @@ type shmState struct {
 	head    int
 }
 
+// shmMsg is one message in flight on the shared-memory channel. It is
+// pooled on the world and released once the receiving rank has copied it
+// out (see shmComplete).
 type shmMsg struct {
-	env     match.Envelope
-	size    units.Bytes
-	payload interface{}
+	live      sim.Live
+	env       match.Envelope
+	size      units.Bytes
+	payload   interface{}
+	dst       *Rank
+	deliverFn func() // bound once
 }
 
 // shmSend copies the message into the shared segment and hands it to the
@@ -374,18 +380,35 @@ type shmMsg struct {
 func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{}) *Request {
 	req := r.NewRequest(r.world.shmSendNames.Name(r.id, dst), false)
 	r.HostCopy(size)
-	msg := &shmMsg{env: match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}, size: size, payload: payload}
-	peer := r.world.ranks[dst]
-	r.eng.After(r.world.cfg.ShmLatency, func() { peer.shmDeliver(msg) })
+	msg := r.world.freeShm.Get()
+	if msg == nil {
+		msg = &shmMsg{}
+		msg.deliverFn = msg.deliver
+	}
+	msg.live.Acquire()
+	msg.env = match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}
+	msg.size, msg.payload, msg.dst = size, payload, r.world.ranks[dst]
+	r.eng.After(r.world.cfg.ShmLatency, msg.deliverFn)
 	req.Complete(dst, tag, size, payload)
 	return req
 }
 
-// shmDeliver lands an intra-node message on this rank's channel and wakes
-// it.
-func (r *Rank) shmDeliver(msg *shmMsg) {
+// deliver lands the message on its destination's channel and wakes that
+// rank.
+func (msg *shmMsg) deliver() {
+	msg.live.Check(msg)
+	r := msg.dst
 	r.shm.arrived = append(r.shm.arrived, msg)
 	r.Kick()
+}
+
+// shmComplete copies a matched message out into req's buffer, completes
+// req and releases the message: its one release point.
+func (r *Rank) shmComplete(req *Request, msg *shmMsg) {
+	r.HostCopy(msg.size)
+	req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
+	msg.payload, msg.dst = nil, nil
+	r.world.freeShm.Put(msg, &msg.live)
 }
 
 // shmRecv posts an intra-node receive.
@@ -394,9 +417,7 @@ func (r *Rank) shmRecv(src, tag, ctx int) *Request {
 	r.shmProgress() // drain anything already arrived before posting
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if data, found, _ := r.shm.engine.PostRecv(env, req); found {
-		msg := data.(*shmMsg)
-		r.HostCopy(msg.size)
-		req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
+		r.shmComplete(req, data.(*shmMsg))
 	}
 	return req
 }
@@ -415,8 +436,6 @@ func (r *Rank) shmProgress() {
 		if !found {
 			continue // parked in the unexpected queue inside the engine
 		}
-		req := data.(*Request)
-		r.HostCopy(msg.size)
-		req.Complete(msg.env.Src, msg.env.Tag, msg.size, msg.payload)
+		r.shmComplete(data.(*Request), msg)
 	}
 }

@@ -25,6 +25,8 @@ type World struct {
 
 	// Shared-memory request names, rendered once per (rank, peer).
 	shmSendNames, shmRecvNames sim.PairNames
+	// freeShm holds the shared-memory channel's released messages.
+	freeShm sim.FreeList[shmMsg]
 
 	// Optional event trace (see trace.go).
 	trace *tracer
@@ -52,16 +54,14 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 	w.track = eng.TraceTrack()
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for i := range w.ranks {
-		incoming := "rank" + strconv.Itoa(i) + " incoming"
 		w.ranks[i] = &Rank{
-			world:        w,
-			id:           i,
-			eng:          eng,
-			node:         cluster.Nodes[i/cfg.PPN],
-			slot:         i % cfg.PPN,
-			incoming:     eng.NewSignal(incoming),
-			incomingName: incoming,
+			world: w,
+			id:    i,
+			eng:   eng,
+			node:  cluster.Nodes[i/cfg.PPN],
+			slot:  i % cfg.PPN,
 		}
+		eng.InitWakeup(&w.ranks[i].incoming, "rank"+strconv.Itoa(i)+" incoming")
 		if w.track != nil {
 			w.track.SetThreadName(sim.TidRank+int64(i), fmt.Sprintf("rank%d", i))
 		}

@@ -7,7 +7,8 @@ import (
 
 // Signal is a one-shot completion event. Processes can block on it, and
 // event-driven code can attach callbacks. Firing is idempotent-hostile:
-// firing twice is a model bug and panics.
+// firing twice is a model bug and panics. The one reusable exception is
+// Wakeup, which fires any number of times.
 //
 // A Signal is 64 bytes, one allocation class, and can live by value inside
 // the struct that owns its operation (see InitSignal). It must not be
@@ -198,6 +199,72 @@ func (p *Proc) WaitAny(sigs ...*Signal) int {
 			s.addWaiter(p)
 		}
 		p.park("waiting on any of ", sigs[0].name)
+	}
+}
+
+// Wakeup is a reusable wake-up: a signal that re-arms in place each time
+// it fires, and counts its fires. It serves an owner that wakes one or a
+// few processes over and over (a rank on every delivery, a node's
+// computing slots on every membership change), and lives by value in that
+// owner, so a fire allocates nothing.
+//
+// A waiter captures Count before it checks its condition and, if the
+// condition does not hold, passes that count to Proc.WaitWakeup. It holds
+// a count, not a signal, so a fire between the capture and the wait is not
+// lost although the wake-up has re-armed since. A Wakeup takes no
+// callbacks.
+type Wakeup struct {
+	sig   Signal
+	count uint64
+}
+
+// InitWakeup readies w, typically a field of its owner, with no fires. The
+// name appears in deadlock reports.
+func (e *Engine) InitWakeup(w *Wakeup, name string) {
+	*w = Wakeup{}
+	e.InitSignal(&w.sig, name)
+}
+
+// Count reports how many times the wake-up has fired.
+func (w *Wakeup) Count() uint64 { return w.count }
+
+// Fire advances the count and wakes every registered process, in
+// registration order, as a one-shot signal's Fire does; then it re-arms,
+// keeping the overflow record for the next round's waiters. With no
+// process registered it schedules nothing.
+func (w *Wakeup) Fire() {
+	w.count++
+	more := w.sig.more
+	w.sig.Fire()
+	w.sig.fired = false
+	if more != nil {
+		clear(more.waiters)
+		more.waiters = more.waiters[:0]
+		w.sig.more = more
+	}
+}
+
+// WaitWakeup blocks until w's count has moved past seen or one of sigs has
+// fired, and returns at once if either already holds. A wake for anything
+// else re-parks. Blocked, it reads as Wait on w, or with sigs as WaitAny
+// on sigs and w.
+func (p *Proc) WaitWakeup(w *Wakeup, seen uint64, sigs ...*Signal) {
+	p.checkRunning()
+	state, obj := "waiting on signal ", w.sig.name
+	if len(sigs) > 0 {
+		state, obj = "waiting on any of ", sigs[0].name
+	}
+	for w.count == seen {
+		for _, s := range sigs {
+			if s.fired {
+				return
+			}
+		}
+		for _, s := range sigs {
+			s.addWaiter(p)
+		}
+		w.sig.addWaiter(p)
+		p.park(state, obj)
 	}
 }
 
