@@ -2,15 +2,16 @@
 # the bench module too), build, test, the race detector over the whole
 # module, simlint — the determinism/invariant static-analysis suite
 # (internal/lint, see DESIGN.md "Determinism invariants") — the
-# benchmark module's own tests, and one iteration of every kernel
-# microbenchmark (bench-run).
+# benchmark module's own tests, one iteration of every kernel
+# microbenchmark (bench-run), and a run of every example program
+# (examples).
 
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: check fmt vet build test race lint bench-test bench-run bench-smoke fix-verify bench regen trace-demo chaos campaign
+.PHONY: check fmt vet build test race lint bench-test bench-run examples bench-smoke fix-verify bench regen trace-demo chaos campaign
 
-check: fmt vet build test race lint bench-test bench-run
+check: fmt vet build test race lint bench-test bench-run examples
 
 # fmt fails, listing the files, if any Go file in the tree (bench/
 # included) is not gofmt-formatted.
@@ -76,6 +77,16 @@ bench-test:
 # it. One iteration each measures nothing. ~7 s on a 2-vCPU host.
 bench-run:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# examples runs every program under examples/, discarding its output, and
+# fails naming the first that exits non-zero. Building them proves only
+# that they compile; running them exercises the library surface they
+# show, such as the requests halo2d, overlap and profile wait on. ~2 s
+# on a 2-vCPU host once built.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 # bench-smoke runs every benchmark workload end to end: a warm-up and
 # three passes each, checking every simulation's digest against

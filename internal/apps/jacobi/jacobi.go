@@ -115,24 +115,25 @@ func Solve(r *mpi.Rank, p Problem) []float64 {
 	leftNbr, rightNbr := r.ID()-1, r.ID()+1
 
 	for s := 0; s < p.Sweeps; s++ {
-		// Halo exchange: boundary values as real payloads.
-		var reqs []*mpi.Request
-		var leftReq, rightReq *mpi.Request
+		// Halo exchange: boundary values as real payloads. Each ghost
+		// comes from its receive's Wait, which releases the request.
+		var leftRecv, leftSend, rightRecv, rightSend *mpi.Request
 		if leftNbr >= 0 && n > 0 {
-			leftReq = r.Irecv(leftNbr, tagRight)
-			reqs = append(reqs, leftReq, r.IsendPayload(leftNbr, tagLeft, 8, u[0]))
+			leftRecv = r.Irecv(leftNbr, tagRight)
+			leftSend = r.IsendPayload(leftNbr, tagLeft, 8, u[0])
 		}
 		if rightNbr < size && n > 0 {
-			rightReq = r.Irecv(rightNbr, tagLeft)
-			reqs = append(reqs, rightReq, r.IsendPayload(rightNbr, tagRight, 8, u[n-1]))
+			rightRecv = r.Irecv(rightNbr, tagLeft)
+			rightSend = r.IsendPayload(rightNbr, tagRight, 8, u[n-1])
 		}
-		r.Waitall(reqs...)
 		leftGhost, rightGhost := 0.0, 0.0
-		if leftReq != nil {
-			leftGhost = leftReq.Status().Payload.(float64)
+		if leftRecv != nil {
+			leftGhost = r.Wait(leftRecv).Payload.(float64)
+			r.Wait(leftSend)
 		}
-		if rightReq != nil {
-			rightGhost = rightReq.Status().Payload.(float64)
+		if rightRecv != nil {
+			rightGhost = r.Wait(rightRecv).Payload.(float64)
+			r.Wait(rightSend)
 		}
 
 		// Local update (charged as simulated compute time).

@@ -248,16 +248,15 @@ func exchange(r *mpi.Rank, nbr [6]int, bytes units.Bytes, baseTag int) {
 		if lo == r.ID() && hi == r.ID() {
 			continue // periodic self-neighbour: local wrap, no message
 		}
-		var reqs []*mpi.Request
-		reqs = append(reqs,
+		reqs := [4]*mpi.Request{
 			r.Irecv(lo, baseTag+2*dim),
 			r.Irecv(hi, baseTag+2*dim+1),
 			// Down direction matches the neighbour's "hi" receive and
 			// vice versa.
 			r.Isend(lo, baseTag+2*dim+1, bytes),
 			r.Isend(hi, baseTag+2*dim, bytes),
-		)
-		r.Waitall(reqs...)
+		}
+		r.Waitall(reqs[:]...)
 	}
 }
 

@@ -57,8 +57,8 @@ func (c *Comm) Barrier() {
 		src := (me - k + p) % p
 		sreq := c.collSend(dst, tagBarrier, 0)
 		rreq := c.collRecv(src, tagBarrier)
-		c.owner.waitFree(sreq)
-		c.owner.waitFree(rreq)
+		c.owner.Wait(sreq)
+		c.owner.Wait(rreq)
 	}
 }
 
@@ -74,7 +74,7 @@ func (c *Comm) Bcast(root int, size units.Bytes) {
 	mask := 1
 	for mask < p {
 		if vr&mask != 0 {
-			c.owner.waitFree(c.collRecv(abs(vr-mask), tagBcast))
+			c.owner.Wait(c.collRecv(abs(vr-mask), tagBcast))
 			break
 		}
 		mask <<= 1
@@ -82,7 +82,7 @@ func (c *Comm) Bcast(root int, size units.Bytes) {
 	mask >>= 1
 	for mask > 0 {
 		if vr+mask < p {
-			c.owner.waitFree(c.collSend(abs(vr+mask), tagBcast, size))
+			c.owner.Wait(c.collSend(abs(vr+mask), tagBcast, size))
 		}
 		mask >>= 1
 	}
@@ -102,11 +102,11 @@ func (c *Comm) Reduce(root int, size units.Bytes) {
 		if vr&mask == 0 {
 			src := vr | mask
 			if src < p {
-				c.owner.waitFree(c.collRecv(abs(src), tagReduce))
+				c.owner.Wait(c.collRecv(abs(src), tagReduce))
 				c.reduceLocal(size)
 			}
 		} else {
-			c.owner.waitFree(c.collSend(abs(vr&^mask), tagReduce, size))
+			c.owner.Wait(c.collSend(abs(vr&^mask), tagReduce, size))
 			break
 		}
 		mask <<= 1
@@ -131,8 +131,8 @@ func (c *Comm) Allreduce(size units.Bytes) {
 		peer := me ^ mask
 		sreq := c.collSend(peer, tagAllreduce, size)
 		rreq := c.collRecv(peer, tagAllreduce)
-		c.owner.waitFree(sreq)
-		c.owner.waitFree(rreq)
+		c.owner.Wait(sreq)
+		c.owner.Wait(rreq)
 		c.reduceLocal(size)
 	}
 }
@@ -150,8 +150,8 @@ func (c *Comm) Allgather(size units.Bytes) {
 	for step := 0; step < p-1; step++ {
 		sreq := c.collSend(next, tagAllgather, size)
 		rreq := c.collRecv(prev, tagAllgather)
-		c.owner.waitFree(sreq)
-		c.owner.waitFree(rreq)
+		c.owner.Wait(sreq)
+		c.owner.Wait(rreq)
 	}
 }
 
@@ -175,8 +175,8 @@ func (c *Comm) Alltoall(size units.Bytes) {
 		}
 		sreq := c.collSend(sendTo, tagAlltoall, size)
 		rreq := c.collRecv(recvFrom, tagAlltoall)
-		c.owner.waitFree(sreq)
-		c.owner.waitFree(rreq)
+		c.owner.Wait(sreq)
+		c.owner.Wait(rreq)
 	}
 }
 
@@ -194,11 +194,11 @@ func (c *Comm) Gather(root int, size units.Bytes) {
 			}
 		}
 		for _, q := range reqs {
-			c.owner.waitFree(q)
+			c.owner.Wait(q)
 		}
 		return
 	}
-	c.owner.waitFree(c.collSend(root, tagGather, size))
+	c.owner.Wait(c.collSend(root, tagGather, size))
 }
 
 // Scatter distributes a distinct size-byte block from root to every member
@@ -216,11 +216,11 @@ func (c *Comm) Scatter(root int, size units.Bytes) {
 			}
 		}
 		for _, q := range reqs {
-			c.owner.waitFree(q)
+			c.owner.Wait(q)
 		}
 		return
 	}
-	c.owner.waitFree(c.collRecv(root, tagScatter))
+	c.owner.Wait(c.collRecv(root, tagScatter))
 }
 
 // ReduceScatter combines P blocks of size bytes each and leaves one reduced
@@ -244,8 +244,8 @@ func (c *Comm) ReduceScatter(size units.Bytes) {
 		peer := me ^ mask
 		sreq := c.collSend(peer, tagReduceScatter, chunk)
 		rreq := c.collRecv(peer, tagReduceScatter)
-		c.owner.waitFree(sreq)
-		c.owner.waitFree(rreq)
+		c.owner.Wait(sreq)
+		c.owner.Wait(rreq)
 		c.reduceLocal(chunk)
 		if chunk > size {
 			chunk /= 2
@@ -263,11 +263,11 @@ func (c *Comm) Scan(size units.Bytes) {
 	}
 	me := c.myRank
 	if me > 0 {
-		c.owner.waitFree(c.collRecv(me-1, tagScan))
+		c.owner.Wait(c.collRecv(me-1, tagScan))
 		c.reduceLocal(size)
 	}
 	if me < p-1 {
-		c.owner.waitFree(c.collSend(me+1, tagScan, size))
+		c.owner.Wait(c.collSend(me+1, tagScan, size))
 	}
 }
 

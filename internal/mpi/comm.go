@@ -79,13 +79,13 @@ func (c *Comm) Irecv(src, tag int) *Request {
 
 // Send is a blocking send to a communicator rank.
 func (c *Comm) Send(dst, tag int, size units.Bytes) {
-	c.owner.waitFree(c.Isend(dst, tag, size))
+	c.owner.Wait(c.Isend(dst, tag, size))
 }
 
 // Recv is a blocking receive; the returned Status.Src is a communicator
 // rank.
 func (c *Comm) Recv(src, tag int) Status {
-	st := c.owner.waitFree(c.Irecv(src, tag))
+	st := c.owner.Wait(c.Irecv(src, tag))
 	st.Src = c.commRankOf(st.Src)
 	return st
 }
@@ -94,8 +94,8 @@ func (c *Comm) Recv(src, tag int) Status {
 func (c *Comm) Sendrecv(dst, sendTag int, size units.Bytes, src, recvTag int) Status {
 	sreq := c.Isend(dst, sendTag, size)
 	rreq := c.Irecv(src, recvTag)
-	c.owner.waitFree(sreq)
-	st := c.owner.waitFree(rreq)
+	c.owner.Wait(sreq)
+	st := c.owner.Wait(rreq)
 	st.Src = c.commRankOf(st.Src)
 	return st
 }

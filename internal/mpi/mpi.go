@@ -121,9 +121,12 @@ type Status struct {
 
 // Request is a nonblocking operation handle. Its completion signal lives
 // inside it, so a request is one allocation. Requests come from their
-// rank's pool (Rank.NewRequest); a blocking call returns the ones it
-// created when it returns, and a request that Isend or Irecv hands out is
-// never reused.
+// rank's pool (Rank.NewRequest), and the call that reports a request
+// complete releases it back there: Wait, each element of Waitall, the
+// index Waitany returns, or a Test that returns true. The handle is then
+// dead, as MPI_Wait sets it to MPI_REQUEST_NULL; Waitall and Waitany set
+// the slots they release to nil. Using a released request panics, naming
+// *mpi.Request.
 type Request struct {
 	done   sim.Signal
 	live   sim.Live
@@ -150,10 +153,16 @@ func (s *reqSpan) record(end units.Time) {
 }
 
 // Done exposes the completion signal (transport use).
-func (q *Request) Done() *sim.Signal { return &q.done }
+func (q *Request) Done() *sim.Signal {
+	q.live.Check(q)
+	return &q.done
+}
 
 // Completed reports whether the request has finished.
-func (q *Request) Completed() bool { return q.done.Fired() }
+func (q *Request) Completed() bool {
+	q.live.Check(q)
+	return q.done.Fired()
+}
 
 // Complete marks a request finished with the given status (transport
 // use). src is the request's peer: the sender for a receive, the
@@ -166,8 +175,9 @@ func (q *Request) Complete(src, tag int, size units.Bytes, payload interface{}) 
 }
 
 // Status returns the completion status; valid only after the request is
-// done.
+// done and before the call that reports it complete releases it.
 func (q *Request) Status() Status {
+	q.live.Check(q)
 	if !q.done.Fired() {
 		panic("mpi: Status on incomplete request")
 	}

@@ -350,20 +350,35 @@ func TestIBRegCacheThrashVisible(t *testing.T) {
 	}
 }
 
+// TestWaitany: Waitany returns the index of the request that completes
+// first (rank 2's message arrives long before rank 1's), releases it and
+// sets its slot to nil; a later Waitany skips that slot, and one over only
+// nil slots returns -1 (MPI_UNDEFINED) at once.
 func TestWaitany(t *testing.T) {
 	onBoth(t, func(t *testing.T, net platform.Network) {
 		m := build(t, net, 3, 1)
 		_, err := m.Run(func(r *mpi.Rank) {
 			switch r.ID() {
 			case 0:
-				// Rank 2's message arrives long before rank 1's.
-				fast := r.Irecv(2, 0)
-				slow := r.Irecv(1, 0)
-				idx := r.Waitany(slow, fast)
-				if idx != 1 {
-					t.Errorf("Waitany returned %d, want 1 (the fast request)", idx)
+				slow, fast := r.Irecv(1, 0), r.Irecv(2, 0)
+				reqs := []*mpi.Request{nil, slow, fast}
+				free := r.FreeRequests()
+				if idx := r.Waitany(reqs...); idx != 2 || reqs[2] != nil || reqs[1] != slow {
+					t.Errorf("first Waitany = %d, slots %v, want 2 with slot 2 nil", idx, reqs)
 				}
-				r.Wait(slow)
+				if idx := r.Waitany(reqs...); idx != 1 || reqs[1] != nil {
+					t.Errorf("second Waitany = %d, slots %v, want 1 with slot 1 nil", idx, reqs)
+				}
+				if got := r.FreeRequests() - free; got != 2 {
+					t.Errorf("Waitany released %d requests, want 2", got)
+				}
+				before := r.Now()
+				if idx := r.Waitany(reqs...); idx != -1 {
+					t.Errorf("Waitany over nil slots = %d, want -1", idx)
+				}
+				if r.Waitany() != -1 || r.Now() != before {
+					t.Error("Waitany over no requests did not return -1 at once")
+				}
 			case 1:
 				r.Compute(5*units.Millisecond, 0)
 				r.Send(0, 0, 64)
@@ -392,4 +407,40 @@ func TestWaitanyAlreadyComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWaitallNilsSlots: Waitall releases every request and sets its slot
+// to nil, as MPI_Waitall sets it to MPI_REQUEST_NULL. It skips nil slots,
+// so it follows a Waitany on the same slice, and a second Waitall on the
+// slice does nothing.
+func TestWaitallNilsSlots(t *testing.T) {
+	onBoth(t, func(t *testing.T, net platform.Network) {
+		m := build(t, net, 2, 1)
+		_, err := m.Run(func(r *mpi.Rank) {
+			peer := 1 - r.ID()
+			reqs := []*mpi.Request{nil, r.Irecv(peer, 0), r.Irecv(peer, 1),
+				r.Isend(peer, 0, 64*units.KiB), r.Isend(peer, 1, 64)}
+			free := r.FreeRequests()
+			if r.Waitany(reqs...) < 0 {
+				t.Errorf("rank %d: Waitany found no request", r.ID())
+			}
+			r.Waitall(reqs...)
+			for i, q := range reqs {
+				if q != nil {
+					t.Errorf("rank %d: slot %d not nil after Waitall", r.ID(), i)
+				}
+			}
+			if got := r.FreeRequests() - free; got != len(reqs)-1 {
+				t.Errorf("rank %d: Waitany and Waitall released %d requests, want %d", r.ID(), got, len(reqs)-1)
+			}
+			before := r.Now()
+			r.Waitall(reqs...)
+			if r.Now() != before || r.FreeRequests()-free != len(reqs)-1 {
+				t.Errorf("rank %d: a second Waitall over nil slots did something", r.ID())
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -33,9 +33,18 @@ func blockingCalls(r *mpi.Rank) {
 	r.Allreduce(8)
 }
 
-// tracedRun runs blockingCalls on two ranks with a tracing registry
-// attached and returns the machine and its trace's sorted digest.
-func tracedRun(t *testing.T, net platform.Network) (*platform.Machine, string) {
+// nonblockingCalls exchanges eager and rendezvous messages with Irecv,
+// Isend and Waitall.
+func nonblockingCalls(r *mpi.Rank) {
+	peer := 1 - r.ID()
+	for _, size := range []units.Bytes{units.KiB, 64 * units.KiB} {
+		r.Waitall(r.Irecv(peer, 3), r.Isend(peer, 3, size))
+	}
+}
+
+// tracedRun runs app on two ranks with a tracing registry attached and
+// returns the machine and its trace's sorted digest.
+func tracedRun(t *testing.T, net platform.Network, app func(*mpi.Rank)) (*platform.Machine, string) {
 	t.Helper()
 	reg := metrics.New()
 	reg.EnableTracing()
@@ -43,7 +52,7 @@ func tracedRun(t *testing.T, net platform.Network) (*platform.Machine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(blockingCalls); err != nil {
+	if _, err := m.Run(app); err != nil {
 		t.Fatal(err)
 	}
 	return m, traceDigest(t, reg)
@@ -74,7 +83,7 @@ func traceDigest(t *testing.T, reg *metrics.Registry) string {
 func TestTracedBlockingCallsDigest(t *testing.T) {
 	want := map[string]string{"IB": "196 events 66a68ea4056296d3", "Elan4": "148 events 4a0d1a5d636a3e62"}
 	onBoth(t, func(t *testing.T, net platform.Network) {
-		if _, digest := tracedRun(t, net); digest != want[net.Short()] {
+		if _, digest := tracedRun(t, net, blockingCalls); digest != want[net.Short()] {
 			t.Errorf("sorted trace digest %s, want %s", digest, want[net.Short()])
 		}
 	})
@@ -83,42 +92,68 @@ func TestTracedBlockingCallsDigest(t *testing.T) {
 // TestTracedRunRecyclesAsUntraced: a tracing registry changes nothing a
 // rank does with its requests. Each request records its span when it
 // completes, so a traced rank recycles exactly the requests the untraced
-// one does, and those are some.
+// one does, and those are some: the blocking calls' and the ones Isend
+// and Irecv hand out.
 func TestTracedRunRecyclesAsUntraced(t *testing.T) {
+	apps := []struct {
+		name string
+		run  func(*mpi.Rank)
+	}{{"blocking", blockingCalls}, {"nonblocking", nonblockingCalls}}
 	onBoth(t, func(t *testing.T, net platform.Network) {
-		traced, _ := tracedRun(t, net)
-		bare := build(t, net, 2, 1)
-		if _, err := bare.Run(blockingCalls); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			got, want := traced.World.Rank(i).FreeRequests(), bare.World.Rank(i).FreeRequests()
-			if got != want || want == 0 {
-				t.Errorf("rank %d recycled %d requests traced and %d untraced, want equal and not 0", i, got, want)
+		for _, app := range apps {
+			traced, _ := tracedRun(t, net, app.run)
+			bare := build(t, net, 2, 1)
+			if _, err := bare.Run(app.run); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				got, want := traced.World.Rank(i).FreeRequests(), bare.World.Rank(i).FreeRequests()
+				if got != want || want == 0 {
+					t.Errorf("%s calls: rank %d recycled %d requests traced and %d untraced, want equal and not 0", app.name, i, got, want)
+				}
 			}
 		}
 	})
 }
 
-// TestRequestDoubleReleasePanics: returning a blocking call's request a
-// second time panics and names the type.
-func TestRequestDoubleReleasePanics(t *testing.T) {
+// panicMessage runs f and returns the message it panicked with, or "".
+func panicMessage(f func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	f()
+	return ""
+}
+
+// TestReleasedRequestMisusePanics: once a Wait has returned a request,
+// waiting on it again, testing it, or reading its status, completion or
+// signal panics and names the type. Each panics on entry, before the call charges any time.
+func TestReleasedRequestMisusePanics(t *testing.T) {
 	m := build(t, platform.InfiniBand4X, 2, 1)
-	var msg string
+	msgs := map[string]string{}
+	var charged units.Duration
 	_, err := m.Run(func(r *mpi.Rank) {
 		if r.ID() == 1 {
 			r.Recv(0, 0)
 			return
 		}
 		q := r.Isend(1, 0, 64)
-		r.WaitFree(q)
-		defer func() { msg, _ = recover().(string) }()
-		r.WaitFree(q)
+		r.Wait(q)
+		before := r.Now()
+		msgs["Wait"] = panicMessage(func() { r.Wait(q) })
+		msgs["Test"] = panicMessage(func() { r.Test(q) })
+		msgs["Status"] = panicMessage(func() { q.Status() })
+		msgs["Completed"] = panicMessage(func() { q.Completed() })
+		msgs["Done"] = panicMessage(func() { q.Done() })
+		charged = r.Now().Sub(before)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(msg, "*mpi.Request released twice") {
-		t.Fatalf("second release: panic %q", msg)
+	if charged != 0 {
+		t.Errorf("the misused calls charged %v before panicking, want 0", charged)
+	}
+	for _, call := range []string{"Wait", "Test", "Status", "Completed", "Done"} {
+		if !strings.Contains(msgs[call], "*mpi.Request continuation ran after release") {
+			t.Errorf("%s after release: panic %q", call, msgs[call])
+		}
 	}
 }

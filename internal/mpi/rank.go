@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/host"
 	"repro/internal/match"
@@ -31,7 +32,8 @@ type Rank struct {
 	commWorld *Comm
 	prof      profileState
 
-	// freeReqs holds the requests blocking calls have returned.
+	// freeReqs holds the requests the calls that reported them complete
+	// have released.
 	freeReqs sim.FreeList[Request]
 
 	// Statistics.
@@ -87,25 +89,6 @@ func (r *Rank) NewRequest(name string, isRecv bool) *Request {
 	r.eng.InitSignal(&q.done, name)
 	q.isRecv = isRecv
 	return q
-}
-
-// waitFree is Wait for a request the rank created for a blocking call,
-// which it then releases.
-func (r *Rank) waitFree(q *Request) Status {
-	st := r.Wait(q)
-	r.release(q)
-	return st
-}
-
-// release returns a blocking call's request to the pool once its Wait has
-// returned: the request's one release point. By then it has fired, so no
-// waiter or callback refers to it, and its span, if traced, is recorded.
-func (r *Rank) release(q *Request) {
-	if !q.done.Fired() || q.done.HasListeners() {
-		panic("mpi: recycling a request that has not completed")
-	}
-	q.status = Status{}
-	r.freeReqs.Put(q, &q.live)
 }
 
 // Kick wakes the rank from a blocking MPI call to re-examine protocol
@@ -259,8 +242,10 @@ func (r *Rank) irecv(src, tag, ctx int) *Request {
 // Wait blocks until the request completes, making host-side progress while
 // it waits (this is where an implementation without independent progress
 // pays its dues: nothing advances unless some rank sits in a call like this
-// one).
+// one). It returns the request's status and releases the request, as
+// MPI_Wait frees it.
 func (r *Rank) Wait(req *Request) Status {
+	req.live.Check(req)
 	r.proc.Sleep(r.world.cfg.CallOverhead)
 	start := r.eng.Now()
 	for !req.Completed() {
@@ -272,6 +257,18 @@ func (r *Rank) Wait(req *Request) Status {
 		r.proc.WaitWakeup(&r.incoming, seen, &req.done)
 	}
 	r.prof.mpiWait += r.eng.Now().Sub(start)
+	return r.finish(req)
+}
+
+// finish is the request's one release point, reached from every call that
+// reports it complete (Wait, Waitall, Waitany or Test). It records the
+// request's done event, if traced, and returns the request to the pool
+// with its status. By then the request has fired, so no waiter or
+// callback refers to it, and its span, if traced, is recorded.
+func (r *Rank) finish(req *Request) Status {
+	if !req.done.Fired() || req.done.HasListeners() {
+		panic("mpi: recycling a request that has not completed")
+	}
 	if r.world.trace != nil {
 		kind := EvSendDone
 		if req.isRecv {
@@ -279,30 +276,45 @@ func (r *Rank) Wait(req *Request) Status {
 		}
 		r.world.record(r.id, kind, req.status.Src, req.status.Tag, req.status.Size)
 	}
-	return req.status
+	st := req.status
+	req.status = Status{}
+	r.freeReqs.Put(req, &req.live)
+	return st
 }
 
-// Waitall blocks until every request completes.
+// Waitall blocks until every request completes, waiting on each in turn,
+// and sets each slot to nil once its Wait has released it (as MPI_Waitall
+// sets it to MPI_REQUEST_NULL). It skips nil slots.
 func (r *Rank) Waitall(reqs ...*Request) {
-	for _, q := range reqs {
+	for i, q := range reqs {
+		if q == nil {
+			continue
+		}
 		r.Wait(q)
+		reqs[i] = nil
 	}
 }
 
 // Test makes progress and reports whether the request has completed
-// (MPI_Test).
+// (MPI_Test). A request it reports complete is released; a caller that
+// needs the status calls Wait instead.
 func (r *Rank) Test(req *Request) bool {
+	req.live.Check(req)
 	r.proc.Sleep(r.world.cfg.CallOverhead)
 	r.progress()
-	return req.Completed()
+	if !req.Completed() {
+		return false
+	}
+	r.finish(req)
+	return true
 }
 
-// Waitany blocks until at least one request completes and returns its
-// index (MPI_Waitany). Completed requests passed in again return
-// immediately.
+// Waitany blocks until at least one request completes, releases it, sets
+// its slot to nil and returns its index (MPI_Waitany). It skips nil slots,
+// and returns -1 (MPI_UNDEFINED) at once when every slot is nil.
 func (r *Rank) Waitany(reqs ...*Request) int {
-	if len(reqs) == 0 {
-		panic("mpi: Waitany with no requests")
+	if !slices.ContainsFunc(reqs, func(q *Request) bool { return q != nil }) {
+		return -1
 	}
 	r.proc.Sleep(r.world.cfg.CallOverhead)
 	start := r.eng.Now()
@@ -311,13 +323,17 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 		seen := r.incoming.Count()
 		r.progress()
 		for i, q := range reqs {
-			if q.Completed() {
+			if q != nil && q.Completed() {
+				r.finish(q)
+				reqs[i] = nil
 				return i
 			}
 		}
-		sigs := make([]*sim.Signal, len(reqs))
-		for i, q := range reqs {
-			sigs[i] = &q.done
+		sigs := make([]*sim.Signal, 0, len(reqs))
+		for _, q := range reqs {
+			if q != nil {
+				sigs = append(sigs, &q.done)
+			}
 		}
 		r.proc.WaitWakeup(&r.incoming, seen, sigs...)
 	}
@@ -325,17 +341,17 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 
 // Send is a blocking send.
 func (r *Rank) Send(dst, tag int, size units.Bytes) {
-	r.waitFree(r.Isend(dst, tag, size))
+	r.Wait(r.Isend(dst, tag, size))
 }
 
 // SendPayload is a blocking send carrying data.
 func (r *Rank) SendPayload(dst, tag int, size units.Bytes, payload interface{}) {
-	r.waitFree(r.IsendPayload(dst, tag, size, payload))
+	r.Wait(r.IsendPayload(dst, tag, size, payload))
 }
 
 // Recv is a blocking receive.
 func (r *Rank) Recv(src, tag int) Status {
-	return r.waitFree(r.Irecv(src, tag))
+	return r.Wait(r.Irecv(src, tag))
 }
 
 // Sendrecv exchanges messages with possibly different peers, as
@@ -344,8 +360,8 @@ func (r *Rank) Recv(src, tag int) Status {
 func (r *Rank) Sendrecv(dst, sendTag int, size units.Bytes, src, recvTag int) Status {
 	sreq := r.Isend(dst, sendTag, size)
 	rreq := r.Irecv(src, recvTag)
-	r.waitFree(sreq)
-	return r.waitFree(rreq)
+	r.Wait(sreq)
+	return r.Wait(rreq)
 }
 
 // progress drains the shared-memory channel and lets the transport advance

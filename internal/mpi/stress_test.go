@@ -82,11 +82,11 @@ func TestRandomTrafficIntegrity(t *testing.T) {
 						}
 					}
 					r.Waitall(sends...)
-					r.Waitall(recvs...)
-					// Reconstruct per-sender order from completions.
+					// Reconstruct per-sender order from completions; each
+					// status comes from the Wait that releases its request.
 					got := map[int][]stressMsg{}
 					for _, q := range recvs {
-						st := q.Status()
+						st := r.Wait(q)
 						msg := st.Payload.(stressMsg)
 						if units.Bytes(msg.size) != st.Size {
 							t.Errorf("rank %d: size mismatch %v vs %v", me, msg.size, st.Size)

@@ -22,6 +22,7 @@ func TestIndependentProgressSenderComputing(t *testing.T) {
 	// while BOTH hosts compute, because the NICs run it.
 	m := build(t, 2, 1)
 	const compute = 50 * units.Millisecond
+	var recvCompleted bool
 	var recvDone units.Time
 	_, err := m.Run(func(r *mpi.Rank) {
 		if r.ID() == 0 {
@@ -31,12 +32,17 @@ func TestIndependentProgressSenderComputing(t *testing.T) {
 		} else {
 			req := r.Irecv(0, 0)
 			r.Compute(compute, 0)
-			r.Wait(req)
+			// Read the completion before Wait releases the request.
+			recvCompleted = req.Completed()
 			recvDone = req.Done().FiredAt()
+			r.Wait(req)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !recvCompleted {
+		t.Fatal("rendezvous had not completed when the receiver's compute ended")
 	}
 	if units.Duration(recvDone) >= compute {
 		t.Fatalf("rendezvous only completed at %v — the NIC should have finished it during compute", units.Duration(recvDone))

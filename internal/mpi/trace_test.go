@@ -79,6 +79,43 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	}
 }
 
+// TestTestAndWaitanyTraceDone: a request completed by Test or Waitany
+// writes its done event, naming its peer and tag, as one completed by
+// Wait does.
+func TestTestAndWaitanyTraceDone(t *testing.T) {
+	onBoth(t, func(t *testing.T, net platform.Network) {
+		m := build(t, net, 2, 1)
+		m.World.EnableTrace(1000)
+		_, err := m.Run(func(r *mpi.Rank) {
+			if r.ID() == 0 {
+				q := r.Isend(1, 7, 64)
+				for !r.Test(q) {
+				}
+				r.Waitany(r.Irecv(1, 8))
+			} else {
+				r.Recv(0, 7)
+				r.Send(0, 8, 64)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, _ := m.World.Trace()
+		done := map[mpi.EventKind][]mpi.TraceEvent{}
+		for _, e := range events {
+			if e.Rank == 0 && (e.Kind == mpi.EvSendDone || e.Kind == mpi.EvRecvDone) {
+				done[e.Kind] = append(done[e.Kind], e)
+			}
+		}
+		if s := done[mpi.EvSendDone]; len(s) != 1 || s[0].Peer != 1 || s[0].Tag != 7 {
+			t.Errorf("rank 0 send-done events after Test: %+v, want one naming peer 1, tag 7", s)
+		}
+		if s := done[mpi.EvRecvDone]; len(s) != 1 || s[0].Peer != 1 || s[0].Tag != 8 {
+			t.Errorf("rank 0 recv-done events after Waitany: %+v, want one naming peer 1, tag 8", s)
+		}
+	})
+}
+
 func TestTraceRingKeepsNewest(t *testing.T) {
 	m := build(t, platform.InfiniBand4X, 2, 1)
 	m.World.EnableTrace(8)

@@ -102,3 +102,24 @@ func TestSendrecvBarrierAllocs(t *testing.T) {
 func TestShmMessageAllocs(t *testing.T) {
 	pinAllocs(t, 2, 2, 2, map[string]float64{"IB": 0, "Elan4": 0}, pingPong(units.KiB))
 }
+
+// ringExchange is one nonblocking exchange of 1 KiB around the ring: an
+// Irecv from the predecessor and an Isend to the successor, then Waitall.
+func ringExchange(r *mpi.Rank) {
+	n := r.Size()
+	r.Waitall(r.Irecv((r.ID()+n-1)%n, 0), r.Isend((r.ID()+1)%n, 0, units.KiB))
+}
+
+// TestNonblockingExchangeAllocs pins the halo pattern, an Irecv and an
+// Isend per rank per iteration closed by Waitall, at 0 on both networks
+// on four ranks at 1 PPN, and on the shared-memory channel on two ranks
+// at 2 PPN. Waitall releases each request to its rank's pool, so the next
+// Isend or Irecv reuses it.
+func TestNonblockingExchangeAllocs(t *testing.T) {
+	t.Run("1ppn", func(t *testing.T) {
+		pinAllocs(t, 4, 1, 4, map[string]float64{"IB": 0, "Elan4": 0}, ringExchange)
+	})
+	t.Run("2ppn", func(t *testing.T) {
+		pinAllocs(t, 2, 2, 2, map[string]float64{"IB": 0, "Elan4": 0}, ringExchange)
+	})
+}

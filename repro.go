@@ -42,7 +42,11 @@ var Networks = platform.Networks
 type (
 	// Rank is one MPI process of a running job.
 	Rank = mpi.Rank
-	// Request is a nonblocking operation handle.
+	// Request is a nonblocking operation handle. The call that reports
+	// it complete (Wait, Waitall, Waitany, or a Test that returns true)
+	// releases it back to its rank, as MPI_Wait sets the handle to
+	// MPI_REQUEST_NULL: take the status from Wait, and use the handle no
+	// further.
 	Request = mpi.Request
 	// Status describes a completed request; Src is its peer (the
 	// destination, for a send).
