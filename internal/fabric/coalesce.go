@@ -62,9 +62,12 @@ package fabric
 // work is applied. On completion the summarized work is folded in bulk,
 // leaving busyUntil/busyTotal/served exactly as the expanded model would
 // have. What a window does not keep is the seq of its own events: its
-// delivery event takes its seq when the window opens, and the chunk
-// events an expansion re-issues take theirs when it expands, not where
-// the chunk model would take them. Messages sent later take later seqs
+// delivery event takes its seq when the window opens, and the events an
+// expansion schedules take theirs when it expands, not where the chunk
+// model would take them. At the instant the window opened that is one
+// event, the message's own injection; later it is the train of chunks
+// still bound for the second stage and the pending arrival or delivery of
+// each chunk past it (see expand). Messages sent later take later seqs
 // in both models, so deliveries of different messages fire in the chunk
 // model's order. But an event scheduled while the window is open, for
 // the picosecond of one of the window's events, can run on the other
@@ -279,12 +282,24 @@ func (w *window) doneBefore(k, i int) units.Time {
 	return w.baseC[i].Add(units.Duration(k-1) * w.bneck[i])
 }
 
-// expand materializes the window at the current instant: every chunk
-// arrival strictly before now is folded into its stage's accounting in
-// bulk, and every arrival at or after now (or pending final delivery) is
-// re-issued through the exact lazy chunk machinery. From this event on
-// the message follows the chunk model, except that the re-issued events
-// take their seqs now (see the exactness boundary above).
+// expand materializes the window at the current instant and hands the
+// message back to the chunk model's own mechanisms.
+//
+// Expanded at the instant it opened, the window has served nothing, so
+// the message takes its own injection event now, and from there follows
+// inject and startTrain exactly. That event stands for the n same-instant
+// first-stage arrivals the chunks would otherwise each take, which is
+// inject's own argument.
+//
+// Expanded later, every chunk arrival strictly before now is folded into
+// its stage's accounting in bulk, and every arrival at or after now (or
+// pending final delivery) is re-issued. The chunks that have crossed the
+// first stage but not reached the second become the message's train (see
+// train); every other chunk takes its own chunk state.
+//
+// From this event on the message follows the chunk model, except that
+// the events the expansion schedules take their seqs now (see the
+// exactness boundary above).
 func (w *window) expand() {
 	w.live.Check(w)
 	f := w.f
@@ -296,9 +311,15 @@ func (w *window) expand() {
 	}
 	f.open = nil
 	now := f.eng.Now()
+	if now == w.t0 {
+		f.eng.At(now, ms.injectFn)
+		return
+	}
 	nFull := w.n - 1
 
-	// Fold the elapsed prefix per stage.
+	// Fold the elapsed prefix per stage. The chunks folded at the second
+	// stage, k1 of them, are those that have reached it.
+	k1 := 0
 	for i := 0; i < w.m; i++ {
 		nf := 0
 		if nFull > 0 && w.arrFull(0, i) < now {
@@ -318,6 +339,9 @@ func (w *window) expand() {
 		if lastIn {
 			items++
 		}
+		if i == 1 {
+			k1 = items
+		}
 		if items == 0 {
 			continue
 		}
@@ -336,18 +360,26 @@ func (w *window) expand() {
 	// Re-issue pending chunk arrivals in chunk order (preserving FIFO
 	// sequence at shared stages) and pending final deliveries. Each one is
 	// the completion of the stage before it, so it goes on that server's
-	// lane, where the expanded chunk path would have queued it; arrivals
-	// at the first stage have no stage before them.
+	// lane, where the expanded chunk path would have queued it. Chunks
+	// k1..n-1 are all on their way to the second stage, so they go as one
+	// train unless the lane refuses it. Unlike inject's, this train needs
+	// no faults-off gate: the window served these chunks at the first
+	// stage on a path without faults, so their arrivals at the second are
+	// fixed, and each firing steps its chunk on through the chunk model,
+	// faults and all.
 	mtu := f.params.MTU
 	delivered := 0
 	for k := 0; k < w.n; k++ {
+		if k == k1 && w.train(k1) {
+			break
+		}
 		isLast := k == w.n-1
 		sz := mtu
 		if isLast {
 			sz = w.last
 		}
 		resumed := false
-		for i := 0; i < w.m; i++ {
+		for i := 1; i < w.m; i++ {
 			var a units.Time
 			if isLast {
 				a = w.aLast[i]
@@ -356,11 +388,7 @@ func (w *window) expand() {
 			}
 			if a >= now {
 				cs := f.getChunk(ms, i, sz, a)
-				if i == 0 {
-					f.eng.At(a, cs.stepFn)
-				} else {
-					pt.stages[i-1].srv.Lane().At(a, &cs.lane, cs.stepFn)
-				}
+				pt.stages[i-1].srv.Lane().At(a, &cs.lane, cs.stepFn)
 				resumed = true
 				break
 			}
@@ -392,4 +420,23 @@ func (w *window) expand() {
 	ms.remaining -= delivered
 	// remaining cannot reach zero here: expansion only happens at or
 	// before deliverAt, so at least the final delivery is still pending.
+}
+
+// train re-issues chunks k..n-1, which have crossed the first stage but
+// not reached the second, as the message's train (see startTrain): one
+// series entry on the first stage's lane. The per-chunk loop would give
+// them consecutive seqs, the last ones it takes, and the series reserves
+// the same block, so every firing keeps its key. Reports false, having
+// issued nothing, when the lane refuses the series.
+func (w *window) train(k int) bool {
+	ms := w.ms
+	first := w.aLast[1]
+	if k < w.n-1 {
+		first = w.arrFull(k, 1)
+	}
+	if !ms.pt.stages[0].srv.Lane().Series(first, w.aLast[1], w.n-k, &ms.train, ms.fireFn) {
+		return false
+	}
+	ms.trainAt, ms.trainLeft, ms.lastSer = first, w.n-k, w.sLast[0]
+	return true
 }

@@ -422,3 +422,25 @@ func BenchmarkFabricSend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimultaneousSend is b_eff's shape at the fabric's level: eight
+// sources each send a 64-chunk message to a distinct destination in one
+// picosecond, so the first message's window is expanded at the instant it
+// opened. Each op builds a fresh fabric, so its pools grow from empty and
+// B/op counts the chunk states the pattern needs.
+func BenchmarkSimultaneousSend(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		f, err := New(eng, 16, 16, ibTestParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for src := 0; src < 8; src++ {
+			f.Send(src, 8+src, 64*f.params.MTU)
+		}
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

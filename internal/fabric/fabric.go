@@ -479,8 +479,10 @@ func (ms *msgState) startTrain(now units.Time, n int, last units.Bytes) bool {
 	srv := st.srv
 	if srv.Hooked() {
 		// A touch hook runs inside ServeAt and could take seqs between
-		// the chunks'. Send expanded the open window, and no window forms
-		// while this message is in flight.
+		// the chunks'. The open window was expanded before this injection
+		// was scheduled (by Send, or by the expansion of this message's
+		// own window), and no window forms while this message is in
+		// flight.
 		panic("fabric: coalescing window open on an injecting path")
 	}
 	lastSer := st.rate.TimeFor(last + f.params.PacketOverhead)

@@ -83,15 +83,15 @@ func (c digestRun) run(t *testing.T, net platform.Network, reg *metrics.Registry
 func TestEventKeyDigest(t *testing.T) {
 	want := map[string]string{
 		"Elan4/sweep3d/r9":    "71809 events 953b7164fa3ba374",
-		"Elan4/membrane/n4p2": "98630 events 0ffc5ec015637b20",
+		"Elan4/membrane/n4p2": "97874 events 0b73f0c52fb7d456",
 		"Elan4/sweep3d/r16":   "142119 events f8d9a3fca5e6f81b",
-		"Elan4/beff/ring/r8":  "6840 events 013b98a877892dea",
-		"Elan4/beff/perm/r8":  "6840 events 013b98a877892dea",
+		"Elan4/beff/ring/r8":  "6705 events c89c8879642e24a7",
+		"Elan4/beff/perm/r8":  "6705 events c89c8879642e24a7",
 		"IB/sweep3d/r9":       "76517 events 52453b1fa2caaa36",
-		"IB/membrane/n4p2":    "105301 events 416fbb4236448bb1",
+		"IB/membrane/n4p2":    "103365 events 9609ba82b020fa09",
 		"IB/sweep3d/r16":      "154548 events b79d19301473d450",
-		"IB/beff/ring/r8":     "7293 events 47d268a752af2fd0",
-		"IB/beff/perm/r8":     "7293 events 0d088c197c577b00",
+		"IB/beff/ring/r8":     "7155 events 174794cf773f74e3",
+		"IB/beff/perm/r8":     "7155 events de0798f967f6117f",
 	}
 	for _, net := range platform.Networks {
 		for _, c := range digestRuns() {

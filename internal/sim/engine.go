@@ -172,7 +172,7 @@ type Engine struct {
 	maxEvents uint64
 
 	// keys is a running hash of every dispatched (at, seq), in dispatch
-	// order; tests read it to pin that a change keeps every event's key.
+	// order (see KeyDigest).
 	keys uint64
 
 	// checkAt is the event count at which dispatch next takes the slow
@@ -240,6 +240,11 @@ const (
 
 // Events reports the number of events dispatched so far.
 func (e *Engine) Events() uint64 { return e.nEvents }
+
+// KeyDigest returns e's running hash of every (at, seq) it has
+// dispatched, in dispatch order. Tests compare it with a recorded value
+// to pin that a change keeps every event's key.
+func KeyDigest(e *Engine) uint64 { return e.keys }
 
 // SetEventLimit aborts the run with an error after n dispatched events.
 // Zero (the default) means no limit. Used as a runaway-model backstop in
