@@ -30,21 +30,18 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/ib"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -202,48 +199,50 @@ func run() int {
 	}
 
 	// Per-experiment wall-time summary; failures listed explicitly so an
-	// error in a late experiment cannot scroll past unnoticed. A failed
-	// sweep point fails the run too, though its experiment's tables (where
-	// the point reads "failed") and artifacts are kept. Under -faults a
-	// death by the installed plan (an IB QP entering the error state after
-	// retry exhaustion — a modeled, deterministic outcome), of an
-	// experiment or of a point, is tolerated, so the exit code stays
-	// meaningful for every OTHER kind of failure. An experiment cut short
-	// by the interrupt has only partial tables: it is listed as
-	// interrupted and writes no artifacts.
-	killedByPlan := func(err error) bool {
-		return *faults != "" && errors.Is(err, ib.ErrRetryExhausted)
+	// error in a late experiment cannot scroll past unnoticed. judge
+	// decides each experiment's verdict. A failed or tolerated experiment
+	// that completed keeps its tables and artifacts; one cut short by the
+	// interrupt has only partial tables, so it writes no artifacts.
+	worst := verdictOK
+	if ctx.Err() != nil {
+		worst = verdictInterrupted
 	}
 	failed, tolerated := 0, 0
 	fmt.Fprintf(os.Stderr, "repro: %d experiment(s), jobs=%d, wall %v\n",
 		len(todo), *jobs, time.Since(suiteStart).Round(time.Millisecond))
 	for i, r := range results {
 		e := todo[i]
+		oc, _ := r.Value.(*outcome)
+		var fails []runner.Failure
+		if oc != nil {
+			fails = oc.res.Failures
+		}
+		v := judge(*faults, r.Err, fails, ctx.Err())
+		worst = max(worst, v)
+		switch v {
+		case verdictFailed:
+			failed++
+		case verdictTolerated:
+			tolerated++
+		}
 		if r.Err != nil {
-			if ctx.Err() != nil && errors.Is(r.Err, ctx.Err()) {
+			switch v {
+			case verdictInterrupted:
 				fmt.Fprintf(os.Stderr, "  %-8s interrupted\n", e.ID)
-				continue
-			}
-			if killedByPlan(r.Err) {
-				tolerated++
+			case verdictTolerated:
 				fmt.Fprintf(os.Stderr, "  %-8s killed by fault plan in %8v (tolerated): %v\n",
 					e.ID, r.Wall.Round(time.Millisecond), r.Err)
-				continue
+			default:
+				fmt.Fprintf(os.Stderr, "  %-8s FAILED after %8v: %v\n", e.ID, r.Wall.Round(time.Millisecond), r.Err)
 			}
-			failed++
-			fmt.Fprintf(os.Stderr, "  %-8s FAILED after %8v: %v\n", e.ID, r.Wall.Round(time.Millisecond), r.Err)
 			continue
 		}
-		oc := r.Value.(*outcome)
 		status := "ok"
-		if fails := oc.res.Failures; len(fails) > 0 {
-			if slices.ContainsFunc(fails, func(f runner.Failure) bool { return !killedByPlan(f.Err) }) {
-				failed++
-				status = fmt.Sprintf("FAILED: %d point(s) failed", len(fails))
-			} else {
-				tolerated++
-				status = fmt.Sprintf("%d point(s) killed by fault plan (tolerated)", len(fails))
-			}
+		switch v {
+		case verdictFailed:
+			status = fmt.Sprintf("FAILED: %d point(s) failed", len(fails))
+		case verdictTolerated:
+			status = fmt.Sprintf("%d point(s) killed by fault plan (tolerated)", len(fails))
 		}
 		fmt.Fprintf(os.Stderr, "  %-8s %s in %8v\n", e.ID, status, oc.wall.Round(time.Millisecond))
 		if *out != "" {
@@ -271,14 +270,8 @@ func run() int {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments failed\n", failed, len(todo))
-		return 1
 	}
-	if ctx.Err() != nil {
-		// Interrupted experiments are not failures, but an interrupted run
-		// is not a clean one.
-		return 130
-	}
-	return 0
+	return worst.exitStatus()
 }
 
 // runCampaign executes a behavioral-contract campaign (internal/campaign):

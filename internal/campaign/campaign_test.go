@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/ib"
 	"repro/internal/units"
 )
 
@@ -246,5 +248,58 @@ func TestCampaignCorpus(t *testing.T) {
 				t.Fatalf("reproducer regressed: %s %s: %s", vs[0].Contract, vs[0].Name, vs[0].Detail)
 			}
 		})
+	}
+}
+
+// killScenario is an IB ping-pong whose fault plan takes rank 0's
+// injection link down for longer than the RC retry ladder lasts: its QP
+// exhausts the retry budget and the run ends early, by the plan's design.
+var killScenario = Scenario{
+	Name: "kill", Network: "IB", Ranks: 2, PPN: 1,
+	Workload: "pingpong", Size: 4 * units.KiB, Iters: 4,
+	Faults: "down:inj(0):at=1us:for=1s",
+}
+
+// starvedBudget is an event budget too small for killScenario to reach
+// its kill: the run fails on the budget instead.
+const starvedBudget = 50
+
+// TestBC1ToleratesOnlyPlanKills: a run the declared plan kills holds BC-1,
+// and the same scenario failing for any other reason (here its event
+// budget) violates it.
+func TestBC1ToleratesOnlyPlanKills(t *testing.T) {
+	if out := runProbed(&killScenario, killScenario.Faults, nil, DefaultEventBudget); !errors.Is(out.runErr, ib.ErrRetryExhausted) {
+		t.Fatalf("kill scenario ended with %v, want retry-budget exhaustion", out.runErr)
+	}
+	vs, _, err := check(killScenario, &Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasContract(vs, "BC-1") {
+		t.Fatalf("a kill by the declared plan violates BC-1: %+v", vs)
+	}
+	vs, _, err = check(killScenario, &Config{EventBudget: starvedBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasContract(vs, "BC-1") {
+		t.Fatalf("a run that ran out of events holds BC-1: %+v", vs)
+	}
+}
+
+// TestErrorDigest: a failed run digests its error, so the same failure
+// twice gives one digest and a different failure another.
+func TestErrorDigest(t *testing.T) {
+	a := runProbed(&killScenario, killScenario.Faults, nil, DefaultEventBudget)
+	b := runProbed(&killScenario, killScenario.Faults, nil, DefaultEventBudget)
+	starved := runProbed(&killScenario, killScenario.Faults, nil, starvedBudget)
+	if a.runErr == nil || starved.runErr == nil {
+		t.Fatalf("runs did not fail: kill %v, starved %v", a.runErr, starved.runErr)
+	}
+	if a.digest != b.digest {
+		t.Fatalf("one failure, two digests: %.12s != %.12s", a.digest, b.digest)
+	}
+	if a.digest == starved.digest {
+		t.Fatalf("a fault kill and an event-limit failure share digest %.12s", a.digest)
 	}
 }

@@ -11,7 +11,6 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -45,13 +44,6 @@ type runOut struct {
 	msgs        uint64
 	bytes       units.Bytes
 	retired     fabric.Retired
-}
-
-// faultKilled reports whether the run error is IB retry-budget exhaustion
-// — the one modeled, acceptable way a faulty run ends early (paper §3:
-// the QP enters the error state).
-func faultKilled(err error) bool {
-	return errors.Is(err, ib.ErrRetryExhausted)
 }
 
 // buildOpts translates a scenario into platform options.
@@ -241,10 +233,9 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 	b := runProbed(&sc, effFaults, declared, budget)
 
 	var v []Violation
-	// BC-1 progress: only fault-kill (IB retry exhaustion under a fault
-	// plan) is an acceptable early end — and only when faults exist to
-	// cause it.
-	if a.runErr != nil && !(faultKilled(a.runErr) && effFaults != "") {
+	// BC-1 progress: only a kill by the installed fault plan is an
+	// acceptable early end.
+	if a.runErr != nil && !platform.KilledByPlan(effFaults, a.runErr) {
 		v = append(v, violation("BC-1", sc, fmt.Sprintf("run failed: %v", a.runErr)))
 	}
 	// BC-2 monotone degradation, for scenarios with declared faults that

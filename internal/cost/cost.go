@@ -16,7 +16,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/topology"
 )
@@ -244,6 +243,3 @@ func SystemGapPercent(p PriceList, nodes int, ib *Network) (float64, error) {
 	i := ib.SystemPerNode(p.NodeCost)
 	return (float64(e)/float64(i) - 1) * 100, nil
 }
-
-// Round2 rounds to cents for display.
-func Round2(v USD) USD { return USD(math.Round(float64(v)*100) / 100) }

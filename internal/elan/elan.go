@@ -161,9 +161,6 @@ func (n *Network) FlushMetrics() {
 // NIC returns the adapter of the given node.
 func (n *Network) NIC(node int) *NIC { return n.nics[node] }
 
-// Fabric returns the underlying fabric.
-func (n *Network) Fabric() *fabric.Fabric { return n.fab }
-
 // Recv is an in-flight tagged receive.
 type Recv struct {
 	// Done fires when the receive completes. It points at a signal inside
@@ -204,9 +201,6 @@ type NIC struct {
 
 	Sends, Recvs, Unexpected uint64
 }
-
-// Params returns the NIC's parameters.
-func (n *NIC) Params() Params { return n.params }
 
 // Thread exposes the NIC thread server (for utilization statistics).
 func (n *NIC) Thread() *sim.Server { return n.thread }

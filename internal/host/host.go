@@ -127,9 +127,6 @@ func (n *Node) noiseSteal(slot int, work units.Duration) units.Duration {
 // ID reports the node's id.
 func (n *Node) ID() int { return n.id }
 
-// Params returns the node's configuration.
-func (n *Node) Params() Params { return n.params }
-
 // slowdown reports the current rate divisor for a computation of the given
 // memory intensity.
 func (n *Node) slowdown(intensity float64) float64 {

@@ -53,10 +53,6 @@ type Params struct {
 	// RecvProc is HCA processing time per arriving message (placement,
 	// CQE generation).
 	RecvProc units.Duration
-	// CQPoll is host CPU time per completion-queue poll that finds an
-	// entry (an empty poll costs CQPollEmpty).
-	CQPoll      units.Duration
-	CQPollEmpty units.Duration
 
 	// Memory registration cost model.
 	RegLookup    units.Duration // pin-down cache lookup
@@ -67,9 +63,6 @@ type Params struct {
 	PageSize     units.Bytes
 	RegCacheCap  units.Bytes // pin-down cache capacity
 
-	// QPSetup is the one-time cost to establish a reliable connection to
-	// a peer (charged at connect time).
-	QPSetup units.Duration
 	// QPContextBytes approximates per-connection HCA/driver state, for
 	// memory-scaling statistics.
 	QPContextBytes units.Bytes
@@ -106,8 +99,6 @@ func DefaultParams() Params {
 		DoorbellBusTime: 450 * units.Nanosecond,
 		ProcPerWQE:      1800 * units.Nanosecond,
 		RecvProc:        1000 * units.Nanosecond,
-		CQPoll:          150 * units.Nanosecond,
-		CQPollEmpty:     60 * units.Nanosecond,
 		RegLookup:       50 * units.Nanosecond,
 		RegBase:         1500 * units.Nanosecond,
 		RegPerPage:      600 * units.Nanosecond,
@@ -115,7 +106,6 @@ func DefaultParams() Params {
 		DeregPerPage:    300 * units.Nanosecond,
 		PageSize:        4 * units.KiB,
 		RegCacheCap:     7 * units.MiB,
-		QPSetup:         120 * units.Microsecond,
 		QPContextBytes:  1 * units.KiB,
 
 		// 100us initial timeout — five orders of magnitude above Quadrics'
@@ -146,7 +136,6 @@ type Delivery struct {
 // Network owns one HCA per fabric endpoint.
 type Network struct {
 	eng  *sim.Engine
-	fab  *fabric.Fabric
 	hcas []*HCA
 
 	// Completion-signal names, rendered once per (node, peer).
@@ -158,7 +147,7 @@ type Network struct {
 
 // NewNetwork equips every node of the fabric with an HCA.
 func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
-	n := &Network{eng: eng, fab: fab,
+	n := &Network{eng: eng,
 		writeNames: sim.PairNames{Prefix: "rdma ", Sep: "->"},
 		readNames:  sim.PairNames{Prefix: "rdma-read ", Sep: "<-"},
 	}
@@ -234,9 +223,6 @@ func (n *Network) FlushMetrics() {
 // HCA returns the adapter of the given node.
 func (n *Network) HCA(node int) *HCA { return n.hcas[node] }
 
-// Fabric returns the underlying fabric.
-func (n *Network) Fabric() *fabric.Fabric { return n.fab }
-
 // HCA is one host channel adapter.
 type HCA struct {
 	net    *Network
@@ -264,12 +250,6 @@ type HCA struct {
 	QPErrors    uint64
 }
 
-// Node reports the fabric endpoint this HCA serves.
-func (h *HCA) Node() int { return h.node }
-
-// Params returns the HCA's parameters.
-func (h *HCA) Params() Params { return h.params }
-
 // RegCache exposes the pin-down cache for statistics.
 func (h *HCA) RegCache() *RegCache { return h.regCache }
 
@@ -277,30 +257,18 @@ func (h *HCA) RegCache() *RegCache { return h.regCache }
 // been fully placed in this node's memory.
 func (h *HCA) SetHandler(fn func(Delivery)) { h.handler = fn }
 
-// Connect establishes a reliable connection to the peer node, charging the
-// calling process the QP setup cost. Connecting twice is free (idempotent).
-// The paper's Section 3.3.1: InfiniBand requires this step; Quadrics does
-// not.
-func (h *HCA) Connect(p *sim.Proc, peer int) {
-	if h.connect(peer) {
-		p.Sleep(h.params.QPSetup)
-	}
-}
-
-// ConnectNoCost establishes a QP without charging wall time — for
-// connections made during job launch (MPI_Init), where the paper's runs do
-// not time the setup. State and memory are still counted.
-func (h *HCA) ConnectNoCost(peer int) { h.connect(peer) }
-
-// connect records a QP to the peer and reports whether it is new.
-func (h *HCA) connect(peer int) bool {
+// ConnectNoCost establishes a reliable connection to the peer node. The
+// paper's Section 3.3.1: InfiniBand requires this step; Quadrics does not.
+// Connections are made during job launch (MPI_Init), which the paper's runs
+// do not time, so it charges no time; the QP's state and memory are
+// counted. Connecting twice is a no-op.
+func (h *HCA) ConnectNoCost(peer int) {
 	if h.qps[peer] {
-		return false
+		return
 	}
 	h.qps[peer] = true
 	h.numQPs++
 	h.QPMemory += h.params.QPContextBytes
-	return true
 }
 
 // Connected reports whether a QP to the peer exists.
@@ -554,15 +522,4 @@ func (op *rdmaOp) placer() *HCA {
 		return op.h
 	}
 	return op.h.net.hcas[op.peer]
-}
-
-// PollCQ charges the calling process for one completion-queue poll: CQPoll
-// if something was found, CQPollEmpty otherwise. The transport decides what
-// "found" means; the HCA only prices the operation.
-func (h *HCA) PollCQ(p *sim.Proc, found bool) {
-	if found {
-		p.Sleep(h.params.CQPoll)
-		return
-	}
-	p.Sleep(h.params.CQPollEmpty)
 }

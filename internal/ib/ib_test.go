@@ -38,7 +38,7 @@ func TestRDMAWriteDelivers(t *testing.T) {
 	var localAt units.Time
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		done := h.RDMAWrite(p, 1, 8*units.KiB, "env")
 		p.Wait(done)
 		localAt = p.Now()
@@ -66,31 +66,21 @@ func TestRDMAWithoutConnectionPanics(t *testing.T) {
 	}
 }
 
+// TestConnectIdempotentAndCosted: a QP costs its context memory once per
+// peer; connecting to the same peer again adds nothing.
 func TestConnectIdempotentAndCosted(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := testFabric(t, eng, 3)
 	net := NewNetwork(eng, fab, DefaultParams())
-	var after1, after2 units.Time
-	eng.Spawn("sender", func(p *sim.Proc) {
-		h := net.HCA(0)
-		h.Connect(p, 1)
-		after1 = p.Now()
-		h.Connect(p, 1) // no-op
-		after2 = p.Now()
-		h.Connect(p, 2)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if after1 != units.Time(DefaultParams().QPSetup) {
-		t.Fatalf("first connect took %v", after1)
-	}
-	if after2 != after1 {
-		t.Fatal("repeat connect not free")
-	}
 	h := net.HCA(0)
+	h.ConnectNoCost(1)
+	h.ConnectNoCost(1) // no-op
+	h.ConnectNoCost(2)
 	if h.NumQPs() != 2 || h.QPMemory != 2*DefaultParams().QPContextBytes {
 		t.Fatalf("qps=%d mem=%v", h.NumQPs(), h.QPMemory)
+	}
+	if !h.Connected(1) || !h.Connected(2) || h.Connected(0) {
+		t.Fatal("Connected disagrees with the QPs made")
 	}
 }
 
@@ -107,7 +97,7 @@ func TestHCAEngineSerializesSmallMessages(t *testing.T) {
 	})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		for i := 0; i < n; i++ {
 			h.RDMAWrite(p, 1, 8, i)
 		}
@@ -121,26 +111,6 @@ func TestHCAEngineSerializesSmallMessages(t *testing.T) {
 	// Message rate is bounded by per-WQE processing at minimum.
 	if minSpan := units.Duration(n) * DefaultParams().ProcPerWQE; units.Duration(last) < minSpan {
 		t.Fatalf("last delivery %v faster than HCA engine allows (%v)", last, minSpan)
-	}
-}
-
-func TestPollCQCosts(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := testFabric(t, eng, 2)
-	net := NewNetwork(eng, fab, DefaultParams())
-	var t1, t2 units.Time
-	eng.Spawn("poller", func(p *sim.Proc) {
-		net.HCA(0).PollCQ(p, true)
-		t1 = p.Now()
-		net.HCA(0).PollCQ(p, false)
-		t2 = p.Now()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pp := DefaultParams()
-	if t1 != units.Time(pp.CQPoll) || t2 != t1.Add(pp.CQPollEmpty) {
-		t.Fatalf("poll times %v, %v", t1, t2)
 	}
 }
 
@@ -179,7 +149,7 @@ func TestRDMAReadPullsData(t *testing.T) {
 	var doneAt units.Time
 	eng.Spawn("reader", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		done := h.RDMARead(p, 1, 64*units.KiB, "pulled")
 		p.Wait(done)
 		doneAt = p.Now()
@@ -219,7 +189,7 @@ func TestRDMAReadRemoteHostUninvolved(t *testing.T) {
 	completed := false
 	eng.Spawn("reader", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		p.Wait(h.RDMARead(p, 1, 4*units.KiB, nil))
 		completed = true
 	})

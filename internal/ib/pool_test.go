@@ -21,7 +21,7 @@ func rdmaRun(t *testing.T, then bool) (*Network, []units.Time, uint64) {
 	eng.Spawn("poster", func(p *sim.Proc) {
 		h := net.HCA(0)
 		for peer := 1; peer <= 2; peer++ {
-			h.Connect(p, peer)
+			h.ConnectNoCost(peer)
 			if then {
 				h.RDMAWriteThen(p, peer, 8*units.KiB, nil, record)
 				h.RDMAReadThen(p, peer, 8*units.KiB, nil, record)

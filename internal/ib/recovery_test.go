@@ -28,7 +28,7 @@ func TestRetransmitRecoversOutage(t *testing.T) {
 	var doneAt units.Time
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		p.Wait(h.RDMAWrite(p, 1, 8*units.KiB, nil))
 		doneAt = p.Now()
 	})
@@ -61,7 +61,7 @@ func TestQPErrorAfterRetryExhaustion(t *testing.T) {
 	fab.SetLinkFault(fab.Topology().Injection(0), fabric.LinkFault{Down: true})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		p.Wait(h.RDMAWrite(p, 1, 4*units.KiB, nil))
 	})
 	err := eng.Run()
@@ -96,7 +96,7 @@ func TestRDMAReadRecovers(t *testing.T) {
 	completed := false
 	eng.Spawn("reader", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		p.Wait(h.RDMARead(p, 1, 16*units.KiB, nil))
 		completed = true
 	})
@@ -128,7 +128,7 @@ func TestNoTimersWithoutFaultInjection(t *testing.T) {
 			}
 			eng.Spawn("sender", func(p *sim.Proc) {
 				h := net.HCA(0)
-				h.Connect(p, 1)
+				h.ConnectNoCost(1)
 				p.Wait(h.RDMAWrite(p, 1, size, nil))
 			})
 			if err := eng.Run(); err != nil {
@@ -162,7 +162,7 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 	completions := 0
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h := net.HCA(0)
-		h.Connect(p, 1)
+		h.ConnectNoCost(1)
 		done := h.RDMAWrite(p, 1, 256*units.KiB, nil)
 		done.OnFire(func() { completions++ })
 		p.Wait(done)

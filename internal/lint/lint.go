@@ -146,7 +146,6 @@ func DefaultConfig() Config {
 			"(*repro/internal/sim.Engine).After",
 			"(*repro/internal/sim.Engine).RunUntil",
 			"(*repro/internal/sim.Proc).Sleep",
-			"(*repro/internal/sim.Proc).SleepUntil",
 		},
 		TimePayloadTypes: []string{
 			"repro/internal/runner.Result",

@@ -65,9 +65,6 @@ func NewLoader(modulePath, moduleRoot string) *Loader {
 	return l
 }
 
-// Fset exposes the shared file set for position rendering.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor maps an import path to a source directory, or reports that the
 // path is outside the loader's jurisdiction (i.e. standard library).
 func (l *Loader) dirFor(path string) (string, bool) {

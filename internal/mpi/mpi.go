@@ -187,8 +187,6 @@ func (q *Request) Status() Status {
 // Transport is a network-level MPI protocol engine. Intra-node traffic
 // never reaches it; the core's shared-memory channel handles that.
 type Transport interface {
-	// Name identifies the transport in reports ("ib", "elan").
-	Name() string
 	// Attach binds the transport to a constructed world (install
 	// handlers, establish connections, size buffer pools).
 	Attach(w *World)

@@ -173,9 +173,6 @@ func New(net *ib.Network, params Params) *Transport {
 	}
 }
 
-// Name implements mpi.Transport.
-func (t *Transport) Name() string { return "ib" }
-
 // Network exposes the underlying IB model (for statistics).
 func (t *Transport) Network() *ib.Network { return t.net }
 

@@ -47,21 +47,8 @@ func (r *Rank) ID() int { return r.id }
 // Size reports the number of ranks in the job.
 func (r *Rank) Size() int { return r.world.cfg.Ranks }
 
-// World returns the owning job.
-func (r *Rank) World() *World { return r.world }
-
 // Proc exposes the rank's simulated process (transport use).
 func (r *Rank) Proc() *sim.Proc { return r.proc }
-
-// Engine returns the simulation engine the rank runs on. Transports create
-// this rank's signals and requests on it.
-func (r *Rank) Engine() *sim.Engine { return r.eng }
-
-// HostNode returns the node this rank runs on.
-func (r *Rank) HostNode() *host.Node { return r.node }
-
-// Slot reports the CPU slot this rank occupies on its node.
-func (r *Rank) Slot() int { return r.slot }
 
 // NodeID reports the node index hosting this rank.
 func (r *Rank) NodeID() int { return r.world.NodeOf(r.id) }

@@ -69,9 +69,6 @@ func New(net *elan.Network) *Transport {
 	}
 }
 
-// Name implements mpi.Transport.
-func (t *Transport) Name() string { return "elan" }
-
 // Network exposes the underlying Elan model (for statistics).
 func (t *Transport) Network() *elan.Network { return t.net }
 

@@ -86,9 +86,6 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 // NodeOf reports the node index hosting the rank.
 func (w *World) NodeOf(rank int) int { return rank / w.cfg.PPN }
 
-// Transport returns the network protocol engine.
-func (w *World) Transport() Transport { return w.transport }
-
 // Result summarizes a completed run.
 type Result struct {
 	// Elapsed is the wall-clock span from job start to the completion of

@@ -10,6 +10,7 @@ package platform
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/elan"
@@ -260,4 +261,12 @@ func (m *Machine) Run(app func(*mpi.Rank)) (*mpi.Result, error) {
 		}
 	}
 	return res, err
+}
+
+// KilledByPlan reports whether err is a death the installed fault plan
+// inflicts by design: IB retry-budget exhaustion, after which the QP is in
+// the error state (paper §3). It is the one modelled way a faulty run ends
+// early, so callers tolerate it; with no plan (faultSpec empty) nothing is.
+func KilledByPlan(faultSpec string, err error) bool {
+	return faultSpec != "" && errors.Is(err, ib.ErrRetryExhausted)
 }

@@ -63,12 +63,16 @@ func digestRuns() []digestRun {
 	}
 }
 
-// run runs c on net with the given registry (nil for none) attached.
-func (c digestRun) run(t *testing.T, net platform.Network, reg *metrics.Registry) *platform.Machine {
+// run runs c on net with the given registry (nil for none) attached and,
+// if ring is set, the MPI trace ring (World.EnableTrace) recording.
+func (c digestRun) run(t *testing.T, net platform.Network, reg *metrics.Registry, ring bool) *platform.Machine {
 	t.Helper()
 	m, err := platform.New(platform.Options{Network: net, Ranks: c.ranks, PPN: c.ppn, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ring {
+		m.World.EnableTrace(256)
 	}
 	if _, err := m.Run(c.app); err != nil {
 		t.Fatal(err)
@@ -97,7 +101,7 @@ func TestEventKeyDigest(t *testing.T) {
 		for _, c := range digestRuns() {
 			key := net.Short() + "/" + c.name
 			t.Run(key, func(t *testing.T) {
-				m := c.run(t, net, nil)
+				m := c.run(t, net, nil, false)
 				got := fmt.Sprintf("%d events %016x", m.Eng.Events(), sim.KeyDigest(m.Eng))
 				if want[key] != got {
 					t.Errorf("%s: got %s, want %s", key, got, want[key])
@@ -108,20 +112,24 @@ func TestEventKeyDigest(t *testing.T) {
 }
 
 // TestTracingChangesNoEvent: observing a run schedules nothing. On each of
-// digestRuns a plain registry and a tracing registry dispatch exactly the
-// events, key for key, that a run without a registry does.
+// digestRuns a plain registry, a tracing registry and the MPI trace ring
+// dispatch exactly the events, key for key, that an unobserved run does.
 func TestTracingChangesNoEvent(t *testing.T) {
 	for _, net := range platform.Networks {
 		for _, c := range digestRuns() {
 			t.Run(net.Short()+"/"+c.name, func(t *testing.T) {
-				bare := c.run(t, net, nil)
+				bare := c.run(t, net, nil, false)
 				traced := metrics.New()
 				traced.EnableTracing()
 				for _, obs := range []struct {
 					name string
 					reg  *metrics.Registry
-				}{{"plain", metrics.New()}, {"traced", traced}} {
-					m := c.run(t, net, obs.reg)
+					ring bool
+				}{{"plain", metrics.New(), false}, {"traced", traced, false}, {"trace ring", nil, true}} {
+					m := c.run(t, net, obs.reg, obs.ring)
+					if _, n := m.World.Trace(); obs.ring && n == 0 {
+						t.Errorf("%s recorded no event", obs.name)
+					}
 					if b, o := bare.Eng.Events(), m.Eng.Events(); b != o {
 						t.Errorf("events: no registry %d, %s %d", b, obs.name, o)
 					}
@@ -149,7 +157,7 @@ func TestTracedTimelineDigest(t *testing.T) {
 			t.Run(key, func(t *testing.T) {
 				reg := metrics.New()
 				reg.EnableTracing()
-				c.run(t, net, reg)
+				c.run(t, net, reg, false)
 				if got := traceDigest(t, reg); want[key] != got {
 					t.Errorf("%s: got %s, want %s", key, got, want[key])
 				}

@@ -110,7 +110,7 @@ func stackName(p *Proc) string {
 	if p == nil {
 		return "the scheduler (or no one)"
 	}
-	return fmt.Sprintf("process %d", p.ID())
+	return fmt.Sprintf("process %d", p.id)
 }
 
 // park runs block, which must park p, the top of the chain: the dispatch
@@ -156,7 +156,7 @@ func (m *refModel) resume(p *Proc) {
 // dispatching on its own stack.
 func (m *refModel) exit(p *Proc) {
 	if top := len(m.chain) - 1; top < 0 || m.chain[top] != p {
-		m.t.Fatalf("process %d finished off the top of the chain", p.ID())
+		m.t.Fatalf("process %d finished off the top of the chain", p.id)
 	}
 	m.chain = m.chain[:len(m.chain)-1]
 	m.parked = true

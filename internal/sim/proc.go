@@ -185,15 +185,6 @@ func (p *Proc) wake() {
 	e.After(0, p.switchFn)
 }
 
-// Name reports the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID reports the process's kernel-assigned id.
-func (p *Proc) ID() int { return p.id }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
@@ -214,16 +205,6 @@ func (p *Proc) Sleep(d Duration) {
 	for e.now < target {
 		p.park("sleeping", "")
 	}
-}
-
-// SleepUntil blocks the process until absolute time t (no-op if t is in the
-// past).
-func (p *Proc) SleepUntil(t Time) {
-	p.checkRunning()
-	if t <= p.eng.now {
-		return
-	}
-	p.Sleep(t.Sub(p.eng.now))
 }
 
 // Yield gives other ready events/processes at the current timestamp a chance

@@ -363,7 +363,7 @@ func TestShutdownEveryProcState(t *testing.T) {
 	e.Shutdown()
 	for _, p := range []*Proc{fresh, parked, finished} {
 		if !p.Done() {
-			t.Errorf("%s not done after Shutdown", p.Name())
+			t.Errorf("%s not done after Shutdown", p.name)
 		}
 	}
 	if started {

@@ -139,70 +139,6 @@ func (c *Clos) checkLeafSpine(l, s int) {
 	}
 }
 
-// LinkClass partitions links by their role in the Clos, for fault-plan
-// selectors and reporting.
-type LinkClass int
-
-// Link classes, in enumeration order.
-const (
-	LinkInjection LinkClass = iota // node -> leaf
-	LinkEjection                   // leaf -> node
-	LinkUp                         // leaf -> spine
-	LinkDown                       // spine -> leaf
-)
-
-// String implements fmt.Stringer.
-func (k LinkClass) String() string {
-	switch k {
-	case LinkInjection:
-		return "inj"
-	case LinkEjection:
-		return "ej"
-	case LinkUp:
-		return "up"
-	case LinkDown:
-		return "down"
-	default:
-		return fmt.Sprintf("LinkClass(%d)", int(k))
-	}
-}
-
-// ClassifyLink inverts the link enumeration: it reports the class of the
-// link and its endpoints — (node, -1) for injection/ejection links,
-// (leaf, spine) for up/down links. It panics on an out-of-range id.
-func (c *Clos) ClassifyLink(id LinkID) (class LinkClass, a, b int) {
-	i := int(id)
-	if i < 0 || i >= c.NumLinks() {
-		panic(fmt.Sprintf("topology: link %d out of range [0,%d)", i, c.NumLinks()))
-	}
-	switch {
-	case i < c.Nodes:
-		return LinkInjection, i, -1
-	case i < 2*c.Nodes:
-		return LinkEjection, i - c.Nodes, -1
-	case i < 2*c.Nodes+c.Leaves*c.K:
-		i -= 2 * c.Nodes
-		return LinkUp, i / c.K, i % c.K
-	default:
-		i -= 2*c.Nodes + c.Leaves*c.K
-		return LinkDown, i % c.Leaves, i / c.Leaves
-	}
-}
-
-// DescribeLink renders a link id in the selector syntax fault plans use,
-// e.g. "inj(3)", "up(1,0)".
-func (c *Clos) DescribeLink(id LinkID) string {
-	class, a, b := c.ClassifyLink(id)
-	switch class {
-	case LinkInjection, LinkEjection:
-		return fmt.Sprintf("%v(%d)", class, a)
-	case LinkUp:
-		return fmt.Sprintf("up(%d,%d)", a, b)
-	default:
-		return fmt.Sprintf("down(%d,%d)", b, a)
-	}
-}
-
 // SpineLinks lists every link touching spine s: the up links from each
 // leaf into it and its down links back out. For fault plans that take a
 // whole spine chassis offline.
