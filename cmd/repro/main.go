@@ -20,6 +20,7 @@
 //	repro -exp all -quick -faults storm:2026  # the plan's own kills tolerated, other failures exit 1
 //	repro -campaign 64                  # behavioral-contract campaign over 64 generated scenarios
 //	repro -campaign 64 -campaign-seed 7 -campaign-corpus corpus  # write shrunk reproducers
+//	repro -exp fig5 -jobs 1 -cpuprofile cpu.pprof -memprofile mem.pprof  # host profiles for go tool pprof
 //
 // Experiments print to stdout in registration order regardless of -jobs
 // (results stream as soon as their predecessors are done), so stdout is
@@ -57,7 +58,7 @@ type outcome struct {
 	simEvents uint64 // total events across the experiment's sims (-metrics only)
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		exp      = flag.String("exp", "", "experiment id (see -list), comma list, or 'all'")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
@@ -75,8 +76,23 @@ func run() int {
 		campaignN      = flag.Int("campaign", 0, "run a behavioral-contract campaign over N generated scenarios instead of experiments (see internal/campaign); violations are auto-shrunk and reported")
 		campaignSeed   = flag.Uint64("campaign-seed", campaign.DefaultSeed, "scenario-generation seed for -campaign (same seed => identical scenarios, digest, and findings at any -jobs)")
 		campaignCorpus = flag.String("campaign-corpus", "", "directory to write shrunk, checksummed reproducer specs into (one JSON file per violation)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the invocation to this file; it changes no output")
+		memProfile = flag.String("memprofile", "", "write a runtime/pprof allocation profile (alloc_space) of the invocation to this file when it ends; it changes no output")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repro:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *campaignN > 0 {
 		return runCampaign(*campaignN, *campaignSeed, *jobs, *campaignCorpus)

@@ -26,7 +26,6 @@ package elan
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/match"
@@ -87,9 +86,6 @@ type Network struct {
 	nics   []*NIC
 	nodeOf func(rank int) int
 
-	// Send-signal names, rendered once per (source rank, destination rank).
-	txNames sim.PairNames
-
 	// folded holds the NIC counts the last FlushMetrics saw.
 	folded [3]uint64
 }
@@ -98,8 +94,7 @@ type Network struct {
 // rank to its fabric node (ranks on the same node must not exchange through
 // the NIC; the MPI layer routes those over shared memory).
 func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params, nodeOf func(rank int) int) *Network {
-	n := &Network{eng: eng, fab: fab, nodeOf: nodeOf,
-		txNames: sim.PairNames{Prefix: "elan tx ", Sep: "->"}}
+	n := &Network{eng: eng, fab: fab, nodeOf: nodeOf}
 	n.nics = make([]*NIC, fab.Nodes())
 	for i := range n.nics {
 		n.nics[i] = &NIC{
@@ -107,7 +102,7 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params, nodeOf func(
 			eng:    eng,
 			node:   i,
 			params: params,
-			thread: eng.NewServer(fmt.Sprintf("elan%d", i)),
+			thread: eng.NewServer(),
 		}
 	}
 	n.foldCounts(eng.Metrics())
@@ -178,10 +173,9 @@ type Recv struct {
 
 // port is the per-local-rank Tports context on a NIC.
 type port struct {
-	rank   int
-	eng    match.Engine
-	seq    *match.Sequencer
-	rxName string // receive-signal name, rendered on the first post
+	rank int
+	eng  match.Engine
+	seq  *match.Sequencer
 	// txSeq is the send sequence toward each destination rank, grown on
 	// demand.
 	txSeq []uint64
@@ -274,7 +268,7 @@ const (
 // pulled by the receiver).
 func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size units.Bytes, payload interface{}) *sim.Signal {
 	msg := n.txPost(p, srcRank, dstRank, env, size, payload)
-	n.eng.InitSignal(&msg.txDone, n.net.txNames.Name(srcRank, dstRank))
+	n.eng.InitSignal(&msg.txDone, "elan tx %d->%d", srcRank, dstRank)
 	msg.signal = true
 	return &msg.txDone
 }
@@ -479,10 +473,7 @@ func (n *NIC) rxPost(p *sim.Proc, dstRank int, env match.Envelope, recv *Recv) {
 	p.Sleep(n.params.RxPostOverhead)
 
 	if recv.then == nil {
-		if pt.rxName == "" {
-			pt.rxName = "elan rx rank" + strconv.Itoa(dstRank)
-		}
-		n.eng.InitSignal(&recv.done, pt.rxName)
+		n.eng.InitSignal(&recv.done, "elan rx rank%d", dstRank)
 	}
 	// The NIC thread walks the unexpected queue (or appends the post).
 	data, found, traversed := pt.eng.PostRecv(env, recv)

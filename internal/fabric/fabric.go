@@ -136,9 +136,6 @@ type Fabric struct {
 	// its message has retired.
 	freeWins sim.FreeList[window]
 
-	// msgNames names message signals, once per (src, dst).
-	msgNames sim.PairNames
-
 	// Fault injection (see fault.go). faultsOn is set by EnableFaults;
 	// every hot-path fault check is gated on it so clean runs pay one
 	// predictable branch. faults holds the per-link fault state, driven
@@ -169,18 +166,17 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{eng: eng, clos: clos, params: params, coalesce: true,
-		msgNames: sim.PairNames{Prefix: "msg ", Sep: "->"}}
+	f := &Fabric{eng: eng, clos: clos, params: params, coalesce: true}
 	f.linkFull = params.LinkBandwidth.TimeFor(params.MTU + params.PacketOverhead)
 	f.hostFull = params.HostBandwidth.TimeFor(params.MTU + params.PacketOverhead)
 	f.links = make([]*sim.Server, clos.NumLinks())
 	for i := range f.links {
-		f.links[i] = eng.NewServer(fmt.Sprintf("link%d", i))
+		f.links[i] = eng.NewServer()
 	}
 	if params.HostBandwidth > 0 {
 		f.hosts = make([]*sim.Server, nodes)
 		for i := range f.hosts {
-			f.hosts[i] = eng.NewServer(fmt.Sprintf("pci%d", i))
+			f.hosts[i] = eng.NewServer()
 		}
 	}
 	if reg := eng.Metrics(); reg != nil {
@@ -736,7 +732,7 @@ func (f *Fabric) chunkPlan(size units.Bytes) (n int, last units.Bytes) {
 // been delivered into dst's host memory. Zero-size messages (pure control
 // traffic) still pay one packet's serialization and the full route latency.
 func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
-	done := f.eng.NewSignal(f.msgNames.Name(src, dst))
+	done := f.eng.NewSignal("msg %d->%d", src, dst)
 	f.send(src, dst, size, done, nil)
 	return done
 }

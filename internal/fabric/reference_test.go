@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -45,11 +44,11 @@ func newRefFabric(t *testing.T, eng *sim.Engine, nodes, radix int, p Params) *re
 		linkBytes: make([]units.Bytes, clos.NumLinks())}
 	r.waits = r.reg.Histogram(waitHist)
 	for i := 0; i < clos.NumLinks(); i++ {
-		r.links = append(r.links, eng.NewServer(fmt.Sprintf("ref link%d", i)))
+		r.links = append(r.links, eng.NewServer())
 	}
 	if p.HostBandwidth > 0 {
 		for i := 0; i < nodes; i++ {
-			r.hosts = append(r.hosts, eng.NewServer(fmt.Sprintf("ref pci%d", i)))
+			r.hosts = append(r.hosts, eng.NewServer())
 		}
 	}
 	return r

@@ -17,7 +17,6 @@ package host
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -97,7 +96,7 @@ func NewNode(eng *sim.Engine, id int, params Params) (*Node, error) {
 		debt:      make([]units.Duration, params.CPUs),
 		busyTotal: make([]units.Duration, params.CPUs),
 	}
-	eng.InitWakeup(&n.changed, "node"+strconv.Itoa(id)+" membership")
+	eng.InitWakeup(&n.changed, "node%d membership", id)
 	if params.NoiseFraction > 0 {
 		n.noise = make([]*rng.Source, params.CPUs)
 		for s := range n.noise {

@@ -138,19 +138,13 @@ type Network struct {
 	eng  *sim.Engine
 	hcas []*HCA
 
-	// Completion-signal names, rendered once per (node, peer).
-	writeNames, readNames sim.PairNames
-
 	// folded holds the HCA counts the last FlushMetrics saw.
 	folded [8]uint64
 }
 
 // NewNetwork equips every node of the fabric with an HCA.
 func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
-	n := &Network{eng: eng,
-		writeNames: sim.PairNames{Prefix: "rdma ", Sep: "->"},
-		readNames:  sim.PairNames{Prefix: "rdma-read ", Sep: "<-"},
-	}
+	n := &Network{eng: eng}
 	n.hcas = make([]*HCA, fab.Nodes())
 	for i := range n.hcas {
 		n.hcas[i] = &HCA{
@@ -159,7 +153,7 @@ func NewNetwork(eng *sim.Engine, fab *fabric.Fabric, params Params) *Network {
 			fab:      fab,
 			node:     i,
 			params:   params,
-			engine:   eng.NewServer(fmt.Sprintf("hca%d", i)),
+			engine:   eng.NewServer(),
 			regCache: NewRegCache(params.RegCacheCap),
 			qps:      make([]bool, fab.Nodes()),
 		}
@@ -367,7 +361,7 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 // remote host is not interrupted and performs no work.
 func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
 	op := h.post(p, peer, size, imm, false)
-	h.eng.InitSignal(&op.done, h.net.writeNames.Name(h.node, peer))
+	h.eng.InitSignal(&op.done, "rdma %d->%d", h.node, peer)
 	op.signal = true
 	return &op.done
 }
@@ -390,7 +384,7 @@ func (h *HCA) RDMAWriteThen(p *sim.Proc, peer int, size units.Bytes, imm interfa
 // The returned signal fires at local completion (data placed locally).
 func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
 	op := h.post(p, peer, size, imm, true)
-	h.eng.InitSignal(&op.done, h.net.readNames.Name(h.node, peer))
+	h.eng.InitSignal(&op.done, "rdma-read %d<-%d", h.node, peer)
 	op.signal = true
 	return &op.done
 }

@@ -1,10 +1,6 @@
 package ib
 
-import (
-	"container/list"
-
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // RegCache models the pin-down (registration) cache an InfiniBand MPI keeps
 // to avoid re-registering memory on every transfer. Buffers are identified
@@ -19,24 +15,27 @@ import (
 type RegCache struct {
 	capacity units.Bytes
 	used     units.Bytes
-	lru      *list.List // front = most recent; values are *regEntry
-	byKey    map[uint64]*list.Element
+	// lru is the sentinel of a circular list of the cached entries:
+	// lru.next is the most recently used, lru.prev the least.
+	lru   regEntry
+	byKey map[uint64]*regEntry
+	// free holds evicted entries, linked through next, for reuse.
+	free *regEntry
 
 	Hits, Misses, Evictions uint64
 }
 
 type regEntry struct {
-	key  uint64
-	size units.Bytes
+	key        uint64
+	size       units.Bytes
+	prev, next *regEntry
 }
 
 // NewRegCache creates a registration cache with the given pinning capacity.
 func NewRegCache(capacity units.Bytes) *RegCache {
-	return &RegCache{
-		capacity: capacity,
-		lru:      list.New(),
-		byKey:    map[uint64]*list.Element{},
-	}
+	c := &RegCache{capacity: capacity, byKey: map[uint64]*regEntry{}}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Access registers the buffer (key, size) if needed and returns the host
@@ -44,33 +43,56 @@ func NewRegCache(capacity units.Bytes) *RegCache {
 // only the lookup; a miss costs registration of every page plus
 // deregistration of whatever had to be evicted.
 func (c *RegCache) Access(key uint64, size units.Bytes, p *Params) units.Duration {
-	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*regEntry)
+	if ent, ok := c.byKey[key]; ok {
 		if ent.size >= size {
-			c.lru.MoveToFront(el)
+			ent.unlink()
+			c.pushFront(ent)
 			c.Hits++
 			return p.RegLookup
 		}
 		// Grown buffer: treat as miss for the whole new size.
 		c.used -= ent.size
-		c.lru.Remove(el)
-		delete(c.byKey, key)
+		c.remove(ent)
 	}
 	c.Misses++
 	cost := p.RegLookup + p.RegBase + c.pageCost(size, p.RegPerPage, p)
 	// Evict LRU entries until the new buffer fits.
-	for c.used+size > c.capacity && c.lru.Len() > 0 {
-		el := c.lru.Back()
-		ent := el.Value.(*regEntry)
-		c.lru.Remove(el)
-		delete(c.byKey, ent.key)
+	for c.used+size > c.capacity && c.lru.prev != &c.lru {
+		ent := c.lru.prev
 		c.used -= ent.size
 		c.Evictions++
 		cost += p.DeregBase + c.pageCost(ent.size, p.DeregPerPage, p)
+		c.remove(ent)
 	}
 	c.used += size
-	c.byKey[key] = c.lru.PushFront(&regEntry{key, size})
+	ent := c.free
+	if ent != nil {
+		c.free = ent.next
+	} else {
+		ent = &regEntry{}
+	}
+	ent.key, ent.size = key, size
+	c.pushFront(ent)
+	c.byKey[key] = ent
 	return cost
+}
+
+// remove drops ent from the cache and keeps it for reuse.
+func (c *RegCache) remove(ent *regEntry) {
+	ent.unlink()
+	delete(c.byKey, ent.key)
+	ent.prev, ent.next = nil, c.free
+	c.free = ent
+}
+
+func (ent *regEntry) unlink() {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+}
+
+func (c *RegCache) pushFront(ent *regEntry) {
+	ent.prev, ent.next = &c.lru, c.lru.next
+	c.lru.next.prev = ent
+	c.lru.next = ent
 }
 
 func (c *RegCache) pageCost(size units.Bytes, per units.Duration, p *Params) units.Duration {
@@ -85,4 +107,4 @@ func (c *RegCache) pageCost(size units.Bytes, per units.Duration, p *Params) uni
 func (c *RegCache) Used() units.Bytes { return c.used }
 
 // Len reports the number of cached registrations.
-func (c *RegCache) Len() int { return c.lru.Len() }
+func (c *RegCache) Len() int { return len(c.byKey) }

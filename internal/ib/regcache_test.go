@@ -87,6 +87,29 @@ func TestRegCacheThrash(t *testing.T) {
 	}
 }
 
+// TestRegCacheThrashAllocs: in Figure 1(b)'s thrash, two 4 MiB buffers
+// alternating in a 6 MiB cache, every access misses and evicts, and an
+// evicted entry is reused for the next registration, so an access
+// allocates nothing.
+func TestRegCacheThrashAllocs(t *testing.T) {
+	p := regParams()
+	c := NewRegCache(6 * units.MiB)
+	key := uint64(1)
+	access := func() {
+		c.Access(key, 4*units.MiB, p)
+		key = 3 - key
+	}
+	access()
+	access()
+	if allocs := testing.AllocsPerRun(100, access); allocs != 0 {
+		t.Fatalf("%v allocations per access, want 0", allocs)
+	}
+	if c.Hits != 0 || c.Evictions != c.Misses-1 || c.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d evictions=%d len=%d, want every access to miss and evict",
+			c.Hits, c.Misses, c.Evictions, c.Len())
+	}
+}
+
 func TestRegCacheGrownBufferReregisters(t *testing.T) {
 	p := regParams()
 	c := NewRegCache(10 * units.MiB)

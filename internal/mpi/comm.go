@@ -24,13 +24,17 @@ type Comm struct {
 }
 
 // CommWorld returns this process's view of the all-ranks communicator.
+// Every view shares one read-only identity table, built on first use.
 func (r *Rank) CommWorld() *Comm {
 	if r.commWorld == nil {
-		members := make([]int, r.Size())
-		for i := range members {
-			members[i] = i
+		w := r.world
+		if w.worldMembers == nil {
+			w.worldMembers = make([]int, r.Size())
+			for i := range w.worldMembers {
+				w.worldMembers[i] = i
+			}
 		}
-		r.commWorld = &Comm{owner: r, members: members, myRank: r.id, ctx: CtxPointToPoint}
+		r.commWorld = &Comm{owner: r, members: w.worldMembers, myRank: r.id, ctx: CtxPointToPoint}
 	}
 	return r.commWorld
 }

@@ -35,6 +35,26 @@ func TestCommWorldBasics(t *testing.T) {
 	})
 }
 
+// TestCommWorldSharesOneTable: every rank's view of the world
+// communicator shares one member table, so a machine holds one, not one
+// per rank; a split communicator holds its own.
+func TestCommWorldSharesOneTable(t *testing.T) {
+	m := build(t, platform.InfiniBand4X, 4, 1)
+	tables := map[*int]bool{}
+	_, err := m.Run(func(r *mpi.Rank) {
+		tables[&r.CommWorld().Members()[0]] = true
+		if sub := r.CommWorld().Split(0, r.ID()); &sub.Members()[0] == &r.CommWorld().Members()[0] {
+			t.Error("a split communicator shares the world's member table")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 {
+		t.Errorf("%d world member tables, want 1", len(tables))
+	}
+}
+
 func TestSplitRowsAndColumns(t *testing.T) {
 	onBoth(t, func(t *testing.T, net platform.Network) {
 		const rows, cols = 2, 4 // 8 ranks

@@ -153,9 +153,6 @@ type Transport struct {
 	w      *mpi.World
 	states []*rankState
 
-	// Request names, rendered once per (rank, peer).
-	sendNames, recvNames sim.PairNames
-
 	// Free lists of the per-message protocol state.
 	freeMsgs  sim.FreeList[wireMsg]
 	freeSends sim.FreeList[sendState]
@@ -167,10 +164,7 @@ type Transport struct {
 
 // New wraps an IB network as an MPI transport.
 func New(net *ib.Network, params Params) *Transport {
-	return &Transport{net: net, params: params,
-		sendNames: sim.PairNames{Prefix: "ib send ", Sep: "->"},
-		recvNames: sim.PairNames{Prefix: "ib recv ", Sep: "<-"},
-	}
+	return &Transport{net: net, params: params}
 }
 
 // Network exposes the underlying IB model (for statistics).
@@ -279,7 +273,7 @@ func (t *Transport) deliver(d ib.Delivery) {
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
 	hca := t.net.HCA(r.NodeID())
-	req := r.NewRequest(t.sendNames.Name(r.ID(), dst), false)
+	req := r.NewRequest("ib send %d->%d", dst, false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 
 	if size <= t.params.EagerThreshold {
@@ -372,7 +366,7 @@ func (t *Transport) takeOwed(st *rankState, dst int) int {
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
-	req := r.NewRequest(t.recvNames.Name(r.ID(), src), true)
+	req := r.NewRequest("ib recv %d<-%d", src, true)
 	rs := t.freeRecvs.Get()
 	if rs == nil {
 		rs = &recvState{}

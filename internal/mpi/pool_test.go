@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -114,6 +115,38 @@ func TestTracedRunRecyclesAsUntraced(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNewRequestRendersNoName: a request keeps its name's parts, so with
+// the rank's request pool warm, naming requests toward 1,000 distinct
+// peers allocates nothing.
+func TestNewRequestRendersNoName(t *testing.T) {
+	m := build(t, platform.InfiniBand4X, 2, 1)
+	var mallocs uint64
+	_, err := m.Run(func(r *mpi.Rank) {
+		if r.ID() != 0 {
+			return
+		}
+		cycle := func(peer int) {
+			req := r.NewRequest("ib send %d->%d", peer, false)
+			req.Complete(peer, 0, 0, nil)
+			r.Wait(req)
+		}
+		cycle(-1) // warms the pool
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for peer := 0; peer < 1000; peer++ {
+			cycle(peer)
+		}
+		runtime.ReadMemStats(&m1)
+		mallocs = m1.Mallocs - m0.Mallocs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mallocs != 0 {
+		t.Errorf("1,000 requests toward distinct peers made %d allocations, want 0", mallocs)
+	}
 }
 
 // panicMessage runs f and returns the message it panicked with, or "".

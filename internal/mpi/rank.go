@@ -65,15 +65,17 @@ func (r *Rank) Incoming() uint64 { return r.incoming.Count() }
 // (transport use). It returns at once if that has already happened.
 func (r *Rank) WaitIncoming(seen uint64) { r.proc.WaitWakeup(&r.incoming, seen) }
 
-// NewRequest returns a fresh request of this rank, named for deadlock
-// reports (transport use).
-func (r *Rank) NewRequest(name string, isRecv bool) *Request {
+// NewRequest returns a fresh request of this rank toward peer (transport
+// use). Its name, for deadlock reports, is format with its first %d
+// standing for the rank and its second for peer, as "ib send %d->%d"; it
+// is rendered only when read.
+func (r *Rank) NewRequest(format string, peer int, isRecv bool) *Request {
 	q := r.freeReqs.Get()
 	if q == nil {
 		q = &Request{}
 	}
 	q.live.Acquire()
-	r.eng.InitSignal(&q.done, name)
+	r.eng.InitSignal(&q.done, format, r.id, peer)
 	q.isRecv = isRecv
 	return q
 }
@@ -381,7 +383,7 @@ type shmMsg struct {
 // destination rank, completing immediately (buffered semantics). The
 // receiver pays the copy-out when it matches.
 func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{}) *Request {
-	req := r.NewRequest(r.world.shmSendNames.Name(r.id, dst), false)
+	req := r.NewRequest("shm send %d->%d", dst, false)
 	r.HostCopy(size)
 	msg := r.world.freeShm.Get()
 	if msg == nil {
@@ -416,7 +418,7 @@ func (r *Rank) shmComplete(req *Request, msg *shmMsg) {
 
 // shmRecv posts an intra-node receive.
 func (r *Rank) shmRecv(src, tag, ctx int) *Request {
-	req := r.NewRequest(r.world.shmRecvNames.Name(r.id, src), true)
+	req := r.NewRequest("shm recv %d<-%d", src, true)
 	r.shmProgress() // drain anything already arrived before posting
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if data, found, _ := r.shm.engine.PostRecv(env, req); found {

@@ -24,9 +24,6 @@ type Transport struct {
 	net *elan.Network
 	w   *mpi.World
 
-	// Request names, rendered once per (rank, peer).
-	sendNames, recvNames sim.PairNames
-
 	freeOps sim.FreeList[op]
 }
 
@@ -63,10 +60,7 @@ func (o *op) done() {
 
 // New wraps an Elan network as an MPI transport.
 func New(net *elan.Network) *Transport {
-	return &Transport{net: net,
-		sendNames: sim.PairNames{Prefix: "elan send ", Sep: "->"},
-		recvNames: sim.PairNames{Prefix: "elan recv ", Sep: "<-"},
-	}
+	return &Transport{net: net}
 }
 
 // Network exposes the underlying Elan model (for statistics).
@@ -84,7 +78,7 @@ func (t *Transport) Attach(w *mpi.World) {
 // NetSend implements mpi.Transport. The buffer key is ignored: the Elan MMU
 // needs no registration.
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, _ uint64) *mpi.Request {
-	req := r.NewRequest(t.sendNames.Name(r.ID(), dst), false)
+	req := r.NewRequest("elan send %d->%d", dst, false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 	o := t.newOp(req)
 	o.rx.Src, o.rx.Tag, o.rx.Size, o.rx.Payload = dst, tag, size, payload
@@ -95,7 +89,7 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, _ uint64) *mpi.Request {
-	req := r.NewRequest(t.recvNames.Name(r.ID(), src), true)
+	req := r.NewRequest("elan recv %d<-%d", src, true)
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if src == mpi.AnySource {
 		env.Src = match.AnySource

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/host"
 	"repro/internal/metrics"
@@ -18,13 +17,15 @@ type World struct {
 	transport Transport
 	ranks     []*Rank
 
+	// worldMembers is the world communicator's member table, [0..Ranks),
+	// shared read-only by every rank's view of it (see comm.go).
+	worldMembers []int
+
 	// Communicator-split machinery (see comm.go).
 	splits   map[splitKey]*splitState
 	ctxAlloc map[ctxKey]int
 	nextCtx  int
 
-	// Shared-memory request names, rendered once per (rank, peer).
-	shmSendNames, shmRecvNames sim.PairNames
 	// freeShm holds the shared-memory channel's released messages.
 	freeShm sim.FreeList[shmMsg]
 
@@ -47,10 +48,7 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 	if err != nil {
 		return nil, err
 	}
-	w := &World{eng: eng, cfg: cfg, cluster: cluster, transport: transport,
-		shmSendNames: sim.PairNames{Prefix: "shm send ", Sep: "->"},
-		shmRecvNames: sim.PairNames{Prefix: "shm recv ", Sep: "<-"},
-	}
+	w := &World{eng: eng, cfg: cfg, cluster: cluster, transport: transport}
 	w.track = eng.TraceTrack()
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for i := range w.ranks {
@@ -61,7 +59,7 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 			node:  cluster.Nodes[i/cfg.PPN],
 			slot:  i % cfg.PPN,
 		}
-		eng.InitWakeup(&w.ranks[i].incoming, "rank"+strconv.Itoa(i)+" incoming")
+		eng.InitWakeup(&w.ranks[i].incoming, "rank%d incoming", i)
 		if w.track != nil {
 			w.track.SetThreadName(sim.TidRank+int64(i), fmt.Sprintf("rank%d", i))
 		}

@@ -485,6 +485,6 @@ func (e *Engine) Shutdown() {
 		p.stop()
 		e.running = nil
 		p.done = true
-		p.state, p.stateObj = "done", ""
+		p.state, p.obj = "done", nil
 	}
 }

@@ -228,7 +228,7 @@ func TestWaitAllOrdering(t *testing.T) {
 
 func TestServerSerializes(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer("link")
+	s := e.NewServer()
 	var done []units.Time
 	e.After(0, func() {
 		s.ServeThen(5*units.Microsecond, func() { done = append(done, e.Now()) })
@@ -247,7 +247,7 @@ func TestServerSerializes(t *testing.T) {
 
 func TestServerServeAtRespectsReadyTime(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer("link")
+	s := e.NewServer()
 	var completions []units.Time
 	e.After(0, func() {
 		// Not ready until t=10us even though server is free.
@@ -512,7 +512,7 @@ func TestEventHeapProperty(t *testing.T) {
 func TestServerProperty(t *testing.T) {
 	f := func(durs []uint16) bool {
 		e := NewEngine()
-		s := e.NewServer("srv")
+		s := e.NewServer()
 		var ends []units.Time
 		e.After(0, func() {
 			var prev units.Time
@@ -547,7 +547,7 @@ func TestServerProperty(t *testing.T) {
 
 func TestServePipelined(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer("nic")
+	s := e.NewServer()
 	var ready []units.Time
 	e.After(0, func() {
 		// Three items, occupancy 2us, latency 10us: results at 10, 12, 14.
@@ -577,7 +577,7 @@ func TestServePipelined(t *testing.T) {
 
 func TestServePipelinedLatencyClamped(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer("nic")
+	s := e.NewServer()
 	var at units.Time
 	e.After(0, func() {
 		// Latency below occupancy is clamped to occupancy.

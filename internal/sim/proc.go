@@ -28,19 +28,27 @@ type Proc struct {
 	// back to its resumer: the scheduler or another parked process (see
 	// park).
 	inChain bool
-	// Blocking reason for deadlock reports and trace spans, split in two
-	// so hot paths park without building a string: the rendered state is
-	// state+stateObj (e.g. "waiting on signal " + name), concatenated
-	// only when a report or span actually needs it.
-	state    string
-	stateObj string
+	// Blocking reason for deadlock reports, split in two so hot paths
+	// park without building a string: the rendered state is state plus
+	// the name of obj, the signal waited on if any (e.g. "waiting on
+	// signal " + name), rendered only when a report needs it.
+	state string
+	obj   *Signal
 	// switchFn is the resume continuation, bound once at Spawn so waking
 	// the process schedules no fresh closure.
 	switchFn func()
 }
 
 // stateString renders the blocking reason (cold paths only).
-func (p *Proc) stateString() string { return p.state + p.stateObj }
+func (p *Proc) stateString() string { return blockReason(p.state, p.obj) }
+
+// blockReason renders state followed by obj's name, if obj is not nil.
+func blockReason(state string, obj *Signal) string {
+	if obj == nil {
+		return state
+	}
+	return state + obj.Name()
+}
 
 // killedSentinel is the panic value park raises to unwind a process that
 // Engine.Shutdown stopped; the process body's own recover swallows it.
@@ -79,7 +87,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 				}
 			}
 			p.done = true
-			p.state, p.stateObj = "done", ""
+			p.state, p.obj = "done", nil
 		}()
 		fn(p)
 	})
@@ -113,7 +121,7 @@ func (e *Engine) resume(q *Proc) {
 	}
 	q.inChain = true
 	e.running = q
-	q.state, q.stateObj = "running", ""
+	q.state, q.obj = "running", nil
 	e.nSwitches += 2
 	q.next()
 	q.inChain = false
@@ -134,10 +142,11 @@ func (e *Engine) resume(q *Proc) {
 //
 // The state/obj pair documents what the process is waiting for; it is
 // only rendered to a string when a deadlock report or timeline span needs
-// it, so parking itself allocates nothing.
-func (p *Proc) park(state, obj string) {
+// it, so parking itself allocates nothing. The span renders it from
+// park's own arguments: resume has reset p.state by then.
+func (p *Proc) park(state string, obj *Signal) {
 	p.checkRunning()
-	p.state, p.stateObj = state, obj
+	p.state, p.obj = state, obj
 	e := p.eng
 	blockedAt := e.now
 	e.running = nil
@@ -161,9 +170,9 @@ func (p *Proc) park(state, obj string) {
 		break // resumed by whoever dispatched p's wake
 	}
 	if e.track != nil && e.now > blockedAt {
-		e.track.Span(TidProc+int64(p.id), state+obj, "block", blockedAt, e.now)
+		e.track.Span(TidProc+int64(p.id), blockReason(state, obj), "block", blockedAt, e.now)
 	}
-	p.state, p.stateObj = "running", ""
+	p.state, p.obj = "running", nil
 }
 
 func (p *Proc) checkRunning() {
@@ -203,7 +212,7 @@ func (p *Proc) Sleep(d Duration) {
 	target := e.now.Add(d)
 	e.At(target, p.switchFn)
 	for e.now < target {
-		p.park("sleeping", "")
+		p.park("sleeping", nil)
 	}
 }
 
@@ -212,5 +221,5 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) Yield() {
 	p.checkRunning()
 	p.wake()
-	p.park("yielding", "")
+	p.park("yielding", nil)
 }

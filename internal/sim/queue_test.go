@@ -201,7 +201,7 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 // bound once.
 func TestLaneDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer("link")
+	s := e.NewServer()
 	entries := make([]LaneEntry, 64)
 	fn := func() {}
 	round := func() {

@@ -17,6 +17,39 @@ func TestSignalFits64Bytes(t *testing.T) {
 	}
 }
 
+// TestSignalNameOnRead: a signal keeps its name's parts and renders them
+// only when read, so initializing one allocates nothing, and each form
+// renders as the name it stands for.
+func TestSignalNameOnRead(t *testing.T) {
+	e := NewEngine()
+	for _, c := range []struct {
+		format string
+		nums   []int
+		want   string
+	}{
+		{"ib send %d->%d", []int{0, 1}, "ib send 0->1"},
+		{"ib recv %d<-%d", []int{0, 1}, "ib recv 0<-1"},
+		{"ib recv %d<-%d", []int{2, -1}, "ib recv 2<--1"},
+		{"rank%d incoming", []int{3}, "rank3 incoming"},
+		{"node%d membership", []int{0}, "node0 membership"},
+		{"elan rx rank%d", []int{3}, "elan rx rank3"},
+		{"compute timer", nil, "compute timer"},
+	} {
+		var s Signal
+		if allocs := testing.AllocsPerRun(100, func() { e.InitSignal(&s, c.format, c.nums...) }); allocs != 0 {
+			t.Errorf("%q: initializing made %v allocations, want 0", c.want, allocs)
+		}
+		if got := s.Name(); got != c.want {
+			t.Errorf("name %q, want %q", got, c.want)
+		}
+		var w Wakeup
+		e.InitWakeup(&w, c.format, c.nums...)
+		if got := w.sig.Name(); got != c.want {
+			t.Errorf("wake-up name %q, want %q", got, c.want)
+		}
+	}
+}
+
 // TestSignalDispatchOrder registers three distinct waiters, two of them
 // twice, and three callbacks on a signal embedded by value in its owner,
 // then fires it. Wakes run first and callbacks second, each in

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Signal is a one-shot completion event. Processes can block on it, and
@@ -15,8 +16,10 @@ import (
 // copied once initialized.
 type Signal struct {
 	eng  *Engine
-	name string
-	at   Time
+	name name
+	// at is ^t once the signal has fired at t, and 0 before: the sign
+	// bit is the fired flag.
+	at Time
 	// First waiter and first callback live in inline slots: most signals
 	// (one per fabric message, RDMA op, MPI request) see exactly one
 	// waiter and at most one callback, so the common case registers and
@@ -24,7 +27,6 @@ type Signal struct {
 	waiter0 *Proc
 	cb0     func()
 	more    *signalOverflow
-	fired   bool
 }
 
 // signalOverflow holds a signal's second and later waiters and callbacks,
@@ -34,66 +36,73 @@ type signalOverflow struct {
 	cbs     []func()
 }
 
-// NewSignal creates a signal. The name appears in deadlock reports.
-func (e *Engine) NewSignal(name string) *Signal {
-	return &Signal{eng: e, name: name}
+// name is a signal's name kept as its parts: a format and up to two
+// numbers, which replace the format's first and second %d. It is rendered
+// only when read, by a deadlock report, the "fired twice" panic or a
+// traced block span, so naming a signal per operation builds no string.
+type name struct {
+	format string
+	a, b   int32
+}
+
+func nameOf(format string, nums []int) name {
+	if len(nums) > 2 {
+		panic("sim: a signal name takes at most two numbers")
+	}
+	n := name{format: format}
+	if len(nums) > 0 {
+		n.a = int32(nums[0])
+	}
+	if len(nums) > 1 {
+		n.b = int32(nums[1])
+	}
+	return n
+}
+
+// String renders the name: the format with %d replaced by a, then b.
+func (n name) String() string {
+	out := n.format
+	for _, v := range [2]int32{n.a, n.b} {
+		i := strings.Index(out, "%d")
+		if i < 0 {
+			break
+		}
+		out = out[:i] + strconv.Itoa(int(v)) + out[i+2:]
+	}
+	return out
+}
+
+// NewSignal creates a signal named format, whose first and second %d
+// stand for nums (at most two). The name appears in deadlock reports.
+func (e *Engine) NewSignal(format string, nums ...int) *Signal {
+	return &Signal{eng: e, name: nameOf(format, nums)}
 }
 
 // InitSignal readies s, typically a field of the struct that owns the
 // operation it completes, as a fresh unfired signal: one allocation then
-// covers both. The name appears in deadlock reports.
-func (e *Engine) InitSignal(s *Signal, name string) {
-	*s = Signal{eng: e, name: name}
+// covers both. It is named as NewSignal names its signal; the name is
+// rendered only when read, so naming a signal per (a, b) pair, as "ib send
+// %d->%d", builds no string.
+func (e *Engine) InitSignal(s *Signal, format string, nums ...int) {
+	*s = Signal{eng: e, name: nameOf(format, nums)}
 }
 
-// PairNames renders signal names of the form Prefix+a+Sep+b, such as "ib
-// send 0->1", once per (a, b) on first use, so a layer that creates a
-// signal per operation does not build a string per operation. Names are
-// kept in one slice per a, indexed by b+1 so that b may be -1 (any
-// source); both grow on demand. The zero value with Prefix and Sep set is
-// ready to use.
-type PairNames struct {
-	Prefix, Sep string
-	names       [][]string
-}
-
-// Name returns the name for (a, b).
-func (n *PairNames) Name(a, b int) string {
-	if a < 0 || b < -1 {
-		return n.render(a, b) // not cached; no layer names such a pair
-	}
-	if a >= len(n.names) {
-		n.names = append(n.names, make([][]string, a+1-len(n.names))...)
-	}
-	row := n.names[a]
-	if b+1 >= len(row) {
-		row = append(row, make([]string, b+2-len(row))...)
-		n.names[a] = row
-	}
-	if row[b+1] == "" {
-		row[b+1] = n.render(a, b)
-	}
-	return row[b+1]
-}
-
-func (n *PairNames) render(a, b int) string {
-	return n.Prefix + strconv.Itoa(a) + n.Sep + strconv.Itoa(b)
-}
+// Name renders the signal's name (cold paths only).
+func (s *Signal) Name() string { return s.name.String() }
 
 // Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
+func (s *Signal) Fired() bool { return s.at < 0 }
 
 // FiredAt reports when the signal fired; only meaningful if Fired.
-func (s *Signal) FiredAt() Time { return s.at }
+func (s *Signal) FiredAt() Time { return ^s.at }
 
 // Fire marks the signal complete, wakes all blocked processes, and schedules
 // all callbacks at the current time. Safe from event or process context.
 func (s *Signal) Fire() {
-	if s.fired {
-		panic(fmt.Sprintf("sim: signal %q fired twice", s.name))
+	if s.Fired() {
+		panic(fmt.Sprintf("sim: signal %q fired twice", s.Name()))
 	}
-	s.fired = true
-	s.at = s.eng.now
+	s.at = ^s.eng.now
 	more := s.more
 	s.more = nil
 	if s.waiter0 != nil {
@@ -125,7 +134,7 @@ func (s *Signal) HasListeners() bool {
 // OnFire registers fn to run when the signal fires (immediately scheduled if
 // it already has).
 func (s *Signal) OnFire(fn func()) {
-	if s.fired {
+	if s.Fired() {
 		s.eng.After(0, fn)
 		return
 	}
@@ -166,9 +175,9 @@ func (s *Signal) addWaiter(p *Proc) {
 // already has.
 func (p *Proc) Wait(s *Signal) {
 	p.checkRunning()
-	for !s.fired {
+	for !s.Fired() {
 		s.addWaiter(p)
-		p.park("waiting on signal ", s.name)
+		p.park("waiting on signal ", s)
 	}
 }
 
@@ -188,7 +197,7 @@ func (p *Proc) WaitAny(sigs ...*Signal) int {
 	}
 	for {
 		for i, s := range sigs {
-			if s.fired {
+			if s.Fired() {
 				return i
 			}
 		}
@@ -198,7 +207,7 @@ func (p *Proc) WaitAny(sigs ...*Signal) int {
 		for _, s := range sigs {
 			s.addWaiter(p)
 		}
-		p.park("waiting on any of ", sigs[0].name)
+		p.park("waiting on any of ", sigs[0])
 	}
 }
 
@@ -218,11 +227,11 @@ type Wakeup struct {
 	count uint64
 }
 
-// InitWakeup readies w, typically a field of its owner, with no fires. The
-// name appears in deadlock reports.
-func (e *Engine) InitWakeup(w *Wakeup, name string) {
+// InitWakeup readies w, typically a field of its owner, with no fires. It
+// is named as NewSignal names its signal.
+func (e *Engine) InitWakeup(w *Wakeup, format string, nums ...int) {
 	*w = Wakeup{}
-	e.InitSignal(&w.sig, name)
+	e.InitSignal(&w.sig, format, nums...)
 }
 
 // Count reports how many times the wake-up has fired.
@@ -236,7 +245,7 @@ func (w *Wakeup) Fire() {
 	w.count++
 	more := w.sig.more
 	w.sig.Fire()
-	w.sig.fired = false
+	w.sig.at = 0
 	if more != nil {
 		clear(more.waiters)
 		more.waiters = more.waiters[:0]
@@ -250,13 +259,13 @@ func (w *Wakeup) Fire() {
 // on sigs and w.
 func (p *Proc) WaitWakeup(w *Wakeup, seen uint64, sigs ...*Signal) {
 	p.checkRunning()
-	state, obj := "waiting on signal ", w.sig.name
+	state, obj := "waiting on signal ", &w.sig
 	if len(sigs) > 0 {
-		state, obj = "waiting on any of ", sigs[0].name
+		state, obj = "waiting on any of ", sigs[0]
 	}
 	for w.count == seen {
 		for _, s := range sigs {
-			if s.fired {
+			if s.Fired() {
 				return
 			}
 		}
@@ -275,7 +284,6 @@ func (p *Proc) WaitWakeup(w *Wakeup, seen uint64, sigs ...*Signal) {
 // scheduling is O(1) per item.
 type Server struct {
 	eng       *Engine
-	name      string
 	busyUntil Time
 	busyTotal Duration // accumulated service time, for utilization stats
 	served    uint64
@@ -306,8 +314,8 @@ func (s *Server) Lane() *Lane {
 }
 
 // NewServer creates an idle server.
-func (e *Engine) NewServer(name string) *Server {
-	return &Server{eng: e, name: name}
+func (e *Engine) NewServer() *Server {
+	return &Server{eng: e}
 }
 
 // Serve enqueues work of duration d and returns its completion time.

@@ -143,8 +143,8 @@ func TestWakeupFireWithoutListenersDispatchesNothing(t *testing.T) {
 func TestWakeupDeadlockNames(t *testing.T) {
 	e := NewEngine()
 	var w Wakeup
-	e.InitWakeup(&w, "rank1 incoming")
-	req := e.NewSignal("ib recv 0<-1")
+	e.InitWakeup(&w, "rank%d incoming", 1)
+	req := e.NewSignal("ib recv %d<-%d", 0, 1)
 	e.Spawn("alone", func(p *Proc) { p.WaitWakeup(&w, w.Count()) })
 	e.Spawn("any", func(p *Proc) { p.WaitWakeup(&w, w.Count(), req) })
 	err := e.Run()
