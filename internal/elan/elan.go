@@ -175,7 +175,7 @@ type Recv struct {
 type port struct {
 	rank int
 	eng  match.Engine
-	seq  *match.Sequencer
+	seq  match.Sequencer
 	// txSeq is the send sequence toward each destination rank, grown on
 	// demand.
 	txSeq []uint64
@@ -206,7 +206,7 @@ func (n *NIC) AttachRank(rank int) {
 			panic(fmt.Sprintf("elan: rank %d already attached to node %d", rank, n.node))
 		}
 	}
-	n.ports = append(n.ports, &port{rank: rank, seq: match.NewSequencer()})
+	n.ports = append(n.ports, &port{rank: rank})
 }
 
 func (n *NIC) portOf(rank int) *port {

@@ -166,7 +166,7 @@ func TestPerSenderOrderingPreserved(t *testing.T) {
 	// match in program order.
 	eng := sim.NewEngine()
 	net := testClos(t, eng, 8, 4)
-	seq := net.NIC(7).portOf(7).seq
+	seq := &net.NIC(7).portOf(7).seq
 	const n = 20
 	var got []interface{}
 	held := 0

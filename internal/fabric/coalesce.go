@@ -103,9 +103,10 @@ type window struct {
 	last units.Bytes // size of the final chunk
 	m    int         // stage count
 
-	sFull [maxStages]units.Duration // full-chunk service per stage
+	// Per stage: the last chunk's service (the full-chunk service and the
+	// latency are the stage's own, read from the fabric's stage table),
+	// and the schedule.
 	sLast [maxStages]units.Duration // last-chunk service per stage
-	lat   [maxStages]units.Duration
 	baseC [maxStages]units.Time     // c[0,i] for full chunks (n > 1 only)
 	bneck [maxStages]units.Duration // B[i] = max full service over stages <= i
 	aLast [maxStages]units.Time     // last chunk's arrival per stage
@@ -129,6 +130,9 @@ func (f *Fabric) getWindow() *window {
 	return w
 }
 
+// hop returns the i-th stage of the window's path.
+func (w *window) hop(i int) *stage { return w.f.hop(&w.ms.pt, i) }
+
 func (f *Fabric) putWindow(w *window) {
 	w.ms = nil
 	w.expanded = false
@@ -142,30 +146,34 @@ func (f *Fabric) putWindow(w *window) {
 // schedule, and on success installs the window and its single delivery
 // event.
 func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
-	pt := &ms.pt
-	m := pt.n
+	m := int(ms.pt.n)
 	t0 := f.eng.Now()
 	ov := f.params.PacketOverhead
 	full := n > 1
 
 	w := f.getWindow()
+	w.ms = ms
 	var bneck units.Duration
 	for i := 0; i < m; i++ {
-		st := &pt.stages[i]
+		st := w.hop(i)
 		sF := st.full
 		sL := st.rate.TimeFor(last + ov)
 		if sL <= 0 || (full && sF <= 0) {
 			f.putWindow(w)
 			return false
 		}
-		w.sFull[i], w.sLast[i], w.lat[i] = sF, sL, st.lat
+		w.sLast[i] = sL
+		var prevLat units.Duration
+		if i > 0 {
+			prevLat = w.hop(i - 1).lat
+		}
 
 		// Full-chunk row.
 		var aFirst units.Time
 		if full {
 			aF0 := t0
 			if i > 0 {
-				aF0 = w.baseC[i-1].Add(w.lat[i-1])
+				aF0 = w.baseC[i-1].Add(prevLat)
 			}
 			if sF > bneck {
 				bneck = sF
@@ -178,7 +186,7 @@ func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 		// Last-chunk row.
 		aL := t0
 		if i > 0 {
-			aL = w.cLast[i-1].Add(w.lat[i-1])
+			aL = w.cLast[i-1].Add(prevLat)
 		}
 		w.aLast[i] = aL
 		start := aL
@@ -199,14 +207,13 @@ func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 		}
 	}
 
-	w.ms = ms
 	w.t0 = t0
 	w.n = n
 	w.last = last
 	w.m = m
-	w.deliverAt = w.cLast[m-1].Add(w.lat[m-1])
+	w.deliverAt = w.cLast[m-1].Add(w.hop(m - 1).lat)
 	for i := 0; i < m; i++ {
-		pt.stages[i].srv.OnServe(w.expandFn)
+		w.hop(i).srv.OnServe(w.expandFn)
 	}
 	f.open = w
 	f.eng.At(w.deliverAt, w.completeFn)
@@ -226,13 +233,12 @@ func (w *window) complete() {
 		return
 	}
 	ms := w.ms
-	pt := &ms.pt
 	for i := 0; i < w.m; i++ {
-		srv := pt.stages[i].srv
+		srv := w.hop(i).srv
 		srv.OnServe(nil)
 		busy := w.sLast[i]
 		if w.n > 1 {
-			busy += units.Duration(w.n-1) * w.sFull[i]
+			busy += units.Duration(w.n-1) * w.hop(i).full
 		}
 		srv.Absorb(w.cLast[i], busy, uint64(w.n))
 		w.account(i, w.n-1, true)
@@ -248,7 +254,7 @@ func (w *window) arrFull(k, i int) units.Time {
 	if i == 0 {
 		return w.t0
 	}
-	return w.baseC[i-1].Add(units.Duration(k)*w.bneck[i-1] + w.lat[i-1])
+	return w.baseC[i-1].Add(units.Duration(k)*w.bneck[i-1] + w.hop(i-1).lat)
 }
 
 // account records at stage i what Fabric.account records for the chunks
@@ -257,7 +263,7 @@ func (w *window) arrFull(k, i int) units.Time {
 // as in Fabric.account.
 func (w *window) account(i, nf int, last bool) {
 	f := w.f
-	link := w.ms.pt.stages[i].link
+	link := w.hop(i).link
 	if f.linkBytes == nil || link < 0 {
 		return
 	}
@@ -305,9 +311,8 @@ func (w *window) expand() {
 	f := w.f
 	w.expanded = true
 	ms := w.ms
-	pt := &ms.pt
 	for i := 0; i < w.m; i++ {
-		pt.stages[i].srv.OnServe(nil)
+		w.hop(i).srv.OnServe(nil)
 	}
 	f.open = nil
 	now := f.eng.Now()
@@ -345,7 +350,7 @@ func (w *window) expand() {
 		if items == 0 {
 			continue
 		}
-		busy := units.Duration(nf) * w.sFull[i]
+		busy := units.Duration(nf) * w.hop(i).full
 		var horizon units.Time
 		if lastIn {
 			horizon = w.cLast[i]
@@ -353,7 +358,7 @@ func (w *window) expand() {
 		} else {
 			horizon = w.baseC[i].Add(units.Duration(nf-1) * w.bneck[i])
 		}
-		pt.stages[i].srv.Absorb(horizon, busy, uint64(items))
+		w.hop(i).srv.Absorb(horizon, busy, uint64(items))
 		w.account(i, nf, lastIn)
 	}
 
@@ -388,7 +393,7 @@ func (w *window) expand() {
 			}
 			if a >= now {
 				cs := f.getChunk(ms, i, sz, a)
-				pt.stages[i-1].srv.Lane().At(a, &cs.lane, cs.stepFn)
+				w.hop(i-1).srv.Lane().At(a, &cs.lane, cs.stepFn)
 				resumed = true
 				break
 			}
@@ -408,11 +413,11 @@ func (w *window) expand() {
 		if isLast {
 			out = w.deliverAt
 		} else {
-			out = w.baseC[w.m-1].Add(units.Duration(k)*w.bneck[w.m-1] + w.lat[w.m-1])
+			out = w.baseC[w.m-1].Add(units.Duration(k)*w.bneck[w.m-1] + w.hop(w.m-1).lat)
 		}
 		if out >= now {
 			cs := f.getChunk(ms, w.m, sz, out)
-			pt.stages[w.m-1].srv.Lane().At(out, &cs.lane, cs.stepFn)
+			w.hop(w.m-1).srv.Lane().At(out, &cs.lane, cs.stepFn)
 			continue
 		}
 		delivered++
@@ -434,7 +439,7 @@ func (w *window) train(k int) bool {
 	if k < w.n-1 {
 		first = w.arrFull(k, 1)
 	}
-	if !ms.pt.stages[0].srv.Lane().Series(first, w.aLast[1], w.n-k, &ms.train, ms.fireFn) {
+	if !w.hop(0).srv.Lane().Series(first, w.aLast[1], w.n-k, &ms.train, ms.fireFn) {
 		return false
 	}
 	ms.trainAt, ms.trainLeft, ms.lastSer = first, w.n-k, w.sLast[0]

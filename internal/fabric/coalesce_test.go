@@ -83,6 +83,18 @@ func (out *stormOutcome) account(eng *sim.Engine, links, hosts []*sim.Server) {
 	}
 }
 
+// servers lists the servers of the fabric's stage table: its links, by
+// topology.LinkID, and its host buses, by node (none without a host
+// stage).
+func (f *Fabric) servers() (links, hosts []*sim.Server) {
+	all := make([]*sim.Server, len(f.stageTab))
+	for i := range f.stageTab {
+		all[i] = f.stageTab[i].srv
+	}
+	nl := f.clos.NumLinks()
+	return all[:nl:nl], all[nl:]
+}
+
 // observe keeps reg's chunk-wait histogram and a copy of linkBytes.
 func (out *stormOutcome) observe(reg *metrics.Registry, linkBytes []units.Bytes) {
 	for _, h := range reg.Snapshot().Histograms {
@@ -220,7 +232,8 @@ func runFabric(t *testing.T, c stormFabric, gen storm, seed uint64, reg *metrics
 		t.Fatal(err)
 	}
 	requireDrained(t, f)
-	out.account(eng, f.links, f.hosts)
+	links, hosts := f.servers()
+	out.account(eng, links, hosts)
 	if reg != nil {
 		out.observe(reg, f.linkBytes)
 	}
@@ -438,6 +451,28 @@ func BenchmarkSimultaneousSend(b *testing.B) {
 		}
 		for src := 0; src < 8; src++ {
 			f.Send(src, 8+src, 64*f.params.MTU)
+		}
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStreamingSend is bulk's shape at the fabric's level: one source
+// sends sixteen 64-chunk messages back to back to one destination in one
+// picosecond, as a window of nonblocking sends does, so all sixteen share
+// one path and are in flight at once. Each op builds a fresh fabric, so
+// B/op counts the message states and chunk states the stream needs.
+func BenchmarkStreamingSend(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		f, err := New(eng, 16, 16, ibTestParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < 16; k++ {
+			f.Send(0, 1, 64*f.params.MTU)
 		}
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)

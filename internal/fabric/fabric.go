@@ -100,11 +100,11 @@ type Fabric struct {
 	eng    *sim.Engine
 	clos   *topology.Clos
 	params Params
-	links  []*sim.Server // indexed by topology.LinkID
-	hosts  []*sim.Server // per-node half-duplex PCI bus; nil if disabled
 
-	// Serialization time of a full-MTU chunk on a link and on a host bus.
-	linkFull, hostFull units.Duration
+	// stageTab holds one stage per link, indexed by topology.LinkID, then
+	// one per node's half-duplex PCI bus when the host stage is enabled
+	// (see hostStage). A path holds indices into it.
+	stageTab []stage
 
 	messages   uint64
 	bytes      units.Bytes
@@ -167,18 +167,7 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 		return nil, err
 	}
 	f := &Fabric{eng: eng, clos: clos, params: params, coalesce: true}
-	f.linkFull = params.LinkBandwidth.TimeFor(params.MTU + params.PacketOverhead)
-	f.hostFull = params.HostBandwidth.TimeFor(params.MTU + params.PacketOverhead)
-	f.links = make([]*sim.Server, clos.NumLinks())
-	for i := range f.links {
-		f.links[i] = eng.NewServer()
-	}
-	if params.HostBandwidth > 0 {
-		f.hosts = make([]*sim.Server, nodes)
-		for i := range f.hosts {
-			f.hosts[i] = eng.NewServer()
-		}
-	}
+	f.buildStages()
 	if reg := eng.Metrics(); reg != nil {
 		f.foldCounts(reg)
 		f.hWait = reg.Histogram("fabric.chunk_queue_wait_ns")
@@ -246,13 +235,13 @@ func (f *Fabric) FlushMetrics() {
 	hUtil := reg.Histogram("fabric.link_util_pct")
 	hBytes := reg.Histogram("fabric.link_bytes")
 	gMax := reg.Gauge("fabric.max_link_util_pct")
-	for id, srv := range f.links {
-		if f.linkBytes[id] == 0 {
+	for id, b := range f.linkBytes {
+		if b == 0 {
 			continue
 		}
-		pct := srv.Utilization() * 100
+		pct := f.stageTab[id].srv.Utilization() * 100
 		hUtil.Observe(int64(pct))
-		hBytes.Observe(int64(f.linkBytes[id]))
+		hBytes.Observe(int64(b))
 		gMax.SetMax(pct)
 	}
 }
@@ -275,17 +264,19 @@ func (f *Fabric) foldCounts(reg *metrics.Registry) {
 // descriptor and doorbell traffic to it. Nil when the host stage is
 // disabled.
 func (f *Fabric) HostBus(node int) *sim.Server {
-	if f.hosts == nil {
+	if f.params.HostBandwidth == 0 {
 		return nil
 	}
-	return f.hosts[node]
+	return f.stageTab[f.hostStage(node)].srv
 }
 
 // maxStages bounds a path's hop count: host bus, injection, uplink,
 // downlink, ejection, host bus.
 const maxStages = 6
 
-// stage is one FIFO hop of a message's path.
+// stage is one FIFO hop: a link or a node's host bus. Everything in it is
+// fixed when the fabric is built, so every message crossing the hop reads
+// the one entry in the fabric's stage table.
 type stage struct {
 	srv  *sim.Server
 	rate units.Rate
@@ -294,51 +285,83 @@ type stage struct {
 	link topology.LinkID // -1 for host-bus stages (not a fabric link)
 }
 
-// path is the materialized hop list for one message, with the index of the
-// uplink stage (-1 if the route does not cross spines) so adaptive fabrics
-// can re-choose the spine chunk by chunk. The hop list is a fixed-size
-// array so building a path allocates nothing.
-type path struct {
-	stages  [maxStages]stage
-	n       int
-	upIdx   int
-	srcLeaf int
-	dstLeaf int
+// buildStages fills the stage table: a server per link and per host bus.
+// A link pays its cable's latency and the chassis it enters, except an
+// ejection link, which enters the node.
+func (f *Fabric) buildStages() {
+	p, clos := f.params, f.clos
+	nl := clos.NumLinks()
+	n := nl
+	if p.HostBandwidth > 0 {
+		n += clos.Nodes
+	}
+	f.stageTab = make([]stage, n)
+	linkFull := p.LinkBandwidth.TimeFor(p.MTU + p.PacketOverhead)
+	hostFull := p.HostBandwidth.TimeFor(p.MTU + p.PacketOverhead)
+	for id := 0; id < nl; id++ {
+		f.stageTab[id] = stage{f.eng.NewServer(), p.LinkBandwidth, linkFull,
+			p.WireLatency + p.ChassisLatency, topology.LinkID(id)}
+	}
+	for id := nl; id < n; id++ {
+		f.stageTab[id] = stage{f.eng.NewServer(), p.HostBandwidth, hostFull, p.HostLatency, -1}
+	}
+	for node := 0; node < clos.Nodes; node++ {
+		f.stageTab[clos.Ejection(node)].lat = p.WireLatency
+	}
 }
 
-func (pt *path) add(st stage) {
+// hostStage reports the stage-table index of the node's host bus.
+func (f *Fabric) hostStage(node int) int32 {
+	return int32(f.clos.NumLinks() + node)
+}
+
+// path is one message's route: the stage-table indices of its hops, with
+// the index of the uplink hop (-1 if the route does not cross spines) so
+// adaptive fabrics can re-choose the spine chunk by chunk. The hop list is
+// a fixed-size array so building a path allocates nothing.
+type path struct {
+	stages  [maxStages]int32
+	n       int32
+	upIdx   int32
+	srcLeaf int32
+	dstLeaf int32
+}
+
+func (pt *path) add(st int32) {
 	pt.stages[pt.n] = st
 	pt.n++
 }
 
 func (f *Fabric) fillPath(pt *path, src, dst int) {
-	p := f.params
 	clos := f.clos
+	host := f.params.HostBandwidth > 0
 	pt.n = 0
 	pt.upIdx = -1
 	pt.srcLeaf, pt.dstLeaf = 0, 0
-	if f.hosts != nil {
-		pt.add(stage{f.hosts[src], p.HostBandwidth, f.hostFull, p.HostLatency, -1})
+	if host {
+		pt.add(f.hostStage(src))
 	}
-	cross := clos.Levels == 2 && clos.LeafOf(src) != clos.LeafOf(dst)
-	inj := clos.Injection(src)
-	pt.add(stage{f.links[inj], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, inj})
-	if cross {
-		pt.srcLeaf, pt.dstLeaf = clos.LeafOf(src), clos.LeafOf(dst)
+	pt.add(int32(clos.Injection(src)))
+	if clos.Levels == 2 && clos.LeafOf(src) != clos.LeafOf(dst) {
+		srcLeaf, dstLeaf := clos.LeafOf(src), clos.LeafOf(dst)
 		spine := 0
-		if !p.Adaptive {
+		if !f.params.Adaptive {
 			spine = clos.DestSpine(dst)
 		}
+		pt.srcLeaf, pt.dstLeaf = int32(srcLeaf), int32(dstLeaf)
 		pt.upIdx = pt.n
-		up, down := clos.Up(pt.srcLeaf, spine), clos.Down(spine, pt.dstLeaf)
-		pt.add(stage{f.links[up], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, up})
-		pt.add(stage{f.links[down], p.LinkBandwidth, f.linkFull, p.WireLatency + p.ChassisLatency, down})
+		pt.add(int32(clos.Up(srcLeaf, spine)))
+		pt.add(int32(clos.Down(spine, dstLeaf)))
 	}
-	ej := clos.Ejection(dst)
-	pt.add(stage{f.links[ej], p.LinkBandwidth, f.linkFull, p.WireLatency, ej})
-	if f.hosts != nil {
-		pt.add(stage{f.hosts[dst], p.HostBandwidth, f.hostFull, p.HostLatency, -1})
+	pt.add(int32(clos.Ejection(dst)))
+	if host {
+		pt.add(f.hostStage(dst))
 	}
+}
+
+// hop returns pt's i-th stage.
+func (f *Fabric) hop(pt *path, i int) *stage {
+	return &f.stageTab[pt.stages[i]]
 }
 
 // leastLoadedSpine returns the spine whose uplink from the given leaf has
@@ -346,7 +369,7 @@ func (f *Fabric) fillPath(pt *path, src, dst int) {
 func (f *Fabric) leastLoadedSpine(leaf int) int {
 	best, bestAt := 0, units.Forever
 	for s := 0; s < f.clos.Spines; s++ {
-		if at := f.links[f.clos.Up(leaf, s)].BusyUntil(); at < bestAt {
+		if at := f.stageTab[f.clos.Up(leaf, s)].srv.BusyUntil(); at < bestAt {
 			best, bestAt = s, at
 		}
 	}
@@ -471,7 +494,7 @@ func (ms *msgState) inject() {
 // Reports false, having served nothing, when the lane refuses the train.
 func (ms *msgState) startTrain(now units.Time, n int, last units.Bytes) bool {
 	f := ms.f
-	st := &ms.pt.stages[0]
+	st := f.hop(&ms.pt, 0)
 	srv := st.srv
 	if srv.Hooked() {
 		// A touch hook runs inside ServeAt and could take seqs between
@@ -522,7 +545,7 @@ func (ms *msgState) fire() (units.Time, bool) {
 	case 1:
 		ms.trainAt = at.Add(ms.lastSer)
 	default:
-		ms.trainAt = at.Add(ms.pt.stages[0].full)
+		ms.trainAt = at.Add(f.hop(&ms.pt, 0).full)
 	}
 	more, next := ms.trainLeft > 0, ms.trainAt
 	f.getChunk(ms, 1, size, at).step()
@@ -602,30 +625,32 @@ func (cs *chunkState) step() {
 	f := ms.f
 	pt := &ms.pt
 	i := int(cs.i)
-	if i == pt.n {
+	if i == int(pt.n) {
 		f.putChunk(cs)
 		ms.chunkDelivered()
 		return
 	}
-	if f.params.Adaptive && i == pt.upIdx && cs.upLink < 0 {
-		spine, rerouted := f.chooseSpine(pt.srcLeaf, pt.dstLeaf)
+	up := int(pt.upIdx)
+	if f.params.Adaptive && i == up && cs.upLink < 0 {
+		srcLeaf, dstLeaf := int(pt.srcLeaf), int(pt.dstLeaf)
+		spine, rerouted := f.chooseSpine(srcLeaf, dstLeaf)
 		if rerouted {
 			f.faultStats.ChunksRerouted++
 		}
-		cs.upLink = f.clos.Up(pt.srcLeaf, spine)
-		cs.downLink = f.clos.Down(spine, pt.dstLeaf)
+		cs.upLink = f.clos.Up(srcLeaf, spine)
+		cs.downLink = f.clos.Down(spine, dstLeaf)
 	}
-	st := &pt.stages[i]
-	srv, link := st.srv, st.link
+	st := f.hop(pt, i)
 	if cs.upLink >= 0 {
-		if i == pt.upIdx {
-			link = cs.upLink
-			srv = f.links[link]
-		} else if i == pt.upIdx+1 {
-			link = cs.downLink
-			srv = f.links[link]
+		// The path's spine stages are placeholders: the chunk's own spine
+		// links index the same table.
+		if i == up {
+			st = &f.stageTab[cs.upLink]
+		} else if i == up+1 {
+			st = &f.stageTab[cs.downLink]
 		}
 	}
+	srv, link := st.srv, st.link
 	lf := f.linkFault(link)
 	if lf != nil && lf.Down {
 		if f.params.HWRetry {
@@ -634,7 +659,7 @@ func (cs *chunkState) step() {
 			// adaptive choice finds a live spine.
 			f.faultStats.ChunksRetried++
 			f.probeStalled(link, cs.ready)
-			if i == pt.upIdx {
+			if i == up {
 				cs.upLink = -1
 			}
 			cs.ready = cs.ready.Add(f.params.HWRetryDelay)
@@ -670,7 +695,7 @@ func (cs *chunkState) step() {
 		f.probeLost(link, cs.ready)
 		if f.params.HWRetry {
 			f.faultStats.ChunksRetried++
-			if i == pt.upIdx {
+			if i == up {
 				cs.upLink = -1
 			}
 			cs.ready = out.Add(f.params.HWRetryDelay)
@@ -681,7 +706,7 @@ func (cs *chunkState) step() {
 		return
 	}
 	cs.i = int32(i + 1)
-	if i+1 == pt.n && !f.faultsOn && ms.remaining > 1 {
+	if i+1 == int(pt.n) && !f.faultsOn && ms.remaining > 1 {
 		ms.remaining--
 		f.putChunk(cs)
 		return
@@ -806,8 +831,8 @@ func (f *Fabric) MinLatency(src, dst int, size units.Bytes) units.Duration {
 			sz = last
 		}
 		var ready units.Time
-		for i := 0; i < pt.n; i++ {
-			st := &pt.stages[i]
+		for i := 0; i < int(pt.n); i++ {
+			st := f.hop(&pt, i)
 			start := ready
 			if busy[i] > start {
 				start = busy[i]

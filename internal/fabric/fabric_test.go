@@ -115,13 +115,17 @@ func TestEjectionContentionSerializes(t *testing.T) {
 // TestContendedSendAllocs pins the allocations of the expanded chunk path:
 // eight nodes each send a 64-chunk message into node 0, so every chunk
 // takes every hop as an event, queued on the lanes of the servers it
-// crosses. Once the chunk pools and the lanes are warm, a message costs
-// only its completion signal: its name is rendered once per (src, dst).
-// The chunk state, lane entry included, stays in the 96-byte allocation
-// class.
+// crosses. Once the message and chunk pools and the lanes are warm, a
+// message costs only the completion signal Send returns, whose name is
+// rendered only when read. The chunk state, lane entry included, stays in
+// the 96-byte allocation class, and the message state, whose path holds
+// stage-table indices and no stage, in the 224-byte class.
 func TestContendedSendAllocs(t *testing.T) {
 	if size := unsafe.Sizeof(chunkState{}); size > 96 {
 		t.Fatalf("chunkState is %d bytes, want at most 96", size)
+	}
+	if size := unsafe.Sizeof(msgState{}); size > 224 {
+		t.Fatalf("msgState is %d bytes, want at most 224", size)
 	}
 	eng := sim.NewEngine()
 	f := mustNew(t, eng, 16, 8, hostParams())
@@ -160,7 +164,7 @@ func TestIdleMessageEventCount(t *testing.T) {
 			f.coalesce = false
 			var pt path
 			f.fillPath(&pt, 0, 1)
-			if pt.n != c.stages {
+			if int(pt.n) != c.stages {
 				t.Fatalf("%s: path has %d stages, want %d", c.name, pt.n, c.stages)
 			}
 			size := units.Bytes(n) * f.Params().MTU

@@ -146,8 +146,8 @@ func (f *Fabric) pathFaulted(pt *path) bool {
 	if !f.faultsOn {
 		return false
 	}
-	for i := 0; i < pt.n; i++ {
-		if l := pt.stages[i].link; l >= 0 && f.faults[l].Active() {
+	for i := 0; i < int(pt.n); i++ {
+		if l := f.hop(pt, i).link; l >= 0 && f.faults[l].Active() {
 			return true
 		}
 	}
@@ -188,7 +188,7 @@ func (f *Fabric) chooseSpine(srcLeaf, dstLeaf int) (spine int, rerouted bool) {
 			skipped = true
 			continue
 		}
-		if at := f.links[f.clos.Up(srcLeaf, s)].BusyUntil(); at < bestAt {
+		if at := f.stageTab[f.clos.Up(srcLeaf, s)].srv.BusyUntil(); at < bestAt {
 			best, bestAt = s, at
 		}
 	}

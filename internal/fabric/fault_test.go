@@ -85,7 +85,8 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 		t.Fatal(err)
 	}
 	requireDrained(t, f)
-	out.account(eng, f.links, nil)
+	links, _ := f.servers()
+	out.account(eng, links, nil)
 	return out, f.FaultStats()
 }
 

@@ -119,7 +119,7 @@ func TestExpansionTrainChunkStates(t *testing.T) {
 			if coalesce && f.open == nil {
 				t.Fatalf("%s: first send opened no window", c.name)
 			}
-			eng.At(units.Time(10*f.linkFull), func() {
+			eng.At(units.Time(10*f.stageTab[0].full), func() { // stage 0 is link 0
 				f.SendThen(2, 1, mtu, func() { fired[j][1] = eng.Now() })
 			})
 			if err := eng.Run(); err != nil {

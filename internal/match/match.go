@@ -119,18 +119,20 @@ func (e *Engine) CancelRecv(data interface{}) bool {
 // Sequencer restores per-sender FIFO delivery order on top of a network
 // that may reorder messages (adaptive routing sends packets of different
 // messages over different spines). MPI's non-overtaking rule requires that
-// matching observe sends from a given rank in program order.
+// matching observe sends from a given rank in program order. The zero
+// value is an empty sequencer, ready to use.
 type Sequencer struct {
-	next    []uint64 // per sender, grown on demand
+	next []uint64 // per sender, grown on demand
+	// pending holds the out-of-order arrivals per sender. It is made by
+	// the first one, so a sequencer whose messages arrive in order never
+	// builds it.
 	pending map[int]map[uint64]interface{}
 	held    int           // messages in pending, over all senders
 	batch   []interface{} // Submit's result, reused by the next call
 }
 
 // NewSequencer returns an empty sequencer.
-func NewSequencer() *Sequencer {
-	return &Sequencer{pending: map[int]map[uint64]interface{}{}}
-}
+func NewSequencer() *Sequencer { return &Sequencer{} }
 
 // Submit hands the sequencer message seq from the given sender and returns
 // the (possibly empty) batch of messages now deliverable in order. Each
@@ -142,6 +144,9 @@ func (s *Sequencer) Submit(sender int, seq uint64, msg interface{}) []interface{
 		s.next = append(s.next, make([]uint64, sender+1-len(s.next))...)
 	}
 	if seq != s.next[sender] {
+		if s.pending == nil {
+			s.pending = map[int]map[uint64]interface{}{}
+		}
 		p := s.pending[sender]
 		if p == nil {
 			p = map[uint64]interface{}{}

@@ -146,6 +146,31 @@ func TestSequencerInOrder(t *testing.T) {
 	}
 }
 
+// TestSequencerInOrderBuildsNoMap pins the lazy pending map: a sequencer
+// whose messages from several senders all arrive in order never makes it,
+// and neither does the zero value.
+func TestSequencerInOrderBuildsNoMap(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *Sequencer
+	}{{"NewSequencer", NewSequencer()}, {"zero", &Sequencer{}}} {
+		name, s := c.name, c.s
+		for seq := uint64(0); seq < 4; seq++ {
+			for sender := 0; sender < 3; sender++ {
+				if out := s.Submit(sender, seq, seq); len(out) != 1 {
+					t.Fatalf("%s: sender %d seq %d: out = %v", name, sender, seq, out)
+				}
+			}
+		}
+		if s.pending != nil {
+			t.Fatalf("%s: in-order submits made the pending map", name)
+		}
+		if s.Pending(1) != 0 || !s.Released(2, 3) {
+			t.Fatalf("%s: Pending or Released disagrees without the map", name)
+		}
+	}
+}
+
 func TestSequencerReorders(t *testing.T) {
 	s := NewSequencer()
 	if out := s.Submit(1, 2, "c"); out != nil {

@@ -103,8 +103,8 @@ type wireMsg struct {
 	payload interface{}
 	sstate  *sendState // rendezvous correlation (CTS/data)
 	rstate  *recvState
-	credits int  // piggybacked credit return
-	channel bool // channel (send/recv) eager path, not RDMA fast path
+	credits int32 // piggybacked credit return
+	channel bool  // channel (send/recv) eager path, not RDMA fast path
 }
 
 // sendState is a rendezvous send awaiting its handshake. It is pooled on
@@ -133,17 +133,22 @@ type recvState struct {
 // rankState is the per-rank host protocol state.
 type rankState struct {
 	engine  match.Engine
-	seq     *match.Sequencer
+	seq     match.Sequencer
 	pending []*wireMsg // pending[head:] are delivered, awaiting host processing
 	head    int
 
-	// Per peer rank, sized at Attach.
-	credits    []int // send credits toward each peer
-	creditOwed []int // processed eager arrivals not yet acked
-	sendSeq    []uint64
+	// peers holds the state toward each peer rank, sized at Attach.
+	peers []peer
 
 	// Statistics.
 	EagerSends, RndvSends, Unexpected uint64
+}
+
+// peer is a rank's protocol state toward one peer rank.
+type peer struct {
+	credits    int32 // send credits toward the peer
+	creditOwed int32 // processed eager arrivals not yet acked
+	sendSeq    uint64
 }
 
 // Transport implements mpi.Transport over an InfiniBand network.
@@ -151,7 +156,7 @@ type Transport struct {
 	params Params
 	net    *ib.Network
 	w      *mpi.World
-	states []*rankState
+	states []rankState
 
 	// Free lists of the per-message protocol state.
 	freeMsgs  sim.FreeList[wireMsg]
@@ -181,7 +186,7 @@ type Stats struct {
 
 // RankStats returns the protocol counters of a rank.
 func (t *Transport) RankStats(rank int) Stats {
-	st := t.states[rank]
+	st := &t.states[rank]
 	return Stats{
 		EagerSends:    st.EagerSends,
 		RndvSends:     st.RndvSends,
@@ -206,21 +211,20 @@ func (t *Transport) EagerMemoryPerRank() units.Bytes {
 // install the delivery handler on every HCA.
 func (t *Transport) Attach(w *mpi.World) {
 	t.w = w
-	t.states = make([]*rankState, w.Size())
-	for i := range t.states {
-		t.states[i] = &rankState{
-			seq:        match.NewSequencer(),
-			credits:    make([]int, w.Size()),
-			creditOwed: make([]int, w.Size()),
-			sendSeq:    make([]uint64, w.Size()),
-		}
-		for peer := 0; peer < w.Size(); peer++ {
-			if w.NodeOf(peer) != w.NodeOf(i) {
-				t.states[i].credits[peer] = t.params.EagerSlots
-			}
-		}
-	}
 	cfg := w.Config()
+	n := w.Size()
+	t.states = make([]rankState, n)
+	for i := range t.states {
+		// A full slot ring toward every peer, except those on the rank's
+		// own node, which the shared-memory channel serves.
+		peers := make([]peer, n)
+		for p := range peers {
+			peers[p].credits = int32(t.params.EagerSlots)
+		}
+		lo := w.NodeOf(i) * cfg.PPN
+		clear(peers[lo:min(lo+cfg.PPN, n)])
+		t.states[i].peers = peers
+	}
 	nodes := cfg.NodesFor()
 	for n := 0; n < nodes; n++ {
 		n := n
@@ -248,7 +252,8 @@ func (t *Transport) FlushMetrics() {
 		return
 	}
 	var eager, rndv, unexpected uint64
-	for _, st := range t.states {
+	for i := range t.states {
+		st := &t.states[i]
 		eager += st.EagerSends
 		rndv += st.RndvSends
 		unexpected += st.Unexpected
@@ -264,14 +269,14 @@ func (t *Transport) FlushMetrics() {
 // processing happens here — that is the whole point.
 func (t *Transport) deliver(d ib.Delivery) {
 	msg := d.Imm.(*wireMsg)
-	st := t.states[msg.dstRank]
+	st := &t.states[msg.dstRank]
 	st.pending = append(st.pending, msg)
 	t.w.Rank(msg.dstRank).Kick()
 }
 
 // NetSend implements mpi.Transport.
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, key uint64) *mpi.Request {
-	st := t.states[r.ID()]
+	st := &t.states[r.ID()]
 	hca := t.net.HCA(r.NodeID())
 	req := r.NewRequest("ib send %d->%d", dst, false)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
@@ -279,19 +284,20 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 	if size <= t.params.EagerThreshold {
 		st.EagerSends++
 		// Flow control: block (making progress) until a slot is free.
-		for st.credits[dst] == 0 {
+		p := &st.peers[dst]
+		for p.credits == 0 {
 			seen := r.Incoming()
 			t.Progress(r)
-			if st.credits[dst] > 0 {
+			if p.credits > 0 {
 				break
 			}
 			r.WaitIncoming(seen)
 		}
-		st.credits[dst]--
-		msg := t.newMsg(wireMsg{kind: kindEager, env: env, dstRank: dst, seq: st.sendSeq[dst],
-			size: size, payload: payload, credits: t.takeOwed(st, dst),
+		p.credits--
+		msg := t.newMsg(wireMsg{kind: kindEager, env: env, dstRank: dst, seq: p.sendSeq,
+			size: size, payload: payload, credits: p.takeOwed(),
 			channel: size > t.params.RDMAEagerMax})
-		st.sendSeq[dst]++
+		p.sendSeq++
 		// Stage the payload into the pre-registered slot.
 		r.HostCopy(size)
 		if msg.channel {
@@ -313,9 +319,10 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 	}
 	ss.live.Acquire()
 	ss.req, ss.rank, ss.dst, ss.size, ss.env, ss.payload = req, r, dst, size, env, payload
-	msg := t.newMsg(wireMsg{kind: kindRTS, env: env, dstRank: dst, seq: st.sendSeq[dst],
-		size: size, payload: payload, sstate: ss, credits: t.takeOwed(st, dst)})
-	st.sendSeq[dst]++
+	p := &st.peers[dst]
+	msg := t.newMsg(wireMsg{kind: kindRTS, env: env, dstRank: dst, seq: p.sendSeq,
+		size: size, payload: payload, sstate: ss, credits: p.takeOwed()})
+	p.sendSeq++
 	hca.RDMAWriteThen(r.Proc(), t.w.NodeOf(dst), t.params.HeaderBytes, msg, nil)
 	return req
 }
@@ -356,16 +363,16 @@ func (t *Transport) finish(rs *recvState, msg *wireMsg) {
 	t.freeRecvs.Put(rs, &rs.live)
 }
 
-// takeOwed collects the piggyback credit field for a message to dst.
-func (t *Transport) takeOwed(st *rankState, dst int) int {
-	owed := st.creditOwed[dst]
-	st.creditOwed[dst] = 0
+// takeOwed collects the piggyback credit field for a message to the peer.
+func (p *peer) takeOwed() int32 {
+	owed := p.creditOwed
+	p.creditOwed = 0
 	return owed
 }
 
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Request {
-	st := t.states[r.ID()]
+	st := &t.states[r.ID()]
 	req := r.NewRequest("ib recv %d<-%d", src, true)
 	rs := t.freeRecvs.Get()
 	if rs == nil {
@@ -431,7 +438,7 @@ func (t *Transport) sendCTS(r *mpi.Rank, rs *recvState, rts *wireMsg) {
 // the only place eager copies, matching, CTS generation, and rendezvous
 // data pushes happen — no MPI call, no progress.
 func (t *Transport) Progress(r *mpi.Rank) {
-	st := t.states[r.ID()]
+	st := &t.states[r.ID()]
 	for st.head < len(st.pending) {
 		msg := st.pending[st.head]
 		st.pending[st.head] = nil
@@ -440,7 +447,7 @@ func (t *Transport) Progress(r *mpi.Rank) {
 		}
 		r.Proc().Sleep(t.params.ProcessArrival)
 		if msg.credits > 0 {
-			st.credits[msg.env.Src] += msg.credits
+			st.peers[msg.env.Src].credits += msg.credits
 		}
 		switch msg.kind {
 		case kindEager, kindRTS:
@@ -457,7 +464,7 @@ func (t *Transport) Progress(r *mpi.Rank) {
 			// arrival is the FIN.
 			t.finish(msg.rstate, msg)
 		case kindCredit:
-			st.credits[msg.env.Src] += msg.credits
+			st.peers[msg.env.Src].credits += msg.credits
 		case kindReadDone:
 			// RGET: the pulled payload is in the user buffer; finish the
 			// receive and release the sender with a FIN.
@@ -498,11 +505,11 @@ func (t *Transport) hostMatch(r *mpi.Rank, st *rankState, msg *wireMsg) {
 // ackEager accounts a consumed eager slot and returns credits explicitly
 // once half the ring is owed (piggybacking covers the rest).
 func (t *Transport) ackEager(r *mpi.Rank, st *rankState, src int) {
-	st.creditOwed[src]++
-	if st.creditOwed[src] >= t.params.EagerSlots/2 {
+	p := &st.peers[src]
+	p.creditOwed++
+	if p.creditOwed >= int32(t.params.EagerSlots/2) {
 		msg := t.newMsg(wireMsg{kind: kindCredit, env: match.Envelope{Src: r.ID()},
-			dstRank: src, credits: st.creditOwed[src]})
-		st.creditOwed[src] = 0
+			dstRank: src, credits: p.takeOwed()})
 		t.net.HCA(r.NodeID()).RDMAWriteThen(r.Proc(), t.w.NodeOf(src), t.params.HeaderBytes, msg, nil)
 	}
 }

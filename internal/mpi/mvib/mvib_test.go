@@ -61,6 +61,29 @@ func TestUnexpectedCounted(t *testing.T) {
 	}
 }
 
+// TestAttachCredits pins the initial eager credits at 4 nodes of 2
+// ranks: none toward a rank on the same node, which the shared-memory
+// channel serves, and a full slot ring toward every other rank.
+func TestAttachCredits(t *testing.T) {
+	m, err := platform.New(platform.Options{Network: platform.InfiniBand4X, Ranks: 8, PPN: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := m.IB.Params().EagerSlots
+	for peer := 1; peer < 8; peer++ {
+		want := slots
+		if peer == 1 {
+			want = 0
+		}
+		if got := m.IB.Credits(0, peer); got != want {
+			t.Errorf("rank 0 holds %d credits toward rank %d, want %d", got, peer, want)
+		}
+	}
+	if got := m.IB.Credits(7, 6); got != 0 {
+		t.Errorf("rank 7 holds %d credits toward rank 6 on its node, want 0", got)
+	}
+}
+
 func TestEagerMemoryGrowsWithJobSize(t *testing.T) {
 	// The paper's Section 4.1 point: eager buffer space is linear in the
 	// number of processes, which constrains the eager threshold.
