@@ -158,16 +158,14 @@ func (n *Network) NIC(node int) *NIC { return n.nics[node] }
 
 // Recv is an in-flight tagged receive.
 type Recv struct {
-	// Done fires when the receive completes. It points at a signal inside
-	// the Recv, so a posted receive is one allocation. It is nil for a
-	// receive posted with RxPostThen.
+	// Done fires when the receive completes: the signal RxPost allocated,
+	// or nil for a receive posted with RxPostThen.
 	Done    *sim.Signal
 	Src     int // filled at completion
 	Tag     int
 	Size    units.Bytes
 	Payload interface{}
 
-	done sim.Signal
 	then func() // RxPostThen's continuation
 }
 
@@ -191,7 +189,7 @@ type NIC struct {
 
 	ports []*port // one per local rank: a short list
 
-	freeMsgs sim.FreeList[envelopeMsg] // sends of the continuation path
+	freeMsgs sim.FreeList[envelopeMsg] // released sends
 
 	Sends, Recvs, Unexpected uint64
 }
@@ -223,28 +221,27 @@ func (n *NIC) portOf(rank int) *port {
 // command post to the matched receive's completion, as one continuation,
 // stepFn, bound once, so no stage schedules a closure.
 //
-// A send completes either by firing txDone, which TxPost handed out, so
-// the message is never reused, or by scheduling then; the latter goes back
-// to the source NIC's pool when the matched receive completes, its one
-// release point.
+// A send completes when the application buffer is reusable, by firing
+// txDone, the signal TxPost allocated and handed out, or, when txDone is
+// nil, by scheduling then. Either way the message goes back to the source
+// NIC's pool when the matched receive completes, its one release point,
+// holding neither.
 type envelopeMsg struct {
 	net     *Network
 	live    sim.Live
-	signal  bool // the send completes by firing txDone
+	eager   bool
+	stage   txStage // the stage step runs next
 	then    func()
+	txDone  *sim.Signal
 	env     match.Envelope
 	dstRank int
 	seq     uint64
 	size    units.Bytes
-	eager   bool
-	stage   txStage // the stage step runs next
 	payload interface{}
 	srcNode int
 	dstNode int
 	rx      *Recv // the matched receive
 	stepFn  func()
-	// txDone fires when the application buffer is reusable.
-	txDone sim.Signal
 }
 
 type txStage uint8
@@ -268,9 +265,8 @@ const (
 // pulled by the receiver).
 func (n *NIC) TxPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size units.Bytes, payload interface{}) *sim.Signal {
 	msg := n.txPost(p, srcRank, dstRank, env, size, payload)
-	n.eng.InitSignal(&msg.txDone, "elan tx %d->%d", srcRank, dstRank)
-	msg.signal = true
-	return &msg.txDone
+	msg.txDone = n.eng.NewSignal("elan tx %d->%d", srcRank, dstRank)
+	return msg.txDone
 }
 
 // TxPostThen is TxPost for a caller that needs no signal: when the
@@ -317,11 +313,9 @@ func (n *NIC) txPost(p *sim.Proc, srcRank, dstRank int, env match.Envelope, size
 
 // sent completes the send: the application buffer is reusable.
 func (msg *envelopeMsg) sent() {
-	if msg.signal {
+	if msg.txDone != nil {
 		msg.txDone.Fire()
-		return
-	}
-	if msg.then != nil {
+	} else if msg.then != nil {
 		msg.net.eng.After(0, msg.then)
 	}
 }
@@ -377,23 +371,20 @@ func (msg *envelopeMsg) step() {
 }
 
 // finishRecv completes the matched receive with the message's envelope.
-// It is the message's last stage: a message of the continuation path goes
-// back to its source NIC's pool.
+// It is the message's last stage: the message goes back to its source
+// NIC's pool.
 func (msg *envelopeMsg) finishRecv() {
 	rx := msg.rx
 	rx.Src = msg.env.Src
 	rx.Tag = msg.env.Tag
 	rx.Size = msg.size
 	rx.Payload = msg.payload
-	if rx.then != nil {
+	if rx.Done != nil {
+		rx.Done.Fire()
+	} else if rx.then != nil {
 		msg.net.eng.After(0, rx.then)
-	} else {
-		rx.done.Fire()
 	}
-	if msg.signal {
-		return
-	}
-	msg.rx, msg.payload, msg.then = nil, nil, nil
+	msg.rx, msg.payload, msg.then, msg.txDone = nil, nil, nil, nil
 	msg.net.nics[msg.srcNode].freeMsgs.Put(msg, &msg.live)
 }
 
@@ -451,8 +442,7 @@ func (n *NIC) completeMatch(msg *envelopeMsg) {
 // RxPost posts a tagged receive for the given local rank. The calling
 // process pays only the descriptor-post overhead; matching runs on the NIC.
 func (n *NIC) RxPost(p *sim.Proc, dstRank int, env match.Envelope) *Recv {
-	recv := &Recv{}
-	recv.Done = &recv.done
+	recv := &Recv{Done: n.eng.NewSignal("elan rx rank%d", dstRank)}
 	n.rxPost(p, dstRank, env, recv)
 	return recv
 }
@@ -472,9 +462,6 @@ func (n *NIC) rxPost(p *sim.Proc, dstRank int, env match.Envelope, recv *Recv) {
 	n.Recvs++
 	p.Sleep(n.params.RxPostOverhead)
 
-	if recv.then == nil {
-		n.eng.InitSignal(&recv.done, "elan rx rank%d", dstRank)
-	}
 	// The NIC thread walks the unexpected queue (or appends the post).
 	data, found, traversed := pt.eng.PostRecv(env, recv)
 	walk := units.Duration(traversed) * n.params.MatchPerEntry

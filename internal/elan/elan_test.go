@@ -11,14 +11,14 @@ import (
 
 // testNet builds a 1-rank-per-node Elan network over `nodes` nodes on one
 // radix-64 switch.
-func testNet(t *testing.T, eng *sim.Engine, nodes int) *Network {
+func testNet(t testing.TB, eng *sim.Engine, nodes int) *Network {
 	t.Helper()
 	return testClos(t, eng, nodes, 64)
 }
 
 // testClos builds a 1-rank-per-node Elan network over `nodes` nodes on an
 // adaptive Clos of the given radix.
-func testClos(t *testing.T, eng *sim.Engine, nodes, radix int) *Network {
+func testClos(t testing.TB, eng *sim.Engine, nodes, radix int) *Network {
 	t.Helper()
 	f, err := fabric.New(eng, nodes, radix, fabric.Params{
 		LinkBandwidth:  1300 * units.MBps,

@@ -422,7 +422,7 @@ func (w *window) expand() {
 		}
 		delivered++
 	}
-	ms.remaining -= delivered
+	ms.remaining -= int32(delivered)
 	// remaining cannot reach zero here: expansion only happens at or
 	// before deliverAt, so at least the final delivery is still pending.
 }
@@ -442,6 +442,6 @@ func (w *window) train(k int) bool {
 	if !w.hop(0).srv.Lane().Series(first, w.aLast[1], w.n-k, &ms.train, ms.fireFn) {
 		return false
 	}
-	ms.trainAt, ms.trainLeft, ms.lastSer = first, w.n-k, w.sLast[0]
+	ms.trainAt, ms.trainLeft, ms.lastSer = first, int32(w.n-k), w.sLast[0]
 	return true
 }

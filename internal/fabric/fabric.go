@@ -381,21 +381,21 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 // and fireFn, are bound once at allocation like chunkState.stepFn. It is
 // released when the message retires (see retireMsg).
 type msgState struct {
-	f         *Fabric
-	live      sim.Live
-	pt        path
-	remaining int         // chunks not yet retired
-	size      units.Bytes // payload size: the chunk plan, retirement counts
-	src, dst  int         // endpoints and send time: the timeline span
-	sent      units.Time
-	// The message's completion: done, the signal Send handed out, or,
-	// when done is nil, the continuations SendThen was given.
-	done *sim.Signal
-	then []func()
+	f    *Fabric
+	live sim.Live
 	// aborted marks a message killed by an unrecovered fault (see
 	// dropMessage): its remaining chunks still drain through the fabric,
 	// but it never completes.
-	aborted  bool
+	aborted   bool
+	pt        path
+	remaining int32       // chunks not yet retired
+	size      units.Bytes // payload size: the chunk plan, retirement counts
+	src, dst  int32       // endpoints and send time: the timeline span
+	sent      units.Time
+	// The message's completion: done, the signal Send handed out, or,
+	// when done is nil, the continuations SendThen was given.
+	done     *sim.Signal
+	then     [2]func()
 	injectFn func()
 
 	// The train (see startTrain): the chunks that have crossed the first
@@ -404,7 +404,7 @@ type msgState struct {
 	// lastSer the final chunk's serialization time on the first stage.
 	train     sim.LaneEntry
 	trainAt   units.Time
-	trainLeft int
+	trainLeft int32
 	lastSer   units.Duration
 	fireFn    func() (units.Time, bool)
 }
@@ -437,11 +437,12 @@ func (f *Fabric) retireMsg(ms *msgState) {
 			ms.done.Fire()
 		}
 		for _, fn := range ms.then {
-			f.eng.After(0, fn)
+			if fn != nil {
+				f.eng.After(0, fn)
+			}
 		}
 	}
-	clear(ms.then)
-	ms.done, ms.then, ms.aborted = nil, ms.then[:0], false
+	ms.done, ms.then, ms.aborted = nil, [2]func(){}, false
 	f.freeMsgs.Put(ms, &ms.live)
 }
 
@@ -527,7 +528,7 @@ func (ms *msgState) startTrain(now units.Time, n int, last units.Bytes) bool {
 	if srv.BusyUntil().Add(st.lat) != final {
 		panic("fabric: train arrivals diverged from the first stage's service")
 	}
-	ms.trainAt, ms.trainLeft, ms.lastSer = first, n, lastSer
+	ms.trainAt, ms.trainLeft, ms.lastSer = first, int32(n), lastSer
 	return true
 }
 
@@ -758,20 +759,26 @@ func (f *Fabric) chunkPlan(size units.Bytes) (n int, last units.Bytes) {
 // traffic) still pay one packet's serialization and the full route latency.
 func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	done := f.eng.NewSignal("msg %d->%d", src, dst)
-	f.send(src, dst, size, done, nil)
+	f.send(src, dst, size, done, [2]func(){})
 	return done
 }
 
 // SendThen is Send for a caller that needs no signal: at delivery it
 // schedules each of then, in order, exactly as the signal's Fire would
 // schedule callbacks registered with OnFire, so every event keeps its key.
+// It takes at most two continuations, which the message holds in place;
+// Elan's payload pull is the one caller that passes two. A third panics.
 func (f *Fabric) SendThen(src, dst int, size units.Bytes, then ...func()) {
-	f.send(src, dst, size, nil, then)
+	var fns [2]func()
+	if copy(fns[:], then) < len(then) {
+		panic("fabric: SendThen given a third continuation; a message holds at most two")
+	}
+	f.send(src, dst, size, nil, fns)
 }
 
 // send is Send and SendThen: the message completes by firing done, when it
 // is not nil, and by scheduling then.
-func (f *Fabric) send(src, dst int, size units.Bytes, done *sim.Signal, then []func()) {
+func (f *Fabric) send(src, dst int, size units.Bytes, done *sim.Signal, then [2]func()) {
 	if src == dst {
 		panic("fabric: send to self must be handled above the fabric (loopback)")
 	}
@@ -782,14 +789,13 @@ func (f *Fabric) send(src, dst int, size units.Bytes, done *sim.Signal, then []f
 	f.bytes += size
 
 	ms := f.getMsg()
-	ms.done = done
-	ms.then = append(ms.then, then...)
+	ms.done, ms.then = done, then
 	f.fillPath(&ms.pt, src, dst)
 	n, last := f.chunkPlan(size)
 	f.chunks += uint64(n)
-	ms.remaining = n
+	ms.remaining = int32(n)
 	ms.size = size
-	ms.src, ms.dst, ms.sent = src, dst, f.eng.Now()
+	ms.src, ms.dst, ms.sent = int32(src), int32(dst), f.eng.Now()
 
 	// A window is open only while its message is alone in the fabric, so
 	// it materializes before the newcomer is scheduled, whatever its path,

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -119,13 +121,14 @@ func TestEjectionContentionSerializes(t *testing.T) {
 // message costs only the completion signal Send returns, whose name is
 // rendered only when read. The chunk state, lane entry included, stays in
 // the 96-byte allocation class, and the message state, whose path holds
-// stage-table indices and no stage, in the 224-byte class.
+// stage-table indices and no stage and whose continuations sit in place,
+// in the 192-byte class.
 func TestContendedSendAllocs(t *testing.T) {
 	if size := unsafe.Sizeof(chunkState{}); size > 96 {
 		t.Fatalf("chunkState is %d bytes, want at most 96", size)
 	}
-	if size := unsafe.Sizeof(msgState{}); size > 224 {
-		t.Fatalf("msgState is %d bytes, want at most 224", size)
+	if size := unsafe.Sizeof(msgState{}); size > 192 {
+		t.Fatalf("msgState is %d bytes, want at most 192", size)
 	}
 	eng := sim.NewEngine()
 	f := mustNew(t, eng, 16, 8, hostParams())
@@ -245,6 +248,53 @@ func TestSendToSelfPanics(t *testing.T) {
 		}
 	}()
 	f.Send(3, 3, 100)
+}
+
+// TestSendThenContinuations: SendThen's two continuations run in order,
+// at the instant and with the events of a Send whose signal has two
+// OnFire callbacks, on the coalesced path and the chunk model alike. A
+// third continuation panics, naming it.
+func TestSendThenContinuations(t *testing.T) {
+	run := func(coalesce, then bool) (string, uint64, uint64) {
+		eng := sim.NewEngine()
+		f := mustNew(t, eng, 4, 8, hostParams())
+		f.coalesce = coalesce
+		var log string
+		cb := func(name string) func() {
+			return func() { log += fmt.Sprintf("%s@%v ", name, eng.Now()) }
+		}
+		size := 8 * f.Params().MTU
+		if then {
+			f.SendThen(0, 1, size, cb("first"), cb("second"))
+		} else {
+			s := f.Send(0, 1, size)
+			s.OnFire(cb("first"))
+			s.OnFire(cb("second"))
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, eng.Events(), sim.KeyDigest(eng)
+	}
+	for _, coalesce := range []bool{true, false} {
+		sigLog, sigEvents, sigDigest := run(coalesce, false)
+		thenLog, thenEvents, thenDigest := run(coalesce, true)
+		if !strings.HasPrefix(thenLog, "first@") || !strings.Contains(thenLog, " second@") || thenLog != sigLog {
+			t.Errorf("coalesce=%v: continuations ran %q, signal callbacks %q", coalesce, thenLog, sigLog)
+		}
+		if thenEvents != sigEvents || thenDigest != sigDigest {
+			t.Errorf("coalesce=%v: %d events, digest %016x with then; %d, %016x with a signal",
+				coalesce, thenEvents, thenDigest, sigEvents, sigDigest)
+		}
+	}
+	f := mustNew(t, sim.NewEngine(), 4, 8, testParams())
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "third continuation") {
+			t.Errorf("panic %q, want one naming the third continuation", msg)
+		}
+	}()
+	nop := func() {}
+	f.SendThen(0, 1, 100, nop, nop, nop)
 }
 
 func TestStats(t *testing.T) {

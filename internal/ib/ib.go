@@ -232,7 +232,7 @@ type HCA struct {
 	qps       []bool // connected, per peer node
 	numQPs    int
 	QPMemory  units.Bytes
-	freeOps   sim.FreeList[rdmaOp] // RDMA operations of the continuation path
+	freeOps   sim.FreeList[rdmaOp] // released RDMA operations
 	SendCount uint64
 	RecvCount uint64
 	// Retransmits counts fabric re-sends issued by this HCA's RC
@@ -361,15 +361,13 @@ func (h *HCA) reliable(kind string, peer, src, dst int, size units.Bytes, delive
 // remote host is not interrupted and performs no work.
 func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
 	op := h.post(p, peer, size, imm, false)
-	h.eng.InitSignal(&op.done, "rdma %d->%d", h.node, peer)
-	op.signal = true
-	return &op.done
+	op.done = h.eng.NewSignal("rdma %d->%d", h.node, peer)
+	return op.done
 }
 
 // RDMAWriteThen is RDMAWrite for a caller that needs no signal: at local
 // completion it schedules then (if not nil), exactly as the signal's Fire
-// would schedule a single OnFire callback, and the operation's state goes
-// back to the HCA's pool.
+// would schedule a single OnFire callback.
 func (h *HCA) RDMAWriteThen(p *sim.Proc, peer int, size units.Bytes, imm interface{}, then func()) {
 	h.post(p, peer, size, imm, false).then = then
 }
@@ -384,9 +382,8 @@ func (h *HCA) RDMAWriteThen(p *sim.Proc, peer int, size units.Bytes, imm interfa
 // The returned signal fires at local completion (data placed locally).
 func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{}) *sim.Signal {
 	op := h.post(p, peer, size, imm, true)
-	h.eng.InitSignal(&op.done, "rdma-read %d<-%d", h.node, peer)
-	op.signal = true
-	return &op.done
+	op.done = h.eng.NewSignal("rdma-read %d<-%d", h.node, peer)
+	return op.done
 }
 
 // RDMAReadThen is RDMARead for a caller that needs no signal, as
@@ -423,14 +420,14 @@ func (h *HCA) post(p *sim.Proc, peer int, size units.Bytes, imm interface{}, rea
 	return op
 }
 
-// rdmaOp is one RDMA write or read in flight: the operation's whole state,
-// its local-completion signal included, in one allocation. Its stages run
-// as one continuation, stepFn, bound once, so the doorbell -> WQE -> wire
-// -> placement chain schedules no closure per hop.
+// rdmaOp is one RDMA write or read in flight. Its stages run as one
+// continuation, stepFn, bound once, so the doorbell -> WQE -> wire ->
+// placement chain schedules no closure per hop.
 //
-// An operation completes either by firing done, which RDMAWrite or
-// RDMARead handed out, so it is never reused, or by scheduling then; the
-// latter goes back to its HCA's pool at completion, its one release point.
+// An operation completes by firing done, the signal RDMAWrite or RDMARead
+// allocated and handed out, or, when done is nil, by scheduling then.
+// Either way it goes back to its HCA's pool at completion, its one
+// release point, holding neither.
 type rdmaOp struct {
 	h      *HCA // the requester
 	live   sim.Live
@@ -438,11 +435,10 @@ type rdmaOp struct {
 	size   units.Bytes
 	imm    interface{}
 	read   bool
-	signal bool      // completes by firing done
 	stage  rdmaStage // the stage step runs next
 	stepFn func()
 	then   func()
-	done   sim.Signal
+	done   *sim.Signal
 }
 
 type rdmaStage uint8
@@ -498,14 +494,12 @@ func (op *rdmaOp) step() {
 		if dst.handler != nil {
 			dst.handler(Delivery{SrcNode: src, Imm: op.imm, Size: op.size})
 		}
-		if op.signal {
+		if op.done != nil {
 			op.done.Fire()
-			return
-		}
-		if op.then != nil {
+		} else if op.then != nil {
 			h.eng.After(0, op.then)
 		}
-		op.imm, op.then = nil, nil
+		op.imm, op.then, op.done = nil, nil, nil
 		h.freeOps.Put(op, &op.live)
 	}
 }

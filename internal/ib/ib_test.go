@@ -8,7 +8,7 @@ import (
 	"repro/internal/units"
 )
 
-func testFabric(t *testing.T, eng *sim.Engine, nodes int) *fabric.Fabric {
+func testFabric(t testing.TB, eng *sim.Engine, nodes int) *fabric.Fabric {
 	t.Helper()
 	f, err := fabric.New(eng, nodes, 96, fabric.Params{
 		LinkBandwidth:  1 * units.GBps,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/mpi/tports"
 	"repro/internal/platform"
 	"repro/internal/units"
 )
@@ -131,5 +132,33 @@ func TestNoPerPeerState(t *testing.T) {
 	// chassis the round trips must match exactly.
 	if costs[0] != costs[1] {
 		t.Fatalf("cold vs warm peer cost differ: %v vs %v", costs[0], costs[1])
+	}
+}
+
+// TestOpsRecycled: every op goes back to the transport's pool when its
+// request completes, so twenty rounds of an eager and a rendezvous
+// exchange leave no more ops on the pool than one round does. An op, the
+// NIC's receive record included, stays within 96 bytes.
+func TestOpsRecycled(t *testing.T) {
+	if tports.OpSize > 96 {
+		t.Fatalf("op is %d bytes, want at most 96", tports.OpSize)
+	}
+	pooled := func(rounds int) int {
+		m := build(t, 2, 1)
+		_, err := m.Run(func(r *mpi.Rank) {
+			peer := 1 - r.ID()
+			for i := 0; i < rounds; i++ {
+				r.Waitall(r.Irecv(peer, 0), r.Irecv(peer, 1),
+					r.Isend(peer, 0, 1*units.KiB), r.Isend(peer, 1, 64*units.KiB))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Elan.FreeOps()
+	}
+	one, many := pooled(1), pooled(20)
+	if one == 0 || many != one {
+		t.Fatalf("%d ops pooled after one round, %d after twenty; want the same, more than 0", one, many)
 	}
 }
